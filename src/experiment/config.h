@@ -189,12 +189,15 @@ struct SimulationConfig {
   /// Partition the domains (and their clients, name servers and estimator
   /// state) across a pool of per-shard simulators that synchronize at
   /// every monitor tick — the parallel-in-one-run mode (DESIGN.md §16).
-  /// Results are bit-identical across repeated runs at a fixed seed and
-  /// shard count, whatever ADATTL_JOBS is.
+  /// Domains go to shards largest offered load first, so the shards carry
+  /// near-equal load. Results are bit-identical across repeated runs at a
+  /// fixed seed and shard count, whatever ADATTL_JOBS is.
   bool shard_domains = false;
-  /// Shard pool size for shard_domains; 0 = one shard per ADATTL_JOBS
-  /// worker. Clamped to num_domains (a shard needs at least one domain).
-  int shard_count = 0;
+  /// Shard pool size for shard_domains, in [1, 512]; clamped to
+  /// num_domains (a shard needs at least one domain). A fixed number, not
+  /// the host's worker count: the shard count picks the RNG split, so it
+  /// is part of the run's identity.
+  int shard_count = 4;
 
   double effective_class_threshold() const {
     return class_threshold > 0.0 ? class_threshold : 1.0 / num_domains;

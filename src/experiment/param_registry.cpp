@@ -862,10 +862,10 @@ ParamRegistry::ParamRegistry() {
           "partition domains across parallel per-shard simulators (DESIGN.md §16)",
           &S::shard_domains);
   integer("shard-count", "run", "N",
-          "shard pool size for --shard-domains (0 = one shard per ADATTL_JOBS worker)",
+          "shard pool size for --shard-domains (fixed, independent of the host)",
           &S::shard_count,
-          check_cfg([](const S& c) { return c.shard_count >= 0 && c.shard_count <= 512; },
-                    "config: shard count in [0, 512]"));
+          check_cfg([](const S& c) { return c.shard_count >= 1 && c.shard_count <= 512; },
+                    "config: shard count in [1, 512]"));
 
   // ---- output (CLI/scenario only: no env, never dumped) ----
   auto out_bool = [&](const char* name, const char* doc, bool C::* m) {

@@ -8,6 +8,30 @@
 
 namespace adattl::experiment {
 
+namespace {
+
+/// Greedy largest-first partition of per-domain offered load over
+/// `num_shards` shards: domains are visited by decreasing load (lower id
+/// first on ties) and each goes to the least-loaded shard so far (lowest
+/// index first on ties). Returns the domain → shard owner map.
+std::vector<int> partition_by_load(const std::vector<double>& load, int num_shards) {
+  std::vector<int> order(load.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(), [&load](int a, int b) {
+    return load[static_cast<std::size_t>(a)] > load[static_cast<std::size_t>(b)];
+  });
+  std::vector<double> shard_load(static_cast<std::size_t>(num_shards), 0.0);
+  std::vector<int> owner(load.size(), 0);
+  for (int d : order) {
+    const auto lightest = std::min_element(shard_load.begin(), shard_load.end());
+    owner[static_cast<std::size_t>(d)] = static_cast<int>(lightest - shard_load.begin());
+    *lightest += load[static_cast<std::size_t>(d)];
+  }
+  return owner;
+}
+
+}  // namespace
+
 ShardedSite::ShardedSite(const SimulationConfig& config)
     : config_(config.scaled()), rng_(config_.seed) {
   obs::Stopwatch setup_watch;
@@ -44,10 +68,16 @@ ShardedSite::ShardedSite(const SimulationConfig& config)
   }
   schedule.merge(config_.faults);
 
-  // ---- Shard layout: domains round-robin over max(1, min(S, D)) shards ----
-  const int requested =
-      config_.shard_count > 0 ? config_.shard_count : default_jobs();
-  const int num_shards = std::max(1, std::min(requested, config_.num_domains));
+  // ---- Shard layout: offered load balanced over min(S, D) shards ----
+  const int num_shards = std::min(config_.shard_count, config_.num_domains);
+  owner_ = partition_by_load(domains_.true_weights(), num_shards);
+  // Each shard schedules only the trace points of the domains it owns, in
+  // trace order.
+  std::vector<std::vector<workload::TraceEvent>> trace_slices(
+      static_cast<std::size_t>(num_shards));
+  for (const workload::TraceEvent& ev : config_.trace_events) {
+    trace_slices[static_cast<std::size_t>(owner(ev.domain))].push_back(ev);
+  }
   shards_.reserve(static_cast<std::size_t>(num_shards));
 
   dnscache::NsTtlBehavior ns_behavior;
@@ -62,8 +92,8 @@ ShardedSite::ShardedSite(const SimulationConfig& config)
     // derivation depends only on (seed, shard index), never on worker
     // count or interleaving.
     shard->rng = rng_.split();
-    for (int d = s; d < config_.num_domains; d += num_shards) {
-      shard->domains.push_back(d);
+    for (int d = 0; d < config_.num_domains; ++d) {
+      if (owner(d) == s) shard->domains.push_back(d);
     }
 
     int shard_clients = 0;
@@ -75,19 +105,18 @@ ShardedSite::ShardedSite(const SimulationConfig& config)
     shard->sim->reserve(2 * static_cast<std::size_t>(shard_clients) + 64);
 
     // Each shard carries a full think-time table (domain ids are global);
-    // scripted rate shifts fire only in the owning shard's simulator.
+    // scripted rate shifts and trace points fire only in the owning
+    // shard's simulator.
     shard->think = std::make_unique<workload::ThinkTimeModel>(domains_.mean_think_sec);
     for (const workload::RateShift& shift : config_.rate_shifts) {
-      if (shift.domain % num_shards != s) continue;
+      if (owner(shift.domain) != s) continue;
       workload::ThinkTimeModel* think = shard->think.get();
       shard->sim->at(shift.at_sec, sim::assert_inline([think, shift] {
                        think->scale_rate(shift.domain, shift.rate_factor);
                      }));
     }
-    // Trace events fire only in the owning shard, like rate_shifts: every
-    // shard holds the full global trace but schedules just its slice.
-    workload::schedule_trace(*shard->sim, *shard->think, config_.trace_events,
-                             num_shards, s);
+    workload::schedule_trace(*shard->sim, *shard->think,
+                             trace_slices[static_cast<std::size_t>(s)]);
 
     // Full-capacity cluster replica: service times are exact; cross-shard
     // queueing contention is under-modeled (see class comment).
@@ -376,14 +405,12 @@ RunResult ShardedSite::aggregate(double horizon) {
       }
     }
   }
-  // Every domain's clients live in exactly one shard (round-robin layout),
-  // so each per-domain histogram comes from its owning shard verbatim.
-  const int num_shards = static_cast<int>(shards_.size());
+  // Every domain's clients live in exactly one shard, so each per-domain
+  // histogram comes from its owning shard verbatim.
   r.domain_latency.reserve(static_cast<std::size_t>(config_.num_domains));
   for (int d = 0; d < config_.num_domains; ++d) {
     const sim::Histogram& h =
-        shards_[static_cast<std::size_t>(d % num_shards)]->clients
-            ->domain_response_histogram(d);
+        shards_[static_cast<std::size_t>(owner(d))]->clients->domain_response_histogram(d);
     RunResult::DomainLatency dl;
     dl.pages = h.count();
     if (dl.pages > 0) {

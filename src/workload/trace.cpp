@@ -123,12 +123,8 @@ void validate_trace(const std::vector<TraceEvent>& events, int num_domains) {
 }
 
 void schedule_trace(sim::Simulator& sim, ThinkTimeModel& think,
-                    const std::vector<TraceEvent>& events, int num_shards, int shard) {
-  if (num_shards < 1 || shard < 0 || shard >= num_shards) {
-    throw std::invalid_argument("schedule_trace: bad shard selector");
-  }
+                    const std::vector<TraceEvent>& events) {
   for (const TraceEvent& ev : events) {
-    if (ev.domain % num_shards != shard) continue;
     ThinkTimeModel* t = &think;
     sim.at(ev.at_sec, sim::assert_inline([t, ev] {
              t->set_rate(ev.domain, ev.rate_multiplier);

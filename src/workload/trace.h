@@ -42,14 +42,11 @@ std::string trace_to_csv(const std::vector<TraceEvent>& events);
 void validate_trace(const std::vector<TraceEvent>& events, int num_domains);
 
 /// Schedules a trace into a simulator: each event fires
-/// `think.set_rate(domain, rate_multiplier)` at its timestamp. For
-/// domain-sharded runs pass (num_shards, shard): only events whose domain
-/// the shard owns (domain % num_shards == shard) are scheduled, mirroring
-/// how rate_shifts replicate — every shard sees the same global trace and
-/// fires exactly the slice it owns.
+/// `think.set_rate(domain, rate_multiplier)` at its timestamp. Every event
+/// is scheduled; a domain-sharded run passes each shard only the events of
+/// the domains that shard owns.
 void schedule_trace(sim::Simulator& sim, ThinkTimeModel& think,
-                    const std::vector<TraceEvent>& events, int num_shards = 1,
-                    int shard = 0);
+                    const std::vector<TraceEvent>& events);
 
 // ---------------------------------------------------------------------------
 // Generators (the `adattl_tracegen` tool wraps these): each emits a

@@ -154,6 +154,18 @@ inline void check_sharded_run_conservation(experiment::ShardedSite& site,
     }
   }
   EXPECT_EQ(owned_domains, cfg.num_domains);  // the partition covers every domain once
+
+  // ---- Per-domain pages: each domain's latency histogram is read from its
+  // owning shard, so the per-domain counts add up to the run's pages, short
+  // only of the pages still in flight at the horizon (at most one per
+  // client). A lookup on a shard that does not own the domain reads an
+  // empty histogram and breaks the lower bound. ----
+  EXPECT_EQ(r.domain_latency.size(), static_cast<std::size_t>(cfg.num_domains));
+  std::uint64_t domain_pages = 0;
+  for (const auto& dl : r.domain_latency) domain_pages += dl.pages;
+  EXPECT_LE(domain_pages, r.total_pages);
+  EXPECT_LE(r.total_pages, domain_pages + static_cast<std::uint64_t>(cfg.total_clients));
+
   EXPECT_EQ(r.authoritative_queries, decisions);
   EXPECT_EQ(assigned, decisions);
   EXPECT_EQ(ns_auth, r.authoritative_queries);

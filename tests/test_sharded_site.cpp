@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
+#include <numeric>
+#include <string>
+
 #include "proptest/invariants.h"
 
 namespace adattl::experiment {
@@ -68,26 +73,114 @@ TEST(ShardedSite, WorkerCountDoesNotChangeResults) {
   expect_bit_identical(serial.run(one), parallel.run(four));
 }
 
-TEST(ShardedSite, ShardsPartitionDomainsRoundRobin) {
-  SimulationConfig cfg = sharded_config();
-  cfg.shard_count = 3;
-  ShardedSite site(cfg);
-  ASSERT_EQ(site.shard_count(), 3);
-  std::vector<int> seen(static_cast<std::size_t>(cfg.num_domains), 0);
-  for (int s = 0; s < site.shard_count(); ++s) {
-    for (int d : site.shard(s).domains) {
-      EXPECT_EQ(d % 3, s);
-      seen[static_cast<std::size_t>(d)]++;
-    }
+TEST(ShardedSite, DefaultShardCountDoesNotDependOnTheHost) {
+  // shard_count left at its default: the layout and the RNG split must not
+  // follow ADATTL_JOBS (or the CPU count), or one config would give
+  // different results on different machines.
+  SimulationConfig cfg;
+  cfg.cluster = web::table2_cluster(35);
+  cfg.policy = "DRR2-TTL/S_K";
+  cfg.warmup_sec = 60.0;
+  cfg.duration_sec = 600.0;
+  cfg.shard_domains = true;
+  const char* saved = std::getenv("ADATTL_JOBS");
+  const std::string restore = saved ? saved : "";
+  ASSERT_EQ(setenv("ADATTL_JOBS", "1", 1), 0);
+  ShardedSite one(cfg);
+  const RunResult r1 = one.run();
+  ASSERT_EQ(setenv("ADATTL_JOBS", "4", 1), 0);
+  ShardedSite four(cfg);
+  const RunResult r4 = four.run();
+  if (saved) {
+    setenv("ADATTL_JOBS", restore.c_str(), 1);
+  } else {
+    unsetenv("ADATTL_JOBS");
   }
-  for (int count : seen) EXPECT_EQ(count, 1);
+  EXPECT_EQ(one.shard_count(), four.shard_count());
+  expect_bit_identical(r1, r4);
+}
+
+TEST(ShardedSite, LayoutOwnsEveryDomainOnceAscendingAndDeterministic) {
+  for (int shards : {1, 2, 3, 4, 7}) {
+    SimulationConfig cfg = sharded_config();
+    cfg.shard_count = shards;
+    ShardedSite a(cfg);
+    ShardedSite b(cfg);
+    ASSERT_EQ(a.shard_count(), shards);
+    std::vector<int> seen(static_cast<std::size_t>(cfg.num_domains), 0);
+    for (int s = 0; s < a.shard_count(); ++s) {
+      const std::vector<int>& owned = a.shard(s).domains;
+      EXPECT_FALSE(owned.empty()) << "shard " << s;
+      EXPECT_TRUE(std::is_sorted(owned.begin(), owned.end())) << "shard " << s;
+      EXPECT_EQ(owned, b.shard(s).domains) << "shard " << s;
+      for (int d : owned) {
+        EXPECT_EQ(a.owner(d), s);
+        seen[static_cast<std::size_t>(d)]++;
+      }
+    }
+    for (int count : seen) EXPECT_EQ(count, 1);
+  }
+}
+
+TEST(ShardedSite, LayoutBalancesZipfLoadLargestFirst) {
+  // 20 Zipf(1) domains on 4 shards: `d % 4` would put 40.2% of the offered
+  // load on shard 0. Largest-first gives domain 0 (27.8%) a shard of its
+  // own, and no shard carries more than that.
+  ShardedSite site(sharded_config());
+  ASSERT_EQ(site.shard_count(), 4);
+  EXPECT_EQ(site.shard(0).domains, std::vector<int>{0});
+  const std::vector<double> load = site.domain_set().true_weights();
+  const double total = std::accumulate(load.begin(), load.end(), 0.0);
+  double round_robin_shard0 = 0.0;
+  for (std::size_t d = 0; d < load.size(); d += 4) round_robin_shard0 += load[d];
+  EXPECT_NEAR(round_robin_shard0 / total, 0.402, 0.001);
+  double heaviest = 0.0;
+  for (int s = 0; s < site.shard_count(); ++s) {
+    double sum = 0.0;
+    for (int d : site.shard(s).domains) sum += load[static_cast<std::size_t>(d)];
+    heaviest = std::max(heaviest, sum);
+  }
+  EXPECT_LE(heaviest / total, 0.28);
 }
 
 TEST(ShardedSite, ShardCountClampsToDomains) {
   SimulationConfig cfg = sharded_config();
   cfg.shard_count = 500;  // far more than the 20 domains
   ShardedSite site(cfg);
-  EXPECT_EQ(site.shard_count(), cfg.num_domains);
+  ASSERT_EQ(site.shard_count(), cfg.num_domains);
+  for (int s = 0; s < site.shard_count(); ++s) {
+    EXPECT_EQ(site.shard(s).domains.size(), 1u) << "shard " << s;
+  }
+}
+
+TEST(ShardedSite, TracePointAndRateShiftReachTheOwningShard) {
+  // Domain 4 lives on shard 3, not on 4 % 4 = 0. A trace point or a rate
+  // shift routed by `d % S` would fire where domain 4 has no clients and
+  // leave its page count untouched.
+  const int d = 4;
+  SimulationConfig quiet = sharded_config();
+  ShardedSite plain(quiet);
+  ASSERT_NE(plain.owner(d), d % plain.shard_count());
+  const RunResult base = plain.run();
+  proptest::check_sharded_run_conservation(plain, base);
+
+  SimulationConfig traced = quiet;
+  traced.trace_events = {{100.0, d, 4.0}};
+  ShardedSite with_trace(traced);
+  const RunResult rt = with_trace.run();
+  proptest::check_sharded_run_conservation(with_trace, rt);
+  EXPECT_NE(rt.domain_latency[d].pages, base.domain_latency[d].pages);
+
+  SimulationConfig shifted = quiet;
+  shifted.rate_shifts = {{100.0, d, 4.0}};
+  ShardedSite with_shift(shifted);
+  const RunResult rs = with_shift.run();
+  proptest::check_sharded_run_conservation(with_shift, rs);
+  EXPECT_NE(rs.domain_latency[d].pages, base.domain_latency[d].pages);
+
+  for (const RunResult* r : {&base, &rt, &rs}) {
+    for (const RunResult::DomainLatency& dl : r->domain_latency) EXPECT_GT(dl.pages, 0u);
+  }
 }
 
 TEST(ShardedSite, ConservationLawsHoldAcrossShards) {

@@ -98,29 +98,6 @@ TEST(TraceSchedule, FiresAbsoluteRateChanges) {
   EXPECT_DOUBLE_EQ(think.rate_multiplier(1), 0.5);
 }
 
-TEST(TraceSchedule, ShardSeesOnlyItsOwnedDomains) {
-  const std::vector<TraceEvent> events = {{1.0, 0, 2.0}, {1.0, 1, 3.0}, {1.0, 2, 4.0}};
-  // Two shards: shard 0 owns domains {0, 2}, shard 1 owns {1}.
-  sim::Simulator sim0;
-  ThinkTimeModel think0({10.0, 10.0, 10.0});
-  schedule_trace(sim0, think0, events, 2, 0);
-  sim0.run_until(2.0);
-  EXPECT_DOUBLE_EQ(think0.rate_multiplier(0), 2.0);
-  EXPECT_DOUBLE_EQ(think0.rate_multiplier(1), 1.0);  // not owned: untouched
-  EXPECT_DOUBLE_EQ(think0.rate_multiplier(2), 4.0);
-
-  sim::Simulator sim1;
-  ThinkTimeModel think1({10.0, 10.0, 10.0});
-  schedule_trace(sim1, think1, events, 2, 1);
-  sim1.run_until(2.0);
-  EXPECT_DOUBLE_EQ(think1.rate_multiplier(0), 1.0);
-  EXPECT_DOUBLE_EQ(think1.rate_multiplier(1), 3.0);
-  EXPECT_DOUBLE_EQ(think1.rate_multiplier(2), 1.0);
-
-  EXPECT_THROW(schedule_trace(sim0, think0, events, 0, 0), std::invalid_argument);
-  EXPECT_THROW(schedule_trace(sim0, think0, events, 2, 2), std::invalid_argument);
-}
-
 TEST(TraceGenerators, FlashCrowdRampsHoldsAndDecays) {
   FlashCrowdSpec spec;
   spec.domain = 2;

@@ -163,62 +163,12 @@ print(f"wrote {out_path}")
 PY
 
 # ---- Population scale: events/sec from 5k to 1M clients ----
-# BENCH_scale.json: the items/sec-per-client-count table for the sharded
-# scale sweep plus the headline million-client multi-hour-day run. The
-# sweep uses single iterations (each point is one full deterministic run),
-# so skip it with ADATTL_SKIP_SCALE=1 when iterating on other benches.
+# BENCH_scale.json via tools/run_scale_bench.sh. The sweep uses single
+# iterations (each point is one full deterministic run) and the 1M-client
+# day takes minutes, so skip it with ADATTL_SKIP_SCALE=1 when iterating on
+# other benches.
 if [[ "${ADATTL_SKIP_SCALE:-0}" != "1" ]]; then
-  SCALE_OUT="$(dirname "${OUT}")/BENCH_scale.json"
-  scale_bin="${BUILD_DIR}/bench/micro_scale"
-  if [[ ! -x "${scale_bin}" ]]; then
-    echo "error: ${scale_bin} not built (cmake --build ${BUILD_DIR} --target micro_scale)" >&2
-    exit 1
-  fi
-  echo "running ${scale_bin} (the 1M-client day takes minutes) ..." >&2
-  "${scale_bin}" --benchmark_format=json \
-                 --benchmark_out="${SCALE_OUT%.json}.raw.micro_scale.json" \
-                 --benchmark_out_format=json > /dev/null
-
-  python3 - "${SCALE_OUT}" "${SCALE_OUT%.json}.raw.micro_scale.json" <<'PY'
-import json, os, sys
-
-out_path, raw_path = sys.argv[1:]
-with open(raw_path) as f:
-    dump = json.load(f)
-ctx = dump.get("context", {})
-distilled = {}
-scale_table = []
-for b in dump.get("benchmarks", []):
-    if b.get("run_type") == "aggregate":
-        continue
-    entry = {"real_time_ns": b.get("real_time")}
-    for k in ("items_per_second", "clients", "sim_sec_per_iter", "sim_hours"):
-        if k in b:
-            entry[k] = b[k]
-    distilled[b["name"]] = entry
-    if b["name"].startswith("BM_ScaleClients/"):
-        scale_table.append({"clients": int(b["clients"]),
-                            "items_per_second": b.get("items_per_second"),
-                            "wall_seconds": b.get("real_time") * 1e-3
-                            if b.get("time_unit") == "ms" else b.get("real_time")})
-
-summary = {"scale_sweep": sorted(scale_table, key=lambda e: e["clients"])}
-day = distilled.get("BM_MillionClientDay/iterations:1")
-if day:
-    # BM_MillionClientDay reports real_time in seconds (kSecond unit).
-    summary["million_client_day_wall_seconds"] = day.get("real_time_ns")
-    summary["million_client_day_events_per_second"] = day.get("items_per_second")
-
-with open(out_path, "w") as f:
-    json.dump({"context": {"date": ctx.get("date"),
-                           "host_name": ctx.get("host_name"),
-                           "num_cpus": ctx.get("num_cpus"),
-                           "build_type": os.environ.get("BENCH_BUILD_TYPE", "unspecified")},
-               "benchmarks": distilled,
-               "summary": summary}, f, indent=2, sort_keys=True)
-    f.write("\n")
-print(f"wrote {out_path} ({len(distilled)} benchmarks)")
-PY
+  "$(dirname "$0")/run_scale_bench.sh" "${BUILD_DIR}" "$(dirname "${OUT}")/BENCH_scale.json"
 fi
 
 # ---- Observability overhead: tracing/metrics enabled vs disabled ----
