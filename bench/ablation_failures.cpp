@@ -37,7 +37,7 @@ int main() {
     cfg.alarm_queue_threshold = v.queue_threshold;
     if (v.outage) {
       // Stall server 2 for 10 minutes, one third into the measured period.
-      cfg.outages.push_back({cfg.warmup_sec + cfg.duration_sec / 3.0, 600.0, 2});
+      cfg.faults.pauses.push_back({cfg.warmup_sec + cfg.duration_sec / 3.0, 600.0, 2});
     }
     sweep.add(cfg, reps, v.label);
   }

@@ -14,15 +14,6 @@
 
 namespace adattl::experiment {
 
-/// One injected server failure: the server silently stops serving at
-/// `start_sec` and resumes `duration_sec` later. Queued work survives the
-/// outage (a stall, not a crash-with-data-loss).
-struct ServerOutage {
-  double start_sec = 0.0;
-  double duration_sec = 0.0;
-  int server = 0;
-};
-
 /// Which hidden-load estimator the DNS runs when not in oracle mode.
 enum class EstimatorKind {
   kEwma,           ///< exponentially-weighted moving average (default)
@@ -80,10 +71,6 @@ struct SimulationConfig {
   double monitor_interval_sec = 8.0;
 
   // ---- Failure injection ----
-  /// Legacy silent stalls (--outage). Kept distinct from `faults` for
-  /// backward compatibility; the Site merges them into the fault schedule
-  /// as pause windows.
-  std::vector<ServerOutage> outages;
   /// Scenario-driven fault plan: crashes, degradations, pauses and
   /// authoritative-DNS outages (--faults=FILE or inline flags). An empty
   /// schedule is bit-identical to no fault layer at all.

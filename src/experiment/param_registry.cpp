@@ -175,13 +175,6 @@ void cross_validate(const SimulationConfig& c) {
   } catch (const std::invalid_argument& e) {
     bad(std::string("config: ") + e.what());
   }
-  for (const ServerOutage& outage : c.outages) {
-    if (outage.start_sec < 0) bad("config: outage in the past");
-    if (outage.duration_sec <= 0) bad("config: outage needs duration");
-    if (outage.server < 0 || outage.server >= c.cluster.size()) {
-      bad("config: outage for unknown server");
-    }
-  }
   c.faults.validate(c.cluster.size());
   if (c.ns_retry_max_backoff_sec < c.ns_retry_initial_backoff_sec) {
     bad("config: NS max backoff must be >= initial");
@@ -621,24 +614,13 @@ ParamRegistry::ParamRegistry() {
     s.kind = ParamKind::kSpecList;
     s.group = "dynamics";
     s.hint = "START:DURATION:SERVER";
-    s.doc = "legacy silent stall: the server queues but serves nothing";
+    s.doc = "older spelling of --pause: the server queues but serves nothing";
     s.repeatable = true;
+    s.in_dump = false;  // dumped as the pause window it adds
     s.set = [](C& o, const std::string& v) {
-      const auto f = split_colon(v, 3, "START:DURATION:SERVER");
-      ServerOutage outage;
-      outage.start_sec = parse_double_value(f[0]);
-      outage.duration_sec = parse_double_value(f[1]);
-      outage.server = parse_int32_value(f[2]);
-      o.config.outages.push_back(outage);
+      o.config.faults.pauses.push_back(fault::FaultSchedule::parse_pause(v));
     };
-    s.get_list = [](const C& o) {
-      std::vector<std::string> out;
-      for (const ServerOutage& w : o.config.outages) {
-        out.push_back(fmt_double(w.start_sec) + ":" + fmt_double(w.duration_sec) + ":" +
-                      fmt_int(w.server));
-      }
-      return out;
-    };
+    s.get_list = [](const C&) { return std::vector<std::string>{}; };
     add(std::move(s));
   }
 
@@ -891,6 +873,12 @@ ParamRegistry::ParamRegistry() {
     s.in_dump = false;
     s.set = [m](C& o, const std::string& v) { o.*m = v; };
     s.get = [m](const C& o) { return o.*m; };
+    // Both files come from an instrumented serial Site run.
+    s.check = [name, m](const C& o) {
+      if (o.config.shard_domains && !(o.*m).empty()) {
+        bad(std::string("config: shard-domains does not support --") + name);
+      }
+    };
     add(std::move(s));
   };
   out_bool("csv", "emit CSV instead of aligned tables", &C::csv);
@@ -1080,9 +1068,13 @@ std::string ParamRegistry::dump_scenario(const ConfigResolution& r) const {
       const auto f = r.provenance.find("faults");
       if (f != r.provenance.end()) return f->second.layer;
     }
-    // Same for trace points loaded via `workload-trace = FILE`.
-    if (name == "trace-point") {
-      const auto t = r.provenance.find("workload-trace");
+    // Same for trace points loaded via `workload-trace = FILE` and pause
+    // windows given in the older `outage` spelling.
+    const char* source = name == "trace-point" ? "workload-trace"
+                         : name == "pause"     ? "outage"
+                                               : nullptr;
+    if (source) {
+      const auto t = r.provenance.find(source);
       if (t != r.provenance.end()) return t->second.layer;
     }
     return ParamLayer::kDefault;

@@ -3,12 +3,12 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "obs/profiler.h"
+
 namespace adattl::experiment {
 
-Site::Site(const SimulationConfig& config)
-    : config_(config.scaled()), rng_(config_.seed) {
+Site::Site(const SimulationConfig& config) : config_(config.scaled()), slices_(config_) {
   obs::Stopwatch setup_watch;
-  config_.validate();
   if (config_.shard_domains) {
     throw std::invalid_argument("Site: shard_domains configs require ShardedSite");
   }
@@ -20,178 +20,19 @@ Site::Site(const SimulationConfig& config)
     event_tracer_ = std::make_unique<obs::EventTracer>(config_.trace_capacity);
   }
 
-  // Steady state holds roughly one in-flight event per client (think timer
-  // or service leg) plus TTL expiries and the monitor tick; pre-sizing the
-  // kernel keeps the whole run allocation-free inside the event loop.
-  sim_.reserve(2 * static_cast<std::size_t>(config_.total_clients) + 64);
-
-  // ---- Workload population ----
-  const workload::DomainSet base =
-      config_.uniform_clients
-          ? workload::make_uniform_domains(config_.num_domains, config_.total_clients,
-                                           config_.mean_think_sec)
-          : workload::make_zipf_domains(config_.num_domains, config_.total_clients,
-                                        config_.mean_think_sec, config_.zipf_theta);
-
-  // Clients behave per the perturbed rates; the DNS keeps the unperturbed
-  // weights — that gap is the paper's "estimation error".
-  domains_ = base;
-  if (config_.rate_perturbation_percent > 0.0) {
-    workload::apply_rate_perturbation(domains_, config_.rate_perturbation_percent);
-  }
-
-  think_model_ = std::make_unique<workload::ThinkTimeModel>(domains_.mean_think_sec);
-  // Scripted flash crowds fire as simulator events; the DNS only learns of
-  // them through the estimator (if enabled).
-  for (const workload::RateShift& shift : config_.rate_shifts) {
-    sim_.at(shift.at_sec, sim::assert_inline([this, shift] {
-              think_model_->scale_rate(shift.domain, shift.rate_factor);
-            }));
-  }
-  // Trace replay rides the same mechanism with absolute multipliers.
-  workload::schedule_trace(sim_, *think_model_, config_.trace_events);
-
-  // ---- Servers ----
-  cluster_ = std::make_unique<web::Cluster>(sim_, config_.cluster, config_.num_domains, rng_);
-
-  // ---- Geography (optional) ----
-  if (config_.geo_regions > 0) {
-    geo_ = std::make_shared<const geo::GeoModel>(
-        geo::GeoModel::regions(config_.num_domains, cluster_->size(), config_.geo_regions,
-                               config_.geo_intra_rtt_sec, config_.geo_inter_rtt_sec));
-  }
-
-  // ---- Failure injection ----
-  // Legacy --outage windows fold into the schedule as pauses, *before* the
-  // scenario faults, so their events keep the insertion order (and thus
-  // the same-timestamp FIFO ties) the old inline loop produced.
-  fault::FaultSchedule schedule;
-  for (const ServerOutage& outage : config_.outages) {
-    schedule.pauses.push_back(
-        fault::PauseWindow{outage.start_sec, outage.duration_sec, outage.server});
-  }
-  schedule.merge(config_.faults);
-  fault_injector_ = std::make_unique<fault::FaultInjector>(sim_, *cluster_, schedule);
-
-  // ---- Server-side dispatch (direct, or redirecting second level) ----
-  if (config_.redirect_enabled) {
-    dispatcher_ = std::make_unique<web::RedirectingDispatcher>(
-        sim_, *cluster_, config_.redirect_max_wait_sec, config_.redirect_delay_sec,
-        config_.session.mean_hits_per_page());
-  } else {
-    dispatcher_ = std::make_unique<web::DirectDispatcher>(*cluster_);
-  }
-
-  // ---- DNS scheduler ----
-  alarms_ = std::make_unique<core::AlarmRegistry>(cluster_->size(), config_.alarm_threshold,
-                                                  config_.alarm_enabled,
-                                                  config_.alarm_queue_threshold);
-  // Crash events mark servers down in the registry (hard health facts,
-  // independent of the utilization alarms — works even with --no-alarm).
-  fault_injector_->set_alarm_registry(alarms_.get());
-  if (config_.autoscale_enabled) {
-    core::Autoscaler::Config ac;
-    ac.high_watermark = config_.autoscale_high_watermark;
-    ac.low_watermark = config_.autoscale_low_watermark;
-    ac.hysteresis_ticks = config_.autoscale_hysteresis_ticks;
-    ac.min_servers = config_.autoscale_min_servers;
-    autoscaler_ = std::make_unique<core::Autoscaler>(*alarms_, ac);
-  }
-  core::SchedulerFactoryConfig fc;
-  fc.capacities = cluster_->capacities();
-  fc.initial_weights =
-      (config_.estimator_cold_start && !config_.oracle_weights)
-          ? std::vector<double>(static_cast<std::size_t>(config_.num_domains), 1.0)
-          : base.true_weights();
-  fc.class_threshold = config_.effective_class_threshold();
-  fc.reference_ttl = config_.reference_ttl_sec;
-  fc.calibrate_ttl = config_.calibrate_ttl;
-  fc.geo = geo_;
-  bundle_ = core::make_scheduler(config_.policy, fc, *alarms_, sim_, rng_);
-
-  // Cold-started estimators seed from the installed uniform prior instead
-  // of anchoring on whatever the first measured window happens to hold.
-  const bool seed_from_model = config_.estimator_cold_start && !config_.oracle_weights;
-  switch (config_.estimator_kind) {
-    case EstimatorKind::kEwma:
-      estimator_ = std::make_unique<core::EwmaLoadEstimator>(
-          *bundle_.domains, config_.estimator_smoothing, config_.oracle_weights,
-          seed_from_model);
-      break;
-    case EstimatorKind::kSlidingWindow:
-      estimator_ = std::make_unique<core::SlidingWindowLoadEstimator>(
-          *bundle_.domains, config_.estimator_window_count, config_.oracle_weights);
-      break;
-    case EstimatorKind::kHoltWinters:
-      estimator_ = std::make_unique<core::HoltWintersLoadEstimator>(
-          *bundle_.domains, config_.estimator_smoothing, config_.estimator_trend,
-          config_.oracle_weights, seed_from_model);
-      break;
-    case EstimatorKind::kAr:
-      estimator_ = std::make_unique<core::ArLoadEstimator>(
-          *bundle_.domains, config_.estimator_ar_order, config_.oracle_weights);
-      break;
-  }
-
-  // ---- Name servers (ns_per_domain caches per domain) ----
-  dnscache::NsTtlBehavior ns_behavior;
-  ns_behavior.min_accepted_sec = config_.ns_min_ttl_sec;
-  name_servers_.reserve(
-      static_cast<std::size_t>(config_.num_domains) * config_.ns_per_domain);
-  dnscache::NsRetryPolicy ns_retry;
-  ns_retry.initial_backoff_sec = config_.ns_retry_initial_backoff_sec;
-  ns_retry.max_backoff_sec = config_.ns_retry_max_backoff_sec;
-  for (int d = 0; d < config_.num_domains; ++d) {
-    for (int m = 0; m < config_.ns_per_domain; ++m) {
-      name_servers_.push_back(
-          std::make_unique<dnscache::NameServer>(sim_, d, *bundle_.scheduler, ns_behavior));
-      // Only wire the outage calendar when windows exist: a NS without a
-      // calendar skips the unreachable check entirely (fault-free runs
-      // stay on the exact historical code path).
-      if (!fault_injector_->dns_calendar().empty()) {
-        name_servers_.back()->set_dns_outages(&fault_injector_->dns_calendar(), ns_retry);
-      }
-    }
-  }
-
-  // ---- Clients (one pooled allocation for the whole population) ----
-  sim::RngStream client_seeds = rng_.split();
-  sim::RngStream stagger = rng_.split();
-  clients_ = std::make_unique<workload::ClientPool>(sim_, *dispatcher_, config_.session,
-                                                    *think_model_, geo_.get(),
-                                                    config_.client_retry_delay_sec);
-  clients_->reserve(static_cast<std::size_t>(config_.total_clients));
-  for (int d = 0; d < config_.num_domains; ++d) {
-    const auto dd = static_cast<std::size_t>(d);
-    for (int c = 0; c < domains_.clients[dd]; ++c) {
-      // Clients spread round-robin over their domain's name servers.
-      dnscache::NameServer& ns =
-          *name_servers_[dd * static_cast<std::size_t>(config_.ns_per_domain) +
-                         static_cast<std::size_t>(c % config_.ns_per_domain)];
-      dnscache::Resolver* resolver = &ns;
-      if (config_.client_cache_enabled) {
-        client_caches_.push_back(std::make_unique<dnscache::ClientCache>(sim_, ns));
-        resolver = client_caches_.back().get();
-      }
-      const std::size_t idx = clients_->add(*resolver, client_seeds.split());
-      // Staggered arrival over one think time keeps t = 0 from stampeding
-      // the DNS with simultaneous resolutions.
-      clients_->start(idx, stagger.uniform(0.0, config_.mean_think_sec));
-    }
-  }
+  // One slice owns every domain and draws from the master stream itself.
+  std::vector<int> all(static_cast<std::size_t>(config_.num_domains));
+  std::iota(all.begin(), all.end(), 0);
+  SiteSlice& s = slices_.add(std::move(all), sim::RngStream(config_.seed));
 
   // ---- Monitoring: alarms, metrics, estimation all on the 8 s clock ----
-  monitor_ = std::make_unique<web::MonitorHub>(sim_, *cluster_, config_.monitor_interval_sec);
-  tracker_ = std::make_unique<MaxUtilizationTracker>(cluster_->size(), config_.warmup_sec);
-
+  monitor_ = std::make_unique<web::MonitorHub>(*s.sim, *s.cluster, config_.monitor_interval_sec);
   monitor_->add_full_observer([this](sim::SimTime now, const std::vector<double>& util,
                                      const std::vector<std::size_t>& queues) {
-    alarms_->observe_full(now, util, queues);
-    if (autoscaler_) autoscaler_->observe(util);
-    tracker_->observe(now, util);
-    if (!config_.oracle_weights && ++ticks_ % config_.estimator_collect_every_ticks == 0) {
-      collect_estimator_window(config_.monitor_interval_sec *
-                               config_.estimator_collect_every_ticks);
+    const double window_sec = slices_.feedback_tick(now, util, queues);
+    if (window_sec > 0 && event_tracer_) {
+      event_tracer_->record(now, obs::TraceKind::kEstimatorUpdate,
+                            slice().estimator->windows_observed(), 0, window_sec);
     }
   });
   monitor_->start();
@@ -200,28 +41,22 @@ Site::Site(const SimulationConfig& config)
   if (metrics_registry_ || event_tracer_) {
     obs::MetricsRegistry* reg = metrics_registry_.get();
     obs::EventTracer* tracer = event_tracer_.get();
-    bundle_.scheduler->bind_observability(reg, tracer, &sim_);
-    alarms_->bind_observability(reg, tracer);
-    fault_injector_->bind_observability(reg, tracer);
-    for (auto& ns : name_servers_) ns->bind_observability(reg, tracer);
-    for (int s = 0; s < cluster_->size(); ++s) {
-      cluster_->server(s).bind_observability(reg, tracer);
+    s.bundle.scheduler->bind_observability(reg, tracer, s.sim.get());
+    s.alarms->bind_observability(reg, tracer);
+    s.fault->bind_observability(reg, tracer);
+    for (auto& ns : s.name_servers) ns->bind_observability(reg, tracer);
+    for (int i = 0; i < s.cluster->size(); ++i) {
+      s.cluster->server(i).bind_observability(reg, tracer);
     }
   }
   setup_seconds_ = setup_watch.elapsed();
 }
 
-void Site::collect_estimator_window(double window_sec) {
-  std::vector<std::uint64_t> total(static_cast<std::size_t>(config_.num_domains), 0);
-  for (int s = 0; s < cluster_->size(); ++s) {
-    const std::vector<std::uint64_t> part = cluster_->server(s).drain_domain_hits();
-    for (std::size_t d = 0; d < total.size(); ++d) total[d] += part[d];
+dnscache::NameServer& Site::name_server(int d, int replica) {
+  if (d < 0 || d >= config_.num_domains || replica < 0 || replica >= config_.ns_per_domain) {
+    throw std::out_of_range("Site::name_server: no such domain or NS replica");
   }
-  estimator_->observe(total, window_sec);
-  if (event_tracer_) {
-    event_tracer_->record(sim_.now(), obs::TraceKind::kEstimatorUpdate,
-                          estimator_->windows_observed(), 0, window_sec);
-  }
+  return *slice().name_servers[static_cast<std::size_t>(d * config_.ns_per_domain + replica)];
 }
 
 RunResult Site::run() {
@@ -234,132 +69,22 @@ RunResult Site::run() {
   // time to the warm-up vs measured phases.
   obs::Stopwatch phase_watch;
   const double horizon = config_.warmup_sec + config_.duration_sec;
-  sim_.run_until(config_.warmup_sec);
+  sim::Simulator& sim = simulator();
+  sim.run_until(config_.warmup_sec);
   const double warmup_wall = phase_watch.lap();
-  sim_.run_until(horizon);
+  sim.run_until(horizon);
   const double measurement_wall = phase_watch.lap();
 
-  RunResult r;
-  r.seed = config_.seed;
-  r.max_util_cdf = tracker_->cdf();
-  r.prob_below_090 = tracker_->prob_below(0.90);
-  r.prob_below_098 = tracker_->prob_below(0.98);
-  r.mean_max_utilization = tracker_->mean_max_utilization();
-  r.max_util_ci_relative = tracker_->batch_means().relative_halfwidth();
-  r.mean_server_util = tracker_->mean_utilizations();
-
-  // Capacity-weighted aggregate utilization = offered load / total capacity.
-  const std::vector<double>& cap = cluster_->capacities();
-  const double total_cap = std::accumulate(cap.begin(), cap.end(), 0.0);
-  for (std::size_t i = 0; i < cap.size(); ++i) {
-    r.aggregate_utilization += r.mean_server_util[i] * cap[i] / total_cap;
-  }
-
-  const workload::ClientPool::Totals client_totals = clients_->totals();
-  r.total_pages = client_totals.pages;
-  r.mean_network_rtt_sec =
-      r.total_pages ? client_totals.network_time_sec / static_cast<double>(r.total_pages)
-                    : 0.0;
-  for (int s = 0; s < cluster_->size(); ++s) r.total_hits += cluster_->server(s).hits_served();
-  for (const auto& ns : name_servers_) {
-    r.authoritative_queries += ns->authoritative_queries();
-    r.ns_cache_hits += ns->cache_hits();
-  }
-  for (const auto& cc : client_caches_) r.client_cache_hits += cc->hits();
-  r.address_request_rate = static_cast<double>(r.authoritative_queries) / horizon;
-  r.dns_controlled_fraction =
-      r.total_pages ? static_cast<double>(r.authoritative_queries) /
-                          static_cast<double>(r.total_pages)
-                    : 0.0;
-
-  double response_weighted = 0.0;
-  std::uint64_t response_pages = 0;
-  for (int s = 0; s < cluster_->size(); ++s) {
-    const sim::RunningStat& rt = cluster_->server(s).response_time();
-    r.per_server_response_sec.push_back(rt.mean());
-    response_weighted += rt.mean() * static_cast<double>(rt.count());
-    response_pages += rt.count();
-  }
-  r.mean_page_response_sec =
-      response_pages ? response_weighted / static_cast<double>(response_pages) : 0.0;
-
-  sim::Histogram site_response(30.0, 3000);
-  for (int s = 0; s < cluster_->size(); ++s) {
-    site_response.merge(cluster_->server(s).response_histogram());
-  }
-  r.response_p50_sec = site_response.quantile(0.50);
-  r.response_p95_sec = site_response.quantile(0.95);
-  r.response_p99_sec = site_response.quantile(0.99);
-
-  // ---- Latency as a first-class result ----
-  const std::uint64_t decisions = bundle_.scheduler->decisions();
-  if (geo_ && decisions > 0) {
-    r.mean_assignment_rtt_sec =
-        bundle_.scheduler->assignment_rtt_sum_sec() / static_cast<double>(decisions);
-    const std::vector<double>& per_server = bundle_.scheduler->per_server_assignment_rtt_sec();
-    const double rtt_total = bundle_.scheduler->assignment_rtt_sum_sec();
-    r.rtt_weighted_assignment_share.resize(per_server.size(), 0.0);
-    if (rtt_total > 0.0) {
-      for (std::size_t i = 0; i < per_server.size(); ++i) {
-        r.rtt_weighted_assignment_share[i] = per_server[i] / rtt_total;
-      }
-    }
-  }
-  r.domain_latency.reserve(static_cast<std::size_t>(config_.num_domains));
-  for (int d = 0; d < config_.num_domains; ++d) {
-    const sim::Histogram& h = clients_->domain_response_histogram(d);
-    RunResult::DomainLatency dl;
-    dl.pages = h.count();
-    if (dl.pages > 0) {
-      dl.p50_sec = h.quantile(0.50);
-      dl.p95_sec = h.quantile(0.95);
-      dl.p99_sec = h.quantile(0.99);
-      dl.mean_sec = h.mean();
-    }
-    r.domain_latency.push_back(dl);
-  }
-
-  if (const auto* redirecting =
-          dynamic_cast<const web::RedirectingDispatcher*>(dispatcher_.get())) {
-    r.redirected_pages = redirecting->redirects();
-    const double handled =
-        static_cast<double>(redirecting->redirects() + redirecting->direct_deliveries());
-    r.redirected_fraction =
-        handled > 0 ? static_cast<double>(redirecting->redirects()) / handled : 0.0;
-  }
-
-  r.mean_ttl = bundle_.scheduler->ttl_stat().mean();
-  r.alarm_signals = alarms_->alarm_signals() + alarms_->normal_signals();
-  r.events_dispatched = sim_.events_dispatched();
-
-  // ---- Elastic pool accounting ----
-  r.pool_changes = alarms_->pool_changes();
-  r.final_pool_size = alarms_->pool_size();
-  if (autoscaler_) {
-    r.autoscale_ups = autoscaler_->scale_up_actions();
-    r.autoscale_downs = autoscaler_->scale_down_actions();
-  }
-
-  // ---- Failure accounting ----
-  r.lost_pages = cluster_->total_lost_pages();
-  r.lost_hits = cluster_->total_lost_hits();
-  r.failed_requests = r.lost_pages + cluster_->total_rejected_pages();
-  r.dns_outage_sec = fault_injector_->dns_calendar().outage_seconds(horizon);
-  const double attempts =
-      static_cast<double>(r.failed_requests) + static_cast<double>(r.total_pages);
-  r.unavailability_fraction =
-      attempts > 0 ? static_cast<double>(r.failed_requests) / attempts : 0.0;
-
+  RunResult r = slices_.reduce(horizon);
   if (metrics_registry_) {
     // Kernel health is tracked inside the event queue regardless of the
     // registry; surface it in the snapshot alongside the wired instruments.
     metrics_registry_->gauge("kernel.events_dispatched")
-        .set(static_cast<double>(sim_.events_dispatched()));
-    metrics_registry_->gauge("kernel.peak_events")
-        .set(static_cast<double>(sim_.peak_pending()));
-    metrics_registry_->gauge("kernel.cancels").set(static_cast<double>(sim_.cancels()));
+        .set(static_cast<double>(sim.events_dispatched()));
+    metrics_registry_->gauge("kernel.peak_events").set(static_cast<double>(sim.peak_pending()));
+    metrics_registry_->gauge("kernel.cancels").set(static_cast<double>(sim.cancels()));
     metrics_registry_->gauge("kernel.live_events_at_end")
-        .set(static_cast<double>(sim_.pending()));
+        .set(static_cast<double>(sim.pending()));
     metrics_registry_->gauge("dns.outage_sec").set(r.dns_outage_sec);
     metrics_registry_->gauge("latency.mean_assignment_rtt_sec").set(r.mean_assignment_rtt_sec);
     metrics_registry_->gauge("latency.mean_network_rtt_sec").set(r.mean_network_rtt_sec);
@@ -367,11 +92,7 @@ RunResult Site::run() {
     metrics_registry_->gauge("pool.changes").set(static_cast<double>(r.pool_changes));
     r.metrics = std::make_shared<const obs::MetricsSnapshot>(metrics_registry_->snapshot());
   }
-
-  r.profile.setup_sec = setup_seconds_;
-  r.profile.warmup_sec = warmup_wall;
-  r.profile.measurement_sec = measurement_wall;
-  r.profile.collect_sec = phase_watch.lap();
+  r.profile = {setup_seconds_, warmup_wall, measurement_wall, phase_watch.lap()};
   return r;
 }
 

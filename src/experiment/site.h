@@ -1,147 +1,25 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
-#include "core/alarm_registry.h"
-#include "core/autoscaler.h"
-#include "core/load_estimator.h"
-#include "core/policy_factory.h"
-#include "geo/geo_model.h"
-#include "dnscache/client_cache.h"
-#include "dnscache/name_server.h"
 #include "experiment/config.h"
-#include "experiment/metrics.h"
-#include "fault/fault_injector.h"
+#include "experiment/site_slice.h"
 #include "obs/event_tracer.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
-#include "web/cluster.h"
-#include "web/dispatcher.h"
 #include "web/monitor_hub.h"
-#include "workload/client_pool.h"
-#include "workload/domain_set.h"
 
 namespace adattl::experiment {
-
-/// Wall-clock phase breakdown of one run (host time, not simulated time).
-/// Purely additive observability: simulation results never depend on it.
-struct RunProfile {
-  double setup_sec = 0.0;        ///< Site construction (object-graph wiring)
-  double warmup_sec = 0.0;       ///< event loop up to the warm-up boundary
-  double measurement_sec = 0.0;  ///< event loop over the measured period
-  double collect_sec = 0.0;      ///< result aggregation after the loop
-  double total() const { return setup_sec + warmup_sec + measurement_sec + collect_sec; }
-};
-
-/// Aggregate outcome of one simulation run.
-struct RunResult {
-  /// Master seed the run was built with (SimulationConfig::seed) — lets
-  /// replication outputs be traced back to their exact seed derivation.
-  std::uint64_t seed = 0;
-  sim::EmpiricalCdf max_util_cdf{500};
-  double prob_below_090 = 0.0;
-  double prob_below_098 = 0.0;
-  double mean_max_utilization = 0.0;
-  /// Within-run 95% batch-means CI of the mean max utilization, as a
-  /// fraction of the mean (paper: "within 4%").
-  double max_util_ci_relative = 0.0;
-  std::vector<double> mean_server_util;
-  /// Capacity-weighted mean utilization (≈ offered load / total capacity).
-  double aggregate_utilization = 0.0;
-
-  std::uint64_t total_pages = 0;
-  std::uint64_t total_hits = 0;
-  std::uint64_t authoritative_queries = 0;
-  std::uint64_t ns_cache_hits = 0;
-  /// Resolutions absorbed by per-client caches (0 unless enabled).
-  std::uint64_t client_cache_hits = 0;
-  /// Address requests answered by the authoritative DNS per second —
-  /// must match across calibrated policies (§4.1 fairness rule).
-  double address_request_rate = 0.0;
-  /// Fraction of page requests whose mapping decision the DNS made
-  /// directly (paper: "often below 4%").
-  double dns_controlled_fraction = 0.0;
-
-  double mean_ttl = 0.0;
-  std::uint64_t alarm_signals = 0;
-  std::uint64_t events_dispatched = 0;
-
-  /// Mean page response time (queueing + service) across all servers,
-  /// weighted by pages served; the per-server breakdown shows how badly
-  /// overload punishes the weak servers under non-adaptive policies.
-  double mean_page_response_sec = 0.0;
-  std::vector<double> per_server_response_sec;
-  /// Site-wide response-time percentiles (merged server histograms).
-  /// These are server-side times; with geography enabled, the client
-  /// additionally sees mean_network_rtt_sec of flight time per page.
-  double response_p50_sec = 0.0;
-  double response_p95_sec = 0.0;
-  double response_p99_sec = 0.0;
-  /// Mean network round-trip per page (0 without a geo model).
-  double mean_network_rtt_sec = 0.0;
-
-  // ---- Latency as a first-class result (extension; geo runs) ----
-  /// Mean rtt(domain, chosen server) per DNS decision — the scheduler-side
-  /// latency objective, independent of how many pages ride each mapping.
-  double mean_assignment_rtt_sec = 0.0;
-  /// Each server's share of the total assignment RTT mass: how much of the
-  /// latency bill each server is responsible for (empty without geo).
-  std::vector<double> rtt_weighted_assignment_share;
-  /// Per-domain client-perceived page response time (request flight +
-  /// queue + service + reply flight), summarized from per-domain
-  /// histograms kept by the client pool.
-  struct DomainLatency {
-    double p50_sec = 0.0;
-    double p95_sec = 0.0;
-    double p99_sec = 0.0;
-    double mean_sec = 0.0;
-    std::uint64_t pages = 0;
-  };
-  std::vector<DomainLatency> domain_latency;
-
-  // ---- Elastic pool accounting (0 / initial size when static) ----
-  /// DNS pool membership flips over the run (scripted + autoscaler).
-  std::uint64_t pool_changes = 0;
-  /// Autoscaler-initiated actions (subset of pool_changes).
-  std::uint64_t autoscale_ups = 0;
-  std::uint64_t autoscale_downs = 0;
-  /// Pool size when the run ended.
-  int final_pool_size = 0;
-
-  /// Server-side redirection counters (0 unless enabled).
-  std::uint64_t redirected_pages = 0;
-  double redirected_fraction = 0.0;
-
-  // ---- Failure accounting (all 0 in fault-free runs) ----
-  /// Client-visible page failures: submissions rejected by a crashed
-  /// server plus pages dropped (queued or in flight) by a crash.
-  std::uint64_t failed_requests = 0;
-  /// Pages/hits dropped by crashes across all servers.
-  std::uint64_t lost_pages = 0;
-  std::uint64_t lost_hits = 0;
-  /// Seconds the authoritative DNS was unreachable within the horizon.
-  double dns_outage_sec = 0.0;
-  /// Failed page attempts over all page attempts (failed + requested);
-  /// the site-level unavailability a client population experienced.
-  double unavailability_fraction = 0.0;
-
-  /// End-of-run metrics snapshot; null unless config.metrics_enabled.
-  /// shared_ptr keeps RunResult cheaply copyable across sweep plumbing.
-  std::shared_ptr<const obs::MetricsSnapshot> metrics;
-  /// Wall-clock phase breakdown (always filled; near-zero cost).
-  RunProfile profile;
-};
 
 /// One fully wired distributed Web site: servers, authoritative DNS
 /// scheduler, per-domain name servers, client population, monitor, alarm
 /// feedback, hidden-load estimation and metrics.
 ///
-/// Construction builds the whole object graph from a SimulationConfig;
-/// run() executes warm-up plus the measured period and returns the
-/// aggregated results. One Site = one simulation run (single-use).
+/// The object graph is one SiteSlice that owns every domain. Its in-queue
+/// MonitorHub reports every monitor_interval_sec and drives the shared
+/// SliceSet::feedback_tick; run() executes warm-up plus the measured
+/// period and returns SliceSet::reduce. One Site = one simulation run
+/// (single-use).
 class Site {
  public:
   explicit Site(const SimulationConfig& config);
@@ -153,63 +31,35 @@ class Site {
   RunResult run();
 
   // ---- Introspection (tests, examples) ----
-  sim::Simulator& simulator() { return sim_; }
-  web::Cluster& cluster() { return *cluster_; }
-  core::DnsScheduler& scheduler() { return *bundle_.scheduler; }
-  core::DomainModel& domain_model() { return *bundle_.domains; }
-  core::AlarmRegistry& alarms() { return *alarms_; }
+  const SliceSet& slices() const { return slices_; }
+  sim::Simulator& simulator() { return *slice().sim; }
+  web::Cluster& cluster() { return *slice().cluster; }
+  core::DnsScheduler& scheduler() { return *slice().bundle.scheduler; }
+  core::DomainModel& domain_model() { return *slice().bundle.domains; }
   web::MonitorHub& monitor() { return *monitor_; }
-  core::LoadEstimator& estimator() { return *estimator_; }
-  const workload::DomainSet& domain_set() const { return domains_; }
-  workload::ThinkTimeModel& think_time_model() { return *think_model_; }
-  /// Null when geography is disabled.
-  const geo::GeoModel* geo_model() const { return geo_.get(); }
-  /// NS `replica` (0-based) of domain `d`.
-  dnscache::NameServer& name_server(int d, int replica = 0) {
-    return *name_servers_.at(
-        static_cast<std::size_t>(d * config_.ns_per_domain + replica));
-  }
+  core::LoadEstimator& estimator() { return *slice().estimator; }
+  const workload::DomainSet& domain_set() const { return slices_.workload().domains; }
+  workload::ThinkTimeModel& think_time_model() { return *slice().think; }
+  /// NS `replica` (0-based) of domain `d`; throws std::out_of_range unless
+  /// 0 <= d < num_domains and 0 <= replica < ns_per_domain.
+  dnscache::NameServer& name_server(int d, int replica = 0);
   const SimulationConfig& config() const { return config_; }
   /// The fault layer (always constructed; empty schedule = inert).
-  fault::FaultInjector& fault_injector() { return *fault_injector_; }
-  /// The pooled client population.
-  workload::ClientPool& clients() { return *clients_; }
-  /// Null unless config.autoscale_enabled.
-  core::Autoscaler* autoscaler() { return autoscaler_.get(); }
-
-  /// Null unless config.metrics_enabled / config.trace_enabled.
-  obs::MetricsRegistry* metrics_registry() { return metrics_registry_.get(); }
+  fault::FaultInjector& fault_injector() { return *slice().fault; }
+  /// Null unless config.trace_enabled.
   obs::EventTracer* event_tracer() { return event_tracer_.get(); }
 
  private:
-  void collect_estimator_window(double window_sec);
+  SiteSlice& slice() { return slices_[0]; }
 
   SimulationConfig config_;
-  sim::Simulator sim_;
-  sim::RngStream rng_;
-
-  workload::DomainSet domains_;  // perturbed (actual) workload
-  std::unique_ptr<workload::ThinkTimeModel> think_model_;
-  std::shared_ptr<const geo::GeoModel> geo_;
-  std::unique_ptr<web::Cluster> cluster_;
-  std::unique_ptr<fault::FaultInjector> fault_injector_;
-  std::unique_ptr<web::PageDispatcher> dispatcher_;
-  std::unique_ptr<core::AlarmRegistry> alarms_;
-  std::unique_ptr<core::Autoscaler> autoscaler_;
-  core::SchedulerBundle bundle_;
-  std::unique_ptr<core::LoadEstimator> estimator_;
-  std::vector<std::unique_ptr<dnscache::NameServer>> name_servers_;
-  std::vector<std::unique_ptr<dnscache::ClientCache>> client_caches_;  // optional layer
-  std::unique_ptr<workload::ClientPool> clients_;
+  SliceSet slices_;
   std::unique_ptr<web::MonitorHub> monitor_;
-  std::unique_ptr<MaxUtilizationTracker> tracker_;
 
   // Observability (null when disabled — the zero-cost default).
   std::unique_ptr<obs::MetricsRegistry> metrics_registry_;
   std::unique_ptr<obs::EventTracer> event_tracer_;
   double setup_seconds_ = 0.0;
-
-  int ticks_ = 0;
   bool ran_ = false;
 };
 

@@ -1,0 +1,329 @@
+#include "experiment/site_slice.h"
+
+#include <algorithm>
+#include <iterator>
+#include <numeric>
+
+namespace adattl::experiment {
+
+SiteWorkload::SiteWorkload(const SimulationConfig& config) {
+  config.validate();
+  base = config.uniform_clients
+             ? workload::make_uniform_domains(config.num_domains, config.total_clients,
+                                              config.mean_think_sec)
+             : workload::make_zipf_domains(config.num_domains, config.total_clients,
+                                           config.mean_think_sec, config.zipf_theta);
+  domains = base;
+  if (config.rate_perturbation_percent > 0.0) {
+    workload::apply_rate_perturbation(domains, config.rate_perturbation_percent);
+  }
+  if (config.geo_regions > 0) {
+    geo = std::make_shared<const geo::GeoModel>(
+        geo::GeoModel::regions(config.num_domains, config.cluster.size(), config.geo_regions,
+                               config.geo_intra_rtt_sec, config.geo_inter_rtt_sec));
+  }
+}
+
+// The build order below is the event insertion order (and thus the
+// same-timestamp FIFO ties) and the RNG split order the goldens pin.
+SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workload,
+                     std::vector<int> owned, sim::RngStream rng)
+    : domains(std::move(owned)), sim(std::make_unique<sim::Simulator>()) {
+  const auto owns = [this](int d) { return std::binary_search(domains.begin(), domains.end(), d); };
+  std::size_t num_clients = 0;
+  for (int d : domains) num_clients += workload.domains.clients[static_cast<std::size_t>(d)];
+
+  // Steady state holds roughly one in-flight event per client (think timer
+  // or service leg) plus TTL expiries and the monitor tick; pre-sizing the
+  // kernel keeps the whole run allocation-free inside the event loop.
+  sim->reserve(2 * num_clients + 64);
+
+  // ---- Workload dynamics ----
+  // Every slice carries a full think-time table (domain ids are global).
+  // Scripted flash crowds and trace points fire as simulator events in the
+  // slice that owns their domain; the DNS only learns of them through the
+  // estimator (if enabled).
+  think = std::make_unique<workload::ThinkTimeModel>(workload.domains.mean_think_sec);
+  for (const workload::RateShift& shift : config.rate_shifts) {
+    if (!owns(shift.domain)) continue;
+    workload::ThinkTimeModel* t = think.get();
+    sim->at(shift.at_sec, sim::assert_inline([t, shift] {
+              t->scale_rate(shift.domain, shift.rate_factor);
+            }));
+  }
+  std::vector<workload::TraceEvent> trace;
+  std::copy_if(config.trace_events.begin(), config.trace_events.end(), std::back_inserter(trace),
+               [&owns](const workload::TraceEvent& ev) { return owns(ev.domain); });
+  workload::schedule_trace(*sim, *think, trace);
+
+  // ---- Servers, faults and server-side dispatch ----
+  // The cluster replica has the full per-server capacity (DESIGN.md §16).
+  cluster = std::make_unique<web::Cluster>(*sim, config.cluster, config.num_domains, rng);
+  fault = std::make_unique<fault::FaultInjector>(*sim, *cluster, config.faults);
+  if (config.redirect_enabled) {
+    dispatcher = std::make_unique<web::RedirectingDispatcher>(
+        *sim, *cluster, config.redirect_max_wait_sec, config.redirect_delay_sec,
+        config.session.mean_hits_per_page());
+  } else {
+    dispatcher = std::make_unique<web::DirectDispatcher>(*cluster);
+  }
+
+  // ---- DNS scheduler ----
+  alarms = std::make_unique<core::AlarmRegistry>(cluster->size(), config.alarm_threshold,
+                                                 config.alarm_enabled,
+                                                 config.alarm_queue_threshold);
+  // Crash events mark servers down in the registry (hard health facts,
+  // independent of the utilization alarms — works even with --no-alarm).
+  fault->set_alarm_registry(alarms.get());
+  if (config.autoscale_enabled) {
+    core::Autoscaler::Config ac;
+    ac.high_watermark = config.autoscale_high_watermark;
+    ac.low_watermark = config.autoscale_low_watermark;
+    ac.hysteresis_ticks = config.autoscale_hysteresis_ticks;
+    ac.min_servers = config.autoscale_min_servers;
+    autoscaler = std::make_unique<core::Autoscaler>(*alarms, ac);
+  }
+  // Cold-started estimators seed from the installed uniform prior instead
+  // of anchoring on whatever the first measured window happens to hold.
+  const bool cold_start = config.estimator_cold_start && !config.oracle_weights;
+  core::SchedulerFactoryConfig fc;
+  fc.capacities = cluster->capacities();
+  fc.initial_weights = cold_start
+                           ? std::vector<double>(static_cast<std::size_t>(config.num_domains), 1.0)
+                           : workload.base.true_weights();
+  fc.class_threshold = config.effective_class_threshold();
+  fc.reference_ttl = config.reference_ttl_sec;
+  fc.calibrate_ttl = config.calibrate_ttl;
+  fc.geo = workload.geo;
+  bundle = core::make_scheduler(config.policy, fc, *alarms, *sim, rng);
+  switch (config.estimator_kind) {
+    case EstimatorKind::kEwma:
+      estimator = std::make_unique<core::EwmaLoadEstimator>(
+          *bundle.domains, config.estimator_smoothing, config.oracle_weights, cold_start);
+      break;
+    case EstimatorKind::kSlidingWindow:
+      estimator = std::make_unique<core::SlidingWindowLoadEstimator>(
+          *bundle.domains, config.estimator_window_count, config.oracle_weights);
+      break;
+    case EstimatorKind::kHoltWinters:
+      estimator = std::make_unique<core::HoltWintersLoadEstimator>(
+          *bundle.domains, config.estimator_smoothing, config.estimator_trend,
+          config.oracle_weights, cold_start);
+      break;
+    case EstimatorKind::kAr:
+      estimator = std::make_unique<core::ArLoadEstimator>(
+          *bundle.domains, config.estimator_ar_order, config.oracle_weights);
+      break;
+  }
+
+  // ---- Name servers (ns_per_domain caches per owned domain) ----
+  dnscache::NsTtlBehavior ns_behavior;
+  ns_behavior.min_accepted_sec = config.ns_min_ttl_sec;
+  dnscache::NsRetryPolicy ns_retry;
+  ns_retry.initial_backoff_sec = config.ns_retry_initial_backoff_sec;
+  ns_retry.max_backoff_sec = config.ns_retry_max_backoff_sec;
+  const auto per_domain = static_cast<std::size_t>(config.ns_per_domain);
+  name_servers.reserve(domains.size() * per_domain);
+  for (int d : domains) {
+    for (std::size_t m = 0; m < per_domain; ++m) {
+      name_servers.push_back(
+          std::make_unique<dnscache::NameServer>(*sim, d, *bundle.scheduler, ns_behavior));
+      // Only wire the outage calendar when windows exist: a NS without a
+      // calendar skips the unreachable check entirely (fault-free runs
+      // stay on the exact historical code path).
+      if (!fault->dns_calendar().empty()) {
+        name_servers.back()->set_dns_outages(&fault->dns_calendar(), ns_retry);
+      }
+    }
+  }
+
+  // ---- Clients (one pooled allocation for the slice's population) ----
+  sim::RngStream client_seeds = rng.split();
+  sim::RngStream stagger = rng.split();
+  clients = std::make_unique<workload::ClientPool>(*sim, *dispatcher, config.session, *think,
+                                                   workload.geo.get(),
+                                                   config.client_retry_delay_sec);
+  clients->reserve(num_clients);
+  for (std::size_t k = 0; k < domains.size(); ++k) {
+    const auto d = static_cast<std::size_t>(domains[k]);
+    for (int c = 0; c < workload.domains.clients[d]; ++c) {
+      // Clients spread round-robin over their domain's name servers.
+      dnscache::NameServer& ns =
+          *name_servers[k * per_domain + static_cast<std::size_t>(c) % per_domain];
+      dnscache::Resolver* resolver = &ns;
+      if (config.client_cache_enabled) {
+        client_caches.push_back(std::make_unique<dnscache::ClientCache>(*sim, ns));
+        resolver = client_caches.back().get();
+      }
+      const std::size_t idx = clients->add(*resolver, client_seeds.split());
+      // Staggered arrival over one think time keeps t = 0 from stampeding
+      // the DNS with simultaneous resolutions.
+      clients->start(idx, stagger.uniform(0.0, config.mean_think_sec));
+    }
+  }
+}
+
+SliceSet::SliceSet(const SimulationConfig& config)
+    : config_(config),
+      workload_(config),
+      tracker_(config.cluster.size(), config.warmup_sec) {}
+
+SiteSlice& SliceSet::add(std::vector<int> domains, sim::RngStream rng) {
+  slices_.push_back(std::make_unique<SiteSlice>(config_, workload_, std::move(domains), rng));
+  return *slices_.back();
+}
+
+double SliceSet::feedback_tick(sim::SimTime now, const std::vector<double>& util,
+                               const std::vector<std::size_t>& queues) {
+  for (const auto& slice : slices_) {
+    slice->alarms->observe_full(now, util, queues);
+    if (slice->autoscaler) slice->autoscaler->observe(util);
+  }
+  tracker_.observe(now, util);
+  if (config_.oracle_weights || ++ticks_ % config_.estimator_collect_every_ticks != 0) return 0.0;
+
+  std::vector<std::uint64_t> total(static_cast<std::size_t>(config_.num_domains), 0);
+  for (const auto& slice : slices_) {
+    for (int s = 0; s < slice->cluster->size(); ++s) {
+      const std::vector<std::uint64_t> part = slice->cluster->server(s).drain_domain_hits();
+      for (std::size_t d = 0; d < total.size(); ++d) total[d] += part[d];
+    }
+  }
+  const double window_sec = config_.monitor_interval_sec * config_.estimator_collect_every_ticks;
+  for (const auto& slice : slices_) slice->estimator->observe(total, window_sec);
+  return window_sec;
+}
+
+RunResult SliceSet::reduce(double horizon) const {
+  RunResult r;
+  r.seed = config_.seed;
+  r.max_util_cdf = tracker_.cdf();
+  r.prob_below_090 = tracker_.prob_below(0.90);
+  r.prob_below_098 = tracker_.prob_below(0.98);
+  r.mean_max_utilization = tracker_.mean_max_utilization();
+  r.max_util_ci_relative = tracker_.batch_means().relative_halfwidth();
+  r.mean_server_util = tracker_.mean_utilizations();
+
+  // Capacity-weighted aggregate utilization = offered load / total capacity.
+  const SiteSlice& first = *slices_.front();
+  const std::vector<double>& cap = first.cluster->capacities();
+  const double total_cap = std::accumulate(cap.begin(), cap.end(), 0.0);
+  for (std::size_t i = 0; i < cap.size(); ++i) {
+    r.aggregate_utilization += r.mean_server_util[i] * cap[i] / total_cap;
+  }
+
+  // Every sum starts at zero and every RunningStat merges into an empty
+  // one first, so a single slice reduces to its own figures bit for bit.
+  double network_time = 0.0;
+  std::uint64_t redirects = 0;
+  std::uint64_t direct_deliveries = 0;
+  sim::RunningStat ttl_stat;
+  std::vector<sim::RunningStat> response(cap.size());
+  sim::Histogram site_response(30.0, 3000);
+  r.domain_latency.resize(static_cast<std::size_t>(config_.num_domains));
+  for (const auto& slice : slices_) {
+    const workload::ClientPool::Totals totals = slice->clients->totals();
+    r.total_pages += totals.pages;
+    network_time += totals.network_time_sec;
+    for (int s = 0; s < slice->cluster->size(); ++s) {
+      const web::WebServer& server = slice->cluster->server(s);
+      r.total_hits += server.hits_served();
+      response[static_cast<std::size_t>(s)].merge(server.response_time());
+      site_response.merge(server.response_histogram());
+    }
+    for (const auto& ns : slice->name_servers) {
+      r.authoritative_queries += ns->authoritative_queries();
+      r.ns_cache_hits += ns->cache_hits();
+    }
+    for (const auto& cc : slice->client_caches) r.client_cache_hits += cc->hits();
+    ttl_stat.merge(slice->bundle.scheduler->ttl_stat());
+    r.events_dispatched += slice->sim->events_dispatched();
+    r.lost_pages += slice->cluster->total_lost_pages();
+    r.lost_hits += slice->cluster->total_lost_hits();
+    r.failed_requests +=
+        slice->cluster->total_lost_pages() + slice->cluster->total_rejected_pages();
+    if (const auto* redirecting =
+            dynamic_cast<const web::RedirectingDispatcher*>(slice->dispatcher.get())) {
+      redirects += redirecting->redirects();
+      direct_deliveries += redirecting->direct_deliveries();
+    }
+    // Client-perceived page response time per domain (request flight +
+    // queue + service + reply flight), from the owning slice's clients.
+    for (int d : slice->domains) {
+      const sim::Histogram& h = slice->clients->domain_response_histogram(d);
+      RunResult::DomainLatency& dl = r.domain_latency[static_cast<std::size_t>(d)];
+      dl.pages = h.count();
+      if (dl.pages > 0) {
+        dl.p50_sec = h.quantile(0.50);
+        dl.p95_sec = h.quantile(0.95);
+        dl.p99_sec = h.quantile(0.99);
+        dl.mean_sec = h.mean();
+      }
+    }
+  }
+  r.mean_network_rtt_sec =
+      r.total_pages ? network_time / static_cast<double>(r.total_pages) : 0.0;
+  r.address_request_rate = static_cast<double>(r.authoritative_queries) / horizon;
+  r.dns_controlled_fraction =
+      r.total_pages ? static_cast<double>(r.authoritative_queries) /
+                          static_cast<double>(r.total_pages)
+                    : 0.0;
+
+  double response_weighted = 0.0;
+  std::uint64_t response_pages = 0;
+  for (const sim::RunningStat& rt : response) {
+    r.per_server_response_sec.push_back(rt.mean());
+    response_weighted += rt.mean() * static_cast<double>(rt.count());
+    response_pages += rt.count();
+  }
+  r.mean_page_response_sec =
+      response_pages ? response_weighted / static_cast<double>(response_pages) : 0.0;
+  r.response_p50_sec = site_response.quantile(0.50);
+  r.response_p95_sec = site_response.quantile(0.95);
+  r.response_p99_sec = site_response.quantile(0.99);
+
+  // ---- Latency as a first-class result: mean rtt(domain, chosen server)
+  // per DNS decision, and each server's share of the RTT mass ----
+  if (workload_.geo) {
+    std::uint64_t decisions = 0;
+    double rtt_total = 0.0;
+    std::vector<double> per_server(cap.size(), 0.0);
+    for (const auto& slice : slices_) {
+      const core::DnsScheduler& scheduler = *slice->bundle.scheduler;
+      decisions += scheduler.decisions();
+      rtt_total += scheduler.assignment_rtt_sum_sec();
+      const std::vector<double>& part = scheduler.per_server_assignment_rtt_sec();
+      for (std::size_t i = 0; i < per_server.size(); ++i) per_server[i] += part[i];
+    }
+    if (decisions > 0) {
+      r.mean_assignment_rtt_sec = rtt_total / static_cast<double>(decisions);
+      r.rtt_weighted_assignment_share.resize(per_server.size(), 0.0);
+      if (rtt_total > 0.0) {
+        for (std::size_t i = 0; i < per_server.size(); ++i) {
+          r.rtt_weighted_assignment_share[i] = per_server[i] / rtt_total;
+        }
+      }
+    }
+  }
+
+  r.redirected_pages = redirects;
+  const double handled = static_cast<double>(redirects + direct_deliveries);
+  r.redirected_fraction = handled > 0 ? static_cast<double>(redirects) / handled : 0.0;
+
+  r.mean_ttl = ttl_stat.mean();
+  r.alarm_signals = first.alarms->alarm_signals() + first.alarms->normal_signals();
+  r.pool_changes = first.alarms->pool_changes();
+  r.final_pool_size = first.alarms->pool_size();
+  if (first.autoscaler) {
+    r.autoscale_ups = first.autoscaler->scale_up_actions();
+    r.autoscale_downs = first.autoscaler->scale_down_actions();
+  }
+  r.dns_outage_sec = first.fault->dns_calendar().outage_seconds(horizon);
+  const double attempts =
+      static_cast<double>(r.failed_requests) + static_cast<double>(r.total_pages);
+  r.unavailability_fraction =
+      attempts > 0 ? static_cast<double>(r.failed_requests) / attempts : 0.0;
+  return r;
+}
+
+}  // namespace adattl::experiment

@@ -13,9 +13,8 @@ FaultInjector::FaultInjector(sim::Simulator& sim, web::Cluster& cluster,
 }
 
 void FaultInjector::schedule_events() {
-  // Pauses first: a schedule holding only legacy --outage windows must
-  // insert its events in the order the old Site loop did, so ties at equal
-  // timestamps resolve identically (FIFO among equals).
+  // Kind by kind in a fixed order, pauses first: the insertion order
+  // decides how ties at equal timestamps resolve (FIFO among equals).
   for (const PauseWindow& w : schedule_.pauses) {
     sim_.at(w.start_sec, sim::assert_inline([this, s = w.server] {
               ++events_fired_;

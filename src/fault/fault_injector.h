@@ -27,7 +27,7 @@ namespace adattl::fault {
 ///   degrade  -> WebServer::set_capacity_factor (the DNS is NOT told — its
 ///               policies keep the nominal C_i, so only the alarm feedback
 ///               can react);
-///   pause    -> WebServer::set_paused (the legacy silent stall);
+///   pause    -> WebServer::set_paused (the silent stall);
 ///   dns-outage -> exposed as a DnsOutageCalendar for the name servers
 ///               (stale-serve + backoff) and traced at the boundaries;
 ///   scale-up/scale-down -> AlarmRegistry::set_in_pool (elastic DNS pool
@@ -37,9 +37,8 @@ namespace adattl::fault {
 class FaultInjector {
  public:
   /// Validates `schedule` against the cluster size and schedules every
-  /// window's start/end events. Pause events are scheduled first so a
-  /// schedule holding only legacy outages reproduces the historical event
-  /// insertion order exactly.
+  /// window's start/end events, kind by kind in a fixed order (pauses
+  /// first), so events at equal timestamps tie the same way in every run.
   FaultInjector(sim::Simulator& sim, web::Cluster& cluster, const FaultSchedule& schedule);
 
   FaultInjector(const FaultInjector&) = delete;

@@ -28,8 +28,8 @@ struct DegradeWindow {
   double factor = 1.0;
 };
 
-/// One silent stall (the legacy ServerOutage semantics): the server keeps
-/// accepting and queueing but serves nothing; queued work survives.
+/// One silent stall (`pause`, or its older spelling `--outage`): the server
+/// keeps accepting and queueing but serves nothing; queued work survives.
 struct PauseWindow {
   double start_sec = 0.0;
   double duration_sec = 0.0;

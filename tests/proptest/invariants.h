@@ -1,9 +1,9 @@
 #pragma once
 
-// Conservation laws of one full Site run — the single place the invariant
-// logic lives. Both the randomized property suites and the fixed
-// representative-policy cases (migrated from test_properties.cpp) call
-// this checker, so a law added here is enforced everywhere at once.
+// Conservation laws of one full Site or ShardedSite run — the single place
+// the invariant logic lives. Both the randomized property suites and the
+// fixed representative-policy cases (migrated from test_properties.cpp)
+// call this checker, so a law added here is enforced everywhere at once.
 //
 // The laws are fault-aware: they hold verbatim for crash/pause/degrade
 // schedules and authoritative-DNS outages, because every counter involved
@@ -14,37 +14,27 @@
 
 #include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "experiment/sharded_site.h"
 #include "experiment/site.h"
 
 namespace adattl::proptest {
 
-/// Asserts every cross-layer conservation law on a finished run. `site`
-/// must be the Site that produced `r` (the checker reads the live object
-/// graph: scheduler tallies, per-server counters, per-NS cache counters).
-inline void check_run_conservation(experiment::Site& site, const experiment::RunResult& r) {
-  const experiment::SimulationConfig& cfg = site.config();
+/// Asserts every cross-layer conservation law on a finished run, given the
+/// slices that produced `r` (the checker reads the live object graph:
+/// scheduler tallies, per-server counters, per-NS cache counters). Each
+/// slice is a closed sub-site for its domains, so the per-slice laws
+/// compose additively; a serial Site is the one-slice case.
+inline void check_slices_conservation(const experiment::SimulationConfig& cfg,
+                                      const experiment::SliceSet& slices,
+                                      const experiment::RunResult& r) {
   const double horizon = cfg.warmup_sec + cfg.duration_sec;
 
-  // ---- DNS decision conservation: every authoritative query is exactly
-  // one scheduler decision, and per-server assignments partition them ----
-  EXPECT_EQ(r.authoritative_queries, site.scheduler().decisions());
+  std::uint64_t decisions = 0;
   std::uint64_t assigned = 0;
-  for (std::uint64_t a : site.scheduler().assignments()) assigned += a;
-  EXPECT_EQ(assigned, site.scheduler().decisions());
   std::uint64_t ns_auth = 0;
   std::uint64_t ns_hits = 0;
-  for (int d = 0; d < cfg.num_domains; ++d) {
-    for (int rep = 0; rep < cfg.ns_per_domain; ++rep) {
-      ns_auth += site.name_server(d, rep).authoritative_queries();
-      ns_hits += site.name_server(d, rep).cache_hits();
-    }
-  }
-  EXPECT_EQ(ns_auth, r.authoritative_queries);
-  EXPECT_EQ(ns_hits, r.ns_cache_hits);
-
-  // ---- Page/hit conservation across the cluster ----
   std::uint64_t served_pages = 0;
   std::uint64_t served_hits = 0;
   std::uint64_t queued_pages = 0;
@@ -52,17 +42,50 @@ inline void check_run_conservation(experiment::Site& site, const experiment::Run
   std::uint64_t lost_pages = 0;
   std::uint64_t lost_hits = 0;
   std::uint64_t rejected_pages = 0;
-  for (int s = 0; s < site.cluster().size(); ++s) {
-    const web::WebServer& sv = site.cluster().server(s);
-    served_pages += sv.pages_served();
-    served_hits += sv.hits_served();
-    queued_pages += sv.queue_length();
-    lost_pages += sv.lost_pages();
-    lost_hits += sv.lost_hits();
-    rejected_pages += sv.rejected_pages();
-    const auto& per_domain = sv.lifetime_domain_hits();
-    lifetime_hits = std::accumulate(per_domain.begin(), per_domain.end(), lifetime_hits);
+  std::vector<int> owners(static_cast<std::size_t>(cfg.num_domains), 0);
+  for (int i = 0; i < slices.size(); ++i) {
+    const experiment::SiteSlice& slice = slices[i];
+    for (int d : slice.domains) owners.at(static_cast<std::size_t>(d))++;
+    decisions += slice.bundle.scheduler->decisions();
+    for (std::uint64_t a : slice.bundle.scheduler->assignments()) assigned += a;
+    for (const auto& ns : slice.name_servers) {
+      ns_auth += ns->authoritative_queries();
+      ns_hits += ns->cache_hits();
+    }
+    for (int s = 0; s < slice.cluster->size(); ++s) {
+      const web::WebServer& sv = slice.cluster->server(s);
+      served_pages += sv.pages_served();
+      served_hits += sv.hits_served();
+      queued_pages += sv.queue_length();
+      lost_pages += sv.lost_pages();
+      lost_hits += sv.lost_hits();
+      rejected_pages += sv.rejected_pages();
+      const auto& per_domain = sv.lifetime_domain_hits();
+      lifetime_hits = std::accumulate(per_domain.begin(), per_domain.end(), lifetime_hits);
+    }
   }
+  // The slices own every domain exactly once.
+  for (int count : owners) EXPECT_EQ(count, 1);
+
+  // ---- Per-domain pages: each domain's latency histogram is read from its
+  // owning slice, so the per-domain counts add up to the run's pages, short
+  // only of the pages still in flight at the horizon (at most one per
+  // client). A lookup on a slice that does not own the domain reads an
+  // empty histogram and breaks the lower bound. ----
+  EXPECT_EQ(r.domain_latency.size(), static_cast<std::size_t>(cfg.num_domains));
+  std::uint64_t domain_pages = 0;
+  for (const auto& dl : r.domain_latency) domain_pages += dl.pages;
+  EXPECT_LE(domain_pages, r.total_pages);
+  EXPECT_LE(r.total_pages, domain_pages + static_cast<std::uint64_t>(cfg.total_clients));
+
+  // ---- DNS decision conservation: every authoritative query is exactly
+  // one scheduler decision, and per-server assignments partition them ----
+  EXPECT_EQ(r.authoritative_queries, decisions);
+  EXPECT_EQ(assigned, decisions);
+  EXPECT_EQ(ns_auth, r.authoritative_queries);
+  EXPECT_EQ(ns_hits, r.ns_cache_hits);
+
+  // ---- Page/hit conservation across the cluster replicas ----
   EXPECT_EQ(r.lost_pages, lost_pages);
   EXPECT_EQ(r.lost_hits, lost_hits);
   EXPECT_EQ(r.total_hits, served_hits);
@@ -94,7 +117,7 @@ inline void check_run_conservation(experiment::Site& site, const experiment::Run
   EXPECT_NEAR(r.unavailability_fraction,
               attempts > 0 ? static_cast<double>(r.failed_requests) / attempts_d : 0.0, 1e-12);
 
-  // ---- Physical bounds ----
+  // ---- Physical bounds (a sharded barrier clamps merged utilization at 1) ----
   for (double u : r.mean_server_util) {
     EXPECT_GE(u, 0.0);
     EXPECT_LE(u, 1.0 + 1e-9);
@@ -110,98 +133,13 @@ inline void check_run_conservation(experiment::Site& site, const experiment::Run
   EXPECT_GE(r.mean_page_response_sec, 0.0);
 }
 
-/// Sharded-mode counterpart of check_run_conservation: every law is summed
-/// across the shards (each shard is a closed sub-site for its domains, so
-/// the per-shard laws compose additively), plus the merged-utilization
-/// bound the barrier clamps.
+inline void check_run_conservation(experiment::Site& site, const experiment::RunResult& r) {
+  check_slices_conservation(site.config(), site.slices(), r);
+}
+
 inline void check_sharded_run_conservation(experiment::ShardedSite& site,
                                            const experiment::RunResult& r) {
-  const experiment::SimulationConfig& cfg = site.config();
-  const double horizon = cfg.warmup_sec + cfg.duration_sec;
-
-  // ---- DNS decision conservation, summed over shard scheduler replicas ----
-  std::uint64_t decisions = 0;
-  std::uint64_t assigned = 0;
-  std::uint64_t ns_auth = 0;
-  std::uint64_t ns_hits = 0;
-  std::uint64_t served_pages = 0;
-  std::uint64_t served_hits = 0;
-  std::uint64_t queued_pages = 0;
-  std::uint64_t lifetime_hits = 0;
-  std::uint64_t lost_pages = 0;
-  std::uint64_t lost_hits = 0;
-  std::uint64_t rejected_pages = 0;
-  int owned_domains = 0;
-  for (int sh = 0; sh < site.shard_count(); ++sh) {
-    experiment::ShardedSite::Shard& shard = site.shard(sh);
-    owned_domains += static_cast<int>(shard.domains.size());
-    decisions += shard.bundle.scheduler->decisions();
-    for (std::uint64_t a : shard.bundle.scheduler->assignments()) assigned += a;
-    for (const auto& ns : shard.name_servers) {
-      ns_auth += ns->authoritative_queries();
-      ns_hits += ns->cache_hits();
-    }
-    for (int s = 0; s < shard.cluster->size(); ++s) {
-      const web::WebServer& sv = shard.cluster->server(s);
-      served_pages += sv.pages_served();
-      served_hits += sv.hits_served();
-      queued_pages += sv.queue_length();
-      lost_pages += sv.lost_pages();
-      lost_hits += sv.lost_hits();
-      rejected_pages += sv.rejected_pages();
-      const auto& per_domain = sv.lifetime_domain_hits();
-      lifetime_hits = std::accumulate(per_domain.begin(), per_domain.end(), lifetime_hits);
-    }
-  }
-  EXPECT_EQ(owned_domains, cfg.num_domains);  // the partition covers every domain once
-
-  // ---- Per-domain pages: each domain's latency histogram is read from its
-  // owning shard, so the per-domain counts add up to the run's pages, short
-  // only of the pages still in flight at the horizon (at most one per
-  // client). A lookup on a shard that does not own the domain reads an
-  // empty histogram and breaks the lower bound. ----
-  EXPECT_EQ(r.domain_latency.size(), static_cast<std::size_t>(cfg.num_domains));
-  std::uint64_t domain_pages = 0;
-  for (const auto& dl : r.domain_latency) domain_pages += dl.pages;
-  EXPECT_LE(domain_pages, r.total_pages);
-  EXPECT_LE(r.total_pages, domain_pages + static_cast<std::uint64_t>(cfg.total_clients));
-
-  EXPECT_EQ(r.authoritative_queries, decisions);
-  EXPECT_EQ(assigned, decisions);
-  EXPECT_EQ(ns_auth, r.authoritative_queries);
-  EXPECT_EQ(ns_hits, r.ns_cache_hits);
-
-  // ---- Page/hit conservation across all cluster replicas ----
-  EXPECT_EQ(r.lost_pages, lost_pages);
-  EXPECT_EQ(r.lost_hits, lost_hits);
-  EXPECT_EQ(r.total_hits, served_hits);
-  EXPECT_GE(lifetime_hits, served_hits + lost_hits + queued_pages);
-  if (queued_pages == 0) {
-    EXPECT_EQ(lifetime_hits, served_hits + lost_hits);
-  }
-
-  // ---- Attempt conservation (limbo bounded by the global population) ----
-  const std::uint64_t accepted = served_pages + lost_pages + queued_pages;
-  const std::uint64_t attempts = r.total_pages + r.failed_requests;
-  EXPECT_LE(accepted + rejected_pages, attempts);
-  EXPECT_LE(attempts - accepted - rejected_pages,
-            static_cast<std::uint64_t>(cfg.total_clients));
-  EXPECT_EQ(r.failed_requests, lost_pages + rejected_pages);
-
-  // ---- Physical bounds (the barrier clamps merged utilization at 1) ----
-  for (double u : r.mean_server_util) {
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.0 + 1e-9);
-  }
-  EXPECT_GE(r.prob_below_090, 0.0);
-  EXPECT_LE(r.prob_below_098, 1.0);
-  EXPECT_LE(r.prob_below_090, r.prob_below_098 + 1e-12);
-  EXPECT_GE(r.dns_outage_sec, 0.0);
-  EXPECT_LE(r.dns_outage_sec, horizon + 1e-9);
-  if (r.authoritative_queries > 0) {
-    EXPECT_GT(r.mean_ttl, 0.0);
-  }
-  EXPECT_GE(r.mean_page_response_sec, 0.0);
+  check_slices_conservation(site.config(), site.slices(), r);
 }
 
 }  // namespace adattl::proptest

@@ -120,6 +120,14 @@ TEST(Cli, ResultIsValidatedAsAWhole) {
   EXPECT_THROW(parse_cli({"--think=0"}), std::invalid_argument);
 }
 
+TEST(Cli, ShardedRunsRejectTraceAndDecisionFiles) {
+  // Both files come from an instrumented serial Site run, which a sharded
+  // config cannot build: resolution must fail instead of the run aborting.
+  EXPECT_THROW(parse_cli({"--shard-domains", "--trace=t.csv"}), std::invalid_argument);
+  EXPECT_THROW(parse_cli({"--shard-domains", "--decisions=d.csv"}), std::invalid_argument);
+  EXPECT_NO_THROW(parse_cli({"--trace=t.csv", "--decisions=d.csv"}));
+}
+
 TEST(Cli, UsageMentionsEveryFlagGroup) {
   const std::string u = cli_usage();
   for (const char* needle :

@@ -81,13 +81,13 @@ experiment::SimulationConfig outage_config() {
   cfg.duration_sec = 2000.0;
   cfg.seed = 55;
   // Server 2 silently stalls for 10 minutes mid-run.
-  cfg.outages.push_back({600.0, 600.0, 2});
+  cfg.faults.pauses.push_back({600.0, 600.0, 2});
   return cfg;
 }
 
 TEST(OutageIntegration, OutageDegradesResponseTimes) {
   experiment::SimulationConfig healthy = outage_config();
-  healthy.outages.clear();
+  healthy.faults.pauses.clear();
   const experiment::RunResult base = experiment::Site(healthy).run();
   const experiment::RunResult hit = experiment::Site(outage_config()).run();
   // The workload is closed-loop, so only the clients mapped to the stalled
@@ -119,13 +119,13 @@ TEST(OutageIntegration, ServerRecoversAfterOutage) {
 
 TEST(OutageConfig, Validation) {
   experiment::SimulationConfig cfg;
-  cfg.outages.push_back({-1.0, 10.0, 0});
+  cfg.faults.pauses.push_back({-1.0, 10.0, 0});
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.outages = {{10.0, 0.0, 0}};
+  cfg.faults.pauses = {{10.0, 0.0, 0}};
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.outages = {{10.0, 5.0, 99}};
+  cfg.faults.pauses = {{10.0, 5.0, 99}};
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
-  cfg.outages = {{10.0, 5.0, 3}};
+  cfg.faults.pauses = {{10.0, 5.0, 3}};
   EXPECT_NO_THROW(cfg.validate());
 }
 
@@ -141,24 +141,6 @@ experiment::SimulationConfig crash_config() {
   // Server 2 crashes hard for 10 minutes mid-run.
   cfg.faults.crashes.push_back({600.0, 600.0, 2});
   return cfg;
-}
-
-TEST(CrashIntegration, LegacyOutageFlagEqualsPauseWindow) {
-  // The legacy --outage path now routes through the fault injector; a
-  // schedule declaring the same window as a pause must reproduce the run
-  // bit-for-bit (same events, same RNG draws, same results).
-  experiment::SimulationConfig legacy = outage_config();
-  experiment::SimulationConfig modern = outage_config();
-  modern.outages.clear();
-  modern.faults.pauses.push_back({600.0, 600.0, 2});
-  const experiment::RunResult a = experiment::Site(legacy).run();
-  const experiment::RunResult b = experiment::Site(modern).run();
-  EXPECT_EQ(a.total_pages, b.total_pages);
-  EXPECT_EQ(a.total_hits, b.total_hits);
-  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
-  EXPECT_EQ(a.authoritative_queries, b.authoritative_queries);
-  EXPECT_DOUBLE_EQ(a.mean_page_response_sec, b.mean_page_response_sec);
-  EXPECT_DOUBLE_EQ(a.mean_max_utilization, b.mean_max_utilization);
 }
 
 TEST(CrashIntegration, CrashLosesWorkAndClientsFeelIt) {
@@ -346,12 +328,15 @@ TEST(FaultCli, FaultsValidateAgainstClusterSize) {
 }
 
 TEST(OutageCli, ParsesOutageAndQueueAlarm) {
-  const experiment::CliOptions opt =
-      experiment::parse_cli({"--outage=600:300:2", "--queue-alarm=40"});
-  ASSERT_EQ(opt.config.outages.size(), 1u);
-  EXPECT_DOUBLE_EQ(opt.config.outages[0].start_sec, 600.0);
-  EXPECT_DOUBLE_EQ(opt.config.outages[0].duration_sec, 300.0);
-  EXPECT_EQ(opt.config.outages[0].server, 2);
+  // --outage is the older spelling of --pause: both add the same window,
+  // in flag order.
+  const experiment::CliOptions opt = experiment::parse_cli(
+      {"--pause=100:50:1", "--outage=600:300:2", "--queue-alarm=40"});
+  ASSERT_EQ(opt.config.faults.pauses.size(), 2u);
+  EXPECT_EQ(opt.config.faults.pauses[0].server, 1);
+  EXPECT_DOUBLE_EQ(opt.config.faults.pauses[1].start_sec, 600.0);
+  EXPECT_DOUBLE_EQ(opt.config.faults.pauses[1].duration_sec, 300.0);
+  EXPECT_EQ(opt.config.faults.pauses[1].server, 2);
   EXPECT_EQ(opt.config.alarm_queue_threshold, 40u);
   EXPECT_THROW(experiment::parse_cli({"--outage=600:300"}), std::invalid_argument);
   EXPECT_THROW(experiment::parse_cli({"--outage=600:300:99"}), std::invalid_argument);

@@ -268,8 +268,8 @@ TEST(SiteObservability, TracerCapturesDecisionTimeline) {
   experiment::SimulationConfig config = obs_config();
   config.trace_enabled = true;
   config.trace_capacity = 1 << 16;
-  // Inject an outage so pause/resume records appear too.
-  config.outages.push_back(experiment::ServerOutage{200.0, 100.0, 0});
+  // Inject a pause window so pause/resume records appear too.
+  config.faults.pauses.push_back({200.0, 100.0, 0});
 
   experiment::Site site(config);
   site.run();

@@ -183,6 +183,21 @@ TEST(ShardedSite, TracePointAndRateShiftReachTheOwningShard) {
   }
 }
 
+TEST(ShardedSite, EveryShardEstimatesFromTheMergedHits) {
+  // The barrier feeds every shard's estimator the hits of all shards, so
+  // every scheduler replica ends a measured run with the same weights,
+  // including those of the domains it never serves.
+  SimulationConfig cfg = sharded_config();
+  cfg.oracle_weights = false;
+  ShardedSite site(cfg);
+  site.run();
+  ASSERT_GT(site.shard(0).estimator->windows_observed(), 0);
+  const std::vector<double> weights = site.shard(0).bundle.domains->weights();
+  for (int s = 1; s < site.shard_count(); ++s) {
+    EXPECT_EQ(site.shard(s).bundle.domains->weights(), weights) << "shard " << s;
+  }
+}
+
 TEST(ShardedSite, ConservationLawsHoldAcrossShards) {
   ShardedSite site(sharded_config());
   const RunResult r = site.run();

@@ -170,6 +170,16 @@ TEST(SiteIntegration, SiteIsSingleUse) {
   EXPECT_THROW(site.run(), std::logic_error);
 }
 
+TEST(SiteIntegration, NameServerLookupRejectsUnknownReplicaOrDomain) {
+  // Replica ns_per_domain of domain 0 would index domain 1's first NS.
+  const SimulationConfig cfg = short_config("RR");
+  Site site(cfg);
+  EXPECT_EQ(site.name_server(1, cfg.ns_per_domain - 1).domain(), 1);
+  EXPECT_THROW(site.name_server(0, cfg.ns_per_domain), std::out_of_range);
+  EXPECT_THROW(site.name_server(0, -1), std::out_of_range);
+  EXPECT_THROW(site.name_server(cfg.num_domains, 0), std::out_of_range);
+}
+
 TEST(RunnerTest, ReplicationsProduceDistinctRunsAndCis) {
   SimulationConfig cfg = short_config("RR");
   cfg.warmup_sec = 100.0;
