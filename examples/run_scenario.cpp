@@ -8,15 +8,14 @@
 //       --clients=300 --csv             (one command line)
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiment/cli.h"
-#include "experiment/decision_log.h"
 #include "experiment/parallel_executor.h"
 #include "experiment/param_registry.h"
 #include "experiment/report.h"
 #include "experiment/runner.h"
-#include "experiment/trace.h"
 #include "obs/event_tracer.h"
 
 using namespace adattl;
@@ -51,39 +50,35 @@ int main(int argc, char** argv) {
 
   if (!opt.trace_path.empty() || !opt.decisions_path.empty() ||
       !opt.chrome_trace_path.empty()) {
-    // A dedicated instrumented run (same seed as replication 0) so the CSV
-    // artifacts match the first replication's statistics.
-    experiment::Site traced(opt.config);
-    experiment::TraceRecorder recorder;
-    experiment::DecisionLog decisions;
-    if (!opt.trace_path.empty()) recorder.attach(traced.monitor());
-    if (!opt.decisions_path.empty()) decisions.attach(traced.simulator(), traced.scheduler());
-    traced.run();
-    if (!opt.chrome_trace_path.empty()) {
-      obs::EventTracer* tracer = traced.event_tracer();
-      obs::EventTracer::write_file(opt.chrome_trace_path, tracer->to_chrome_json());
-      std::fprintf(stderr, "wrote %llu trace events (%llu dropped) to %s\n",
-                   static_cast<unsigned long long>(tracer->total_recorded() - tracer->dropped()),
-                   static_cast<unsigned long long>(tracer->dropped()),
-                   opt.chrome_trace_path.c_str());
-    }
-    if (!opt.trace_path.empty()) {
-      recorder.write_csv(opt.trace_path);
-      std::fprintf(stderr, "wrote %zu trace samples to %s\n", recorder.samples().size(),
-                   opt.trace_path.c_str());
-    }
-    if (!opt.decisions_path.empty()) {
-      std::FILE* f = std::fopen(opt.decisions_path.c_str(), "w");
-      if (!f) {
-        std::fprintf(stderr, "error: cannot open %s\n", opt.decisions_path.c_str());
-        return 2;
+    // One traced run (same seed as replication 0) feeds every requested
+    // file, so they match the first replication's statistics. Every file
+    // is built before any is written: a view that throws writes nothing.
+    try {
+      experiment::SimulationConfig traced_config = opt.config;
+      traced_config.trace_enabled = true;
+      experiment::Site traced(traced_config);
+      traced.run();
+      const obs::EventTracer& tracer = *traced.event_tracer();
+      std::vector<std::pair<std::string, std::string>> files;  // (path, content)
+      if (!opt.trace_path.empty()) {
+        files.emplace_back(opt.trace_path, tracer.to_utilization_csv());
       }
-      const std::string csv = decisions.to_csv();
-      std::fwrite(csv.data(), 1, csv.size(), f);
-      std::fclose(f);
-      std::fprintf(stderr, "wrote %llu DNS decisions to %s\n",
-                   static_cast<unsigned long long>(decisions.total_recorded()),
-                   opt.decisions_path.c_str());
+      if (!opt.decisions_path.empty()) {
+        files.emplace_back(opt.decisions_path, tracer.to_decisions_csv());
+      }
+      if (!opt.chrome_trace_path.empty()) {
+        files.emplace_back(opt.chrome_trace_path, tracer.to_chrome_json());
+      }
+      for (const auto& [path, content] : files) {
+        obs::EventTracer::write_file(path, content);
+        std::fprintf(stderr, "wrote %s\n", path.c_str());
+      }
+      std::fprintf(stderr, "traced run: %llu records (%llu dropped)\n",
+                   static_cast<unsigned long long>(tracer.total_recorded()),
+                   static_cast<unsigned long long>(tracer.dropped()));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
     }
   }
 

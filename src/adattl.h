@@ -7,7 +7,7 @@
 ///
 /// Layering (each layer depends only on those above it):
 ///
-///   sim/        discrete-event kernel, RNG, statistics, coroutine API
+///   sim/        discrete-event kernel, RNG, statistics
 ///   web/        heterogeneous Web servers, cluster presets, monitoring
 ///   core/       the paper's contribution: selection + TTL policies,
 ///               calibration, estimation, alarm feedback, factory
@@ -27,7 +27,6 @@
 
 // sim
 #include "sim/event_queue.h"
-#include "sim/process.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -71,17 +70,14 @@
 #include "dnswire/message.h"
 
 // workload
-#include "workload/client.h"
 #include "workload/domain_set.h"
 #include "workload/think_time_model.h"
 
 // experiment
 #include "experiment/cli.h"
 #include "experiment/config.h"
-#include "experiment/decision_log.h"
 #include "experiment/metrics.h"
 #include "experiment/report.h"
 #include "experiment/runner.h"
 #include "experiment/scenario_file.h"
 #include "experiment/site.h"
-#include "experiment/trace.h"

@@ -41,8 +41,9 @@ class DnsScheduler {
   /// Answers one address request from `domain`.
   Decision schedule(web::DomainId domain);
 
-  /// Observation hook invoked after every decision (e.g. a decision log).
-  /// The scheduler itself is clock-free; observers stamp times themselves.
+  /// Observation hook invoked after every decision (e.g. a benchmark that
+  /// captures the decision stream for replay). The scheduler itself is
+  /// clock-free; observers stamp times themselves.
   void set_decision_hook(std::function<void(web::DomainId, const Decision&)> hook) {
     hook_ = std::move(hook);
   }

@@ -7,17 +7,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#if defined(__linux__)
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
-#define ADATTL_DNSD_HAVE_MMSG 1
-#else
-#include <fcntl.h>
-#define ADATTL_DNSD_HAVE_MMSG 0
-#endif
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include "core/policy_factory.h"
 
@@ -123,8 +116,7 @@ struct alignas(64) ShardStatsAtomics {
 struct UdpDaemon::Shard {
   int index = 0;
   int fd = -1;
-  int wake_read_fd = -1;   ///< eventfd on Linux; pipe read end elsewhere
-  int wake_write_fd = -1;  ///< == wake_read_fd for eventfd
+  int wake_fd = -1;  ///< eventfd that request_stop() writes to wake the loop
   std::unique_ptr<ShardCore> core;
   ShardStatsAtomics stats;
   std::thread thread;
@@ -142,12 +134,7 @@ struct UdpDaemon::ShardInstruments {
 namespace {
 
 int open_shard_socket(const DaemonConfig& cfg, int bind_port) {
-#if defined(__linux__)
   const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
-#else
-  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
-  if (fd >= 0) ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
-#endif
   if (fd < 0) throw_errno("socket");
   const int one = 1;
   if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
@@ -161,11 +148,9 @@ int open_shard_socket(const DaemonConfig& cfg, int bind_port) {
                      sizeof(cfg.rcvbuf_bytes));
   (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &cfg.sndbuf_bytes,
                      sizeof(cfg.sndbuf_bytes));
-#if defined(SO_RXQ_OVFL)
   // Ask the kernel to report receive-queue overflow drops as ancillary
   // data, so bursts that outrun us are counted instead of vanishing.
   (void)::setsockopt(fd, SOL_SOCKET, SO_RXQ_OVFL, &one, sizeof(one));
-#endif
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
@@ -189,7 +174,6 @@ int bound_port_of(int fd) {
 /// Extracts the cumulative SO_RXQ_OVFL counter from a msghdr's ancillary
 /// data; returns false when the kernel attached none.
 bool rxq_ovfl_of(msghdr& msg, std::uint32_t* value) {
-#if defined(SO_RXQ_OVFL)
   for (cmsghdr* c = CMSG_FIRSTHDR(&msg); c != nullptr; c = CMSG_NXTHDR(&msg, c)) {
     if (c->cmsg_level == SOL_SOCKET && c->cmsg_type == SO_RXQ_OVFL &&
         c->cmsg_len >= CMSG_LEN(sizeof(std::uint32_t))) {
@@ -197,10 +181,6 @@ bool rxq_ovfl_of(msghdr& msg, std::uint32_t* value) {
       return true;
     }
   }
-#else
-  (void)msg;
-  (void)value;
-#endif
   return false;
 }
 
@@ -232,17 +212,8 @@ UdpDaemon::UdpDaemon(DaemonConfig cfg) : cfg_(std::move(cfg)) {
       bound_port_ = bound_port_of(shard->fd);
       port = bound_port_;  // shards 1..N-1 join shard 0's REUSEPORT group
     }
-#if defined(__linux__)
-    shard->wake_read_fd = ::eventfd(0, EFD_NONBLOCK);
-    if (shard->wake_read_fd < 0) throw_errno("eventfd");
-    shard->wake_write_fd = shard->wake_read_fd;
-#else
-    int pipe_fds[2];
-    if (::pipe(pipe_fds) != 0) throw_errno("pipe");
-    ::fcntl(pipe_fds[0], F_SETFL, O_NONBLOCK);
-    shard->wake_read_fd = pipe_fds[0];
-    shard->wake_write_fd = pipe_fds[1];
-#endif
+    shard->wake_fd = ::eventfd(0, EFD_NONBLOCK);
+    if (shard->wake_fd < 0) throw_errno("eventfd");
     shards_.push_back(std::move(shard));
   }
 }
@@ -251,10 +222,7 @@ UdpDaemon::~UdpDaemon() {
   stop();
   for (auto& s : shards_) {
     if (s->fd >= 0) ::close(s->fd);
-    if (s->wake_read_fd >= 0) ::close(s->wake_read_fd);
-    if (s->wake_write_fd >= 0 && s->wake_write_fd != s->wake_read_fd) {
-      ::close(s->wake_write_fd);
-    }
+    if (s->wake_fd >= 0) ::close(s->wake_fd);
   }
 }
 
@@ -274,9 +242,9 @@ void UdpDaemon::request_stop() noexcept {
   stop_.store(true, std::memory_order_release);
   const std::uint64_t one = 1;
   for (auto& s : shards_) {
-    if (s->wake_write_fd >= 0) {
+    if (s->wake_fd >= 0) {
       // write() is async-signal-safe; the value is irrelevant, the wakeup is.
-      [[maybe_unused]] ssize_t n = ::write(s->wake_write_fd, &one, sizeof(one));
+      [[maybe_unused]] ssize_t n = ::write(s->wake_fd, &one, sizeof(one));
     }
   }
 }
@@ -292,10 +260,6 @@ void UdpDaemon::stop() {
 
 bool UdpDaemon::finished() const {
   return started_ && live_shards_.load(std::memory_order_acquire) == 0;
-}
-
-bool UdpDaemon::using_batched_io() const {
-  return ADATTL_DNSD_HAVE_MMSG != 0 && cfg_.batch > 1;
 }
 
 ShardStatsSnapshot UdpDaemon::shard_stats(int shard) const {
@@ -438,25 +402,8 @@ void UdpDaemon::shard_loop(Shard& shard) {
                              std::memory_order_relaxed);
   };
 
-  const auto send_one = [&](Slot& slot) {
-    for (int attempt = 0; attempt < 3; ++attempt) {
-      const ssize_t sent =
-          ::sendto(shard.fd, slot.tx.data(), slot.tx.size(), 0,
-                   reinterpret_cast<const sockaddr*>(&slot.peer), sizeof(slot.peer));
-      if (sent >= 0) return;
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        pollfd p{shard.fd, POLLOUT, 0};
-        (void)::poll(&p, 1, 10);
-        continue;
-      }
-      break;
-    }
-    st.send_errors.fetch_add(1, std::memory_order_relaxed);
-  };
-
-#if ADATTL_DNSD_HAVE_MMSG
-  // Persistent recvmmsg scaffolding over the slots.
+  // Persistent recvmmsg scaffolding over the slots; batch 1 is a vector
+  // of length 1.
   std::vector<mmsghdr> rxvec(static_cast<std::size_t>(batch));
   std::vector<iovec> rxio(static_cast<std::size_t>(batch));
   const auto arm_rx = [&] {
@@ -516,15 +463,14 @@ void UdpDaemon::shard_loop(Shard& shard) {
     }
   };
 
-  const bool batched = batch > 1;
   const int epfd = ::epoll_create1(0);
   if (epfd < 0) throw_errno("epoll_create1");
   epoll_event ev{};
   ev.events = EPOLLIN;
   ev.data.fd = shard.fd;
   if (::epoll_ctl(epfd, EPOLL_CTL_ADD, shard.fd, &ev) != 0) throw_errno("epoll_ctl");
-  ev.data.fd = shard.wake_read_fd;
-  if (::epoll_ctl(epfd, EPOLL_CTL_ADD, shard.wake_read_fd, &ev) != 0) {
+  ev.data.fd = shard.wake_fd;
+  if (::epoll_ctl(epfd, EPOLL_CTL_ADD, shard.wake_fd, &ev) != 0) {
     throw_errno("epoll_ctl(wake)");
   }
 
@@ -539,82 +485,24 @@ void UdpDaemon::shard_loop(Shard& shard) {
     // so anything left re-arms the loop anyway — this just saves wakeups).
     for (;;) {
       if (stop_.load(std::memory_order_acquire)) break;
-      int n = 0;
-      if (batched) {
-        arm_rx();
-        n = ::recvmmsg(shard.fd, rxvec.data(), static_cast<unsigned>(batch),
-                       MSG_DONTWAIT, nullptr);
-        if (n > 0) {
-          std::uint32_t ovfl = 0;
-          for (int i = 0; i < n; ++i) {
-            slots[static_cast<std::size_t>(i)].rx_len = rxvec[i].msg_len;
-            if (rxq_ovfl_of(rxvec[i].msg_hdr, &ovfl) && i == n - 1) {
-              account_kernel_drops(ovfl);
-            }
-          }
-        }
-      } else {
-        Slot& slot = slots[0];
-        iovec io{slot.rx.data(), slot.rx.size()};
-        msghdr m{};
-        m.msg_name = &slot.peer;
-        m.msg_namelen = sizeof(slot.peer);
-        m.msg_iov = &io;
-        m.msg_iovlen = 1;
-        m.msg_control = slot.cmsg;
-        m.msg_controllen = sizeof(slot.cmsg);
-        const ssize_t r = ::recvmsg(shard.fd, &m, MSG_DONTWAIT);
-        if (r >= 0) {
-          slot.rx_len = static_cast<std::size_t>(r);
-          std::uint32_t ovfl = 0;
-          if (rxq_ovfl_of(m, &ovfl)) account_kernel_drops(ovfl);
-          n = 1;
-        } else {
-          n = -1;
-        }
-      }
+      arm_rx();
+      const int n = ::recvmmsg(shard.fd, rxvec.data(), static_cast<unsigned>(batch),
+                               MSG_DONTWAIT, nullptr);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
         break;  // EAGAIN: drained
       }
-      process(n);
-      if (batched) {
-        send_batch(n);
-      } else {
-        if (!slots[0].tx.empty()) send_one(slots[0]);
+      std::uint32_t ovfl = 0;
+      for (int i = 0; i < n; ++i) {
+        slots[static_cast<std::size_t>(i)].rx_len = rxvec[i].msg_len;
+        if (rxq_ovfl_of(rxvec[i].msg_hdr, &ovfl) && i == n - 1) account_kernel_drops(ovfl);
       }
+      process(n);
+      send_batch(n);
       note_progress();
     }
   }
   ::close(epfd);
-#else
-  // Portable fallback: poll() over the socket + wake pipe, one datagram
-  // per recvfrom. No mmsg, no kernel drop counter — but the same shard
-  // model, stats and drain semantics.
-  while (!stop_.load(std::memory_order_acquire)) {
-    pollfd fds[2] = {{shard.fd, POLLIN, 0}, {shard.wake_read_fd, POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    for (;;) {
-      if (stop_.load(std::memory_order_acquire)) break;
-      Slot& slot = slots[0];
-      socklen_t peer_len = sizeof(slot.peer);
-      const ssize_t r = ::recvfrom(shard.fd, slot.rx.data(), slot.rx.size(), 0,
-                                   reinterpret_cast<sockaddr*>(&slot.peer), &peer_len);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        break;  // EAGAIN: drained
-      }
-      slot.rx_len = static_cast<std::size_t>(r);
-      process(1);
-      if (!slot.tx.empty()) send_one(slot);
-      note_progress();
-    }
-  }
-#endif
 }
 
 }  // namespace adattl::dnswire

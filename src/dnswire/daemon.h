@@ -29,7 +29,7 @@ struct DaemonConfig {
   std::uint64_t seed = 1;
   int port = 5353;   ///< 0 = ephemeral; UdpDaemon::port() reports the bound one
   int shards = 1;    ///< worker shards, each with its own SO_REUSEPORT socket
-  int batch = 32;    ///< recvmmsg/sendmmsg batch; 1 = plain recvmsg/sendto path
+  int batch = 32;    ///< recvmmsg/sendmmsg vector length (datagrams per syscall)
   bool ecs_enabled = true;  ///< derive domain keys from EDNS0 Client-Subnet
   int rcvbuf_bytes = 1 << 21;
   int sndbuf_bytes = 1 << 21;
@@ -44,7 +44,7 @@ struct ShardStatsSnapshot {
   std::uint64_t refused = 0;         ///< error-rcode answers sent
   std::uint64_t dropped_undecodable = 0;  ///< id unrecoverable: no reply at all
   std::uint64_t dropped_kernel = 0;  ///< SO_RXQ_OVFL: datagrams the kernel shed
-  std::uint64_t send_errors = 0;     ///< replies lost to sendto/sendmmsg failures
+  std::uint64_t send_errors = 0;     ///< replies lost to sendmmsg failures
   std::uint64_t ecs_keys = 0;        ///< domain keys derived from a Client-Subnet
   std::uint64_t hash_keys = 0;       ///< keys from the legacy source-address hash
   std::uint64_t ecs_malformed = 0;   ///< ECS present but unusable: hash fallback
@@ -98,9 +98,9 @@ class ShardCore {
 
 /// Multi-core authoritative UDP DNS server: N worker shards, each with its
 /// own SO_REUSEPORT socket (the kernel spreads resolvers across shards by
-/// flow hash), its own epoll loop, batched recvmmsg/sendmmsg I/O (plain
-/// recvmsg/sendto when batch == 1 or the platform lacks the mmsg calls),
-/// explicit SO_RCVBUF/SO_SNDBUF sizing and SO_RXQ_OVFL drop accounting.
+/// flow hash), its own epoll loop woken by an eventfd, recvmmsg/sendmmsg
+/// I/O for every batch size (batch 1 is a vector of length 1), explicit
+/// SO_RCVBUF/SO_SNDBUF sizing and SO_RXQ_OVFL drop accounting. Linux only.
 ///
 /// Lifecycle: the constructor binds every socket (throws on failure),
 /// start() launches the shard threads, stop() requests a graceful drain
@@ -129,7 +129,6 @@ class UdpDaemon {
 
   int port() const { return bound_port_; }
   int shards() const { return static_cast<int>(shards_.size()); }
-  bool using_batched_io() const;
 
   ShardStatsSnapshot shard_stats(int shard) const;
   ShardStatsSnapshot totals() const;

@@ -20,14 +20,13 @@ struct CliOptions {
   bool csv = false;       ///< emit CSV instead of aligned tables
   bool json = false;      ///< emit one JSON object with the headline metrics
   bool show_cdf = false;  ///< print the full max-utilization CDF curve
-  /// Write the per-tick utilization time series of the first replication
-  /// to this CSV file (empty = no trace).
+  // The three trace files (empty = not written) are exporters over one
+  // traced run of the first replication.
+  /// Per-tick utilization time series (EventTracer::to_utilization_csv).
   std::string trace_path;
-  /// Write every authoritative DNS decision of the first replication to
-  /// this CSV file (empty = no decision log).
+  /// Every authoritative DNS decision (EventTracer::to_decisions_csv).
   std::string decisions_path;
-  /// Write the first replication's event trace as Chrome trace_event JSON
-  /// to this file (empty = no trace). Implies config.trace_enabled.
+  /// The event timeline as Chrome trace_event JSON.
   std::string chrome_trace_path;
   /// Print the fully resolved run as a scenario file and exit (no run).
   bool dump_config = false;

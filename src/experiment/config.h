@@ -8,7 +8,7 @@
 
 #include "fault/fault_schedule.h"
 #include "web/cluster.h"
-#include "workload/client.h"
+#include "workload/client_pool.h"
 #include "workload/think_time_model.h"
 #include "workload/trace.h"
 
@@ -156,10 +156,12 @@ struct SimulationConfig {
   /// Register and update the run-wide metrics registry; the RunResult then
   /// carries a MetricsSnapshot that report serialization includes.
   bool metrics_enabled = false;
-  /// Record typed trace events (decisions, alarm flips, NS refreshes,
-  /// pause/resume, estimator updates) into a bounded ring buffer.
+  /// Record typed trace events (decisions, per-tick utilization, alarm
+  /// flips, NS refreshes, pause/resume, estimator updates) into a bounded
+  /// ring buffer.
   bool trace_enabled = false;
-  /// Ring-buffer capacity in records; oldest records are overwritten.
+  /// Ring-buffer capacity in records; oldest records are overwritten, and
+  /// the tracer's CSV views refuse a run that overflowed it.
   std::size_t trace_capacity = 65536;
 
   // ---- Run control ----

@@ -198,9 +198,7 @@ void cross_validate(const SimulationConfig& c) {
       bad("config: autoscale-min exceeds the cluster size");
     }
   }
-  if (c.trace_enabled && c.trace_capacity < 1) {
-    bad("config: trace capacity >= 1 when tracing");
-  }
+  if (c.trace_capacity < 1) bad("config: trace-capacity must be >= 1");
   if (c.shard_domains) {
     // Sharded runs replicate the cluster per shard; a redirecting
     // dispatcher needs global queue knowledge and the obs backends are
@@ -744,7 +742,7 @@ ParamRegistry::ParamRegistry() {
           check_cfg([](const S& c) { return c.dnsd_shards >= 1 && c.dnsd_shards <= 256; },
                     "config: dnsd-shards must be in [1, 256]"));
   integer("dnsd-batch", "daemon", "N",
-          "daemon recvmmsg/sendmmsg batch size (1 = plain recvmsg/sendto path)",
+          "daemon recvmmsg/sendmmsg batch size (datagrams per syscall)",
           &S::dnsd_batch,
           check_cfg([](const S& c) { return c.dnsd_batch >= 1 && c.dnsd_batch <= 1024; },
                     "config: dnsd-batch must be in [1, 1024]"));
@@ -762,7 +760,7 @@ ParamRegistry::ParamRegistry() {
     s.kind = ParamKind::kUint;
     s.group = "observability";
     s.hint = "RECORDS";
-    s.doc = "event-trace ring-buffer capacity";
+    s.doc = "event-trace ring-buffer capacity; --trace/--decisions fail if the run records more";
     s.set = [](C& o, const std::string& v) {
       o.config.trace_capacity = static_cast<std::size_t>(parse_uint_value(v));
     };
@@ -873,7 +871,7 @@ ParamRegistry::ParamRegistry() {
     s.in_dump = false;
     s.set = [m](C& o, const std::string& v) { o.*m = v; };
     s.get = [m](const C& o) { return o.*m; };
-    // Both files come from an instrumented serial Site run.
+    // Every output file comes from one traced serial Site run.
     s.check = [name, m](const C& o) {
       if (o.config.shard_domains && !(o.*m).empty()) {
         bad(std::string("config: shard-domains does not support --") + name);
@@ -889,22 +887,8 @@ ParamRegistry::ParamRegistry() {
            &C::trace_path);
   out_path("decisions", "FILE.csv", "every authoritative DNS decision of the first replication",
            &C::decisions_path);
-  {
-    ParamSpec s;
-    s.name = "chrome-trace";
-    s.kind = ParamKind::kString;
-    s.scope = ParamScope::kOutput;
-    s.group = "output";
-    s.hint = "FILE.json";
-    s.doc = "Chrome trace_event timeline of the first replication (implies event-trace=true)";
-    s.in_dump = false;
-    s.set = [](C& o, const std::string& v) {
-      o.chrome_trace_path = v;
-      o.config.trace_enabled = true;
-    };
-    s.get = [](const C& o) { return o.chrome_trace_path; };
-    add(std::move(s));
-  }
+  out_path("chrome-trace", "FILE.json", "Chrome trace_event timeline of the first replication",
+           &C::chrome_trace_path);
   out_bool("dump-config", "print the resolved run as a scenario file and exit",
            &C::dump_config);
   out_bool("dump-params-md", "print the generated knob reference (docs/CONFIG.md) and exit",

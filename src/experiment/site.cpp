@@ -1,5 +1,6 @@
 #include "experiment/site.h"
 
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 
@@ -29,6 +30,12 @@ Site::Site(const SimulationConfig& config) : config_(config.scaled()), slices_(c
   monitor_ = std::make_unique<web::MonitorHub>(*s.sim, *s.cluster, config_.monitor_interval_sec);
   monitor_->add_full_observer([this](sim::SimTime now, const std::vector<double>& util,
                                      const std::vector<std::size_t>& queues) {
+    if (event_tracer_) {
+      for (std::size_t i = 0; i < util.size(); ++i) {
+        event_tracer_->record(now, obs::TraceKind::kUtilization, static_cast<std::int32_t>(i),
+                              0, util[i]);
+      }
+    }
     const double window_sec = slices_.feedback_tick(now, util, queues);
     if (window_sec > 0 && event_tracer_) {
       event_tracer_->record(now, obs::TraceKind::kEstimatorUpdate,

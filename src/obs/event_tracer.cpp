@@ -1,5 +1,6 @@
 #include "obs/event_tracer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
@@ -21,6 +22,7 @@ const char* trace_kind_name(TraceKind kind) {
     case TraceKind::kDnsOutageEnd: return "dns_outage_end";
     case TraceKind::kStaleServe: return "stale_serve";
     case TraceKind::kRequestFailed: return "request_failed";
+    case TraceKind::kUtilization: return "utilization";
   }
   return "?";
 }
@@ -41,7 +43,8 @@ int chrome_tid(TraceKind kind) {
     case TraceKind::kServerCrash:
     case TraceKind::kServerRecover:
     case TraceKind::kCapacityScale:
-    case TraceKind::kRequestFailed: return 3;
+    case TraceKind::kRequestFailed:
+    case TraceKind::kUtilization: return 3;
     case TraceKind::kStaleServe: return 2;
     case TraceKind::kDnsOutageStart:
     case TraceKind::kDnsOutageEnd: return 5;
@@ -88,6 +91,55 @@ std::string EventTracer::to_csv() const {
   for (const TraceRecord& r : records()) {
     std::snprintf(buf, sizeof(buf), "%.6f,%s,%d,%d,%.6g\n", r.time, trace_kind_name(r.kind),
                   r.a, r.b, r.value);
+    out += buf;
+  }
+  return out;
+}
+
+std::vector<TraceRecord> EventTracer::complete_records(const char* view) const {
+  if (dropped() != 0) {
+    const std::string total = std::to_string(total_recorded());
+    throw std::runtime_error(std::string("EventTracer: the ") + view + " view needs all " +
+                             total + " records but the ring holds " +
+                             std::to_string(capacity()) + "; rerun with --trace-capacity=" +
+                             total);
+  }
+  return records();
+}
+
+std::string EventTracer::to_utilization_csv() const {
+  std::vector<TraceRecord> util = complete_records("utilization");
+  std::erase_if(util, [](const TraceRecord& r) { return r.kind != TraceKind::kUtilization; });
+  // One row per monitor tick: its records are contiguous, one per server
+  // in id order, and share the tick's time.
+  std::size_t servers = 0;
+  while (servers < util.size() && util[servers].time == util.front().time) ++servers;
+  std::string out = "time";
+  for (std::size_t i = 0; i < servers; ++i) out += ",s" + std::to_string(i);
+  out += ",max\n";
+  char buf[64];
+  for (std::size_t i = 0; i < util.size();) {
+    const sim::SimTime tick = util[i].time;
+    std::snprintf(buf, sizeof(buf), "%.3f", tick);
+    out += buf;
+    double max = util[i].value;
+    for (; i < util.size() && util[i].time == tick; ++i) {
+      max = std::max(max, util[i].value);
+      std::snprintf(buf, sizeof(buf), ",%.6f", util[i].value);
+      out += buf;
+    }
+    std::snprintf(buf, sizeof(buf), ",%.6f\n", max);
+    out += buf;
+  }
+  return out;
+}
+
+std::string EventTracer::to_decisions_csv() const {
+  std::string out = "time,domain,server,ttl\n";
+  char buf[96];
+  for (const TraceRecord& r : complete_records("decisions")) {
+    if (r.kind != TraceKind::kDecision) continue;
+    std::snprintf(buf, sizeof(buf), "%.3f,%d,%d,%.3f\n", r.time, r.a, r.b, r.value);
     out += buf;
   }
   return out;

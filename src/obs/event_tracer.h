@@ -25,6 +25,7 @@ namespace adattl::obs {
 ///   kDnsOutageEnd
 ///   kStaleServe    a=domain  b=server
 ///   kRequestFailed a=domain  b=server
+///   kUtilization   a=server            value=utilization over the last monitor window
 enum class TraceKind : std::uint8_t {
   kDecision = 0,
   kAlarm,
@@ -40,9 +41,10 @@ enum class TraceKind : std::uint8_t {
   kDnsOutageEnd,
   kStaleServe,
   kRequestFailed,
+  kUtilization,
 };
 
-/// Short stable name ("decision", "alarm", ...), used by both exporters.
+/// Short stable name ("decision", "alarm", ...), used by the CSV and Chrome exports.
 const char* trace_kind_name(TraceKind kind);
 
 /// One fixed-size timeline record (POD — records never allocate).
@@ -61,8 +63,10 @@ struct TraceRecord {
 /// tracer is wired into components as a nullable pointer — the disabled
 /// cost at every instrumentation point is a single null check.
 ///
-/// Exports: CSV (one row per record) and Chrome `trace_event` JSON
-/// (load chrome://tracing or https://ui.perfetto.dev and drop the file).
+/// Exports: CSV (one row per record), Chrome `trace_event` JSON (load
+/// chrome://tracing or https://ui.perfetto.dev and drop the file), and two
+/// CSV views, per-tick utilization and DNS decisions. A view is complete or
+/// not produced: it throws if the ring dropped any record.
 class EventTracer {
  public:
   /// `capacity` > 0: maximum records retained (oldest evicted first).
@@ -94,14 +98,29 @@ class EventTracer {
 
   /// Chrome trace_event JSON: instant events, ts in microseconds, one tid
   /// per layer (0 = DNS decisions, 1 = alarms, 2 = name servers,
-  /// 3 = web servers, 4 = estimator).
+  /// 3 = web servers, 4 = estimator, 5 = faults). Holds the newest
+  /// records; dropped() tells how many older ones the ring lost.
   std::string to_chrome_json() const;
 
-  /// Writes `content` (from to_csv()/to_chrome_json()) to `path`; throws
+  /// Per-tick utilization: header "time,s0,...,sN-1,max", then one row per
+  /// monitor tick from its kUtilization records ("%.3f" time, "%.6f"
+  /// values). Throws std::runtime_error if the ring dropped any record;
+  /// the message names total_recorded(), the capacity that holds the run.
+  std::string to_utilization_csv() const;
+
+  /// Every DNS decision: header "time,domain,server,ttl", then one
+  /// "%.3f,%d,%d,%.3f" row per kDecision record. Throws like
+  /// to_utilization_csv() on a ring that dropped records.
+  std::string to_decisions_csv() const;
+
+  /// Writes `content` (from any exporter) to `path`; throws
   /// std::runtime_error on I/O failure.
   static void write_file(const std::string& path, const std::string& content);
 
  private:
+  /// records(), or std::runtime_error naming `view` if any were dropped.
+  std::vector<TraceRecord> complete_records(const char* view) const;
+
   std::vector<TraceRecord> ring_;
   std::size_t next_ = 0;
   std::uint64_t total_ = 0;

@@ -31,7 +31,6 @@ void MonitorHub::tick() {
     prev_busy_[idx] = busy;
     last_queue_[idx] = cluster_.server(i).queue_length();
   }
-  for (const auto& obs : observers_) obs(now, last_util_);
   for (const auto& obs : full_observers_) obs(now, last_util_, last_queue_);
   sim_.after(interval_, sim::assert_inline([this] { tick(); }));
 }

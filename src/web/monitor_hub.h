@@ -12,18 +12,17 @@ namespace adattl::web {
 /// calculates its utilization").
 ///
 /// Every `interval` seconds it computes each server's utilization over the
-/// elapsed window (busy-time delta / interval) and pushes the vector to
-/// every registered observer. The alarm feedback, the max-utilization
-/// metric and the hidden-load collection all hang off this single clock so
-/// their samples stay aligned, mirroring the paper's single 8-second
-/// reporting period.
+/// elapsed window (busy-time delta / interval) and pushes it, with the
+/// queue lengths, to every registered observer. The alarm feedback, the
+/// max-utilization metric and the hidden-load collection all hang off this
+/// single clock so their samples stay aligned, mirroring the paper's single
+/// 8-second reporting period.
 class MonitorHub {
  public:
-  /// Observer receives (time, utilizations indexed by ServerId).
-  using Observer = std::function<void(sim::SimTime, const std::vector<double>&)>;
-  /// Full observer additionally receives the queue lengths (pages waiting
-  /// or in service) — the signal that exposes silent outages, which leave
-  /// utilization *low* while the backlog explodes.
+  /// Receives (time, utilizations, queue lengths), both indexed by
+  /// ServerId. Queue lengths (pages waiting or in service) are the signal
+  /// that exposes silent outages, which leave utilization *low* while the
+  /// backlog explodes.
   using FullObserver = std::function<void(sim::SimTime, const std::vector<double>&,
                                           const std::vector<std::size_t>&)>;
 
@@ -32,7 +31,6 @@ class MonitorHub {
   MonitorHub(const MonitorHub&) = delete;
   MonitorHub& operator=(const MonitorHub&) = delete;
 
-  void add_observer(Observer obs) { observers_.push_back(std::move(obs)); }
   void add_full_observer(FullObserver obs) { full_observers_.push_back(std::move(obs)); }
 
   /// Starts ticking; the first report fires one interval from now.
@@ -54,7 +52,6 @@ class MonitorHub {
   std::vector<double> prev_busy_;
   std::vector<double> last_util_;
   std::vector<std::size_t> last_queue_;
-  std::vector<Observer> observers_;
   std::vector<FullObserver> full_observers_;
 };
 

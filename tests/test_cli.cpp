@@ -118,14 +118,21 @@ TEST(Cli, ResultIsValidatedAsAWhole) {
   // Individually parseable but semantically invalid: caught by validate().
   EXPECT_THROW(parse_cli({"--relative=0.5,1"}), std::invalid_argument);
   EXPECT_THROW(parse_cli({"--think=0"}), std::invalid_argument);
+  // A zero-record ring is rejected whether or not anything traces.
+  EXPECT_THROW(parse_cli({"--trace-capacity=0"}), std::invalid_argument);
+  EXPECT_THROW(parse_cli({"--trace-capacity=0", "--trace=t.csv"}), std::invalid_argument);
 }
 
 TEST(Cli, ShardedRunsRejectTraceAndDecisionFiles) {
-  // Both files come from an instrumented serial Site run, which a sharded
+  // Every file comes from one traced serial Site run, which a sharded
   // config cannot build: resolution must fail instead of the run aborting.
   EXPECT_THROW(parse_cli({"--shard-domains", "--trace=t.csv"}), std::invalid_argument);
   EXPECT_THROW(parse_cli({"--shard-domains", "--decisions=d.csv"}), std::invalid_argument);
-  EXPECT_NO_THROW(parse_cli({"--trace=t.csv", "--decisions=d.csv"}));
+  EXPECT_THROW(parse_cli({"--shard-domains", "--chrome-trace=c.json"}),
+               std::invalid_argument);
+  EXPECT_NO_THROW(parse_cli({"--trace=t.csv", "--decisions=d.csv", "--chrome-trace=c.json"}));
+  // The files need no tracing in the replications themselves.
+  EXPECT_FALSE(parse_cli({"--chrome-trace=c.json"}).config.trace_enabled);
 }
 
 TEST(Cli, UsageMentionsEveryFlagGroup) {

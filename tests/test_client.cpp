@@ -1,4 +1,4 @@
-#include "workload/client.h"
+#include "workload/client_pool.h"
 
 #include <gtest/gtest.h>
 
@@ -62,30 +62,33 @@ TEST_F(ClientTest, SessionProfileValidation) {
 
 TEST_F(ClientTest, ClientGeneratesSessionsAndPages) {
   ThinkTimeModel think({15.0, 15.0, 15.0});
-  Client client(w.simulator, *w.ns, *w.dispatcher, profile, think, w.rng.split());
-  client.start(0.0);
+  ClientPool pool(w.simulator, *w.dispatcher, profile, think);
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
+  pool.start(c, 0.0);
   w.simulator.run_until(3600.0);
-  EXPECT_GT(client.sessions_started(), 5u);
+  EXPECT_GT(pool.sessions_started(c), 5u);
   // Mean 20 pages/session at ~15 s per page: roughly 12 sessions/hour.
-  EXPECT_GT(client.pages_requested(), 100u);
-  EXPECT_NEAR(static_cast<double>(client.pages_requested()) /
-                  static_cast<double>(client.sessions_started()),
+  EXPECT_GT(pool.pages_requested(c), 100u);
+  EXPECT_NEAR(static_cast<double>(pool.pages_requested(c)) /
+                  static_cast<double>(pool.sessions_started(c)),
               20.0, 8.0);
 }
 
 TEST_F(ClientTest, OneAddressResolutionPerSession) {
   ThinkTimeModel think({15.0, 15.0, 15.0});
-  Client client(w.simulator, *w.ns, *w.dispatcher, profile, think, w.rng.split());
-  client.start(0.0);
+  ClientPool pool(w.simulator, *w.dispatcher, profile, think);
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
+  pool.start(c, 0.0);
   w.simulator.run_until(3600.0);
   const std::uint64_t resolutions = w.ns->cache_hits() + w.ns->authoritative_queries();
-  EXPECT_EQ(resolutions, client.sessions_started());
+  EXPECT_EQ(resolutions, pool.sessions_started(c));
 }
 
 TEST_F(ClientTest, AllPagesLandOnTheClusterWithValidHitCounts) {
   ThinkTimeModel think({5.0, 5.0, 5.0});
-  Client client(w.simulator, *w.ns, *w.dispatcher, profile, think, w.rng.split());
-  client.start(0.0);
+  ClientPool pool(w.simulator, *w.dispatcher, profile, think);
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
+  pool.start(c, 0.0);
   w.simulator.run_until(2000.0);
   std::uint64_t pages = 0, hits = 0;
   for (int s = 0; s < w.cluster->size(); ++s) {
@@ -107,8 +110,9 @@ TEST_F(ClientTest, ClientKeepsMappingForWholeSession) {
   SessionProfile long_session;
   long_session.mean_pages_per_session = 1000.0;  // effectively endless
   ThinkTimeModel think({50.0, 50.0, 50.0});
-  Client client(w.simulator, *w.ns, *w.dispatcher, long_session, think, w.rng.split());
-  client.start(0.0);
+  ClientPool pool(w.simulator, *w.dispatcher, long_session, think);
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
+  pool.start(c, 0.0);
   w.simulator.run_until(2000.0);  // far past the first TTL
   // All pages landed on one server: the other served nothing.
   const std::uint64_t s0 = w.cluster->server(0).pages_served();
@@ -119,17 +123,18 @@ TEST_F(ClientTest, ClientKeepsMappingForWholeSession) {
 
 TEST_F(ClientTest, ThinkTimePacesLoad) {
   ThinkTimeModel fast_think({1.0, 1.0, 1.0});
-  Client fast(w.simulator, *w.ns, *w.dispatcher, profile, fast_think, w.rng.split());
-  fast.start(0.0);
+  ClientPool fast_pool(w.simulator, *w.dispatcher, profile, fast_think);
+  const std::size_t fast = fast_pool.add(*w.ns, w.rng.split());
+  fast_pool.start(fast, 0.0);
   w.simulator.run_until(1000.0);
 
   World slow_world;
   ThinkTimeModel slow_think({20.0, 20.0, 20.0});
-  Client slow(slow_world.simulator, *slow_world.ns, *slow_world.dispatcher, profile,
-              slow_think, slow_world.rng.split());
-  slow.start(0.0);
+  ClientPool slow_pool(slow_world.simulator, *slow_world.dispatcher, profile, slow_think);
+  const std::size_t slow = slow_pool.add(*slow_world.ns, slow_world.rng.split());
+  slow_pool.start(slow, 0.0);
   slow_world.simulator.run_until(1000.0);
-  EXPECT_GT(fast.pages_requested(), 3 * slow.pages_requested());
+  EXPECT_GT(fast_pool.pages_requested(fast), 3 * slow_pool.pages_requested(slow));
 }
 
 TEST_F(ClientTest, RejectsBadThinkTime) {
@@ -137,8 +142,8 @@ TEST_F(ClientTest, RejectsBadThinkTime) {
   // A resolver whose domain lies outside the think model is rejected too.
   ThinkTimeModel too_small({15.0});  // only domain 0... but ns serves domain 0
   dnscache::NameServer ns3(w.simulator, 2, *w.bundle.scheduler);
-  EXPECT_THROW(Client(w.simulator, ns3, *w.dispatcher, profile, too_small, w.rng.split()),
-               std::invalid_argument);
+  ClientPool pool(w.simulator, *w.dispatcher, profile, too_small);
+  EXPECT_THROW(pool.add(ns3, w.rng.split()), std::invalid_argument);
 }
 
 double empirical_hits_mean(const SessionProfile& p, int draws, std::uint64_t seed) {
@@ -214,20 +219,20 @@ TEST_F(ClientTest, NetworkTimeChargesReplyLegOnlyOnCompletion) {
   SessionProfile one_page;
   one_page.mean_pages_per_session = 1.0;  // geometric with mean 1: always 1 page
   ThinkTimeModel think({1e6, 1e6, 1e6});  // park the client after the page
-  Client client(w.simulator, *w.ns, *w.dispatcher, one_page, think, w.rng.split(),
-                geo.get(), 1.0);
+  ClientPool pool(w.simulator, *w.dispatcher, one_page, think, geo.get(), 1.0);
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
   w.cluster->server(0).set_crashed(true);
   w.cluster->server(1).set_crashed(true);
   w.simulator.at(2.0, sim::assert_inline([this] {
                    w.cluster->server(0).set_crashed(false);
                    w.cluster->server(1).set_crashed(false);
                  }));
-  client.start(0.0);
+  pool.start(c, 0.0);
   w.simulator.run_until(100.0);
 
-  EXPECT_EQ(client.pages_requested(), 1u);
-  EXPECT_EQ(client.pages_failed(), 2u);
-  EXPECT_NEAR(client.network_time_sec(), 0.4, 1e-12);
+  EXPECT_EQ(pool.pages_requested(c), 1u);
+  EXPECT_EQ(pool.pages_failed(c), 2u);
+  EXPECT_NEAR(pool.network_time_sec(c), 0.4, 1e-12);
 }
 
 TEST_F(ClientTest, NetworkTimeIsOneRoundTripPerServedPage) {
@@ -238,23 +243,24 @@ TEST_F(ClientTest, NetworkTimeIsOneRoundTripPerServedPage) {
   SessionProfile one_page;
   one_page.mean_pages_per_session = 1.0;
   ThinkTimeModel think({1e6, 1e6, 1e6});
-  Client client(w.simulator, *w.ns, *w.dispatcher, one_page, think, w.rng.split(),
-                geo.get(), 1.0);
-  client.start(0.0);
+  ClientPool pool(w.simulator, *w.dispatcher, one_page, think, geo.get(), 1.0);
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
+  pool.start(c, 0.0);
   w.simulator.run_until(100.0);
-  EXPECT_EQ(client.pages_requested(), 1u);
-  EXPECT_EQ(client.pages_failed(), 0u);
-  EXPECT_NEAR(client.network_time_sec(), 0.3, 1e-12);
+  EXPECT_EQ(pool.pages_requested(c), 1u);
+  EXPECT_EQ(pool.pages_failed(c), 0u);
+  EXPECT_NEAR(pool.network_time_sec(c), 0.3, 1e-12);
 }
 
 TEST_F(ClientTest, StartDelayDefersFirstSession) {
   ThinkTimeModel think({15.0, 15.0, 15.0});
-  Client client(w.simulator, *w.ns, *w.dispatcher, profile, think, w.rng.split());
-  client.start(100.0);
+  ClientPool pool(w.simulator, *w.dispatcher, profile, think);
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
+  pool.start(c, 100.0);
   w.simulator.run_until(99.0);
-  EXPECT_EQ(client.sessions_started(), 0u);
+  EXPECT_EQ(pool.sessions_started(c), 0u);
   w.simulator.run_until(101.0);
-  EXPECT_EQ(client.sessions_started(), 1u);
+  EXPECT_EQ(pool.sessions_started(c), 1u);
 }
 
 }  // namespace

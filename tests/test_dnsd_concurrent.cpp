@@ -17,6 +17,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -112,57 +113,62 @@ ClientResult run_client(int port, int queries, bool with_ecs, unsigned salt) {
 }
 
 TEST(DnsdConcurrent, DecisionConservationAcrossShards) {
-  UdpDaemon daemon(daemon_config(/*shards=*/4, /*batch=*/8));
-  daemon.start();
+  // Batch 8 fills mmsg vectors; batch 1 runs the same loop one datagram
+  // per syscall.
+  for (const int batch : {8, 1}) {
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    UdpDaemon daemon(daemon_config(/*shards=*/4, batch));
+    daemon.start();
 
-  constexpr int kClients = 8;
-  constexpr int kQueriesPer = 150;
-  std::vector<std::thread> threads;
-  std::vector<ClientResult> results(kClients);
-  for (int c = 0; c < kClients; ++c) {
-    threads.emplace_back([&, c] {
-      // Half the resolvers forward ECS, half rely on the source hash.
-      results[static_cast<std::size_t>(c)] = run_client(
-          daemon.port(), kQueriesPer, /*with_ecs=*/c % 2 == 0, static_cast<unsigned>(c));
-    });
+    constexpr int kClients = 8;
+    constexpr int kQueriesPer = 150;
+    std::vector<std::thread> threads;
+    std::vector<ClientResult> results(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      threads.emplace_back([&, c] {
+        // Half the resolvers forward ECS, half rely on the source hash.
+        results[static_cast<std::size_t>(c)] = run_client(
+            daemon.port(), kQueriesPer, /*with_ecs=*/c % 2 == 0, static_cast<unsigned>(c));
+      });
+    }
+    for (auto& t : threads) t.join();
+    daemon.stop();
+
+    int answers = 0, malformed = 0, bad = 0, gave_up = 0;
+    for (const auto& r : results) {
+      answers += r.answers;
+      malformed += r.malformed;
+      bad += r.bad_address;
+      gave_up += r.gave_up;
+    }
+    EXPECT_EQ(malformed, 0);
+    EXPECT_EQ(bad, 0);
+    // Loopback UDP with retries: essentially everything should get through.
+    EXPECT_GE(answers, kClients * kQueriesPer * 9 / 10) << "gave_up=" << gave_up;
+
+    // The conservation law: every positive answer consumed exactly one
+    // scheduling decision, across all shards, no double-counting, no loss.
+    const ShardStatsSnapshot t = daemon.totals();
+    EXPECT_EQ(t.decisions, t.answered);
+    EXPECT_EQ(t.refused, 0u);
+    EXPECT_GE(t.answered, static_cast<std::uint64_t>(answers));
+    EXPECT_GT(t.ecs_keys, 0u);   // the ECS half was really keyed by subnet
+    EXPECT_GT(t.hash_keys, 0u);  // and the plain half by source hash
+    EXPECT_EQ(t.ecs_malformed, 0u);
+    EXPECT_EQ(t.dropped_undecodable, 0u);
+
+    // Per-shard sums must equal the totals (snapshot coherence).
+    ShardStatsSnapshot sum;
+    for (int s = 0; s < daemon.shards(); ++s) {
+      const auto ss = daemon.shard_stats(s);
+      sum.answered += ss.answered;
+      sum.decisions += ss.decisions;
+      sum.received += ss.received;
+    }
+    EXPECT_EQ(sum.answered, t.answered);
+    EXPECT_EQ(sum.decisions, t.decisions);
+    EXPECT_EQ(sum.received, t.received);
   }
-  for (auto& t : threads) t.join();
-  daemon.stop();
-
-  int answers = 0, malformed = 0, bad = 0, gave_up = 0;
-  for (const auto& r : results) {
-    answers += r.answers;
-    malformed += r.malformed;
-    bad += r.bad_address;
-    gave_up += r.gave_up;
-  }
-  EXPECT_EQ(malformed, 0);
-  EXPECT_EQ(bad, 0);
-  // Loopback UDP with retries: essentially everything should get through.
-  EXPECT_GE(answers, kClients * kQueriesPer * 9 / 10) << "gave_up=" << gave_up;
-
-  // The conservation law: every positive answer consumed exactly one
-  // scheduling decision, across all shards, no double-counting, no loss.
-  const ShardStatsSnapshot t = daemon.totals();
-  EXPECT_EQ(t.decisions, t.answered);
-  EXPECT_EQ(t.refused, 0u);
-  EXPECT_GE(t.answered, static_cast<std::uint64_t>(answers));
-  EXPECT_GT(t.ecs_keys, 0u);   // the ECS half was really keyed by subnet
-  EXPECT_GT(t.hash_keys, 0u);  // and the plain half by source hash
-  EXPECT_EQ(t.ecs_malformed, 0u);
-  EXPECT_EQ(t.dropped_undecodable, 0u);
-
-  // Per-shard sums must equal the totals (snapshot coherence).
-  ShardStatsSnapshot sum;
-  for (int s = 0; s < daemon.shards(); ++s) {
-    const auto ss = daemon.shard_stats(s);
-    sum.answered += ss.answered;
-    sum.decisions += ss.decisions;
-    sum.received += ss.received;
-  }
-  EXPECT_EQ(sum.answered, t.answered);
-  EXPECT_EQ(sum.decisions, t.decisions);
-  EXPECT_EQ(sum.received, t.received);
 }
 
 TEST(DnsdConcurrent, MetricsPublishWhileShardsRun) {

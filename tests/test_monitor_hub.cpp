@@ -24,9 +24,10 @@ class MonitorHubTest : public ::testing::Test {
 TEST_F(MonitorHubTest, TicksAtTheConfiguredInterval) {
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<double> tick_times;
-  hub.add_observer([&](sim::SimTime now, const std::vector<double>&) {
-    tick_times.push_back(now);
-  });
+  hub.add_full_observer(
+      [&](sim::SimTime now, const std::vector<double>&, const std::vector<std::size_t>&) {
+        tick_times.push_back(now);
+      });
   hub.start();
   simulator.run_until(40.0);
   EXPECT_EQ(tick_times, (std::vector<double>{8, 16, 24, 32, 40}));
@@ -35,7 +36,8 @@ TEST_F(MonitorHubTest, TicksAtTheConfiguredInterval) {
 TEST_F(MonitorHubTest, IdleServersReportZeroUtilization) {
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<double> last;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>& u) { last = u; });
+  hub.add_full_observer([&](sim::SimTime, const std::vector<double>& u,
+                            const std::vector<std::size_t>&) { last = u; });
   hub.start();
   simulator.run_until(8.0);
   ASSERT_EQ(last.size(), 2u);
@@ -48,7 +50,8 @@ TEST_F(MonitorHubTest, SaturatedServerReportsFullUtilization) {
   for (int i = 0; i < 200; ++i) cluster.server(1).submit_page(PageRequest{0, 10, nullptr});
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<double> last;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>& u) { last = u; });
+  hub.add_full_observer([&](sim::SimTime, const std::vector<double>& u,
+                            const std::vector<std::size_t>&) { last = u; });
   hub.start();
   simulator.run_until(8.0);
   EXPECT_NEAR(last[1], 1.0, 1e-9);
@@ -60,7 +63,8 @@ TEST_F(MonitorHubTest, UtilizationIsPerWindowNotCumulative) {
   for (int i = 0; i < 20; ++i) cluster.server(0).submit_page(PageRequest{0, 10, nullptr});
   MonitorHub hub(simulator, cluster, 8.0);
   std::vector<std::vector<double>> windows;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>& u) { windows.push_back(u); });
+  hub.add_full_observer([&](sim::SimTime, const std::vector<double>& u,
+                            const std::vector<std::size_t>&) { windows.push_back(u); });
   hub.start();
   simulator.run_until(16.0);
   ASSERT_EQ(windows.size(), 2u);
@@ -71,8 +75,14 @@ TEST_F(MonitorHubTest, UtilizationIsPerWindowNotCumulative) {
 TEST_F(MonitorHubTest, MultipleObserversAllNotified) {
   MonitorHub hub(simulator, cluster, 4.0);
   int calls_a = 0, calls_b = 0;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>&) { ++calls_a; });
-  hub.add_observer([&](sim::SimTime, const std::vector<double>&) { ++calls_b; });
+  hub.add_full_observer(
+      [&](sim::SimTime, const std::vector<double>&, const std::vector<std::size_t>&) {
+        ++calls_a;
+      });
+  hub.add_full_observer(
+      [&](sim::SimTime, const std::vector<double>&, const std::vector<std::size_t>&) {
+        ++calls_b;
+      });
   hub.start();
   simulator.run_until(12.0);
   EXPECT_EQ(calls_a, 3);
@@ -93,20 +103,6 @@ TEST_F(MonitorHubTest, FullObserverReceivesQueueLengths) {
   EXPECT_EQ(queues[0], 0u);
   EXPECT_EQ(queues[1], 3u);
   EXPECT_EQ(hub.last_queue_lengths()[1], 3u);
-}
-
-TEST_F(MonitorHubTest, PlainAndFullObserversCoexist) {
-  MonitorHub hub(simulator, cluster, 8.0);
-  int plain = 0, full = 0;
-  hub.add_observer([&](sim::SimTime, const std::vector<double>&) { ++plain; });
-  hub.add_full_observer(
-      [&](sim::SimTime, const std::vector<double>&, const std::vector<std::size_t>&) {
-        ++full;
-      });
-  hub.start();
-  simulator.run_until(24.0);
-  EXPECT_EQ(plain, 3);
-  EXPECT_EQ(full, 3);
 }
 
 TEST_F(MonitorHubTest, RejectsNonPositiveInterval) {

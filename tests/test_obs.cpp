@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "experiment/report.h"
 #include "experiment/runner.h"
@@ -179,6 +181,228 @@ TEST(EventTracer, KindNamesAreStable) {
   EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kServerPause), "server_pause");
   EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kServerResume), "server_resume");
   EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kEstimatorUpdate), "estimator_update");
+  EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kUtilization), "utilization");
+}
+
+// -------------------------------------------------------------- CSV views
+//
+// to_utilization_csv() and to_decisions_csv() write, byte for byte, the
+// files of the utilization and decision recorders they replaced; their
+// tests keep those recorders' suite names.
+
+// Splits exporter CSV text into rows of fields (no exporter quotes).
+std::vector<std::vector<std::string>> csv_rows(const std::string& csv) {
+  std::vector<std::vector<std::string>> rows;
+  std::size_t start = 0;
+  while (start < csv.size()) {
+    const std::size_t end = csv.find('\n', start);
+    const std::string line = csv.substr(start, end - start);
+    std::vector<std::string>& fields = rows.emplace_back();
+    for (std::size_t from = 0;;) {
+      const std::size_t comma = line.find(',', from);
+      fields.push_back(line.substr(from, comma - from));
+      if (comma == std::string::npos) break;
+      from = comma + 1;
+    }
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  return rows;
+}
+
+// One monitor tick: a kUtilization record per server, in id order.
+void record_tick(obs::EventTracer& tracer, double time, const std::vector<double>& utils) {
+  for (std::size_t s = 0; s < utils.size(); ++s) {
+    tracer.record(time, obs::TraceKind::kUtilization, static_cast<std::int32_t>(s), 0, utils[s]);
+  }
+}
+
+// What `view` throws on `tracer`, or "" if it returns.
+std::string view_error(const obs::EventTracer& tracer,
+                       std::string (obs::EventTracer::*view)() const) {
+  try {
+    (tracer.*view)();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// A traced paper-site run: DRR2-TTL/S_K, no warm-up, so every decision
+// of the run is an authoritative query of the result.
+experiment::SimulationConfig traced_decisions_config() {
+  experiment::SimulationConfig config;
+  config.policy = "DRR2-TTL/S_K";
+  config.warmup_sec = 0.0;
+  config.duration_sec = 1800.0;
+  config.seed = 66;
+  config.trace_enabled = true;
+  return config;
+}
+
+TEST(TraceRecorder, RecordsSamplesWithMax) {
+  obs::EventTracer tracer(8);
+  record_tick(tracer, 8.0, {0.2, 0.7});
+  record_tick(tracer, 16.0, {0.9, 0.1});
+  const std::vector<std::vector<std::string>> rows = csv_rows(tracer.to_utilization_csv());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1][0], "8.000");
+  EXPECT_EQ(rows[1][3], "0.700000");
+  EXPECT_EQ(rows[2][0], "16.000");
+  EXPECT_EQ(rows[2][3], "0.900000");
+}
+
+TEST(TraceRecorder, CsvHasHeaderAndRows) {
+  // Two monitor ticks of a two-server site, interleaved with kinds the
+  // view skips.
+  obs::EventTracer tracer(16);
+  tracer.record(1.5, obs::TraceKind::kDecision, 3, 2, 240.0);
+  record_tick(tracer, 8.0, {0.25, 0.5});
+  tracer.record(8.0, obs::TraceKind::kEstimatorUpdate, 1, 0, 8.0);
+  record_tick(tracer, 16.0, {0.875, 0.125});
+  EXPECT_EQ(tracer.to_utilization_csv(),
+            "time,s0,s1,max\n"
+            "8.000,0.250000,0.500000,0.500000\n"
+            "16.000,0.875000,0.125000,0.875000\n");
+}
+
+TEST(TraceRecorder, EmptyTraceStillHasHeader) {
+  obs::EventTracer tracer(4);
+  EXPECT_EQ(tracer.to_utilization_csv(), "time,max\n");
+  tracer.record(1.5, obs::TraceKind::kDecision, 3, 2, 240.0);
+  EXPECT_EQ(tracer.to_utilization_csv(), "time,max\n");
+}
+
+TEST(TraceRecorder, CapDropsExcessSamples) {
+  obs::EventTracer tracer(2);
+  record_tick(tracer, 8.0, {0.1});
+  record_tick(tracer, 16.0, {0.2});
+  // A full ring still holds the whole run.
+  EXPECT_EQ(tracer.to_utilization_csv(),
+            "time,s0,max\n8.000,0.100000,0.100000\n16.000,0.200000,0.200000\n");
+  record_tick(tracer, 24.0, {0.3});
+  ASSERT_EQ(tracer.dropped(), 1u);
+  // A view is complete or not produced: the error names the capacity
+  // that would have held the run.
+  const std::string error = view_error(tracer, &obs::EventTracer::to_utilization_csv);
+  EXPECT_NE(error.find("--trace-capacity=3"), std::string::npos) << error;
+}
+
+TEST(TraceRecorder, AttachedToSiteRecordsEveryTick) {
+  experiment::SimulationConfig config;
+  config.policy = "RR";
+  config.warmup_sec = 0.0;
+  config.duration_sec = 800.0;  // 100 ticks at 8 s
+  config.seed = 77;
+  config.trace_enabled = true;
+  experiment::Site site(config);
+  site.run();
+  ASSERT_NE(site.event_tracer(), nullptr);
+  const std::vector<std::vector<std::string>> rows =
+      csv_rows(site.event_tracer()->to_utilization_csv());
+  ASSERT_EQ(rows.size(), 101u);
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    // time, one column per server of the 7-server cluster, max.
+    ASSERT_EQ(rows[i].size(), 9u) << i;
+    // Rows are on the 8-second grid.
+    if (i > 0) {
+      EXPECT_DOUBLE_EQ(std::stod(rows[i][0]), static_cast<double>(i) * 8.0) << i;
+    }
+  }
+}
+
+TEST(TraceRecorder, WriteCsvRoundTrips) {
+  obs::EventTracer tracer(4);
+  record_tick(tracer, 8.0, {0.5});
+  const std::string csv = tracer.to_utilization_csv();
+  const std::string path = ::testing::TempDir() + "/adattl_trace_test.csv";
+  obs::EventTracer::write_file(path, csv);
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  char buf[256] = {};
+  const std::size_t n = std::fread(buf, 1, sizeof(buf) - 1, f);
+  std::fclose(f);
+  std::remove(path.c_str());
+  EXPECT_EQ(std::string(buf, n), csv);
+}
+
+TEST(TraceRecorder, WriteCsvBadPathThrows) {
+  const std::string csv = obs::EventTracer(1).to_utilization_csv();
+  EXPECT_THROW(obs::EventTracer::write_file("/nonexistent-dir-xyz/trace.csv", csv),
+               std::runtime_error);
+  // /dev/full opens but fails every write: the short write must surface.
+  EXPECT_THROW(obs::EventTracer::write_file("/dev/full", csv), std::runtime_error);
+}
+
+TEST(DecisionLog, RecordsEntriesInOrder) {
+  obs::EventTracer tracer(8);
+  tracer.record(1.0, obs::TraceKind::kDecision, 3, 2, 240.0);
+  tracer.record(1.5, obs::TraceKind::kNsRefresh, 3, 2, 240.0);  // not a decision
+  tracer.record(2.0, obs::TraceKind::kDecision, 4, 1, 120.0);
+  const std::vector<std::vector<std::string>> rows = csv_rows(tracer.to_decisions_csv());
+  ASSERT_EQ(rows.size(), 3u);
+  EXPECT_EQ(rows[1], (std::vector<std::string>{"1.000", "3", "2", "240.000"}));
+  EXPECT_EQ(rows[2], (std::vector<std::string>{"2.000", "4", "1", "120.000"}));
+}
+
+TEST(DecisionLog, RingKeepsNewestEntries) {
+  obs::EventTracer tracer(3);
+  for (int i = 0; i < 5; ++i) {
+    tracer.record(static_cast<double>(i), obs::TraceKind::kDecision, i, 0, 240.0);
+  }
+  ASSERT_EQ(tracer.dropped(), 2u);
+  // The decisions view must hold every decision, so it refuses the ring
+  // and names the capacity that would have held them all.
+  const std::string error = view_error(tracer, &obs::EventTracer::to_decisions_csv);
+  EXPECT_NE(error.find("--trace-capacity=5"), std::string::npos) << error;
+  // The timeline export keeps the newest records instead.
+  const std::string json = tracer.to_chrome_json();
+  EXPECT_NE(json.find("\"ts\":4000000.000"), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"ts\":1000000.000"), std::string::npos) << json;
+}
+
+TEST(DecisionLog, CsvFormat) {
+  obs::EventTracer tracer(4);
+  EXPECT_EQ(tracer.to_decisions_csv(), "time,domain,server,ttl\n");
+  tracer.record(8.0, obs::TraceKind::kDecision, 1, 2, 43.2);
+  EXPECT_EQ(tracer.to_decisions_csv(), "time,domain,server,ttl\n8.000,1,2,43.200\n");
+}
+
+TEST(DecisionLog, PerServerCounts) {
+  experiment::Site site(traced_decisions_config());
+  site.run();
+  ASSERT_NE(site.event_tracer(), nullptr);
+  const std::vector<std::vector<std::string>> rows =
+      csv_rows(site.event_tracer()->to_decisions_csv());
+  std::vector<std::uint64_t> per_server(site.scheduler().assignments().size(), 0);
+  for (std::size_t i = 1; i < rows.size(); ++i) per_server.at(std::stoul(rows[i][2]))++;
+  // Per-server counts agree with the scheduler's own bookkeeping.
+  EXPECT_EQ(per_server, site.scheduler().assignments());
+}
+
+TEST(DecisionLog, AttachedToSiteCapturesAllDecisions) {
+  experiment::Site site(traced_decisions_config());
+  const experiment::RunResult r = site.run();
+  ASSERT_NE(site.event_tracer(), nullptr);
+  const std::vector<std::vector<std::string>> rows =
+      csv_rows(site.event_tracer()->to_decisions_csv());
+  ASSERT_GT(rows.size(), 1u);
+  EXPECT_EQ(rows.front(), (std::vector<std::string>{"time", "domain", "server", "ttl"}));
+  EXPECT_EQ(rows.size() - 1, site.scheduler().decisions());
+  EXPECT_EQ(rows.size() - 1, r.authoritative_queries);
+  int d0 = 0, d19 = 0;
+  for (std::size_t i = 1; i < rows.size(); ++i) {
+    ASSERT_EQ(rows[i].size(), 4u) << i;
+    // Times are stamped and monotone.
+    if (i > 1) {
+      EXPECT_LE(std::stod(rows[i - 1][0]), std::stod(rows[i][0])) << i;
+    }
+    d0 += rows[i][1] == "0";
+    d19 += rows[i][1] == "19";
+  }
+  // Hot domains re-resolve more often under TTL/K: domain 0 must appear
+  // strictly more often than the coldest domain.
+  EXPECT_GT(d0, d19);
 }
 
 // --------------------------------------------------------------- profiler
@@ -279,7 +503,7 @@ TEST(SiteObservability, TracerCapturesDecisionTimeline) {
   EXPECT_GT(tracer->total_recorded(), 0u);
 
   bool saw_decision = false, saw_ns = false, saw_pause = false, saw_resume = false,
-       saw_estimator = false;
+       saw_estimator = false, saw_utilization = false;
   double last_time = -1.0;
   for (const obs::TraceRecord& r : tracer->records()) {
     EXPECT_GE(r.time, last_time);  // chronological
@@ -297,6 +521,11 @@ TEST(SiteObservability, TracerCapturesDecisionTimeline) {
       case obs::TraceKind::kServerPause: saw_pause = true; break;
       case obs::TraceKind::kServerResume: saw_resume = true; break;
       case obs::TraceKind::kEstimatorUpdate: saw_estimator = true; break;
+      case obs::TraceKind::kUtilization:
+        saw_utilization = true;
+        EXPECT_GE(r.a, 0);
+        EXPECT_LT(r.a, config.cluster.size());
+        break;
       default: break;
     }
   }
@@ -305,6 +534,7 @@ TEST(SiteObservability, TracerCapturesDecisionTimeline) {
   EXPECT_TRUE(saw_pause);
   EXPECT_TRUE(saw_resume);
   EXPECT_TRUE(saw_estimator);
+  EXPECT_TRUE(saw_utilization);
 
   // The exported timeline parses as one JSON object (spot checks).
   const std::string json = tracer->to_chrome_json();

@@ -237,5 +237,54 @@ TEST(RunnerTest, RejectsZeroReplications) {
   EXPECT_THROW(run_replications(short_config("RR"), 0), std::invalid_argument);
 }
 
+TEST(RateShiftIntegration, FlashCrowdRaisesLoadAndEstimatorNotices) {
+  SimulationConfig cfg;
+  cfg.cluster = web::table2_cluster(35);
+  cfg.policy = "PRR2-TTL/K";
+  cfg.oracle_weights = false;
+  cfg.warmup_sec = 100.0;
+  cfg.duration_sec = 2000.0;
+  cfg.seed = 13;
+  // Domain 15 (cold under Zipf) becomes 12x hotter at t = 600.
+  cfg.rate_shifts.push_back({600.0, 15, 12.0});
+  Site site(cfg);
+  site.run();
+  EXPECT_DOUBLE_EQ(site.think_time_model().rate_multiplier(15), 12.0);
+  // The online estimator must now rank domain 15 well above its Zipf
+  // neighbours (14, 16).
+  EXPECT_GT(site.domain_model().weight(15), 3.0 * site.domain_model().weight(14));
+  EXPECT_GT(site.domain_model().weight(15), 3.0 * site.domain_model().weight(16));
+}
+
+TEST(RateShiftIntegration, ShiftsValidated) {
+  SimulationConfig cfg;
+  cfg.rate_shifts.push_back({-5.0, 0, 2.0});
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.rate_shifts = {{10.0, 99, 2.0}};
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.rate_shifts = {{10.0, 0, 0.0}};
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg.rate_shifts = {{10.0, 0, 2.0}};
+  EXPECT_NO_THROW(cfg.validate());
+}
+
+TEST(ResponseTimeMetrics, OverloadInflatesWeakServerResponse) {
+  SimulationConfig cfg;
+  cfg.cluster = web::table2_cluster(65);
+  cfg.policy = "RR";
+  cfg.warmup_sec = 100.0;
+  cfg.duration_sec = 1500.0;
+  cfg.seed = 21;
+  const RunResult rr = Site(cfg).run();
+  cfg.policy = "DRR2-TTL/S_K";
+  const RunResult adaptive = Site(cfg).run();
+  EXPECT_GT(rr.mean_page_response_sec, 0.0);
+  EXPECT_GT(adaptive.mean_page_response_sec, 0.0);
+  // RR pins hot domains onto 0.35-capacity servers for 240 s at a time;
+  // its mean response time must be clearly worse.
+  EXPECT_GT(rr.mean_page_response_sec, adaptive.mean_page_response_sec);
+  EXPECT_EQ(rr.per_server_response_sec.size(), 7u);
+}
+
 }  // namespace
 }  // namespace adattl::experiment

@@ -3,12 +3,12 @@
 // their credibility.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
 
 #include "experiment/runner.h"
 #include "experiment/site.h"
-#include "experiment/trace.h"
 #include "sim/random.h"
 
 namespace adattl {
@@ -150,12 +150,12 @@ TEST(StatValidation, ConfiguredWarmupCoversMserEstimate) {
   cfg.duration_sec = 10000.0;
   cfg.seed = 10;
   experiment::Site site(cfg);
-  experiment::TraceRecorder rec;
-  rec.attach(site.monitor());
-  site.run();
   std::vector<double> series;
-  series.reserve(rec.samples().size());
-  for (const auto& s : rec.samples()) series.push_back(s.max_utilization);
+  site.monitor().add_full_observer(
+      [&](sim::SimTime, const std::vector<double>& util, const std::vector<std::size_t>&) {
+        series.push_back(*std::max_element(util.begin(), util.end()));
+      });
+  site.run();
   const std::size_t suggested_ticks = sim::mser5_truncation(series);
   EXPECT_LE(suggested_ticks * 8.0, 600.0)
       << "the max-util series wants more warm-up than the configured default";

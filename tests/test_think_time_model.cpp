@@ -5,7 +5,7 @@
 #include <cmath>
 #include <limits>
 
-#include "workload/client.h"
+#include "workload/client_pool.h"
 
 namespace adattl::workload {
 namespace {

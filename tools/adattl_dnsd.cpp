@@ -182,11 +182,11 @@ int main(int argc, char** argv) {
 
   daemon->start();
   std::fprintf(stderr,
-               "adattl_dnsd: %s via %s on 127.0.0.1:%d — %d shard(s), batch %d (%s), "
+               "adattl_dnsd: %s via %s on 127.0.0.1:%d — %d shard(s), batch %d, "
                "ECS %s, %zu servers, %d domains\n",
                name.c_str(), cfg.policy.c_str(), daemon->port(), daemon->shards(),
-               cfg.batch, daemon->using_batched_io() ? "recvmmsg/sendmmsg" : "recvmsg/sendto",
-               cfg.ecs_enabled ? "on" : "off", cfg.server_ipv4.size(), cfg.num_domains);
+               cfg.batch, cfg.ecs_enabled ? "on" : "off", cfg.server_ipv4.size(),
+               cfg.num_domains);
 
   const auto started = std::chrono::steady_clock::now();
   auto next_stats = started + std::chrono::duration<double>(
