@@ -2,7 +2,7 @@
 // AR(p) under (a) a scripted 8x flash crowd and (b) a diurnal trace, both
 // produced by the workload trace generators and replayed as noise-free
 // collection windows straight into the estimators. Emits one JSON document
-// on stdout; tools/run_benches.sh captures it as BENCH_estimator.json.
+// on stdout; tools/run_benches.py keeps it as BENCH_estimator.json.
 //
 // Two headline numbers per estimator:
 //   * flash crowd — peak share error after the spike, and collection
@@ -189,7 +189,7 @@ int main() {
                           ar.windows_to_reconverge < ewma.windows_to_reconverge);
 
   std::printf("{\n");
-  std::printf("  \"context\": {\"domains\": %d, \"window_sec\": %g, \"smoothing\": %g, "
+  std::printf("  \"parameters\": {\"domains\": %d, \"window_sec\": %g, \"smoothing\": %g, "
               "\"trend\": %g, \"ar_order\": %d, \"window_count\": %d, "
               "\"share_tolerance\": %g},\n",
               kDomains, kWindowSec, kSmoothing, kTrend, kArOrder, kWindowCount,

@@ -1,5 +1,5 @@
 // Geography ablation, three parts in one JSON document on stdout
-// (tools/run_benches.sh captures it as BENCH_geo.json):
+// (tools/run_benches.py keeps it as BENCH_geo.json):
 //
 //   * rtt_lookup — the GeoModel::rtt hot path (flat row-major vector,
 //     unchecked indexing) timed against a bounds-checked reference
@@ -177,7 +177,6 @@ int main() {
   const bool pool_moved = elastic.pool_changes > 0;
 
   std::printf("{\n");
-  std::printf("  \"context\": {\"benchmark\": \"micro_geo\"},\n");
   std::printf("  \"rtt_lookup\": {\"flat_ns_per_call\": %.3f, \"checked_ns_per_call\": %.3f,"
               " \"checksum\": %.6g},\n",
               timing.flat_ns, timing.checked_ns, timing.checksum);

@@ -146,7 +146,7 @@ struct SimulationConfig {
   /// Worker shards, each with its own SO_REUSEPORT socket + epoll loop and
   /// its own scheduler state (1 = bit-compatible with the serial scheduler).
   int dnsd_shards = 1;
-  /// recvmmsg/sendmmsg batch size; 1 = the legacy recvmsg/sendto path.
+  /// recvmmsg/sendmmsg batch size (datagrams per syscall; 1 = a batch of one).
   int dnsd_batch = 32;
   /// Derive the hidden-load domain key from EDNS0 Client-Subnet when the
   /// resolver forwards one (source-address hash fallback otherwise).

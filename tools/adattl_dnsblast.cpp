@@ -30,11 +30,14 @@
 
 #include "dnswire/ecs.h"
 #include "dnswire/message.h"
+#include "flag_number.h"
 
 using namespace adattl;
 using Clock = std::chrono::steady_clock;
 
 namespace {
+
+constexpr const char* kTool = "adattl_dnsblast";
 
 /// Log-geometric latency histogram: 64 buckets per factor-of-10 decade
 /// from 1 µs to 1 s. Fixed memory, ~3.7% relative quantile error.
@@ -87,7 +90,7 @@ struct Options {
   double duration_sec = 2.0;
   bool ecs = false;
   int subnets = 64;        // distinct /24 prefixes to rotate through
-  int batch = 32;          // sendmmsg/recvmmsg batch (1 = plain send/recv)
+  int batch = 32;          // datagrams per sendmmsg/recvmmsg call
   bool json = false;
 };
 
@@ -95,7 +98,7 @@ int usage() {
   std::fprintf(stderr,
                "usage: adattl_dnsblast [--host=IP] [--port=N] [--name=FQDN]\n"
                "  [--qps=N (0 = max)] [--duration=SEC] [--ecs] [--subnets=N]\n"
-               "  [--batch=N (mmsg batch; 1 = plain send/recv)] [--json]\n");
+               "  [--batch=N (datagrams per sendmmsg/recvmmsg)] [--json]\n");
   return 2;
 }
 
@@ -108,14 +111,16 @@ int main(int argc, char** argv) {
     const std::size_t eq = arg.find('=');
     const std::string flag = arg.substr(0, eq);
     const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const auto number = [&] { return tools::flag_number(kTool, flag, value); };
+    const auto whole = [&] { return static_cast<int>(tools::flag_integer(kTool, flag, value)); };
     if (flag == "--host") opt.host = value;
-    else if (flag == "--port") opt.port = std::stoi(value);
+    else if (flag == "--port") opt.port = whole();
     else if (flag == "--name") opt.name = value;
-    else if (flag == "--qps") opt.qps = std::stod(value);
-    else if (flag == "--duration") opt.duration_sec = std::stod(value);
+    else if (flag == "--qps") opt.qps = number();
+    else if (flag == "--duration") opt.duration_sec = number();
     else if (flag == "--ecs") opt.ecs = value.empty() || value == "true";
-    else if (flag == "--subnets") opt.subnets = std::stoi(value);
-    else if (flag == "--batch") opt.batch = std::stoi(value);
+    else if (flag == "--subnets") opt.subnets = whole();
+    else if (flag == "--batch") opt.batch = whole();
     else if (flag == "--json") opt.json = value.empty() || value == "true";
     else return usage();
   }
@@ -177,9 +182,8 @@ int main(int argc, char** argv) {
   const double gap_ns = opt.qps > 0 ? 1e9 / opt.qps : 0.0;
   double send_credit_ns = 0.0;
   auto last_pace = start;
-  std::uint8_t rx[2048];
 
-  // One reply's worth of accounting, shared by both receive paths.
+  // One reply's worth of accounting.
   const auto note_reply = [&](const std::uint8_t* buf, ssize_t n,
                               const Clock::time_point& now) {
     received++;
@@ -194,8 +198,8 @@ int main(int argc, char** argv) {
     }
   };
 
-#if defined(__linux__)
-  // mmsg plumbing: reused header/buffer arrays for batched receive and send.
+  // Reused header/buffer arrays for recvmmsg and sendmmsg; batch 1 is a
+  // vector of one.
   const int B = opt.batch;
   std::vector<std::vector<std::uint8_t>> rx_bufs(static_cast<std::size_t>(B));
   std::vector<iovec> rx_iov(static_cast<std::size_t>(B));
@@ -204,58 +208,40 @@ int main(int argc, char** argv) {
   std::vector<std::vector<std::uint8_t>> tx_bufs(static_cast<std::size_t>(B));
   std::vector<iovec> tx_iov(static_cast<std::size_t>(B));
   std::vector<mmsghdr> tx_hdrs(static_cast<std::size_t>(B));
-#endif
 
   auto drain_replies = [&](bool block) {
-#if defined(__linux__)
-    if (opt.batch > 1) {
-      for (;;) {
-        for (int i = 0; i < B; ++i) {
-          auto& iv = rx_iov[static_cast<std::size_t>(i)];
-          iv.iov_base = rx_bufs[static_cast<std::size_t>(i)].data();
-          iv.iov_len = rx_bufs[static_cast<std::size_t>(i)].size();
-          auto& mh = rx_hdrs[static_cast<std::size_t>(i)];
-          std::memset(&mh, 0, sizeof(mh));
-          mh.msg_hdr.msg_iov = &iv;
-          mh.msg_hdr.msg_iovlen = 1;
-        }
-        const int got = ::recvmmsg(fd, rx_hdrs.data(), static_cast<unsigned>(B),
-                                   MSG_DONTWAIT, nullptr);
-        if (got <= 0) {
-          if ((errno == EAGAIN || errno == EWOULDBLOCK) && block) {
-            pollfd p{fd, POLLIN, 0};
-            if (::poll(&p, 1, 10) > 0) continue;
-          }
-          return;
-        }
-        const auto now = Clock::now();
-        for (int i = 0; i < got; ++i) {
-          note_reply(rx_bufs[static_cast<std::size_t>(i)].data(),
-                     static_cast<ssize_t>(rx_hdrs[static_cast<std::size_t>(i)].msg_len),
-                     now);
-        }
-        if (got < B) return;  // socket drained
-      }
-    }
-#endif
     for (;;) {
-      const ssize_t n = ::recv(fd, rx, sizeof(rx), 0);
-      if (n < 0) {
+      for (int i = 0; i < B; ++i) {
+        auto& iv = rx_iov[static_cast<std::size_t>(i)];
+        iv.iov_base = rx_bufs[static_cast<std::size_t>(i)].data();
+        iv.iov_len = rx_bufs[static_cast<std::size_t>(i)].size();
+        auto& mh = rx_hdrs[static_cast<std::size_t>(i)];
+        std::memset(&mh, 0, sizeof(mh));
+        mh.msg_hdr.msg_iov = &iv;
+        mh.msg_hdr.msg_iovlen = 1;
+      }
+      const int got = ::recvmmsg(fd, rx_hdrs.data(), static_cast<unsigned>(B),
+                                 MSG_DONTWAIT, nullptr);
+      if (got <= 0) {
         if ((errno == EAGAIN || errno == EWOULDBLOCK) && block) {
           pollfd p{fd, POLLIN, 0};
           if (::poll(&p, 1, 10) > 0) continue;
         }
         return;
       }
-      note_reply(rx, n, Clock::now());
+      const auto now = Clock::now();
+      for (int i = 0; i < got; ++i) {
+        note_reply(rx_bufs[static_cast<std::size_t>(i)].data(),
+                   static_cast<ssize_t>(rx_hdrs[static_cast<std::size_t>(i)].msg_len), now);
+      }
+      if (got < B) return;  // socket drained
     }
   };
 
   /// Sends up to `want` queries; returns how many actually left.
   const auto send_burst = [&](int want) {
     int done = 0;
-#if defined(__linux__)
-    while (opt.batch > 1 && want - done >= 2) {
+    while (done < want) {
       const int k = std::min(B, want - done);
       for (int i = 0; i < k; ++i) {
         auto& buf = tx_bufs[static_cast<std::size_t>(i)];
@@ -288,22 +274,6 @@ int main(int argc, char** argv) {
       if (out < k) {  // kernel refused part of the batch: buffers full
         send_fails += static_cast<std::uint64_t>(k - out);
         return done;
-      }
-    }
-#endif
-    while (done < want) {
-      std::vector<std::uint8_t>& q = templates[sent % templates.size()];
-      const std::uint16_t id = next_id++;
-      q[0] = static_cast<std::uint8_t>(id >> 8);
-      q[1] = static_cast<std::uint8_t>(id & 0xff);
-      if (::send(fd, q.data(), q.size(), 0) == static_cast<ssize_t>(q.size())) {
-        sent_at[id] = Clock::now();
-        sent_valid[id] = 1;
-        sent++;
-        done++;
-      } else {
-        send_fails++;
-        break;  // socket buffer full: stop the burst, drain instead
       }
     }
     return done;

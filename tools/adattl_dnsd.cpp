@@ -30,12 +30,14 @@
 
 #include "dnswire/daemon.h"
 #include "experiment/cli.h"
+#include "flag_number.h"
 #include "obs/metrics.h"
 
 using namespace adattl;
 
 namespace {
 
+constexpr const char* kTool = "adattl_dnsd";
 dnswire::UdpDaemon* g_daemon = nullptr;
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -95,7 +97,7 @@ int main(int argc, char** argv) {
   std::string name = "www.site.org";
   std::string servers_arg = "10.0.0.1,10.0.0.2,10.0.0.3,10.0.0.4";
   std::string capacities_arg;
-  long max_queries = 0;
+  std::uint64_t max_queries = 0;
   double duration_sec = 0.0;
   double stats_interval_sec = 0.0;
 
@@ -115,11 +117,11 @@ int main(int argc, char** argv) {
     } else if (flag == "--capacities") {
       capacities_arg = value;
     } else if (flag == "--max-queries") {
-      max_queries = std::stol(value);
+      max_queries = static_cast<std::uint64_t>(tools::flag_integer(kTool, flag, value, 1LL << 53));
     } else if (flag == "--duration") {
-      duration_sec = std::stod(value);
+      duration_sec = tools::flag_number(kTool, flag, value);
     } else if (flag == "--stats-interval") {
-      stats_interval_sec = std::stod(value);
+      stats_interval_sec = tools::flag_number(kTool, flag, value);
     } else if (flag == "--port") {
       registry_args.push_back("--dnsd-port=" + value);  // legacy spelling
     } else if (flag == "--help" || flag == "-h") {
@@ -151,7 +153,7 @@ int main(int argc, char** argv) {
   cfg.shards = opt.config.dnsd_shards;
   cfg.batch = opt.config.dnsd_batch;
   cfg.ecs_enabled = opt.config.dnsd_ecs;
-  cfg.max_queries = max_queries > 0 ? static_cast<std::uint64_t>(max_queries) : 0;
+  cfg.max_queries = max_queries;
   for (const std::string& ip : split(servers_arg, ',')) {
     in_addr a{};
     if (inet_pton(AF_INET, ip.c_str(), &a) != 1) {
@@ -162,7 +164,7 @@ int main(int argc, char** argv) {
   }
   if (!capacities_arg.empty()) {
     for (const std::string& c : split(capacities_arg, ',')) {
-      cfg.capacities.push_back(std::stod(c));
+      cfg.capacities.push_back(tools::flag_number(kTool, "--capacities", c));
     }
   }
 

@@ -17,10 +17,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "flag_number.h"
 #include "workload/trace.h"
 
 namespace {
@@ -47,18 +49,15 @@ using adattl::workload::TraceEvent;
   std::exit(code);
 }
 
-double parse_num(const std::string& v, const std::string& flag) {
-  std::size_t consumed = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(v, &consumed);
-  } catch (const std::exception&) {
-    consumed = 0;
-  }
-  if (consumed != v.size()) {
-    throw std::invalid_argument(flag + ": expected a number, got '" + v + "'");
-  }
-  return out;
+constexpr const char* kTool = "adattl_tracegen";
+
+double num(const std::string& key, const std::string& value) {
+  return adattl::tools::flag_number(kTool, "--" + key, value);
+}
+
+long long whole(const std::string& key, const std::string& value,
+                long long max = std::numeric_limits<int>::max()) {
+  return adattl::tools::flag_integer(kTool, "--" + key, value, max);
 }
 
 struct Args {
@@ -90,13 +89,13 @@ Args parse_args(int argc, char** argv) {
 std::vector<TraceEvent> run_flash(const Args& args) {
   FlashCrowdSpec spec;
   for (const auto& [key, value] : args.knobs) {
-    if (key == "domain") spec.domain = static_cast<int>(parse_num(value, key));
-    else if (key == "start") spec.start_sec = parse_num(value, key);
-    else if (key == "ramp") spec.ramp_sec = parse_num(value, key);
-    else if (key == "hold") spec.hold_sec = parse_num(value, key);
-    else if (key == "decay") spec.decay_sec = parse_num(value, key);
-    else if (key == "peak") spec.peak_multiplier = parse_num(value, key);
-    else if (key == "step") spec.step_sec = parse_num(value, key);
+    if (key == "domain") spec.domain = static_cast<int>(whole(key, value));
+    else if (key == "start") spec.start_sec = num(key, value);
+    else if (key == "ramp") spec.ramp_sec = num(key, value);
+    else if (key == "hold") spec.hold_sec = num(key, value);
+    else if (key == "decay") spec.decay_sec = num(key, value);
+    else if (key == "peak") spec.peak_multiplier = num(key, value);
+    else if (key == "step") spec.step_sec = num(key, value);
     else throw std::invalid_argument("flash: unknown knob --" + key);
   }
   return generate_flash_crowd(spec);
@@ -106,12 +105,12 @@ std::vector<TraceEvent> run_diurnal(const Args& args) {
   DiurnalSpec spec;
   int domains = 0;
   for (const auto& [key, value] : args.knobs) {
-    if (key == "domains") domains = static_cast<int>(parse_num(value, key));
-    else if (key == "duration") spec.duration_sec = parse_num(value, key);
-    else if (key == "period") spec.period_sec = parse_num(value, key);
-    else if (key == "amplitude") spec.amplitude = parse_num(value, key);
-    else if (key == "spread") spec.phase_spread_sec = parse_num(value, key);
-    else if (key == "step") spec.step_sec = parse_num(value, key);
+    if (key == "domains") domains = static_cast<int>(whole(key, value));
+    else if (key == "duration") spec.duration_sec = num(key, value);
+    else if (key == "period") spec.period_sec = num(key, value);
+    else if (key == "amplitude") spec.amplitude = num(key, value);
+    else if (key == "spread") spec.phase_spread_sec = num(key, value);
+    else if (key == "step") spec.step_sec = num(key, value);
     else throw std::invalid_argument("diurnal: unknown knob --" + key);
   }
   if (domains < 1) throw std::invalid_argument("diurnal: needs --domains=K (>= 1)");
@@ -122,11 +121,11 @@ std::vector<TraceEvent> run_regime(const Args& args) {
   RegimeShiftSpec spec;
   int domains = 0;
   for (const auto& [key, value] : args.knobs) {
-    if (key == "domains") domains = static_cast<int>(parse_num(value, key));
-    else if (key == "duration") spec.duration_sec = parse_num(value, key);
-    else if (key == "dwell") spec.mean_dwell_sec = parse_num(value, key);
-    else if (key == "hot") spec.hot_multiplier = parse_num(value, key);
-    else if (key == "seed") spec.seed = static_cast<std::uint64_t>(parse_num(value, key));
+    if (key == "domains") domains = static_cast<int>(whole(key, value));
+    else if (key == "duration") spec.duration_sec = num(key, value);
+    else if (key == "dwell") spec.mean_dwell_sec = num(key, value);
+    else if (key == "hot") spec.hot_multiplier = num(key, value);
+    else if (key == "seed") spec.seed = static_cast<std::uint64_t>(whole(key, value, 1LL << 53));
     else throw std::invalid_argument("regime: unknown knob --" + key);
   }
   if (domains < 1) throw std::invalid_argument("regime: needs --domains=K (>= 1)");
