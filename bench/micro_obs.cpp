@@ -1,45 +1,22 @@
-// Observability overhead: the cost of a bound metric update and a tracer
+// Observability overhead: the cost of one histogram sample and one tracer
 // record in isolation. The end-to-end cost of the whole layer is
 // BM_FullSite/DRR2_TTLSK_obs over BM_FullSite/DRR2_TTLSK in
 // micro_simulation.
 #include <benchmark/benchmark.h>
 
 #include "obs/event_tracer.h"
-#include "obs/metrics.h"
+#include "sim/stats.h"
 
 namespace {
 
 using namespace adattl;
 
-void BM_CounterInc(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::Counter c = registry.counter("bench.counter");
-  for (auto _ : state) {
-    c.inc();
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterInc);
-
-void BM_CounterIncUnbound(benchmark::State& state) {
-  // Unbound no-op path: what every instrumented component pays when the
-  // registry is disabled.
-  obs::Counter c;
-  for (auto _ : state) {
-    c.inc();
-    benchmark::DoNotOptimize(c);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_CounterIncUnbound);
-
 void BM_HistogramObserve(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::HistogramHandle h = registry.histogram("bench.hist", 3600.0, 144);
+  // The shape of the TTL histograms a metrics-enabled run fills.
+  sim::Histogram h(3600.0, 144);
   double x = 0.0;
   for (auto _ : state) {
-    h.observe(x);
+    h.add(x);
     x += 37.0;
     if (x > 4000.0) x = 0.0;
     benchmark::DoNotOptimize(h);

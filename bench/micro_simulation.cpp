@@ -28,7 +28,7 @@ void chaos(SimulationConfig& cfg) {
   cfg.faults.dns_outages.push_back({180.0, 60.0});
 }
 
-/// The metrics registry and the event tracer on.
+/// The metrics snapshot and the event tracer on.
 void observed(SimulationConfig& cfg) {
   cfg.metrics_enabled = true;
   cfg.trace_enabled = true;

@@ -26,15 +26,6 @@ void AlarmRegistry::observe(sim::SimTime now, const std::vector<double>& utiliza
   observe_full(now, utilizations, {});
 }
 
-void AlarmRegistry::bind_observability(obs::MetricsRegistry* registry,
-                                       obs::EventTracer* tracer) {
-  tracer_ = tracer;
-  if (registry) {
-    obs_alarms_ = registry->counter("alarms.alarm_signals");
-    obs_normals_ = registry->counter("alarms.normal_signals");
-  }
-}
-
 void AlarmRegistry::observe_full(sim::SimTime now, const std::vector<double>& utilizations,
                                  const std::vector<std::size_t>& queue_lengths) {
   // Retain the feedback snapshot for DecisionContext consumers before the
@@ -60,7 +51,6 @@ void AlarmRegistry::observe_full(sim::SimTime now, const std::vector<double>& ut
     if (over && !alarmed_[i]) {
       alarmed_[i] = true;
       ++alarm_signals_;
-      obs_alarms_.inc();
       if (tracer_) {
         tracer_->record(now, obs::TraceKind::kAlarm, static_cast<std::int32_t>(i), 0,
                         utilizations[i]);
@@ -69,7 +59,6 @@ void AlarmRegistry::observe_full(sim::SimTime now, const std::vector<double>& ut
     } else if (!over && alarmed_[i]) {
       alarmed_[i] = false;
       ++normal_signals_;
-      obs_normals_.inc();
       if (tracer_) {
         tracer_->record(now, obs::TraceKind::kNormal, static_cast<std::int32_t>(i), 0,
                         utilizations[i]);

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "obs/event_tracer.h"
-#include "obs/metrics.h"
 #include "sim/time.h"
 #include "web/types.h"
 
@@ -84,9 +83,8 @@ class AlarmRegistry {
   std::uint64_t alarm_signals() const { return alarm_signals_; }
   std::uint64_t normal_signals() const { return normal_signals_; }
 
-  /// Registers signal counters on `registry` and wires alarm-flip trace
-  /// records onto `tracer` (either may be null).
-  void bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer);
+  /// Wires alarm-flip trace records onto `tracer` (may be null).
+  void bind_observability(obs::EventTracer* tracer) { tracer_ = tracer; }
 
  private:
   void rebuild_eligible();
@@ -105,8 +103,6 @@ class AlarmRegistry {
   std::uint64_t feedback_generation_ = 0;
   std::uint64_t alarm_signals_ = 0;
   std::uint64_t normal_signals_ = 0;
-  obs::Counter obs_alarms_;
-  obs::Counter obs_normals_;
   obs::EventTracer* tracer_ = nullptr;
 };
 

@@ -43,13 +43,14 @@ Decision DnsScheduler::schedule(web::DomainId domain) {
   }
   const Decision decision{server, ttl};
 
-  obs_decisions_.inc();
-  obs_ttl_.observe(ttl);
   if (bound_) {
-    // Eligible-set size is only worth the O(N) count when someone listens.
-    std::size_t eligible = 0;
-    for (const bool e : alarms_.eligible()) eligible += e ? 1 : 0;
-    obs_eligible_.observe(static_cast<double>(eligible));
+    if (ttl_hist_) ttl_hist_->add(ttl);
+    if (eligible_hist_) {
+      // Eligible-set size is only worth the O(N) count when someone listens.
+      std::size_t eligible = 0;
+      for (const bool e : alarms_.eligible()) eligible += e ? 1 : 0;
+      eligible_hist_->add(static_cast<double>(eligible));
+    }
     if (tracer_) {
       tracer_->record(clock_ ? clock_->now() : 0.0, obs::TraceKind::kDecision, domain, server,
                       ttl);
@@ -60,20 +61,13 @@ Decision DnsScheduler::schedule(web::DomainId domain) {
   return decision;
 }
 
-void DnsScheduler::bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer,
-                                      const sim::Simulator* clock) {
+void DnsScheduler::bind_observability(obs::EventTracer* tracer, const sim::Simulator* clock,
+                                      sim::Histogram* ttl, sim::Histogram* eligible) {
   tracer_ = tracer;
   clock_ = clock;
-  bound_ = registry != nullptr || tracer != nullptr;
-  if (registry) {
-    const int servers = static_cast<int>(assignments_.size());
-    obs_decisions_ = registry->counter("scheduler.decisions");
-    // TTL range: generous multiple of typical reference TTLs (240 s); the
-    // overflow bin catches calibration blow-ups.
-    obs_ttl_ = registry->histogram("scheduler.ttl_sec", 3600.0, 144);
-    obs_eligible_ = registry->histogram("scheduler.eligible_servers",
-                                        static_cast<double>(servers) + 1.0, servers + 1);
-  }
+  ttl_hist_ = ttl;
+  eligible_hist_ = eligible;
+  bound_ = tracer != nullptr || ttl != nullptr || eligible != nullptr;
 }
 
 }  // namespace adattl::core

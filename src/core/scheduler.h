@@ -10,7 +10,6 @@
 #include "core/selection_policy.h"
 #include "core/ttl_policy.h"
 #include "obs/event_tracer.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 
@@ -48,12 +47,11 @@ class DnsScheduler {
     hook_ = std::move(hook);
   }
 
-  /// Registers the scheduler's instruments (decision counter, TTL and
-  /// eligible-set-size histograms) on `registry` and optionally wires the
-  /// event tracer (`clock` stamps trace records; both may be null).
-  /// Handles are resolved once here; schedule() never touches the registry.
-  void bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer,
-                          const sim::Simulator* clock);
+  /// Wires the event tracer (`clock` stamps its records) and the
+  /// histograms that receive every TTL handed out and the eligible-set
+  /// size behind it. Every argument may be null.
+  void bind_observability(obs::EventTracer* tracer, const sim::Simulator* clock,
+                          sim::Histogram* ttl, sim::Histogram* eligible);
 
   const std::string& name() const { return name_; }
   const SelectionPolicy& selection() const { return *selection_; }
@@ -86,11 +84,10 @@ class DnsScheduler {
   std::vector<double> per_server_assignment_rtt_sec_;
   std::function<void(web::DomainId, const Decision&)> hook_;
 
-  // Observability (unbound handles are pure no-ops; tracer/clock null
-  // unless bound — one predictable branch per decision when off).
-  obs::Counter obs_decisions_;
-  obs::HistogramHandle obs_ttl_;
-  obs::HistogramHandle obs_eligible_;
+  // Observability (all null unless bound — one predictable branch per
+  // decision when off).
+  sim::Histogram* ttl_hist_ = nullptr;
+  sim::Histogram* eligible_hist_ = nullptr;
   obs::EventTracer* tracer_ = nullptr;
   const sim::Simulator* clock_ = nullptr;
   bool bound_ = false;

@@ -41,7 +41,6 @@ Mapping NameServer::serve_unreachable() {
   // straight to the (stale) cache.
   if (sim_.now() >= next_attempt_at_) {
     ++failed_queries_;
-    obs_failed_.inc();
     current_backoff_sec_ = current_backoff_sec_ == 0.0
                                ? retry_.initial_backoff_sec
                                : std::min(current_backoff_sec_ * retry_.multiplier,
@@ -52,7 +51,6 @@ Mapping NameServer::serve_unreachable() {
     // Stale-serve: better a possibly-dead server than no answer at all.
     // The mapping expires *now* so nothing downstream caches it as fresh.
     ++stale_serves_;
-    obs_stale_.inc();
     if (tracer_) {
       tracer_->record(sim_.now(), obs::TraceKind::kStaleServe, domain_, cached_server_);
     }
@@ -65,7 +63,6 @@ Mapping NameServer::serve_unreachable() {
 Mapping NameServer::resolve_mapping() {
   if (has_fresh_mapping()) {
     ++cache_hits_;
-    obs_hits_.inc();
     return Mapping{cached_server_, expires_at_};
   }
   if (outages_ && (sim_.now() < next_attempt_at_ || outages_->unreachable(sim_.now()))) {
@@ -75,23 +72,16 @@ Mapping NameServer::resolve_mapping() {
   const core::Decision d = dns_.schedule(domain_);
   ++authoritative_queries_;
   const double effective = behavior_.effective_ttl(d.ttl_sec);
-  obs_misses_.inc();
-  obs_effective_ttl_.observe(effective);
+  if (effective_ttl_hist_) effective_ttl_hist_->add(effective);
   if (tracer_) tracer_->record(sim_.now(), obs::TraceKind::kNsRefresh, domain_, d.server, effective);
   cached_server_ = d.server;
   expires_at_ = sim_.now() + effective;
   return Mapping{cached_server_, expires_at_};
 }
 
-void NameServer::bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer) {
+void NameServer::bind_observability(obs::EventTracer* tracer, sim::Histogram* effective_ttl) {
   tracer_ = tracer;
-  if (registry) {
-    obs_hits_ = registry->counter("ns.cache_hits");
-    obs_misses_ = registry->counter("ns.authoritative_queries");
-    obs_stale_ = registry->counter("ns.stale_serves");
-    obs_failed_ = registry->counter("ns.failed_queries");
-    obs_effective_ttl_ = registry->histogram("ns.effective_ttl_sec", 3600.0, 144);
-  }
+  effective_ttl_hist_ = effective_ttl;
 }
 
 }  // namespace adattl::dnscache

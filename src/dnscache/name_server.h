@@ -7,8 +7,8 @@
 #include "dnscache/resolver.h"
 #include "fault/dns_outage.h"
 #include "obs/event_tracer.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
+#include "sim/stats.h"
 #include "web/types.h"
 
 namespace adattl::dnscache {
@@ -104,10 +104,11 @@ class NameServer : public Resolver {
 
   const NsTtlBehavior& behavior() const { return behavior_; }
 
-  /// Registers this NS's instruments. All name servers registering on the
-  /// same registry share the aggregate "ns.*" cells (cache hits/misses and
-  /// the effective-TTL distribution); trace records carry the domain id.
-  void bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer);
+  /// Wires the event tracer (records carry the domain id) and the
+  /// histogram that receives the effective TTL of every mapping cached
+  /// from the authoritative DNS; name servers may share one. Either may be
+  /// null.
+  void bind_observability(obs::EventTracer* tracer, sim::Histogram* effective_ttl);
 
  private:
   Mapping serve_unreachable();
@@ -132,11 +133,7 @@ class NameServer : public Resolver {
   std::uint64_t stale_serves_ = 0;
   std::uint64_t failed_queries_ = 0;
 
-  obs::Counter obs_hits_;
-  obs::Counter obs_misses_;
-  obs::Counter obs_stale_;
-  obs::Counter obs_failed_;
-  obs::HistogramHandle obs_effective_ttl_;
+  sim::Histogram* effective_ttl_hist_ = nullptr;
   obs::EventTracer* tracer_ = nullptr;
 };
 

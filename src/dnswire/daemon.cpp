@@ -125,12 +125,6 @@ struct UdpDaemon::Shard {
   bool rxq_ovfl_seen = false;
 };
 
-struct UdpDaemon::ShardInstruments {
-  obs::Counter received, answered, refused, dropped_kernel, send_errors, ecs_keys,
-      ecs_malformed, decisions;
-  ShardStatsSnapshot published;
-};
-
 namespace {
 
 int open_shard_socket(const DaemonConfig& cfg, int bind_port) {
@@ -298,43 +292,6 @@ ShardStatsSnapshot UdpDaemon::totals() const {
   return t;
 }
 
-void UdpDaemon::bind_observability(obs::MetricsRegistry* registry) {
-  registry_ = registry;
-  instruments_.clear();
-  if (registry == nullptr) return;
-  instruments_.resize(shards_.size());
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const std::string p = "dnsd.shard" + std::to_string(i) + ".";
-    ShardInstruments& in = instruments_[i];
-    in.received = registry->counter(p + "received");
-    in.answered = registry->counter(p + "answered");
-    in.refused = registry->counter(p + "refused");
-    in.dropped_kernel = registry->counter(p + "dropped_kernel");
-    in.send_errors = registry->counter(p + "send_errors");
-    in.ecs_keys = registry->counter(p + "ecs_keys");
-    in.ecs_malformed = registry->counter(p + "ecs_malformed");
-    in.decisions = registry->counter(p + "decisions");
-  }
-}
-
-void UdpDaemon::publish_metrics() {
-  if (registry_ == nullptr) return;
-  for (std::size_t i = 0; i < shards_.size(); ++i) {
-    const ShardStatsSnapshot s = shard_stats(static_cast<int>(i));
-    ShardInstruments& in = instruments_[i];
-    // Counters are monotonic: publish the delta since the last publish.
-    in.received.inc(s.received - in.published.received);
-    in.answered.inc(s.answered - in.published.answered);
-    in.refused.inc(s.refused - in.published.refused);
-    in.dropped_kernel.inc(s.dropped_kernel - in.published.dropped_kernel);
-    in.send_errors.inc(s.send_errors - in.published.send_errors);
-    in.ecs_keys.inc(s.ecs_keys - in.published.ecs_keys);
-    in.ecs_malformed.inc(s.ecs_malformed - in.published.ecs_malformed);
-    in.decisions.inc(s.decisions - in.published.decisions);
-    in.published = s;
-  }
-}
-
 void UdpDaemon::note_progress() {
   if (cfg_.max_queries == 0) return;
   if (total_handled_.load(std::memory_order_relaxed) >= cfg_.max_queries) {
@@ -348,9 +305,7 @@ void UdpDaemon::note_progress() {
 
 void UdpDaemon::shard_loop(Shard& shard) {
   // The core is built on the thread that runs it so every cache line it
-  // allocates is local to this shard from the start. (It is no longer a
-  // correctness requirement: unbound obs instruments are pure no-ops, so
-  // construction thread cannot create cross-shard sharing.)
+  // allocates is local to this shard from the start.
   shard.core = std::make_unique<ShardCore>(cfg_, shard.index);
   const int batch = cfg_.batch;
   std::vector<Slot> slots(static_cast<std::size_t>(batch));

@@ -10,7 +10,6 @@
 #include "core/policy_factory.h"
 #include "dnswire/ecs.h"
 #include "dnswire/frontend.h"
-#include "obs/metrics.h"
 
 namespace adattl::dnswire {
 
@@ -133,13 +132,6 @@ class UdpDaemon {
   ShardStatsSnapshot shard_stats(int shard) const;
   ShardStatsSnapshot totals() const;
 
-  /// Registers per-shard + aggregate instruments ("dnsd.shard0.answered",
-  /// "dnsd.answered", ...) on `registry`. publish_metrics() copies the
-  /// current shard counters into the registry cells — call it from one
-  /// thread only (the registry is not thread-safe); shards never touch it.
-  void bind_observability(obs::MetricsRegistry* registry);
-  void publish_metrics();
-
  private:
   struct Shard;
 
@@ -154,11 +146,6 @@ class UdpDaemon {
   int bound_port_ = 0;
   bool started_ = false;
   bool joined_ = false;
-
-  // Observability handles (bound once, written by publish_metrics only).
-  struct ShardInstruments;
-  std::vector<ShardInstruments> instruments_;
-  obs::MetricsRegistry* registry_ = nullptr;
 };
 
 }  // namespace adattl::dnswire

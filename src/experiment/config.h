@@ -153,12 +153,13 @@ struct SimulationConfig {
   bool dnsd_ecs = true;
 
   // ---- Observability (off by default: zero steady-state cost) ----
-  /// Register and update the run-wide metrics registry; the RunResult then
-  /// carries a MetricsSnapshot that report serialization includes.
+  /// The RunResult carries an end-of-run MetricsSnapshot, which report
+  /// serialization includes.
   bool metrics_enabled = false;
   /// Record typed trace events (decisions, per-tick utilization, alarm
   /// flips, NS refreshes, pause/resume, estimator updates) into a bounded
-  /// ring buffer.
+  /// ring buffer. A programmatic switch with no knob: run_scenario's traced
+  /// run for --trace/--decisions/--chrome-trace sets it.
   bool trace_enabled = false;
   /// Ring-buffer capacity in records; oldest records are overwritten, and
   /// the tracer's CSV views refuse a run that overflowed it.

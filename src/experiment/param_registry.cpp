@@ -201,12 +201,10 @@ void cross_validate(const SimulationConfig& c) {
   if (c.trace_capacity < 1) bad("config: trace-capacity must be >= 1");
   if (c.shard_domains) {
     // Sharded runs replicate the cluster per shard; a redirecting
-    // dispatcher needs global queue knowledge and the obs backends are
-    // single-simulator, so both stay on the unsharded path.
+    // dispatcher needs global queue knowledge and the event tracer is one
+    // ring per simulator, so both stay on the unsharded path.
     if (c.redirect_enabled) bad("config: shard-domains is incompatible with redirection");
-    if (c.metrics_enabled || c.trace_enabled) {
-      bad("config: shard-domains does not support metrics/event-trace");
-    }
+    if (c.trace_enabled) bad("config: shard-domains does not support the event tracer");
   }
 }
 
@@ -751,16 +749,15 @@ ParamRegistry::ParamRegistry() {
           &S::dnsd_ecs);
 
   // ---- observability ----
-  boolean("metrics", "observability", "run-wide metrics registry (JSON gains \"metrics\")",
+  boolean("metrics", "observability", "end-of-run metrics snapshot (JSON gains \"metrics\")",
           &S::metrics_enabled);
-  boolean("event-trace", "observability", "typed event-trace ring buffer", &S::trace_enabled);
   {
     ParamSpec s;
     s.name = "trace-capacity";
     s.kind = ParamKind::kUint;
     s.group = "observability";
     s.hint = "RECORDS";
-    s.doc = "event-trace ring-buffer capacity; --trace/--decisions fail if the run records more";
+    s.doc = "tracer ring-buffer capacity; --trace/--decisions fail if the run records more";
     s.set = [](C& o, const std::string& v) {
       o.config.trace_capacity = static_cast<std::size_t>(parse_uint_value(v));
     };

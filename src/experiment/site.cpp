@@ -14,9 +14,8 @@ Site::Site(const SimulationConfig& config) : config_(config.scaled()), slices_(c
     throw std::invalid_argument("Site: shard_domains configs require ShardedSite");
   }
 
-  // Observability backends exist only when asked for; every consumer takes
-  // a nullable pointer, so the disabled path costs a handful of null binds.
-  if (config_.metrics_enabled) metrics_registry_ = std::make_unique<obs::MetricsRegistry>();
+  // The tracer exists only when asked for; every component takes a
+  // nullable pointer, so the disabled path costs one null check.
   if (config_.trace_enabled) {
     event_tracer_ = std::make_unique<obs::EventTracer>(config_.trace_capacity);
   }
@@ -24,9 +23,9 @@ Site::Site(const SimulationConfig& config) : config_(config.scaled()), slices_(c
   // One slice owns every domain and draws from the master stream itself.
   std::vector<int> all(static_cast<std::size_t>(config_.num_domains));
   std::iota(all.begin(), all.end(), 0);
-  SiteSlice& s = slices_.add(std::move(all), sim::RngStream(config_.seed));
+  SiteSlice& s = slices_.add(std::move(all), sim::RngStream(config_.seed), event_tracer_.get());
 
-  // ---- Monitoring: alarms, metrics, estimation all on the 8 s clock ----
+  // ---- Monitoring: alarms and estimation on the 8 s clock ----
   monitor_ = std::make_unique<web::MonitorHub>(*s.sim, *s.cluster, config_.monitor_interval_sec);
   monitor_->add_full_observer([this](sim::SimTime now, const std::vector<double>& util,
                                      const std::vector<std::size_t>& queues) {
@@ -43,19 +42,6 @@ Site::Site(const SimulationConfig& config) : config_(config.scaled()), slices_(c
     }
   });
   monitor_->start();
-
-  // ---- Observability wiring (resolves all metric handles once, here) ----
-  if (metrics_registry_ || event_tracer_) {
-    obs::MetricsRegistry* reg = metrics_registry_.get();
-    obs::EventTracer* tracer = event_tracer_.get();
-    s.bundle.scheduler->bind_observability(reg, tracer, s.sim.get());
-    s.alarms->bind_observability(reg, tracer);
-    s.fault->bind_observability(reg, tracer);
-    for (auto& ns : s.name_servers) ns->bind_observability(reg, tracer);
-    for (int i = 0; i < s.cluster->size(); ++i) {
-      s.cluster->server(i).bind_observability(reg, tracer);
-    }
-  }
   setup_seconds_ = setup_watch.elapsed();
 }
 
@@ -83,22 +69,6 @@ RunResult Site::run() {
   const double measurement_wall = phase_watch.lap();
 
   RunResult r = slices_.reduce(horizon);
-  if (metrics_registry_) {
-    // Kernel health is tracked inside the event queue regardless of the
-    // registry; surface it in the snapshot alongside the wired instruments.
-    metrics_registry_->gauge("kernel.events_dispatched")
-        .set(static_cast<double>(sim.events_dispatched()));
-    metrics_registry_->gauge("kernel.peak_events").set(static_cast<double>(sim.peak_pending()));
-    metrics_registry_->gauge("kernel.cancels").set(static_cast<double>(sim.cancels()));
-    metrics_registry_->gauge("kernel.live_events_at_end")
-        .set(static_cast<double>(sim.pending()));
-    metrics_registry_->gauge("dns.outage_sec").set(r.dns_outage_sec);
-    metrics_registry_->gauge("latency.mean_assignment_rtt_sec").set(r.mean_assignment_rtt_sec);
-    metrics_registry_->gauge("latency.mean_network_rtt_sec").set(r.mean_network_rtt_sec);
-    metrics_registry_->gauge("pool.final_size").set(static_cast<double>(r.final_pool_size));
-    metrics_registry_->gauge("pool.changes").set(static_cast<double>(r.pool_changes));
-    r.metrics = std::make_shared<const obs::MetricsSnapshot>(metrics_registry_->snapshot());
-  }
   r.profile = {setup_seconds_, warmup_wall, measurement_wall, phase_watch.lap()};
   return r;
 }

@@ -5,7 +5,6 @@
 #include "experiment/config.h"
 #include "experiment/site_slice.h"
 #include "obs/event_tracer.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "web/monitor_hub.h"
 
@@ -56,8 +55,7 @@ class Site {
   SliceSet slices_;
   std::unique_ptr<web::MonitorHub> monitor_;
 
-  // Observability (null when disabled — the zero-cost default).
-  std::unique_ptr<obs::MetricsRegistry> metrics_registry_;
+  // Null unless config.trace_enabled — the zero-cost default.
   std::unique_ptr<obs::EventTracer> event_tracer_;
   double setup_seconds_ = 0.0;
   bool ran_ = false;

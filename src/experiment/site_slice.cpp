@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <numeric>
+#include <string>
 
 namespace adattl::experiment {
 
@@ -27,7 +28,7 @@ SiteWorkload::SiteWorkload(const SimulationConfig& config) {
 // The build order below is the event insertion order (and thus the
 // same-timestamp FIFO ties) and the RNG split order the goldens pin.
 SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workload,
-                     std::vector<int> owned, sim::RngStream rng)
+                     std::vector<int> owned, sim::RngStream rng, obs::EventTracer* tracer)
     : domains(std::move(owned)), sim(std::make_unique<sim::Simulator>()) {
   const auto owns = [this](int d) { return std::binary_search(domains.begin(), domains.end(), d); };
   std::size_t num_clients = 0;
@@ -161,6 +162,18 @@ SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workloa
       clients->start(idx, stagger.uniform(0.0, config.mean_think_sec));
     }
   }
+
+  // ---- Observability: the distributions no counter keeps, and the tracer ----
+  if (config.metrics_enabled) histograms = std::make_unique<SliceHistograms>(cluster->size());
+  if (histograms || tracer) {
+    SliceHistograms* h = histograms.get();
+    bundle.scheduler->bind_observability(tracer, sim.get(), h ? &h->ttl : nullptr,
+                                         h ? &h->eligible : nullptr);
+    alarms->bind_observability(tracer);
+    fault->bind_observability(tracer);
+    for (auto& ns : name_servers) ns->bind_observability(tracer, h ? &h->ns_ttl : nullptr);
+    for (int i = 0; i < cluster->size(); ++i) cluster->server(i).bind_observability(tracer);
+  }
 }
 
 SliceSet::SliceSet(const SimulationConfig& config)
@@ -168,8 +181,10 @@ SliceSet::SliceSet(const SimulationConfig& config)
       workload_(config),
       tracker_(config.cluster.size(), config.warmup_sec) {}
 
-SiteSlice& SliceSet::add(std::vector<int> domains, sim::RngStream rng) {
-  slices_.push_back(std::make_unique<SiteSlice>(config_, workload_, std::move(domains), rng));
+SiteSlice& SliceSet::add(std::vector<int> domains, sim::RngStream rng,
+                         obs::EventTracer* tracer) {
+  slices_.push_back(
+      std::make_unique<SiteSlice>(config_, workload_, std::move(domains), rng, tracer));
   return *slices_.back();
 }
 
@@ -323,7 +338,86 @@ RunResult SliceSet::reduce(double horizon) const {
       static_cast<double>(r.failed_requests) + static_cast<double>(r.total_pages);
   r.unavailability_fraction =
       attempts > 0 ? static_cast<double>(r.failed_requests) / attempts : 0.0;
+  if (config_.metrics_enabled) {
+    r.metrics = std::make_shared<const obs::MetricsSnapshot>(metrics_snapshot(r));
+  }
   return r;
+}
+
+obs::MetricsSnapshot SliceSet::metrics_snapshot(const RunResult& r) const {
+  const SiteSlice& first = *slices_.front();
+  const int servers = first.cluster->size();
+  SliceHistograms hist(servers);
+  std::uint64_t decisions = 0;
+  std::uint64_t ns_stale = 0;
+  std::uint64_t ns_failed = 0;
+  std::size_t peak_events = 0;
+  std::uint64_t cancels = 0;
+  std::size_t live_events = 0;
+  for (const auto& slice : slices_) {
+    decisions += slice->bundle.scheduler->decisions();
+    hist.ttl.merge(slice->histograms->ttl);
+    hist.eligible.merge(slice->histograms->eligible);
+    hist.ns_ttl.merge(slice->histograms->ns_ttl);
+    for (const auto& ns : slice->name_servers) {
+      ns_stale += ns->stale_serves();
+      ns_failed += ns->failed_queries();
+    }
+    // Each slice has its own event queue: the peaks sum to a bound on the
+    // run's peak.
+    peak_events += slice->sim->peak_pending();
+    cancels += slice->sim->cancels();
+    live_events += slice->sim->pending();
+  }
+
+  // The order below is the order of the "metrics" object in report JSON.
+  obs::MetricsSnapshot snap;
+  snap.add_counter("scheduler.decisions", decisions);
+  snap.add_histogram("scheduler.ttl_sec", hist.ttl);
+  snap.add_histogram("scheduler.eligible_servers", hist.eligible);
+  snap.add_counter("alarms.alarm_signals", first.alarms->alarm_signals());
+  snap.add_counter("alarms.normal_signals", first.alarms->normal_signals());
+  snap.add_counter("fault.events", first.fault->events_fired());
+  snap.add_counter("ns.cache_hits", r.ns_cache_hits);
+  snap.add_counter("ns.authoritative_queries", r.authoritative_queries);
+  snap.add_counter("ns.stale_serves", ns_stale);
+  snap.add_counter("ns.failed_queries", ns_failed);
+  snap.add_histogram("ns.effective_ttl_sec", hist.ns_ttl);
+  for (int i = 0; i < servers; ++i) {
+    std::uint64_t pages = 0;
+    std::uint64_t hits = 0;
+    std::uint64_t lost_pages = 0;
+    std::uint64_t lost_hits = 0;
+    std::size_t queue = 0;
+    double busy = 0.0;
+    for (const auto& slice : slices_) {
+      const web::WebServer& server = slice->cluster->server(i);
+      pages += server.pages_served();
+      hits += server.hits_served();
+      lost_pages += server.lost_pages();
+      lost_hits += server.lost_hits();
+      queue += server.queue_length();
+      busy += server.closed_busy_time();
+    }
+    const std::string prefix = "server." + std::to_string(i) + ".";
+    snap.add_counter(prefix + "pages_completed", pages);
+    snap.add_counter(prefix + "hits_completed", hits);
+    snap.add_counter(prefix + "lost_pages", lost_pages);
+    snap.add_counter(prefix + "lost_hits", lost_hits);
+    snap.add_gauge(prefix + "queue_depth", static_cast<double>(queue));
+    snap.add_gauge(prefix + "busy_sec", busy);
+    if (i == 0) snap.add_counter("site.failed_requests", r.failed_requests);
+  }
+  snap.add_gauge("kernel.events_dispatched", static_cast<double>(r.events_dispatched));
+  snap.add_gauge("kernel.peak_events", static_cast<double>(peak_events));
+  snap.add_gauge("kernel.cancels", static_cast<double>(cancels));
+  snap.add_gauge("kernel.live_events_at_end", static_cast<double>(live_events));
+  snap.add_gauge("dns.outage_sec", r.dns_outage_sec);
+  snap.add_gauge("latency.mean_assignment_rtt_sec", r.mean_assignment_rtt_sec);
+  snap.add_gauge("latency.mean_network_rtt_sec", r.mean_network_rtt_sec);
+  snap.add_gauge("pool.final_size", static_cast<double>(r.final_pool_size));
+  snap.add_gauge("pool.changes", static_cast<double>(r.pool_changes));
+  return snap;
 }
 
 }  // namespace adattl::experiment

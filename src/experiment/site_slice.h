@@ -15,9 +15,11 @@
 #include "experiment/metrics.h"
 #include "fault/fault_injector.h"
 #include "geo/geo_model.h"
+#include "obs/event_tracer.h"
 #include "obs/metrics.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "sim/stats.h"
 #include "web/cluster.h"
 #include "web/dispatcher.h"
 #include "workload/client_pool.h"
@@ -149,6 +151,20 @@ struct SiteWorkload {
   std::shared_ptr<const geo::GeoModel> geo;
 };
 
+/// The distributions behind the three metrics no component counter keeps:
+/// the TTLs the scheduler hands out, the eligible-set size behind each of
+/// them, and the TTLs the name servers cache. The TTL range is a generous
+/// multiple of typical reference TTLs (240 s); the overflow bin catches
+/// calibration blow-ups.
+struct SliceHistograms {
+  explicit SliceHistograms(int servers)
+      : eligible(static_cast<double>(servers) + 1.0, servers + 1) {}
+
+  sim::Histogram ttl{3600.0, 144};     ///< "scheduler.ttl_sec"
+  sim::Histogram eligible;             ///< "scheduler.eligible_servers"
+  sim::Histogram ns_ttl{3600.0, 144};  ///< "ns.effective_ttl_sec"
+};
+
 /// The object graph of one simulator over a subset of the domains: a
 /// cluster replica, the fault injector, the DNS scheduler with its alarms,
 /// autoscaler and estimator, and the name servers and pooled clients of
@@ -159,9 +175,10 @@ struct SiteWorkload {
 struct SiteSlice {
   /// Builds the slice over `owned` (ascending global domain ids), drawing
   /// every random stream from `rng`. Of the config's rate shifts and trace
-  /// points, only those of the owned domains are scheduled.
+  /// points, only those of the owned domains are scheduled. Components
+  /// record into `tracer` when it is not null.
   SiteSlice(const SimulationConfig& config, const SiteWorkload& workload,
-            std::vector<int> owned, sim::RngStream rng);
+            std::vector<int> owned, sim::RngStream rng, obs::EventTracer* tracer);
 
   SiteSlice(const SiteSlice&) = delete;
   SiteSlice& operator=(const SiteSlice&) = delete;
@@ -181,6 +198,8 @@ struct SiteSlice {
   std::vector<std::unique_ptr<dnscache::NameServer>> name_servers;
   std::vector<std::unique_ptr<dnscache::ClientCache>> client_caches;  // optional layer
   std::unique_ptr<workload::ClientPool> clients;
+  /// Null unless metrics_enabled; the slice's name servers share ns_ttl.
+  std::unique_ptr<SliceHistograms> histograms;
 };
 
 /// The slices of one run and what they share: the workload, the monitor
@@ -193,8 +212,10 @@ class SliceSet {
   /// derives the shared workload.
   explicit SliceSet(const SimulationConfig& config);
 
-  /// Builds a slice in place over `domains` from `rng`.
-  SiteSlice& add(std::vector<int> domains, sim::RngStream rng);
+  /// Builds a slice in place over `domains` from `rng`, recording into
+  /// `tracer` when it is not null.
+  SiteSlice& add(std::vector<int> domains, sim::RngStream rng,
+                 obs::EventTracer* tracer = nullptr);
 
   int size() const { return static_cast<int>(slices_.size()); }
   SiteSlice& operator[](int i) { return *slices_.at(static_cast<std::size_t>(i)); }
@@ -214,10 +235,18 @@ class SliceSet {
   /// The run's results over [0, horizon]: counters summed and statistics
   /// merged over the slices in order. Per-domain latency comes from the
   /// slice that owns the domain. Alarm, pool and DNS-outage figures are
-  /// the same in every slice, so the first one reports them.
+  /// the same in every slice, so the first one reports them. With
+  /// metrics_enabled the result carries metrics_snapshot(result).
   RunResult reduce(double horizon) const;
 
  private:
+  /// The end-of-run metrics, read from the same component counters the
+  /// reducer reads: what the slices split is summed over them in order
+  /// (one slice reproduces its own figures bit for bit), what every slice
+  /// replicates (alarms, fault events) comes from the first, and the rest
+  /// from `r`.
+  obs::MetricsSnapshot metrics_snapshot(const RunResult& r) const;
+
   const SimulationConfig& config_;
   SiteWorkload workload_;
   std::vector<std::unique_ptr<SiteSlice>> slices_;

@@ -18,25 +18,21 @@ void FaultInjector::schedule_events() {
   for (const PauseWindow& w : schedule_.pauses) {
     sim_.at(w.start_sec, sim::assert_inline([this, s = w.server] {
               ++events_fired_;
-              obs_events_.inc();
               cluster_.server(s).set_paused(true);
             }));
     sim_.at(w.start_sec + w.duration_sec, sim::assert_inline([this, s = w.server] {
               ++events_fired_;
-              obs_events_.inc();
               cluster_.server(s).set_paused(false);
             }));
   }
   for (const CrashWindow& w : schedule_.crashes) {
     sim_.at(w.start_sec, sim::assert_inline([this, s = w.server] {
               ++events_fired_;
-              obs_events_.inc();
               cluster_.server(s).set_crashed(true);
               if (alarms_) alarms_->set_down(s, true);
             }));
     sim_.at(w.start_sec + w.duration_sec, sim::assert_inline([this, s = w.server] {
               ++events_fired_;
-              obs_events_.inc();
               cluster_.server(s).set_crashed(false);
               if (alarms_) alarms_->set_down(s, false);
             }));
@@ -44,12 +40,10 @@ void FaultInjector::schedule_events() {
   for (const DegradeWindow& w : schedule_.degradations) {
     sim_.at(w.start_sec, sim::assert_inline([this, s = w.server, f = w.factor] {
               ++events_fired_;
-              obs_events_.inc();
               cluster_.server(s).set_capacity_factor(f);
             }));
     sim_.at(w.start_sec + w.duration_sec, sim::assert_inline([this, s = w.server] {
               ++events_fired_;
-              obs_events_.inc();
               cluster_.server(s).set_capacity_factor(1.0);
             }));
   }
@@ -60,14 +54,12 @@ void FaultInjector::schedule_events() {
   for (const ScaleEvent& e : schedule_.scale_events) {
     sim_.at(e.start_sec, sim::assert_inline([this, s = e.server, up = e.up] {
               ++events_fired_;
-              obs_events_.inc();
               if (alarms_) alarms_->set_in_pool(s, up);
             }));
   }
   for (const ResizeEvent& e : schedule_.resizes) {
     sim_.at(e.start_sec, sim::assert_inline([this, s = e.server, f = e.factor] {
               ++events_fired_;
-              obs_events_.inc();
               cluster_.server(s).set_capacity_factor(f);
             }));
   }
@@ -77,23 +69,15 @@ void FaultInjector::schedule_events() {
   for (const DnsOutageWindow& w : dns_calendar_.windows()) {
     sim_.at(w.start_sec, sim::assert_inline([this, d = w.duration_sec] {
               ++events_fired_;
-              obs_events_.inc();
               if (tracer_) {
                 tracer_->record(sim_.now(), obs::TraceKind::kDnsOutageStart, 0, 0, d);
               }
             }));
     sim_.at(w.start_sec + w.duration_sec, sim::assert_inline([this] {
               ++events_fired_;
-              obs_events_.inc();
               if (tracer_) tracer_->record(sim_.now(), obs::TraceKind::kDnsOutageEnd);
             }));
   }
-}
-
-void FaultInjector::bind_observability(obs::MetricsRegistry* registry,
-                                       obs::EventTracer* tracer) {
-  tracer_ = tracer;
-  if (registry) obs_events_ = registry->counter("fault.events");
 }
 
 }  // namespace adattl::fault

@@ -6,7 +6,6 @@
 #include "fault/dns_outage.h"
 #include "fault/fault_schedule.h"
 #include "obs/event_tracer.h"
-#include "obs/metrics.h"
 #include "sim/simulator.h"
 #include "web/cluster.h"
 
@@ -56,10 +55,8 @@ class FaultInjector {
   /// Fault events fired so far (window starts + ends of every kind).
   std::uint64_t events_fired() const { return events_fired_; }
 
-  /// Registers the "fault.events" counter and wires dns-outage boundary
-  /// trace records (either argument may be null). The "dns.outage_sec"
-  /// gauge is set by the Site at end of run (it needs the horizon).
-  void bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer);
+  /// Wires dns-outage boundary trace records onto `tracer` (may be null).
+  void bind_observability(obs::EventTracer* tracer) { tracer_ = tracer; }
 
  private:
   void schedule_events();
@@ -70,7 +67,6 @@ class FaultInjector {
   FaultSchedule schedule_;
   DnsOutageCalendar dns_calendar_;
   std::uint64_t events_fired_ = 0;
-  obs::Counter obs_events_;
   obs::EventTracer* tracer_ = nullptr;
 };
 

@@ -13,13 +13,6 @@ const char* metric_kind_name(MetricKind kind) {
   return "?";
 }
 
-const HistogramCell& HistogramHandle::empty() {
-  // Never written (unbound updates are no-ops), so concurrent readers on
-  // any mix of threads are safe.
-  static const HistogramCell cell{1.0, std::vector<std::uint64_t>(2, 0), 0, 0.0};
-  return cell;
-}
-
 const MetricsSnapshot::Metric* MetricsSnapshot::find(const std::string& name) const {
   for (const Metric& m : metrics) {
     if (m.name == name) return &m;
@@ -27,66 +20,31 @@ const MetricsSnapshot::Metric* MetricsSnapshot::find(const std::string& name) co
   return nullptr;
 }
 
-MetricsRegistry::Entry& MetricsRegistry::entry_for(const std::string& name, MetricKind kind) {
-  const auto it = index_.find(name);
-  if (it != index_.end()) {
-    Entry& e = entries_[it->second];
-    if (e.kind != kind) {
-      throw std::invalid_argument("MetricsRegistry: '" + name + "' already registered as " +
-                                  metric_kind_name(e.kind));
-    }
-    return e;
+MetricsSnapshot::Metric& MetricsSnapshot::add(const std::string& name, MetricKind kind) {
+  if (find(name) != nullptr) {
+    throw std::invalid_argument("MetricsSnapshot: '" + name + "' added twice");
   }
-  entries_.push_back(Entry{name, kind, 0, 0.0, nullptr});
-  index_.emplace(name, entries_.size() - 1);
-  return entries_.back();
+  Metric& m = metrics.emplace_back();
+  m.name = name;
+  m.kind = kind;
+  return m;
 }
 
-Counter MetricsRegistry::counter(const std::string& name) {
-  return Counter(&entry_for(name, MetricKind::kCounter).counter);
+void MetricsSnapshot::add_counter(const std::string& name, std::uint64_t value) {
+  add(name, MetricKind::kCounter).value = static_cast<double>(value);
 }
 
-Gauge MetricsRegistry::gauge(const std::string& name) {
-  return Gauge(&entry_for(name, MetricKind::kGauge).gauge);
+void MetricsSnapshot::add_gauge(const std::string& name, double value) {
+  add(name, MetricKind::kGauge).value = value;
 }
 
-HistogramHandle MetricsRegistry::histogram(const std::string& name, double upper, int bins) {
-  if (upper <= 0.0) throw std::invalid_argument("MetricsRegistry: histogram upper must be > 0");
-  if (bins <= 0) throw std::invalid_argument("MetricsRegistry: histogram bins must be >= 1");
-  Entry& e = entry_for(name, MetricKind::kHistogram);
-  if (!e.hist) {
-    e.hist = std::make_unique<HistogramCell>();
-    e.hist->upper = upper;
-    e.hist->bins.assign(static_cast<std::size_t>(bins) + 1, 0);
-  } else if (e.hist->upper != upper ||
-             e.hist->bins.size() != static_cast<std::size_t>(bins) + 1) {
-    throw std::invalid_argument("MetricsRegistry: '" + name +
-                                "' re-registered with a different shape");
-  }
-  return HistogramHandle(e.hist.get());
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  out.metrics.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    MetricsSnapshot::Metric m;
-    m.name = e.name;
-    m.kind = e.kind;
-    switch (e.kind) {
-      case MetricKind::kCounter: m.value = static_cast<double>(e.counter); break;
-      case MetricKind::kGauge: m.value = e.gauge; break;
-      case MetricKind::kHistogram:
-        m.value = static_cast<double>(e.hist->count);
-        m.upper = e.hist->upper;
-        m.count = e.hist->count;
-        m.sum = e.hist->sum;
-        m.bins = e.hist->bins;
-        break;
-    }
-    out.metrics.push_back(std::move(m));
-  }
-  return out;
+void MetricsSnapshot::add_histogram(const std::string& name, const sim::Histogram& histogram) {
+  Metric& m = add(name, MetricKind::kHistogram);
+  m.value = static_cast<double>(histogram.count());
+  m.upper = histogram.upper();
+  m.count = histogram.count();
+  m.sum = histogram.sum();
+  m.bins = histogram.counts();
 }
 
 }  // namespace adattl::obs

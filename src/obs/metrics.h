@@ -1,11 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
+
+#include "sim/stats.h"
 
 namespace adattl::obs {
 
@@ -14,98 +13,10 @@ enum class MetricKind { kCounter, kGauge, kHistogram };
 /// Returns "counter", "gauge" or "histogram".
 const char* metric_kind_name(MetricKind kind);
 
-/// Fixed-shape histogram cell: `bins` equal-width bins over [0, upper)
-/// plus one overflow bin. Shape is fixed at registration, so observe()
-/// never allocates.
-struct HistogramCell {
-  double upper = 1.0;
-  std::vector<std::uint64_t> bins;  // last slot = overflow (x >= upper)
-  std::uint64_t count = 0;
-  double sum = 0.0;
-
-  void observe(double x) {
-    ++count;
-    sum += x;
-    const std::size_t n = bins.size() - 1;  // regular bins
-    std::size_t idx;
-    if (!(x > 0.0)) {
-      idx = 0;  // negatives and NaN clamp to the first bin
-    } else if (x >= upper) {
-      idx = n;
-    } else {
-      idx = static_cast<std::size_t>(x / upper * static_cast<double>(n));
-    }
-    ++bins[idx];
-  }
-};
-
-/// Pre-resolved handle to a monotonically increasing count.
-///
-/// Handles are resolved once at wiring time and updated through a raw cell
-/// pointer, so the bound steady-state path is a well-predicted null check
-/// plus an indirect increment — no lookup, no allocation. A
-/// default-constructed handle is unbound and every update is a pure no-op.
-/// It must stay that way: instruments are built on one thread and may be
-/// driven from another (sharded runs construct components on the main
-/// thread and run them on pool workers), so an unbound update may not
-/// touch *any* shared or thread-local cell — an earlier design cached a
-/// TLS scratch pointer at construction and every worker raced on the
-/// constructing thread's cell.
-class Counter {
- public:
-  Counter() = default;
-
-  void inc(std::uint64_t n = 1) {
-    if (cell_) *cell_ += n;
-  }
-  std::uint64_t value() const { return cell_ ? *cell_ : 0; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Counter(std::uint64_t* cell) : cell_(cell) {}
-  std::uint64_t* cell_ = nullptr;
-};
-
-/// Pre-resolved handle to a last-value-wins measurement (queue depth,
-/// busy seconds). Same cell-pointer scheme as Counter.
-class Gauge {
- public:
-  Gauge() = default;
-
-  void set(double v) {
-    if (cell_) *cell_ = v;
-  }
-  void add(double v) {
-    if (cell_) *cell_ += v;
-  }
-  double value() const { return cell_ ? *cell_ : 0.0; }
-
- private:
-  friend class MetricsRegistry;
-  explicit Gauge(double* cell) : cell_(cell) {}
-  double* cell_ = nullptr;
-};
-
-/// Pre-resolved handle to a fixed-bin histogram.
-class HistogramHandle {
- public:
-  HistogramHandle() = default;
-
-  void observe(double x) {
-    if (cell_) cell_->observe(x);
-  }
-  /// Unbound handles read as an empty single-bin histogram.
-  const HistogramCell& cell() const { return cell_ ? *cell_ : empty(); }
-
- private:
-  friend class MetricsRegistry;
-  explicit HistogramHandle(HistogramCell* cell) : cell_(cell) {}
-  static const HistogramCell& empty();
-  HistogramCell* cell_ = nullptr;
-};
-
-/// Point-in-time copy of every registered metric, detached from the
-/// registry (safe to keep after the Site that owned the registry dies).
+/// The end-of-run metrics of one simulation, built once after the event
+/// loop from the counters the components already keep (see
+/// experiment::SliceSet::reduce). Detached from the run: safe to keep
+/// after the Site that produced it dies.
 struct MetricsSnapshot {
   struct Metric {
     std::string name;
@@ -116,49 +27,23 @@ struct MetricsSnapshot {
     double upper = 0.0;
     std::uint64_t count = 0;
     double sum = 0.0;
-    std::vector<std::uint64_t> bins;
+    std::vector<std::uint64_t> bins;  // last slot = overflow (x >= upper)
   };
 
-  std::vector<Metric> metrics;  // registration order
+  std::vector<Metric> metrics;  // in the order they were added
 
-  /// nullptr when `name` was never registered.
+  /// Append one metric. A name already present throws
+  /// std::invalid_argument: the snapshot serializes as a JSON object.
+  void add_counter(const std::string& name, std::uint64_t value);
+  void add_gauge(const std::string& name, double value);
+  /// Copies the histogram's shape, count, sum and bins.
+  void add_histogram(const std::string& name, const sim::Histogram& histogram);
+
+  /// nullptr when `name` was never added.
   const Metric* find(const std::string& name) const;
-};
-
-/// Owner of all metric cells for one simulation run.
-///
-/// Instruments register once at wiring time (allocating their cell) and
-/// receive a handle; every later update goes through the handle without
-/// touching the registry, preserving the kernel's zero-steady-state-
-/// allocation invariant. Registering an already-known name returns a
-/// handle to the *same* cell — that is how per-instance components (e.g.
-/// 20 name servers) share one aggregate counter — but re-registering a
-/// name under a different kind or histogram shape throws.
-///
-/// Not thread-safe: one registry belongs to one (single-threaded) Site.
-class MetricsRegistry {
- public:
-  Counter counter(const std::string& name);
-  Gauge gauge(const std::string& name);
-  HistogramHandle histogram(const std::string& name, double upper, int bins);
-
-  std::size_t size() const { return entries_.size(); }
-  MetricsSnapshot snapshot() const;
 
  private:
-  struct Entry {
-    std::string name;
-    MetricKind kind;
-    std::uint64_t counter = 0;
-    double gauge = 0.0;
-    std::unique_ptr<HistogramCell> hist;
-  };
-
-  Entry& entry_for(const std::string& name, MetricKind kind);
-
-  // deque: cell addresses stay stable as registration grows the registry.
-  std::deque<Entry> entries_;
-  std::unordered_map<std::string, std::size_t> index_;
+  Metric& add(const std::string& name, MetricKind kind);
 };
 
 }  // namespace adattl::obs

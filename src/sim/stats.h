@@ -105,7 +105,10 @@ class Histogram {
   void merge(const Histogram& other);
 
   std::uint64_t count() const { return n_; }
+  double sum() const { return sum_; }
   double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
+  /// Per-bin counts; the last slot is the overflow bin.
+  const std::vector<std::uint64_t>& counts() const { return counts_; }
 
   /// Smallest bin upper boundary q with P(X <= q) >= p; `upper` if the
   /// quantile falls in the overflow bin. 0 when empty or for p <= 0 (the

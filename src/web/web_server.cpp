@@ -1,7 +1,6 @@
 #include "web/web_server.h"
 
 #include <stdexcept>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,7 +27,6 @@ void WebServer::submit_page(PageRequest req) {
     // A crashed server never sees the demand: no hit accounting, so the
     // estimator cannot attribute hidden load to a dead server.
     ++rejected_pages_;
-    obs_failed_.inc();
     if (tracer_) tracer_->record(sim_.now(), obs::TraceKind::kRequestFailed, req.domain, id_);
     if (req.on_fail) req.on_fail();
     return;
@@ -40,7 +38,6 @@ void WebServer::submit_page(PageRequest req) {
   lifetime_hits_[d] += static_cast<std::uint64_t>(req.hits);
 
   queue_.push_back(Job{std::move(req), sim_.now()});
-  update_queue_gauge();
   if (!busy_ && !paused_) start_next();
 }
 
@@ -87,11 +84,6 @@ void WebServer::set_crashed(bool crashed) {
 
   lost_pages_ += crash_pages;
   lost_hits_ += crash_hits;
-  obs_lost_pages_.inc(crash_pages);
-  obs_lost_hits_.inc(crash_hits);
-  obs_failed_.inc(crash_pages);
-  obs_busy_sec_.set(closed_busy_time_);
-  update_queue_gauge();
   if (tracer_) {
     tracer_->record(sim_.now(), obs::TraceKind::kServerCrash, id_,
                     static_cast<std::int32_t>(crash_pages),
@@ -126,15 +118,10 @@ void WebServer::finish_current() {
   response_time_.add(sim_.now() - current_.arrival);
   response_hist_.add(sim_.now() - current_.arrival);
 
-  obs_pages_.inc();
-  obs_hits_.inc(static_cast<std::uint64_t>(current_.req.hits));
-  obs_busy_sec_.set(closed_busy_time_);
-
   // Detach the completion callback before dequeueing the next job so a
   // callback that immediately submits another page sees consistent state.
   auto done = std::move(current_.req.on_complete);
   if (!queue_.empty() && !paused_) start_next();
-  update_queue_gauge();
   if (done) done();
 }
 
@@ -142,22 +129,6 @@ double WebServer::cumulative_busy_time(sim::SimTime now) const {
   double busy = closed_busy_time_;
   if (busy_) busy += std::min(now, service_end_) - service_start_;
   return busy;
-}
-
-void WebServer::bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer) {
-  tracer_ = tracer;
-  if (registry) {
-    const std::string prefix = "server." + std::to_string(id_) + ".";
-    obs_pages_ = registry->counter(prefix + "pages_completed");
-    obs_hits_ = registry->counter(prefix + "hits_completed");
-    obs_lost_pages_ = registry->counter(prefix + "lost_pages");
-    obs_lost_hits_ = registry->counter(prefix + "lost_hits");
-    obs_queue_depth_ = registry->gauge(prefix + "queue_depth");
-    obs_busy_sec_ = registry->gauge(prefix + "busy_sec");
-    // Shared cell: every server increments the same site-wide total of
-    // client-visible failures (rejected submissions + crash-dropped pages).
-    obs_failed_ = registry->counter("site.failed_requests");
-  }
 }
 
 std::vector<std::uint64_t> WebServer::drain_domain_hits() {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/event_tracer.h"
-#include "obs/metrics.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -76,9 +75,12 @@ class WebServer {
   /// Total busy seconds since construction, up to `now` (includes the
   /// in-progress service prorated to `now`).
   double cumulative_busy_time(sim::SimTime now) const;
+  /// Busy seconds of the services already ended (completed, or cut short
+  /// by a crash): cumulative_busy_time as of the last completion or crash.
+  double closed_busy_time() const { return closed_busy_time_; }
 
   /// Pages waiting or in service. This is the queue-depth convention used
-  /// everywhere (monitor reports, the "server.<id>.queue_depth" gauge):
+  /// everywhere (monitor reports, the "server.<id>.queue_depth" metric):
   /// the in-service page counts as queued work.
   std::size_t queue_length() const { return queue_.size() + (busy_ ? 1 : 0); }
 
@@ -108,13 +110,8 @@ class WebServer {
   /// queries; merge across servers for a site-wide view.
   const sim::Histogram& response_histogram() const { return response_hist_; }
 
-  /// Registers per-server instruments ("server.<id>.pages_completed",
-  /// "server.<id>.hits_completed", queue-depth and busy-seconds gauges,
-  /// "server.<id>.lost_pages"/"lost_hits" crash counters) plus the
-  /// site-wide "site.failed_requests" aggregate (shared cell across
-  /// servers), and wires pause/crash trace records (either argument may
-  /// be null).
-  void bind_observability(obs::MetricsRegistry* registry, obs::EventTracer* tracer);
+  /// Wires pause/crash/failure trace records onto `tracer` (may be null).
+  void bind_observability(obs::EventTracer* tracer) { tracer_ = tracer; }
 
  private:
   struct Job {
@@ -124,7 +121,6 @@ class WebServer {
 
   void start_next();
   void finish_current();
-  void update_queue_gauge() { obs_queue_depth_.set(static_cast<double>(queue_length())); }
 
   sim::Simulator& sim_;
   ServerId id_;
@@ -153,13 +149,6 @@ class WebServer {
   sim::RunningStat response_time_;
   sim::Histogram response_hist_{30.0, 3000};
 
-  obs::Counter obs_pages_;
-  obs::Counter obs_hits_;
-  obs::Counter obs_lost_pages_;
-  obs::Counter obs_lost_hits_;
-  obs::Counter obs_failed_;  // aggregate "site.failed_requests"
-  obs::Gauge obs_queue_depth_;
-  obs::Gauge obs_busy_sec_;
   obs::EventTracer* tracer_ = nullptr;
 };
 

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "experiment/sharded_site.h"
@@ -35,6 +36,8 @@ inline void check_slices_conservation(const experiment::SimulationConfig& cfg,
   std::uint64_t assigned = 0;
   std::uint64_t ns_auth = 0;
   std::uint64_t ns_hits = 0;
+  std::uint64_t ns_stale = 0;
+  std::uint64_t ns_failed = 0;
   std::uint64_t served_pages = 0;
   std::uint64_t served_hits = 0;
   std::uint64_t queued_pages = 0;
@@ -51,6 +54,8 @@ inline void check_slices_conservation(const experiment::SimulationConfig& cfg,
     for (const auto& ns : slice.name_servers) {
       ns_auth += ns->authoritative_queries();
       ns_hits += ns->cache_hits();
+      ns_stale += ns->stale_serves();
+      ns_failed += ns->failed_queries();
     }
     for (int s = 0; s < slice.cluster->size(); ++s) {
       const web::WebServer& sv = slice.cluster->server(s);
@@ -131,6 +136,39 @@ inline void check_slices_conservation(const experiment::SimulationConfig& cfg,
     EXPECT_GT(r.mean_ttl, 0.0);
   }
   EXPECT_GE(r.mean_page_response_sec, 0.0);
+
+  // ---- The metrics snapshot reports the same counters ----
+  if (r.metrics) {
+    const auto value = [&r](const std::string& name) {
+      const obs::MetricsSnapshot::Metric* m = r.metrics->find(name);
+      EXPECT_NE(m, nullptr) << name;
+      return m ? m->value : -1.0;
+    };
+    const auto sum_over_servers = [&](const char* suffix) {
+      double sum = 0.0;
+      for (int s = 0; s < cfg.cluster.size(); ++s) {
+        sum += value("server." + std::to_string(s) + "." + suffix);
+      }
+      return sum;
+    };
+    const auto count_of = [&r](const std::string& name) {
+      const obs::MetricsSnapshot::Metric* m = r.metrics->find(name);
+      EXPECT_NE(m, nullptr) << name;
+      return m ? m->count : ~std::uint64_t{0};
+    };
+    EXPECT_EQ(value("scheduler.decisions"), static_cast<double>(decisions));
+    EXPECT_EQ(value("ns.cache_hits"), static_cast<double>(ns_hits));
+    EXPECT_EQ(value("ns.authoritative_queries"), static_cast<double>(ns_auth));
+    EXPECT_EQ(value("ns.stale_serves"), static_cast<double>(ns_stale));
+    EXPECT_EQ(value("ns.failed_queries"), static_cast<double>(ns_failed));
+    EXPECT_EQ(sum_over_servers("pages_completed"), static_cast<double>(served_pages));
+    EXPECT_EQ(sum_over_servers("hits_completed"), static_cast<double>(served_hits));
+    EXPECT_EQ(sum_over_servers("lost_pages"), static_cast<double>(lost_pages));
+    EXPECT_EQ(sum_over_servers("lost_hits"), static_cast<double>(lost_hits));
+    EXPECT_EQ(value("site.failed_requests"), static_cast<double>(lost_pages + rejected_pages));
+    EXPECT_EQ(count_of("scheduler.ttl_sec"), decisions);
+    EXPECT_EQ(count_of("ns.effective_ttl_sec"), ns_auth);
+  }
 }
 
 inline void check_run_conservation(experiment::Site& site, const experiment::RunResult& r) {

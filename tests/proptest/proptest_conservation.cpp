@@ -25,7 +25,9 @@ TEST(ConservationProperty, RandomizedConfigs) {
   for_each_case("proptest_conservation", 100, [](PropertyCase& pc) {
     ConfigGen gen(pc.rng);
     const proptest::GeneratedConfig& gc = pc.attach(gen.draw(Profile::kShortRun));
-    experiment::Site site(gc.config());
+    experiment::SimulationConfig cfg = gc.config();
+    cfg.metrics_enabled = true;
+    experiment::Site site(cfg);
     const experiment::RunResult r = site.run();
     // Liveness: a generated config must actually exercise the pipeline —
     // a run with no traffic would satisfy every conservation law vacuously.
@@ -44,11 +46,11 @@ TEST(ConservationProperty, RandomizedShardedConfigs) {
     ConfigGen gen(pc.rng);
     const proptest::GeneratedConfig& gc = pc.attach(gen.draw(Profile::kShortRun));
     experiment::SimulationConfig cfg = gc.config();
-    // Sharded runs reject redirection and the obs backends; strip them
-    // rather than discarding the case so the draw distribution is kept.
+    // Sharded runs reject redirection; strip it rather than discarding the
+    // case so the draw distribution is kept. The metrics snapshot is on, so
+    // the checker also holds it to the slices' counters.
     cfg.redirect_enabled = false;
-    cfg.metrics_enabled = false;
-    cfg.trace_enabled = false;
+    cfg.metrics_enabled = true;
     cfg.shard_domains = true;
     cfg.shard_count = static_cast<int>(pc.rng.uniform_int(1, 6));
     experiment::ShardedSite site(cfg);

@@ -172,32 +172,34 @@ TEST(DnsdConcurrent, DecisionConservationAcrossShards) {
 }
 
 TEST(DnsdConcurrent, MetricsPublishWhileShardsRun) {
-  // publish_metrics() races the shard threads by design (atomic snapshots,
-  // registry written from this thread only) — TSan checks the claim.
+  // The daemon's metrics are the shards' own relaxed-atomic counters, read
+  // by another thread while the shards write them (the periodic stats
+  // lines do this) — TSan checks the claim. Each read is monotone.
   auto cfg = daemon_config(/*shards=*/2, /*batch=*/4);
   UdpDaemon daemon(cfg);
-  obs::MetricsRegistry registry;
-  daemon.bind_observability(&registry);
   daemon.start();
 
   std::thread client([&] { run_client(daemon.port(), 300, true, 1); });
+  std::vector<ShardStatsSnapshot> last(static_cast<std::size_t>(daemon.shards()));
   for (int i = 0; i < 50; ++i) {
-    daemon.publish_metrics();
+    for (int s = 0; s < daemon.shards(); ++s) {
+      const ShardStatsSnapshot now = daemon.shard_stats(s);
+      ShardStatsSnapshot& prev = last[static_cast<std::size_t>(s)];
+      EXPECT_GE(now.received, prev.received);
+      EXPECT_GE(now.answered, prev.answered);
+      EXPECT_GE(now.decisions, prev.decisions);
+      prev = now;
+    }
     (void)daemon.totals();
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   }
   client.join();
   daemon.stop();
-  daemon.publish_metrics();
 
-  const auto snap = registry.snapshot();
-  double published = 0;
-  for (int s = 0; s < daemon.shards(); ++s) {
-    const auto* m = snap.find("dnsd.shard" + std::to_string(s) + ".answered");
-    ASSERT_NE(m, nullptr) << "per-shard answered counter not registered";
-    published += m->value;
-  }
-  EXPECT_EQ(static_cast<std::uint64_t>(published), daemon.totals().answered);
+  std::uint64_t answered = 0;
+  for (int s = 0; s < daemon.shards(); ++s) answered += daemon.shard_stats(s).answered;
+  EXPECT_GT(answered, 0u);
+  EXPECT_EQ(answered, daemon.totals().answered);
 }
 
 TEST(DnsdConcurrent, MaxQueriesStopsAllShards) {

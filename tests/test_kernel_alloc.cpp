@@ -11,11 +11,12 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/policy_factory.h"
 #include "obs/event_tracer.h"
-#include "obs/metrics.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "sim/stats.h"
 
 namespace {
 
@@ -125,27 +126,30 @@ TEST(KernelAlloc, ReservedSimulatorRunAllocatesNothingPerEvent) {
 }
 
 TEST(KernelAlloc, MetricHandleUpdatesAllocateNothing) {
-  // Registration (wiring time) may allocate; the handle hot path must not.
-  obs::MetricsRegistry registry;
-  obs::Counter counter = registry.counter("test.counter");
-  obs::Gauge gauge = registry.gauge("test.gauge");
-  obs::HistogramHandle hist = registry.histogram("test.hist", 10.0, 64);
-  // Unbound (no-op) handles: the disabled-observability path.
-  obs::Counter unbound_counter;
-  obs::Gauge unbound_gauge;
-  obs::HistogramHandle unbound_hist;
+  // With metrics on, the only per-decision metric work is adding to the
+  // slice's preallocated histograms; the counters are the scheduler's own.
+  // Neither the bound nor the unbound (null) path may allocate.
+  core::AlarmRegistry alarms(3, 0.9);
+  Simulator sim;
+  RngStream rng(11);
+  core::SchedulerFactoryConfig fc;
+  fc.capacities = {100.0, 60.0, 30.0};
+  fc.initial_weights = {0.5, 0.3, 0.2};
+  core::SchedulerBundle bound = core::make_scheduler("DRR2-TTL/S_K", fc, alarms, sim, rng);
+  core::SchedulerBundle unbound = core::make_scheduler("DRR2-TTL/S_K", fc, alarms, sim, rng);
+  Histogram ttl(3600.0, 144);
+  Histogram eligible(4.0, 4);
+  bound.scheduler->bind_observability(nullptr, nullptr, &ttl, &eligible);
 
   const std::uint64_t before = allocations();
   for (int i = 0; i < 10000; ++i) {
-    counter.inc();
-    gauge.set(static_cast<double>(i));
-    hist.observe(static_cast<double>(i % 12));
-    unbound_counter.inc();
-    unbound_gauge.add(1.0);
-    unbound_hist.observe(0.5);
+    bound.scheduler->schedule(i % 3);
+    unbound.scheduler->schedule(i % 3);
   }
   EXPECT_EQ(allocations() - before, 0u) << "metric updates must not allocate";
-  EXPECT_EQ(counter.value(), 10000u);
+  EXPECT_EQ(ttl.count(), 10000u);
+  EXPECT_EQ(eligible.count(), 10000u);
+  EXPECT_EQ(eligible.counts()[3], 10000u);  // all three servers eligible
 }
 
 TEST(KernelAlloc, TracerRecordAllocatesNothing) {

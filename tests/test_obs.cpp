@@ -1,4 +1,4 @@
-// Observability layer: metrics registry semantics, tracer ring buffer and
+// Observability layer: the metrics snapshot, tracer ring buffer and
 // exporters, phase profiler, and end-to-end wiring through a Site run —
 // including the invariant that enabling observability never changes the
 // simulation results.
@@ -16,80 +16,109 @@
 #include "obs/event_tracer.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "sim/stats.h"
 
 namespace adattl {
 namespace {
 
-// ---------------------------------------------------------------- registry
+// ---------------------------------------------------------------- metrics
+//
+// The end-of-run MetricsSnapshot and the histograms behind it replaced a
+// registry of update-time handles; these tests keep that registry's suite
+// name and pin what replaced each of its guarantees.
+
+experiment::SimulationConfig obs_config();
 
 TEST(MetricsRegistry, CounterGaugeHistogramBasics) {
-  obs::MetricsRegistry registry;
-  obs::Counter c = registry.counter("c");
-  obs::Gauge g = registry.gauge("g");
-  obs::HistogramHandle h = registry.histogram("h", 10.0, 10);
+  // The histograms bin as the registry's cells did: equal bins over
+  // [0, upper) plus one overflow slot.
+  sim::Histogram h(10.0, 10);
+  h.add(0.5);    // bin 0
+  h.add(0.0);    // bin 0
+  h.add(9.99);   // bin 9
+  h.add(10.0);   // overflow
+  obs::MetricsSnapshot snap;
+  snap.add_counter("c", 42);
+  snap.add_gauge("g", 3.0);
+  snap.add_histogram("h", h);
 
-  c.inc();
-  c.inc(41);
-  g.set(2.5);
-  g.add(0.5);
-  h.observe(0.5);    // bin 0
-  h.observe(9.99);   // bin 9
-  h.observe(10.0);   // overflow
-  h.observe(-1.0);   // clamps to bin 0
-
-  EXPECT_EQ(c.value(), 42u);
-  EXPECT_DOUBLE_EQ(g.value(), 3.0);
-  EXPECT_EQ(h.cell().count, 4u);
-  EXPECT_EQ(h.cell().bins[0], 2u);
-  EXPECT_EQ(h.cell().bins[9], 1u);
-  EXPECT_EQ(h.cell().bins[10], 1u);  // overflow slot
-  EXPECT_EQ(registry.size(), 3u);
+  ASSERT_EQ(snap.metrics.size(), 3u);
+  EXPECT_EQ(snap.metrics[0].kind, obs::MetricKind::kCounter);
+  EXPECT_DOUBLE_EQ(snap.metrics[0].value, 42.0);
+  EXPECT_EQ(snap.metrics[1].kind, obs::MetricKind::kGauge);
+  EXPECT_DOUBLE_EQ(snap.metrics[1].value, 3.0);
+  const obs::MetricsSnapshot::Metric& hist = snap.metrics[2];
+  EXPECT_EQ(hist.kind, obs::MetricKind::kHistogram);
+  EXPECT_EQ(hist.count, 4u);
+  EXPECT_DOUBLE_EQ(hist.value, 4.0);
+  EXPECT_DOUBLE_EQ(hist.upper, 10.0);
+  ASSERT_EQ(hist.bins.size(), 11u);
+  EXPECT_EQ(hist.bins[0], 2u);
+  EXPECT_EQ(hist.bins[9], 1u);
+  EXPECT_EQ(hist.bins[10], 1u);  // overflow slot
+  EXPECT_THROW(h.add(-1.0), std::invalid_argument);
 }
 
 TEST(MetricsRegistry, SameNameSharesOneCell) {
-  // Per-instance components (e.g. 20 name servers) register the same name
-  // and must all hit one aggregate cell.
-  obs::MetricsRegistry registry;
-  obs::Counter a = registry.counter("ns.cache_hits");
-  obs::Counter b = registry.counter("ns.cache_hits");
-  a.inc();
-  b.inc();
-  EXPECT_EQ(a.value(), 2u);
-  EXPECT_EQ(b.value(), 2u);
-  EXPECT_EQ(registry.size(), 1u);
+  // A slice's name servers share one effective-TTL histogram, and each
+  // ns.* counter is the sum of the per-NS counters.
+  experiment::SimulationConfig config = obs_config();
+  config.ns_per_domain = 2;
+  config.metrics_enabled = true;
+  experiment::Site site(config);
+  const experiment::RunResult r = site.run();
+  ASSERT_NE(r.metrics, nullptr);
+
+  std::uint64_t hits = 0;
+  std::uint64_t queries = 0;
+  for (int d = 0; d < config.num_domains; ++d) {
+    for (int m = 0; m < config.ns_per_domain; ++m) {
+      hits += site.name_server(d, m).cache_hits();
+      queries += site.name_server(d, m).authoritative_queries();
+    }
+  }
+  EXPECT_GT(queries, 0u);
+  EXPECT_DOUBLE_EQ(r.metrics->find("ns.cache_hits")->value, static_cast<double>(hits));
+  EXPECT_DOUBLE_EQ(r.metrics->find("ns.authoritative_queries")->value,
+                   static_cast<double>(queries));
+  // Every cached mapping of every NS landed in the one histogram.
+  EXPECT_EQ(site.slices()[0].histograms->ns_ttl.count(), queries);
+  EXPECT_EQ(r.metrics->find("ns.effective_ttl_sec")->count, queries);
 }
 
 TEST(MetricsRegistry, KindMismatchThrows) {
-  obs::MetricsRegistry registry;
-  registry.counter("x");
-  EXPECT_THROW(registry.gauge("x"), std::invalid_argument);
-  EXPECT_THROW(registry.histogram("x", 1.0, 4), std::invalid_argument);
-  registry.histogram("h", 1.0, 4);
-  EXPECT_THROW(registry.histogram("h", 2.0, 4), std::invalid_argument);  // shape change
-  EXPECT_THROW(registry.histogram("h", 1.0, 8), std::invalid_argument);
+  // A name appears once, whatever its kind: the snapshot is a JSON object.
+  obs::MetricsSnapshot snap;
+  snap.add_counter("x", 1);
+  EXPECT_THROW(snap.add_gauge("x", 1.0), std::invalid_argument);
+  EXPECT_THROW(snap.add_histogram("x", sim::Histogram(1.0, 4)), std::invalid_argument);
+  EXPECT_EQ(snap.metrics.size(), 1u);
+  // Slices' histograms merge only when their shapes agree.
+  sim::Histogram h(1.0, 4);
+  EXPECT_THROW(h.merge(sim::Histogram(2.0, 4)), std::invalid_argument);
+  EXPECT_THROW(h.merge(sim::Histogram(1.0, 8)), std::invalid_argument);
 }
 
 TEST(MetricsRegistry, UnboundHandlesAreSafeNoOps) {
-  obs::Counter c;
-  obs::Gauge g;
-  obs::HistogramHandle h;
-  c.inc(7);
-  g.set(1.0);
-  h.observe(0.5);  // pure no-ops: no cell anywhere changes
-  EXPECT_EQ(c.value(), 0u);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.cell().count, 0u);
+  // With metrics off no slice allocates histograms, the components run
+  // with null pointers, and the result carries no snapshot.
+  experiment::SimulationConfig config = obs_config();
+  config.duration_sec = 120.0;
+  experiment::Site site(config);
+  const experiment::RunResult r = site.run();
+  EXPECT_EQ(site.slices()[0].histograms, nullptr);
+  EXPECT_EQ(r.metrics, nullptr);
+  EXPECT_GT(site.scheduler().decisions(), 0u);
 }
 
 TEST(MetricsRegistry, SnapshotDetachesAndFinds) {
-  obs::MetricsRegistry registry;
-  obs::Counter c = registry.counter("done");
-  obs::HistogramHandle h = registry.histogram("lat", 2.0, 4);
-  c.inc(3);
-  h.observe(1.0);
-  h.observe(5.0);
+  sim::Histogram h(2.0, 4);
+  h.add(1.0);
+  h.add(5.0);
+  obs::MetricsSnapshot snap;
+  snap.add_counter("done", 3);
+  snap.add_histogram("lat", h);
 
-  const obs::MetricsSnapshot snap = registry.snapshot();
   ASSERT_EQ(snap.metrics.size(), 2u);
   const obs::MetricsSnapshot::Metric* done = snap.find("done");
   ASSERT_NE(done, nullptr);
@@ -106,17 +135,20 @@ TEST(MetricsRegistry, SnapshotDetachesAndFinds) {
 
   EXPECT_EQ(snap.find("missing"), nullptr);
 
-  // Detached: later updates don't retroactively change the snapshot.
-  c.inc();
-  EXPECT_DOUBLE_EQ(snap.find("done")->value, 3.0);
+  // Detached: later samples don't retroactively change the snapshot.
+  h.add(0.1);
+  EXPECT_EQ(snap.find("lat")->count, 2u);
+  EXPECT_EQ(snap.find("lat")->bins[0], 0u);
 }
 
 TEST(MetricsRegistry, SnapshotSerializesAsJson) {
-  obs::MetricsRegistry registry;
-  registry.counter("a.count").inc(5);
-  registry.gauge("b.depth").set(1.5);
-  registry.histogram("c.lat", 1.0, 2).observe(0.3);
-  const std::string json = experiment::metrics_to_json(registry.snapshot());
+  sim::Histogram h(1.0, 2);
+  h.add(0.3);
+  obs::MetricsSnapshot snap;
+  snap.add_counter("a.count", 5);
+  snap.add_gauge("b.depth", 1.5);
+  snap.add_histogram("c.lat", h);
+  const std::string json = experiment::metrics_to_json(snap);
   EXPECT_NE(json.find("\"a.count\":{\"kind\":\"counter\",\"value\":5}"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"b.depth\":{\"kind\":\"gauge\",\"value\":1.5}"), std::string::npos)
@@ -124,6 +156,9 @@ TEST(MetricsRegistry, SnapshotSerializesAsJson) {
   EXPECT_NE(json.find("\"c.lat\":{\"kind\":\"histogram\",\"count\":1"), std::string::npos)
       << json;
   EXPECT_NE(json.find("\"bins\":[1,0,0]"), std::string::npos) << json;
+  // Names keep the order they were added in.
+  EXPECT_LT(json.find("a.count"), json.find("b.depth"));
+  EXPECT_LT(json.find("b.depth"), json.find("c.lat"));
 }
 
 // ----------------------------------------------------------------- tracer

@@ -151,7 +151,6 @@ const std::map<std::string, std::string>& sample_values() {
       {"dnsd-batch", "8"},
       {"dnsd-ecs", "false"},
       {"metrics", "true"},
-      {"event-trace", "true"},
       {"trace-capacity", "1024"},
       {"duration", "1234"},
       {"warmup", "111"},

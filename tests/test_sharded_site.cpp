@@ -223,6 +223,60 @@ TEST(ShardedSite, ConservationHoldsWithFaultsAndGeo) {
   EXPECT_GT(r.failed_requests, 0u);
 }
 
+TEST(ShardedSite, MetricsSnapshotSumsTheShards) {
+  // Metrics change nothing the shards compute, and the snapshot reports
+  // what they counted: split state summed over the shards, replicated
+  // state (alarms, fault events) once, under a Site's names and order.
+  SimulationConfig cfg = sharded_config();
+  fault::CrashWindow crash;
+  crash.start_sec = 600.0;
+  crash.duration_sec = 300.0;
+  crash.server = 0;
+  cfg.faults.crashes.push_back(crash);
+  SimulationConfig on_cfg = cfg;
+  on_cfg.metrics_enabled = true;
+  ShardedSite off(cfg);
+  ShardedSite on(on_cfg);
+  const RunResult a = off.run();
+  const RunResult b = on.run();
+  expect_bit_identical(a, b);
+  EXPECT_EQ(a.metrics, nullptr);
+  ASSERT_NE(b.metrics, nullptr);
+  proptest::check_sharded_run_conservation(on, b);
+
+  const obs::MetricsSnapshot& m = *b.metrics;
+  EXPECT_EQ(m.find("scheduler.decisions")->value, static_cast<double>(b.authoritative_queries));
+  EXPECT_EQ(m.find("ns.cache_hits")->value, static_cast<double>(b.ns_cache_hits));
+  EXPECT_EQ(m.find("kernel.events_dispatched")->value,
+            static_cast<double>(b.events_dispatched));
+  EXPECT_EQ(m.find("alarms.alarm_signals")->value + m.find("alarms.normal_signals")->value,
+            static_cast<double>(b.alarm_signals));
+  EXPECT_EQ(m.find("fault.events")->value, 2.0);  // the crash and the recovery
+  EXPECT_GT(m.find("server.0.lost_pages")->value, 0.0);
+  for (int i = 0; i < cfg.cluster.size(); ++i) {
+    std::size_t queue = 0;
+    double busy = 0.0;
+    for (int s = 0; s < on.shard_count(); ++s) {
+      queue += on.shard(s).cluster->server(i).queue_length();
+      busy += on.shard(s).cluster->server(i).closed_busy_time();
+    }
+    const std::string prefix = "server." + std::to_string(i) + ".";
+    EXPECT_EQ(m.find(prefix + "queue_depth")->value, static_cast<double>(queue));
+    EXPECT_EQ(m.find(prefix + "busy_sec")->value, busy);
+  }
+
+  SimulationConfig serial_cfg = on_cfg;
+  serial_cfg.shard_domains = false;
+  serial_cfg.duration_sec = 60.0;
+  const RunResult serial = Site(serial_cfg).run();
+  ASSERT_NE(serial.metrics, nullptr);
+  ASSERT_EQ(serial.metrics->metrics.size(), m.metrics.size());
+  for (std::size_t k = 0; k < m.metrics.size(); ++k) {
+    EXPECT_EQ(serial.metrics->metrics[k].name, m.metrics[k].name);
+    EXPECT_EQ(serial.metrics->metrics[k].kind, m.metrics[k].kind);
+  }
+}
+
 TEST(ShardedSite, TracksUnshardedRunWithinTolerance) {
   // Sharded mode is a documented approximation (full-capacity replicas
   // under-model cross-shard queueing), but at the paper's operating point

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "experiment/site.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
+#include "web/cluster.h"
 
 namespace adattl::web {
 namespace {
@@ -145,20 +149,37 @@ TEST_F(WebServerTest, ResponseTimeIncludesQueueing) {
 }
 
 TEST_F(WebServerTest, QueueDepthGaugeMatchesQueueLengthConvention) {
-  // The "server.<id>.queue_depth" gauge follows queue_length(): waiting
-  // pages PLUS the in-service one. This pins the convention so monitor
-  // reports and the metrics registry can never drift apart again.
-  obs::MetricsRegistry registry;
+  // The "server.<id>.queue_depth" metric is queue_length(): waiting pages
+  // PLUS the in-service one, the convention monitor reports use too.
   WebServer s(simulator, 0, 100.0, 1, rng.split());
-  s.bind_observability(&registry, nullptr);
-  const obs::Gauge depth = registry.gauge("server.0.queue_depth");
   s.submit_page(PageRequest{0, 5, nullptr});  // in service
   s.submit_page(PageRequest{0, 5, nullptr});  // waiting
-  EXPECT_EQ(s.queue_length(), 2u);
-  EXPECT_DOUBLE_EQ(depth.value(), 2.0);  // not 1: the in-service page counts
-  simulator.run();
-  EXPECT_EQ(s.queue_length(), 0u);
-  EXPECT_DOUBLE_EQ(depth.value(), 0.0);
+  EXPECT_EQ(s.queue_length(), 2u);  // not 1: the in-service page counts
+
+  // Cut off mid-run, the site's snapshot reports each server's
+  // queue_length() and its busy time closed at the last completion.
+  experiment::SimulationConfig config;
+  config.cluster = table2_cluster(35);
+  config.num_domains = 8;
+  config.total_clients = 300;
+  config.warmup_sec = 0.0;
+  config.duration_sec = 300.0;
+  config.seed = 5;
+  config.metrics_enabled = true;
+  experiment::Site site(config);
+  const experiment::RunResult r = site.run();
+  ASSERT_NE(r.metrics, nullptr);
+  std::size_t queued = 0;
+  for (int i = 0; i < site.cluster().size(); ++i) {
+    const WebServer& server = site.cluster().server(i);
+    const std::string prefix = "server." + std::to_string(i) + ".";
+    EXPECT_DOUBLE_EQ(r.metrics->find(prefix + "queue_depth")->value,
+                     static_cast<double>(server.queue_length()));
+    EXPECT_EQ(r.metrics->find(prefix + "busy_sec")->value, server.closed_busy_time());
+    EXPECT_LE(server.closed_busy_time(), server.cumulative_busy_time(site.simulator().now()));
+    queued += server.queue_length();
+  }
+  EXPECT_GT(queued, 0u);  // some page was in service at the horizon
 }
 
 TEST_F(WebServerTest, CrashDropsQueueAndCountsLostWork) {

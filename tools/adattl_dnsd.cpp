@@ -15,8 +15,10 @@
 // Registry knobs (--dnsd-port/--dnsd-shards/--dnsd-batch/--dnsd-ecs plus
 // --policy/--domains/--seed) resolve through the parameter registry:
 // scenario files, ADATTL_* env overrides and --help all work here exactly
-// as in run_scenario. Daemon-only flags (--name, --servers, --max-queries,
-// --duration, --stats-interval) are listed below.
+// as in run_scenario. Any other registry knob set on the command line or
+// in a scenario file exits 2 instead of being ignored. Daemon-only flags
+// (--name, --servers, --max-queries, --duration, --stats-interval) are
+// listed below.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 
@@ -24,20 +26,24 @@
 #include <csignal>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "dnswire/daemon.h"
 #include "experiment/cli.h"
+#include "experiment/param_registry.h"
 #include "flag_number.h"
-#include "obs/metrics.h"
 
 using namespace adattl;
 
 namespace {
 
 constexpr const char* kTool = "adattl_dnsd";
+/// The registry knobs the daemon reads; every other one would be ignored.
+const std::set<std::string> kDaemonKnobs = {"dnsd-port", "dnsd-shards", "dnsd-batch",
+                                            "dnsd-ecs",  "policy",      "domains", "seed"};
 dnswire::UdpDaemon* g_daemon = nullptr;
 volatile std::sig_atomic_t g_stop = 0;
 
@@ -135,14 +141,31 @@ int main(int argc, char** argv) {
     }
   }
 
-  experiment::CliOptions opt;
+  experiment::ConfigResolution resolution;
   try {
-    opt = experiment::parse_cli(registry_args);
+    resolution = experiment::resolve_config(registry_args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "adattl_dnsd: %s\n", e.what());
     usage();
     return 2;
   }
+  // The ADATTL_* environment layer is not checked: benchmark shells export
+  // knobs such as ADATTL_DURATION_SEC for the other tools.
+  bool unread = false;
+  for (const auto& [knob, source] : resolution.provenance) {
+    if ((source.layer == experiment::ParamLayer::kCli ||
+         source.layer == experiment::ParamLayer::kScenario) &&
+        kDaemonKnobs.count(knob) == 0) {
+      std::fprintf(stderr, "adattl_dnsd: knob '%s' (set by %s) is not read by the daemon\n",
+                   knob.c_str(), experiment::param_layer_name(source.layer));
+      unread = true;
+    }
+  }
+  if (unread) {
+    usage();
+    return 2;
+  }
+  const experiment::CliOptions& opt = resolution.options;
 
   dnswire::DaemonConfig cfg;
   cfg.site_name = name;
@@ -168,7 +191,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  obs::MetricsRegistry registry;
   std::unique_ptr<dnswire::UdpDaemon> daemon;
   try {
     daemon = std::make_unique<dnswire::UdpDaemon>(cfg);
@@ -176,8 +198,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "adattl_dnsd: %s\n", e.what());
     return 1;
   }
-  daemon->bind_observability(&registry);
-
   g_daemon = daemon.get();
   std::signal(SIGINT, on_signal);
   std::signal(SIGTERM, on_signal);
@@ -202,7 +222,6 @@ int main(int argc, char** argv) {
       break;
     }
     if (stats_interval_sec > 0 && now >= next_stats) {
-      daemon->publish_metrics();
       print_stats(*daemon);
       next_stats = now + std::chrono::duration<double>(stats_interval_sec);
     }
@@ -210,7 +229,6 @@ int main(int argc, char** argv) {
   daemon->stop();
   g_daemon = nullptr;
 
-  daemon->publish_metrics();
   print_stats(*daemon);
   const dnswire::ShardStatsSnapshot t = daemon->totals();
   std::fprintf(stderr, "adattl_dnsd: served %llu, refused %llu, kernel-drops %llu\n",
