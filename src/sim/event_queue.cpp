@@ -1,6 +1,6 @@
 #include "sim/event_queue.h"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 
 namespace adattl::sim {
@@ -14,6 +14,27 @@ constexpr std::size_t kArity = 4;
 
 constexpr std::size_t parent_of(std::size_t i) { return (i - 1) / kArity; }
 constexpr std::size_t first_child_of(std::size_t i) { return kArity * i + 1; }
+
+// The strict (time, seq) order as one unsigned compare: ties on time fall
+// through to seq in the low half, with no branch on either.
+__extension__ using Key = unsigned __int128;
+
+template <typename Item>
+Key key_of(const Item& item) {
+  return (static_cast<Key>(item.time_key) << 64) | item.seq;
+}
+
+std::uint64_t time_key(SimTime t) {
+  // -0.0 == 0.0, so they must tie (and fall back to seq); their bit
+  // patterns differ. Then flip the sign bit of a non-negative time and
+  // every bit of a negative one: unsigned order becomes numeric order.
+  const auto bits = std::bit_cast<std::uint64_t>(t == 0.0 ? 0.0 : t);
+  return bits ^ ((0 - (bits >> 63)) | (std::uint64_t{1} << 63));
+}
+
+SimTime time_of(std::uint64_t key) {
+  return std::bit_cast<SimTime>(key ^ (((key >> 63) - 1) | (std::uint64_t{1} << 63)));
+}
 
 }  // namespace
 
@@ -36,7 +57,7 @@ std::uint32_t EventQueue::acquire_slot() {
 void EventQueue::release_slot(std::uint32_t slot) {
   Slot& s = slots_[slot];
   s.cb.reset();
-  s.heap_pos = kFreePos;
+  s.seq = 0;  // turns the event's heap entry, if still there, into a tombstone
   if (++s.gen == 0) s.gen = 1;  // generation 0 is reserved for "never valid"
   free_slots_.push_back(slot);
 }
@@ -46,10 +67,21 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb) {
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
-  const HeapItem item{at, next_seq_++, slot};
-  heap_.push_back(item);
-  if (heap_.size() > peak_size_) peak_size_ = heap_.size();
-  sift_up_hole(heap_.size() - 1, item);
+  s.seq = next_seq_++;
+  const HeapItem item{time_key(at), s.seq, slot};
+  if (root_vacant_) {
+    // The first successor of a firing event takes its root.
+    root_vacant_ = false;
+    sift_down(0, item);
+  } else {
+    const std::size_t tombstones = heap_.size() - live_;
+    if (heap_.size() == heap_.capacity() && tombstones > 0 && tombstones >= heap_.size() / 4) {
+      compact();
+    }
+    heap_.push_back(item);
+    sift_up(heap_.size() - 1, item);
+  }
+  if (++live_ > peak_size_) peak_size_ = live_;
   return EventHandle{(static_cast<std::uint64_t>(slot) << 32) | s.gen};
 }
 
@@ -58,80 +90,122 @@ bool EventQueue::cancel(EventHandle h) {
   const auto slot = static_cast<std::uint32_t>(h.id >> 32);
   const auto gen = static_cast<std::uint32_t>(h.id);
   if (slot >= slots_.size()) return false;
-  Slot& s = slots_[slot];
+  const Slot& s = slots_[slot];
   // A released slot bumped its generation, so a stale handle mismatches
   // even after the slot was recycled for a newer event.
-  if (s.gen != gen || s.heap_pos == kFreePos) return false;
-  const std::size_t pos = s.heap_pos;
+  if (s.gen != gen || s.seq == 0) return false;
   release_slot(slot);
-  remove_at(pos);
+  --live_;
   ++cancels_;
+  // A vacant root is the firing event's hole, not a tombstone.
+  if (!root_vacant_) drop_dead_root();
   return true;
 }
 
 SimTime EventQueue::next_time() const {
-  assert(!heap_.empty());
-  return heap_.front().time;
+  assert(live_ > 0 && !root_vacant_);
+  return time_of(heap_.front().time_key);
 }
 
 std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
-  assert(!heap_.empty());
+  assert(live_ > 0 && !root_vacant_);
   const HeapItem top = heap_.front();
   Callback cb = std::move(slots_[top.slot].cb);
   release_slot(top.slot);
-  remove_at(0);
-  return {top.time, std::move(cb)};
+  --live_;
+  remove_root();
+  drop_dead_root();
+  return {time_of(top.time_key), std::move(cb)};
 }
 
-void EventQueue::remove_at(std::size_t pos) {
-  const std::size_t last = heap_.size() - 1;
-  if (pos == last) {
-    heap_.pop_back();
-    return;
+void EventQueue::fire_next(SimTime& now) {
+  assert(live_ > 0 && !root_vacant_);
+  const HeapItem top = heap_.front();
+  Callback cb = std::move(slots_[top.slot].cb);
+  release_slot(top.slot);
+  --live_;
+  now = time_of(top.time_key);
+  root_vacant_ = true;
+  try {
+    cb();
+  } catch (...) {
+    finish_fire();
+    throw;
   }
-  const HeapItem item = heap_[last];
+  finish_fire();
+}
+
+void EventQueue::finish_fire() {
+  if (root_vacant_) {
+    root_vacant_ = false;
+    remove_root();
+  }
+  // A successor that took the root may have lifted a tombstone above it.
+  drop_dead_root();
+}
+
+void EventQueue::remove_root() {
+  const HeapItem last = heap_.back();
   heap_.pop_back();
-  // Re-insert the displaced tail entry at the hole; it may need to travel
-  // either direction when the hole came from a cancel mid-heap.
-  if (pos > 0 && later(heap_[parent_of(pos)], item)) {
-    sift_up_hole(pos, item);
-  } else {
-    sift_down_hole(pos, item);
-  }
+  if (!heap_.empty()) sift_down(0, last);
 }
 
-void EventQueue::sift_up_hole(std::size_t hole, const HeapItem& item) {
+void EventQueue::drop_dead_root() {
+  // Outside a firing callback's vacancy, only tombstones make the heap
+  // longer than the live count; without them no slot needs a look.
+  while (heap_.size() > live_ && dead(heap_.front())) remove_root();
+}
+
+void EventQueue::compact() {
+  std::size_t n = 0;
+  for (const HeapItem& item : heap_) {
+    if (!dead(item)) heap_[n++] = item;
+  }
+  heap_.resize(n);
+  // Floyd heapify. The item is copied out first: sift_down writes the hole.
+  if (n < 2) return;
+  for (std::size_t i = parent_of(n - 1) + 1; i-- > 0;) sift_down(i, heap_[i]);
+}
+
+void EventQueue::sift_up(std::size_t hole, HeapItem item) {
   // Hole insertion: shift ancestors down one move each until `item` fits,
-  // then write it once — no three-move swaps, no slot updates for `item`
-  // until its final position is known.
+  // then write it once — no three-move swaps.
+  HeapItem* const h = heap_.data();
+  const Key k = key_of(item);
   while (hole > 0) {
     const std::size_t parent = parent_of(hole);
-    if (!later(heap_[parent], item)) break;
-    heap_[hole] = heap_[parent];
-    slots_[heap_[hole].slot].heap_pos = static_cast<std::uint32_t>(hole);
+    if (!(k < key_of(h[parent]))) break;
+    h[hole] = h[parent];
     hole = parent;
   }
-  heap_[hole] = item;
-  slots_[item.slot].heap_pos = static_cast<std::uint32_t>(hole);
+  h[hole] = item;
 }
 
-void EventQueue::sift_down_hole(std::size_t hole, const HeapItem& item) {
+void EventQueue::sift_down(std::size_t hole, HeapItem item) {
+  HeapItem* const h = heap_.data();
   const std::size_t n = heap_.size();
+  const Key k = key_of(item);
   for (;;) {
     const std::size_t first = first_child_of(hole);
-    if (first >= n) break;
-    std::size_t best = first;
-    const std::size_t end = std::min(first + kArity, n);
-    for (std::size_t c = first + 1; c < end; ++c) {
-      if (later(heap_[best], heap_[c])) best = c;
+    std::size_t best;
+    if (first + kArity <= n) {
+      // A full family: a two-round tournament on index arithmetic, so the
+      // random event times never steer a branch.
+      const std::size_t a = first + (key_of(h[first + 1]) < key_of(h[first]));
+      const std::size_t b = first + 2 + (key_of(h[first + 3]) < key_of(h[first + 2]));
+      best = a ^ ((a ^ b) & (0 - static_cast<std::size_t>(key_of(h[b]) < key_of(h[a]))));
+    } else {
+      if (first >= n) break;
+      best = first;
+      for (std::size_t c = first + 1; c < n; ++c) {
+        if (key_of(h[c]) < key_of(h[best])) best = c;
+      }
     }
-    if (!later(item, heap_[best])) break;
-    heap_[hole] = heap_[best];
-    slots_[heap_[hole].slot].heap_pos = static_cast<std::uint32_t>(hole);
+    if (!(key_of(h[best]) < k)) break;
+    h[hole] = h[best];
     hole = best;
   }
-  heap_[hole] = item;
-  slots_[item.slot].heap_pos = static_cast<std::uint32_t>(hole);
+  h[hole] = item;
 }
 
 }  // namespace adattl::sim

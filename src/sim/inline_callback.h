@@ -15,23 +15,27 @@ namespace adattl::sim {
 /// continuations, server completions, monitor ticks, TTL expirations,
 /// redirected page deliveries) fits in the inline buffer, so steady-state
 /// event scheduling performs **zero heap allocations**. The buffer is sized
-/// for the largest kernel capture — the redirecting dispatcher's
-/// `[this, ServerId, PageRequest]` lambda — and kernel call sites pin that
-/// invariant with `assert_inline()` static asserts. Oversized *user*
-/// callbacks still work: they fall back to a heap box, they just are not
-/// allocation-free.
+/// for the largest kernel captures — `[t, shift]` and `[t, ev]` for rate
+/// changes and MRL's `[this, i, rate, expiry]` — and kernel call sites pin
+/// that invariant with `assert_inline()` static asserts. A kernel event
+/// that needs more state parks it with its owner and captures `this` (the
+/// redirecting dispatcher keeps its delayed pages in a FIFO). Oversized
+/// *user* callbacks still work: they fall back to a heap box, they just are
+/// not allocation-free.
 ///
 /// Moves are destructive relocations (move-construct + destroy source);
 /// trivially copyable captures relocate via `memcpy`, which is what the
-/// event heap's sift loops rely on for cheap entry motion.
+/// event queue relies on when it moves a firing callback out of its slot.
 class InlineCallback {
  public:
-  /// Inline capture budget in bytes. 88 = sizeof the redirecting
-  /// dispatcher's capture (`this` + ServerId + PageRequest with its
-  /// std::function completion and failure callbacks), the largest closure
-  /// the kernel schedules.
-  static constexpr std::size_t kInlineSize = 88;
-  static constexpr std::size_t kInlineAlign = alignof(std::max_align_t);
+  /// Inline capture budget in bytes: four 8-byte words, the largest
+  /// closures the kernel schedules. With the ops pointer a callback is 40
+  /// bytes, so an event-queue slot (callback, seq, generation) is 56 and
+  /// fits one cache line.
+  static constexpr std::size_t kInlineSize = 32;
+  /// Pointers and doubles are all the kernel captures; a more strictly
+  /// aligned capture is boxed.
+  static constexpr std::size_t kInlineAlign = alignof(double);
 
   /// True if a callable of type F is stored inline (no heap allocation).
   template <typename F>

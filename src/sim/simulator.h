@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 
@@ -24,20 +25,29 @@ class Simulator {
   SimTime now() const { return now_; }
 
   /// Schedules `cb` to run at absolute time `at`; throws std::invalid_argument
-  /// if `at` lies in the past.
+  /// if `at` lies in the past or is NaN (+inf is legal).
   EventHandle at(SimTime at, EventQueue::Callback cb) {
-    if (at < now_) throw std::invalid_argument("Simulator::at: time in the past");
+    // Negated so NaN fails too: it compares false either way, and a NaN
+    // event would sit at the root and stop every later run_until().
+    if (!(at >= now_)) {
+      throw std::invalid_argument(std::isnan(at) ? "Simulator::at: NaN time"
+                                                 : "Simulator::at: time in the past");
+    }
     return queue_.schedule(at, std::move(cb));
   }
 
-  /// Schedules `cb` to run `delay` seconds from now; negative delays throw.
+  /// Schedules `cb` to run `delay` seconds from now; negative or NaN
+  /// delays throw.
   ///
   /// This is the kernel's dominant scheduling pattern (think times, service
   /// completions, RTT legs), so it validates the delay sign directly:
   /// `now_ + delay >= now_` holds for any delay >= 0 under IEEE rounding,
   /// which skips the redundant absolute past-time comparison in at().
   EventHandle after(SimTime delay, EventQueue::Callback cb) {
-    if (delay < 0.0) throw std::invalid_argument("Simulator::after: negative delay");
+    if (!(delay >= 0.0)) {
+      throw std::invalid_argument(std::isnan(delay) ? "Simulator::after: NaN delay"
+                                                    : "Simulator::after: negative delay");
+    }
     return queue_.schedule(now_ + delay, std::move(cb));
   }
 
@@ -69,6 +79,10 @@ class Simulator {
   void reserve(std::size_t n) { queue_.reserve(n); }
 
  private:
+  /// The one dispatch loop: fires events in place while the earliest is
+  /// at or before `end`.
+  std::uint64_t dispatch(SimTime end);
+
   EventQueue queue_;
   SimTime now_ = 0.0;
   std::uint64_t dispatched_ = 0;

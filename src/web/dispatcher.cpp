@@ -48,18 +48,24 @@ void RedirectingDispatcher::dispatch(ServerId target, PageRequest request) {
     if (alternative >= 0 && alternative != target) {
       ++redirects_;
       // One extra hop; never redirected again (the alternative queues it
-      // whatever its state — no ping-pong).
-      // Largest capture the kernel schedules: this + ServerId + PageRequest.
-      // InlineCallback::kInlineSize is sized for it; the assert keeps it so.
-      sim_.after(redirect_delay_sec_,
-                 sim::assert_inline([this, alternative, req = std::move(request)]() mutable {
-                   cluster_.server(alternative).submit_page(std::move(req));
-                 }));
+      // whatever its state — no ping-pong). The page waits here rather
+      // than in the event: a PageRequest with its two std::functions would
+      // not fit InlineCallback's buffer.
+      parked_.emplace_back(alternative, std::move(request));
+      sim_.after(redirect_delay_sec_, sim::assert_inline([this] { deliver_parked(); }));
       return;
     }
   }
   ++direct_;
   cluster_.server(target).submit_page(std::move(request));
+}
+
+void RedirectingDispatcher::deliver_parked() {
+  // Every delivery event fires after the same delay, in scheduling order,
+  // so the oldest parked page is this event's page.
+  auto [server, request] = std::move(parked_.front());
+  parked_.pop_front();
+  cluster_.server(server).submit_page(std::move(request));
 }
 
 }  // namespace adattl::web

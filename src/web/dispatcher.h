@@ -1,6 +1,8 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
+#include <utility>
 
 #include "sim/simulator.h"
 #include "web/cluster.h"
@@ -45,6 +47,11 @@ class DirectDispatcher : public PageDispatcher {
 /// Redirection acts on the *queue the DNS cannot see*, so it composes
 /// with any DNS policy; the redirection ablation measures how much of the
 /// adaptive-TTL gap this second-level mechanism closes.
+///
+/// A redirected page waits in a FIFO owned by the dispatcher, and the
+/// delivery event captures only `this`. The FIFO order is exact: every
+/// redirect waits the same delay on a monotone clock, and events at equal
+/// times fire in scheduling order.
 class RedirectingDispatcher : public PageDispatcher {
  public:
   RedirectingDispatcher(sim::Simulator& sim, Cluster& cluster, double max_wait_sec,
@@ -61,6 +68,8 @@ class RedirectingDispatcher : public PageDispatcher {
  private:
   /// Least-backlog non-crashed server, or -1 when the whole site is down.
   ServerId least_loaded() const;
+  /// Hands the oldest parked page to its server (one delivery event).
+  void deliver_parked();
 
   sim::Simulator& sim_;
   Cluster& cluster_;
@@ -69,6 +78,8 @@ class RedirectingDispatcher : public PageDispatcher {
   double mean_hits_per_page_;
   std::uint64_t redirects_ = 0;
   std::uint64_t direct_ = 0;
+  /// Redirected pages in flight, oldest first, with their destination.
+  std::deque<std::pair<ServerId, PageRequest>> parked_;
 };
 
 }  // namespace adattl::web

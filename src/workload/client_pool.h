@@ -38,9 +38,9 @@ struct SessionProfile {
 };
 
 /// The entire client population of one simulation as a single pooled
-/// object: one contiguous vector of ~112-byte records (per-client RNG
+/// object: one contiguous vector of 120-byte records (per-client RNG
 /// state, session counters, the page in flight) instead of a heap
-/// allocation per client. At a million clients that is one ~110 MB
+/// allocation per client. At a million clients that is one ~120 MB
 /// allocation, iterated cache-linearly for end-of-run aggregation, and
 /// every simulator callback captures just {pool, index} — small enough for
 /// both the kernel's InlineCallback SBO and std::function's.

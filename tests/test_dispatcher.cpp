@@ -88,6 +88,30 @@ TEST(RedirectingDispatcher, NoPingPongWhenEveryoneIsLoaded) {
   EXPECT_GE(total, 58u);  // nothing got lost (some service may have started)
 }
 
+TEST(RedirectingDispatcher, ParkedPagesReachTheServerChosenAtDispatch) {
+  Rig rig;
+  web::RedirectingDispatcher d(rig.simulator, rig.cluster, 0.5, 0.1, 10.0);
+  for (int i = 0; i < 10; ++i) rig.cluster.server(0).submit_page({0, 10, nullptr});  // 1 s
+  // Servers 1 and 2 are both idle: the tie goes to server 1.
+  bool a_done = false;
+  d.dispatch(0, web::PageRequest{1, 10, [&a_done] { a_done = true; }});
+  // Now server 1 is the busier one, so the next redirect picks server 2,
+  // while the first page is still parked.
+  rig.simulator.run_until(0.05);
+  for (int i = 0; i < 20; ++i) rig.cluster.server(1).submit_page({0, 10, nullptr});  // 2 s
+  d.dispatch(0, web::PageRequest{1, 5, nullptr});
+  EXPECT_EQ(d.redirects(), 2u);
+  EXPECT_EQ(rig.cluster.server(1).lifetime_domain_hits()[1], 0u);
+  EXPECT_EQ(rig.cluster.server(2).lifetime_domain_hits()[1], 0u);
+
+  rig.simulator.run_until(0.2);
+  EXPECT_EQ(rig.cluster.server(1).lifetime_domain_hits()[1], 10u);
+  EXPECT_EQ(rig.cluster.server(2).lifetime_domain_hits()[1], 5u);
+  // The page carried its completion callback through the wait.
+  rig.simulator.run_until(10.0);
+  EXPECT_TRUE(a_done);
+}
+
 TEST(RedirectingDispatcher, TargetAlreadyLeastLoadedIsNotRedirected) {
   Rig rig;
   web::RedirectingDispatcher d(rig.simulator, rig.cluster, 0.1, 0.0, 10.0);

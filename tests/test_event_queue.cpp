@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 namespace adattl::sim {
@@ -121,6 +122,110 @@ TEST(EventQueue, HandlesAreDistinct) {
   EventHandle a = q.schedule(1.0, [] {});
   EventHandle b = q.schedule(1.0, [] {});
   EXPECT_FALSE(a == b);
+}
+
+TEST(EventQueue, NegativeZeroOrdersAsZero) {
+  // -0.0 == 0.0, so the two tie and fire in insertion order; a compare on
+  // raw bit patterns would put -0.0 after every positive time.
+  EventQueue q;
+  std::vector<int> fired;
+  q.schedule(0.0, [&] { fired.push_back(0); });
+  q.schedule(1.0, [&] { fired.push_back(2); });
+  q.schedule(-0.0, [&] { fired.push_back(1); });
+  q.schedule(-1.0, [&] { fired.push_back(-1); });
+  while (!q.empty()) {
+    auto [t, cb] = q.pop();
+    cb();
+    if (fired.back() == 1) {
+      EXPECT_EQ(t, 0.0);
+    }
+  }
+  EXPECT_EQ(fired, (std::vector<int>{-1, 0, 1, 2}));
+}
+
+TEST(EventQueue, FireNextRunsEventsInOrderAndSetsTheClock) {
+  EventQueue q;
+  SimTime now = 0.0;
+  std::vector<double> seen;
+  q.schedule(2.0, [&] { seen.push_back(now); });
+  q.schedule(1.0, [&] {
+    seen.push_back(now);
+    // The first successor takes the vacant root; the second is appended.
+    q.schedule(now + 3.0, [&] { seen.push_back(now); });
+    q.schedule(now, [&] { seen.push_back(-now); });
+  });
+  while (!q.empty()) q.fire_next(now);
+  EXPECT_EQ(seen, (std::vector<double>{1.0, -1.0, 2.0, 4.0}));
+  EXPECT_EQ(q.peak_size(), 3u);
+}
+
+TEST(EventQueue, CancelFromFiringCallbackKeepsTheVacantRoot) {
+  EventQueue q;
+  SimTime now = 0.0;
+  std::vector<int> fired;
+  EventHandle victim = q.schedule(3.0, [&] { fired.push_back(3); });
+  q.schedule(2.0, [&] { fired.push_back(2); });
+  q.schedule(1.0, [&] {
+    // Cancelled while the root is vacant: the hole must survive for the
+    // successor scheduled next.
+    EXPECT_TRUE(q.cancel(victim));
+    q.schedule(1.5, [&] { fired.push_back(15); });
+  });
+  while (!q.empty()) q.fire_next(now);
+  EXPECT_EQ(fired, (std::vector<int>{15, 2}));
+  EXPECT_EQ(q.cancels(), 1u);
+}
+
+TEST(EventQueue, ThrowingCallbackLeavesQueueConsistent) {
+  EventQueue q;
+  SimTime now = 0.0;
+  std::vector<int> fired;
+  q.schedule(1.0, [&] {
+    q.schedule(4.0, [&] { fired.push_back(4); });  // took the root, then...
+    throw std::runtime_error("after a successor");
+  });
+  q.schedule(2.0, [] { throw std::runtime_error("with the root vacant"); });
+  q.schedule(3.0, [&] { fired.push_back(3); });
+
+  EXPECT_THROW(q.fire_next(now), std::runtime_error);
+  EXPECT_DOUBLE_EQ(now, 1.0);
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+
+  EXPECT_THROW(q.fire_next(now), std::runtime_error);
+  EXPECT_EQ(q.size(), 2u);
+  EXPECT_DOUBLE_EQ(q.next_time(), 3.0);
+
+  q.fire_next(now);
+  q.fire_next(now);
+  EXPECT_EQ(fired, (std::vector<int>{3, 4}));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelledEventsLeaveNoTraceInSizeOrOrder) {
+  // Lazy cancellation: the heap keeps tombstones, but size() and the pop
+  // order only ever see live events, and a full heap of tombstones is
+  // compacted rather than grown.
+  EventQueue q;
+  std::vector<EventHandle> handles;
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      handles.push_back(q.schedule(static_cast<double>(round * 100 + i), [] {}));
+    }
+    for (std::size_t i = handles.size() - 100; i < handles.size(); i += 2) {
+      ASSERT_TRUE(q.cancel(handles[i]));
+    }
+  }
+  EXPECT_EQ(q.size(), 1000u);
+  EXPECT_EQ(q.peak_size(), 1050u);
+  EXPECT_EQ(q.cancels(), 1000u);
+  double last = -1.0;
+  while (!q.empty()) {
+    auto [t, cb] = q.pop();
+    EXPECT_GT(t, last);
+    EXPECT_EQ(static_cast<int>(t) % 2, 1);
+    last = t;
+  }
 }
 
 }  // namespace

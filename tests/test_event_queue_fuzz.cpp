@@ -5,11 +5,14 @@
 // determinism rests on.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
 #include <map>
 #include <optional>
 
 #include "sim/event_queue.h"
 #include "sim/random.h"
+#include "sim/simulator.h"
 
 namespace adattl::sim {
 namespace {
@@ -132,6 +135,99 @@ TEST_P(EventQueueFuzz, MatchesReferenceUnderRandomOps) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,
                          ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+
+class EventQueueFireFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+
+// The path every site run takes: Simulator::run_until fires each event in
+// place, and its callback schedules 0, 1 or 2 successors (the first one
+// takes the vacated root; some land at the current instant, so FIFO order
+// among ties is exercised) and cancels a random pending event, sometimes
+// before its first successor (root vacant) and sometimes after. A cancel
+// after about half the fires leaves enough tombstones that the heap fills
+// up and is compacted in place dozens of times per seed. Every fire is
+// checked against the multimap reference, by identity.
+TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
+  RngStream rng(GetParam());
+  Simulator sim;
+  ReferenceQueue ref;
+
+  // Indexed by tag; the reference issues ids in schedule order, so a
+  // tag's reference id is tag + 1.
+  std::vector<EventHandle> handles;
+  std::vector<std::size_t> live;     // tags of pending events
+  std::vector<std::size_t> live_at;  // tag -> index in `live`
+  std::uint64_t fired = 0;
+  std::uint64_t cancels = 0;
+  bool growing = true;
+
+  auto forget = [&](std::size_t tag) {
+    const std::size_t at = live_at[tag];
+    live_at[live.back()] = at;
+    live[at] = live.back();
+    live.pop_back();
+  };
+  std::function<void(std::size_t)> on_fire;
+  auto schedule = [&](double t) {
+    const std::size_t tag = handles.size();
+    handles.push_back(sim.at(t, [&on_fire, tag] { on_fire(tag); }));
+    ASSERT_EQ(ref.schedule(t), tag + 1);
+    live_at.push_back(live.size());
+    live.push_back(tag);
+  };
+  auto cancel_one = [&] {
+    if (live.empty()) return;
+    const std::size_t tag = live[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(live.size()) - 1))];
+    ASSERT_TRUE(sim.cancel(handles[tag]));
+    ASSERT_TRUE(ref.cancel(tag + 1));
+    ASSERT_FALSE(sim.cancel(handles[tag]));
+    forget(tag);
+    ++cancels;
+  };
+  on_fire = [&](std::size_t tag) {
+    const auto [ref_t, ref_id] = ref.pop();
+    ASSERT_EQ(ref_id, tag + 1) << "fire " << fired;
+    ASSERT_EQ(sim.now(), ref_t);
+    forget(tag);
+    ++fired;
+    const bool cancel_first = rng.next_double() < 0.5;
+    const bool cancel = growing && rng.next_double() < 0.55;
+    if (cancel && cancel_first) cancel_one();
+    const double roll = rng.next_double();
+    const int successors = !growing ? 0 : live.size() < 300 ? (roll < 0.7 ? 2 : 1)
+                                                             : (roll < 0.6 ? 1 : roll < 0.8 ? 2 : 0);
+    for (int i = 0; i < successors; ++i) {
+      const double kind = rng.next_double();
+      const double delay = kind < 0.3   ? 0.0
+                           : kind < 0.8 ? std::floor(rng.uniform(0.0, 8.0))
+                                        : std::floor(rng.uniform(0.0, 64.0));
+      schedule(sim.now() + delay);
+    }
+    if (cancel && !cancel_first) cancel_one();
+    ASSERT_EQ(sim.pending(), ref.size());
+  };
+
+  for (int i = 0; i < 300; ++i) schedule(std::floor(rng.uniform(0.0, 8.0)));
+  // Many short horizons: the loop's `next_time() <= end` stop is checked
+  // against events exactly at the horizon as well.
+  for (double end = 0.0; fired < 40000; end += 0.5) {
+    ASSERT_GT(sim.pending(), 0u) << "the event population died out";
+    const std::uint64_t before = fired;
+    const std::uint64_t n = sim.run_until(end);
+    EXPECT_EQ(n, fired - before);
+    ASSERT_EQ(sim.pending(), ref.size());
+    ASSERT_FALSE(HasFatalFailure());
+  }
+  growing = false;
+  sim.run();
+  EXPECT_TRUE(ref.empty());
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.cancels(), cancels);
+  EXPECT_EQ(sim.events_dispatched(), fired);
+  EXPECT_GT(cancels, 15000u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFireFuzz, ::testing::Values(3u, 11u, 29u, 47u));
 
 /// Naive oracle for the recycling fuzz: a vector of (time, tag) kept
 /// unsorted; pop scans for the minimum (time, tag). Trivially correct, and

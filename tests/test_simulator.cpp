@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace adattl::sim {
@@ -35,6 +36,27 @@ TEST(Simulator, SchedulingInThePastThrows) {
   s.run();
   EXPECT_THROW(s.at(5.0, [] {}), std::invalid_argument);
   EXPECT_THROW(s.after(-1.0, [] {}), std::invalid_argument);
+}
+
+TEST(Simulator, NanTimeThrows) {
+  // A NaN event would sit at the root where `next_time() <= end` is false,
+  // so run_until() would stop before every valid event behind it.
+  Simulator s;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(s.at(nan, [] {}), std::invalid_argument);
+  EXPECT_THROW(s.after(nan, [] {}), std::invalid_argument);
+  int fired = 0;
+  for (int i = 0; i < 6; ++i) s.at(static_cast<double>(i), [&] { ++fired; });
+  EXPECT_EQ(s.run_until(10.0), 6u);
+  EXPECT_EQ(fired, 6);
+  EXPECT_EQ(s.pending(), 0u);
+  // +inf stays legal: it is later than any horizon.
+  const double inf = std::numeric_limits<double>::infinity();
+  s.at(inf, [&] { ++fired; });
+  s.after(inf, [&] { ++fired; });
+  EXPECT_EQ(s.run_until(1e9), 0u);
+  EXPECT_EQ(s.run(), 2u);
+  EXPECT_EQ(fired, 8);
 }
 
 TEST(Simulator, RunUntilStopsAtHorizon) {
