@@ -1,5 +1,6 @@
 #include "fault/fault_schedule.h"
 
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -64,9 +65,22 @@ std::vector<std::string> split_fields(const std::string& what, const std::string
   return fields;
 }
 
+// The checks are negated so NaN fails them: std::stod accepts "nan" and
+// "inf", and a NaN time would reach Simulator::at. An infinite start or
+// duration is legal (never, or for good); an infinite factor is not.
+void check_start(const std::string& what, double start_sec) {
+  if (!(start_sec >= 0.0)) throw std::invalid_argument(what + ": start must be >= 0");
+}
+
 void check_window(const std::string& what, double start_sec, double duration_sec) {
-  if (start_sec < 0.0) throw std::invalid_argument(what + ": start must be >= 0");
-  if (duration_sec <= 0.0) throw std::invalid_argument(what + ": duration must be > 0");
+  check_start(what, start_sec);
+  if (!(duration_sec > 0.0)) throw std::invalid_argument(what + ": duration must be > 0");
+}
+
+void check_factor(const std::string& what, double factor) {
+  if (!(factor > 0.0) || !std::isfinite(factor)) {
+    throw std::invalid_argument(what + " must be finite and > 0");
+  }
 }
 
 void check_server(const std::string& what, int server, int num_servers) {
@@ -172,9 +186,7 @@ void FaultSchedule::validate(int num_servers) const {
   for (const DegradeWindow& w : degradations) {
     check_window("fault degrade", w.start_sec, w.duration_sec);
     check_server("fault degrade", w.server, num_servers);
-    if (w.factor <= 0.0) {
-      throw std::invalid_argument("fault degrade: capacity factor must be > 0");
-    }
+    check_factor("fault degrade: capacity factor", w.factor);
   }
   for (const PauseWindow& w : pauses) {
     check_window("fault pause", w.start_sec, w.duration_sec);
@@ -185,13 +197,13 @@ void FaultSchedule::validate(int num_servers) const {
   }
   for (const ScaleEvent& e : scale_events) {
     const std::string what = e.up ? "fault scale-up" : "fault scale-down";
-    if (e.start_sec < 0.0) throw std::invalid_argument(what + ": start must be >= 0");
+    check_start(what, e.start_sec);
     check_server(what, e.server, num_servers);
   }
   for (const ResizeEvent& e : resizes) {
-    if (e.start_sec < 0.0) throw std::invalid_argument("fault resize: start must be >= 0");
+    check_start("fault resize", e.start_sec);
     check_server("fault resize", e.server, num_servers);
-    if (e.factor <= 0.0) throw std::invalid_argument("fault resize: factor must be > 0");
+    check_factor("fault resize: factor", e.factor);
   }
 }
 

@@ -98,7 +98,9 @@ struct FaultSchedule {
   }
 
   /// Validates every window (start >= 0, duration > 0, server within
-  /// [0, num_servers), factor > 0); throws std::invalid_argument.
+  /// [0, num_servers), factor finite and > 0); throws std::invalid_argument
+  /// naming the field. NaN fails every check; an infinite start or
+  /// duration passes (a window that never opens, or never closes).
   void validate(int num_servers) const;
 
   /// Appends `other`'s windows to this schedule (used to merge a fault

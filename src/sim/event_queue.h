@@ -41,9 +41,12 @@ struct EventHandle {
 ///  * callbacks live in a slot table addressed by the heap entries and
 ///    never move during sifts; slots are recycled via a free list, so the
 ///    table is bounded by the maximum number of *live* events;
+///  * a slot is one 64-byte, line-aligned cache line (callback, seq,
+///    generation), so firing an event reads one line of the table;
 ///  * callbacks are SBO `InlineCallback`s: scheduling a kernel-sized
 ///    capture performs zero heap allocations once the vectors reach
-///    steady-state capacity.
+///    steady-state capacity, and moving one in or out of its slot is a
+///    `memcpy` with no indirect call.
 ///
 /// cancel() is lazy: it frees the slot at once and leaves the heap entry
 /// behind as a tombstone (its seq no longer matches the slot's), which is
@@ -104,12 +107,16 @@ class EventQueue {
     std::uint32_t slot;      // index into slots_
   };
 
-  struct Slot {
+  // One cache line per slot: the 48-byte callback, seq and generation,
+  // line-aligned so firing an event touches exactly one line of the table
+  // (std::vector allocates over-aligned types through aligned new).
+  struct alignas(64) Slot {
     Callback cb;
     std::uint64_t seq = 0;  // seq of the live event held here; 0 when free
     std::uint32_t gen = 1;  // bumped on every release; 0 is never used
   };
-  static_assert(sizeof(Slot) <= 64, "an event slot must fit one cache line");
+  static_assert(sizeof(Slot) == 64, "an event slot is exactly one cache line");
+  static_assert(alignof(Slot) == 64, "an event slot starts a cache line");
 
   /// A heap entry whose event was cancelled (its slot was freed, and may
   /// since hold a newer event with a larger seq).

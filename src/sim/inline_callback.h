@@ -23,15 +23,19 @@ namespace adattl::sim {
 /// *user* callbacks still work: they fall back to a heap box, they just are
 /// not allocation-free.
 ///
-/// Moves are destructive relocations (move-construct + destroy source);
-/// trivially copyable captures relocate via `memcpy`, which is what the
-/// event queue relies on when it moves a firing callback out of its slot.
+/// Layout: the 32-byte buffer, then `invoke_` (calls the capture) and
+/// `manage_` (relocates or destroys it), 48 bytes in all. `manage_` is null
+/// for a trivial capture (inline, trivially copyable and trivially
+/// destructible — every kernel capture): moving it is a 32-byte `memcpy`
+/// plus two pointer copies, destroying it is one null test, and calling it
+/// is one load and a jump. Other captures (a `std::function`, a
+/// `unique_ptr`, a heap box) go through `manage_`.
 class InlineCallback {
  public:
   /// Inline capture budget in bytes: four 8-byte words, the largest
-  /// closures the kernel schedules. With the ops pointer a callback is 40
-  /// bytes, so an event-queue slot (callback, seq, generation) is 56 and
-  /// fits one cache line.
+  /// closures the kernel schedules. With the two function pointers a
+  /// callback is 48 bytes, so an event-queue slot (callback, seq,
+  /// generation) fills one 64-byte line.
   static constexpr std::size_t kInlineSize = 32;
   /// Pointers and doubles are all the kernel captures; a more strictly
   /// aligned capture is boxed.
@@ -45,39 +49,41 @@ class InlineCallback {
            std::is_nothrow_move_constructible_v<D>;
   }
 
-  InlineCallback() noexcept = default;
-  InlineCallback(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor)
+  /// True if a callable of type F is stored inline and needs no `manage_`:
+  /// it moves by `memcpy` and has nothing to destroy.
+  template <typename F>
+  static constexpr bool trivial_inline() {
+    using D = std::decay_t<F>;
+    return fits_inline<F>() && std::is_trivially_copyable_v<D> &&
+           std::is_trivially_destructible_v<D>;
+  }
+
+  InlineCallback() noexcept : storage_{} {}
+  InlineCallback(std::nullptr_t) noexcept : storage_{} {}  // NOLINT(google-explicit-constructor)
 
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, InlineCallback> &&
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
-  InlineCallback(F&& f) {  // NOLINT(google-explicit-constructor)
+  InlineCallback(F&& f) : storage_{} {  // NOLINT(google-explicit-constructor)
     using D = std::decay_t<F>;
     if constexpr (fits_inline<F>()) {
       ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
-      ops_ = &kOps<D, /*inline=*/true>;
+      invoke_ = &invoke_inline<D>;
+      if constexpr (!trivial_inline<F>()) manage_ = &manage_inline<D>;
     } else {
       ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(f)));
-      ops_ = &kOps<D, /*inline=*/false>;
+      invoke_ = &invoke_boxed<D>;
+      manage_ = &manage_boxed<D>;
     }
   }
 
-  InlineCallback(InlineCallback&& other) noexcept : ops_(other.ops_) {
-    if (ops_) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
+  InlineCallback(InlineCallback&& other) noexcept { take(other); }
 
   InlineCallback& operator=(InlineCallback&& other) noexcept {
     if (this != &other) {
       reset();
-      if (other.ops_) {
-        ops_ = other.ops_;
-        ops_->relocate(storage_, other.storage_);
-        other.ops_ = nullptr;
-      }
+      take(other);
     }
     return *this;
   }
@@ -89,70 +95,81 @@ class InlineCallback {
 
   /// Destroys the held callable (if any) and becomes empty.
   void reset() noexcept {
-    if (ops_) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
-    }
+    if (manage_) manage_(nullptr, storage_);
+    invoke_ = nullptr;
+    manage_ = nullptr;
   }
 
   /// Invokes the held callable. Precondition: non-empty.
-  void operator()() { ops_->invoke(storage_); }
+  void operator()() { invoke_(storage_); }
 
-  explicit operator bool() const noexcept { return ops_ != nullptr; }
+  explicit operator bool() const noexcept { return invoke_ != nullptr; }
 
  private:
-  struct Ops {
-    void (*invoke)(void*);
-    void (*relocate)(void* dst, void* src) noexcept;  // move + destroy src
-    void (*destroy)(void*) noexcept;
-  };
+  using Invoke = void (*)(void*);
+  /// Relocates the capture at `src` to `dst` (move, then destroy `src`),
+  /// or destroys it when `dst` is null.
+  using Manage = void (*)(void* dst, void* src) noexcept;
 
-  template <typename D, bool Inline>
-  struct OpsImpl {
-    static void invoke(void* p) {
-      if constexpr (Inline) {
-        (*static_cast<D*>(p))();
-      } else {
-        (**static_cast<D**>(p))();
-      }
+  template <typename D>
+  static void invoke_inline(void* p) {
+    (*static_cast<D*>(p))();
+  }
+  template <typename D>
+  static void invoke_boxed(void* p) {
+    (**static_cast<D**>(p))();
+  }
+  template <typename D>
+  static void manage_inline(void* dst, void* src) noexcept {
+    if (dst) ::new (dst) D(std::move(*static_cast<D*>(src)));
+    static_cast<D*>(src)->~D();
+  }
+  template <typename D>
+  static void manage_boxed(void* dst, void* src) noexcept {
+    if (dst) {
+      std::memcpy(dst, src, sizeof(D*));  // move the box pointer
+    } else {
+      delete *static_cast<D**>(src);
     }
-    static void relocate(void* dst, void* src) noexcept {
-      if constexpr (!Inline) {
-        std::memcpy(dst, src, sizeof(D*));  // move the box pointer
-      } else if constexpr (std::is_trivially_copyable_v<D> &&
-                           std::is_trivially_destructible_v<D>) {
-        std::memcpy(dst, src, sizeof(D));
-      } else {
-        ::new (dst) D(std::move(*static_cast<D*>(src)));
-        static_cast<D*>(src)->~D();
-      }
-    }
-    static void destroy(void* p) noexcept {
-      if constexpr (Inline) {
-        static_cast<D*>(p)->~D();
-      } else {
-        delete *static_cast<D**>(p);
-      }
-    }
-  };
+  }
 
-  template <typename D, bool Inline>
-  static constexpr Ops kOps{&OpsImpl<D, Inline>::invoke, &OpsImpl<D, Inline>::relocate,
-                            &OpsImpl<D, Inline>::destroy};
+  /// Takes `other`'s callable, leaving `other` empty. Precondition: this
+  /// callback is empty. A trivial capture, or none, is copied byte for byte.
+  void take(InlineCallback& other) noexcept {
+    invoke_ = other.invoke_;
+    manage_ = other.manage_;
+    if (manage_) {
+      manage_(storage_, other.storage_);
+    } else {
+      std::memcpy(storage_, other.storage_, kInlineSize);
+    }
+    other.invoke_ = nullptr;
+    other.manage_ = nullptr;
+  }
 
+  // Zeroed by every constructor but the move constructor, where take()
+  // writes it, so moving an empty or trivial callback copies no
+  // indeterminate bytes.
   alignas(kInlineAlign) unsigned char storage_[kInlineSize];
-  const Ops* ops_ = nullptr;
+  Invoke invoke_ = nullptr;
+  Manage manage_ = nullptr;
 };
 
+static_assert(sizeof(InlineCallback) == 48, "buffer plus invoke_ and manage_");
+
 /// Pass-through that static-asserts a callback stays in InlineCallback's
-/// SBO buffer. Kernel hot paths wrap their lambdas with this so a capture
-/// growing past the inline budget is a compile error, not a silent
-/// per-event heap allocation.
+/// buffer and on its trivial path. Kernel hot paths wrap their lambdas with
+/// this, so a capture that grows past the inline budget, or that gains a
+/// member with a non-trivial copy or destructor, is a compile error rather
+/// than a silent per-event heap allocation or `manage_` call.
 template <typename F>
 constexpr F&& assert_inline(F&& f) noexcept {
   static_assert(InlineCallback::fits_inline<F>(),
                 "kernel callback capture spills InlineCallback's inline buffer; "
                 "shrink the capture or grow kInlineSize");
+  static_assert(InlineCallback::trivial_inline<F>(),
+                "kernel callback capture is not trivially copyable and destructible; "
+                "capture pointers and values only");
   return std::forward<F>(f);
 }
 

@@ -68,7 +68,10 @@ EmpiricalCdf::EmpiricalCdf(int bins) {
 void EmpiricalCdf::add(double x) {
   const int bins = this->bins();
   std::size_t idx;
-  if (x < 0.0) {
+  // Negated so NaN takes this branch too, and is rejected rather than cast
+  // to an index (undefined behaviour).
+  if (!(x >= 0.0)) {
+    if (std::isnan(x)) throw std::invalid_argument("EmpiricalCdf: NaN sample");
     idx = 0;
   } else if (x >= 1.0) {
     idx = static_cast<std::size_t>(bins);  // overflow bin
@@ -80,6 +83,7 @@ void EmpiricalCdf::add(double x) {
 }
 
 double EmpiricalCdf::prob_below(double x) const {
+  if (std::isnan(x)) throw std::invalid_argument("EmpiricalCdf: NaN query");
   if (n_ == 0) return 0.0;
   if (x <= 0.0) return 0.0;
   const int bins = this->bins();
@@ -127,7 +131,8 @@ Histogram::Histogram(double upper, int bins) : upper_(upper) {
 }
 
 void Histogram::add(double x) {
-  if (x < 0) throw std::invalid_argument("Histogram: negative value");
+  // Negated so NaN fails too: cast to a bin index it is undefined behaviour.
+  if (!(x >= 0)) throw std::invalid_argument("Histogram: negative or NaN value");
   const int bins = this->bins();
   const std::size_t idx = (x >= upper_)
                               ? static_cast<std::size_t>(bins)

@@ -62,7 +62,8 @@ class TimeWeightedMean {
 /// "cumulative frequency of maximum server utilization" curves.
 ///
 /// Values below 0 clamp to the first bin; values above 1 land in a
-/// dedicated overflow bin so P(x < 1.0) stays exact.
+/// dedicated overflow bin so P(x < 1.0) stays exact. A NaN sample or query
+/// throws std::invalid_argument.
 class EmpiricalCdf {
  public:
   explicit EmpiricalCdf(int bins = 200);
@@ -99,6 +100,8 @@ class Histogram {
   /// reported as `upper` by quantile().
   Histogram(double upper, int bins);
 
+  /// Records one sample; a negative or NaN sample throws
+  /// std::invalid_argument.
   void add(double x);
 
   /// Adds another histogram's counts. Both must have identical shape.

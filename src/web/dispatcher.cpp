@@ -48,24 +48,24 @@ void RedirectingDispatcher::dispatch(ServerId target, PageRequest request) {
     if (alternative >= 0 && alternative != target) {
       ++redirects_;
       // One extra hop; never redirected again (the alternative queues it
-      // whatever its state — no ping-pong). The page waits here rather
-      // than in the event: a PageRequest with its two std::functions would
-      // not fit InlineCallback's buffer.
-      parked_.emplace_back(alternative, std::move(request));
+      // whatever its state — no ping-pong). The 24-byte page waits here
+      // rather than in the event: [this, server, request] would be 40
+      // bytes, past InlineCallback's 32-byte buffer.
+      parked_.emplace_back(alternative, request);
       sim_.after(redirect_delay_sec_, sim::assert_inline([this] { deliver_parked(); }));
       return;
     }
   }
   ++direct_;
-  cluster_.server(target).submit_page(std::move(request));
+  cluster_.server(target).submit_page(request);
 }
 
 void RedirectingDispatcher::deliver_parked() {
   // Every delivery event fires after the same delay, in scheduling order,
   // so the oldest parked page is this event's page.
-  auto [server, request] = std::move(parked_.front());
+  const auto [server, request] = parked_.front();
   parked_.pop_front();
-  cluster_.server(server).submit_page(std::move(request));
+  cluster_.server(server).submit_page(request);
 }
 
 }  // namespace adattl::web

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 
 namespace adattl::web {
 
@@ -13,24 +12,36 @@ using ServerId = int;
 /// popularity (domain 0 is the busiest under Zipf rank 1).
 using DomainId = int;
 
+/// Who a page reports back to. A server calls one of these at most once
+/// per page (a page still queued when the run stops hears nothing), with
+/// the token the page was submitted with. Implementations must not
+/// resubmit from page_failed synchronously; schedule a retry through the
+/// simulator. Resubmitting from page_done is fine: the server has already
+/// moved on to its next job.
+class PageClient {
+ public:
+  /// The last hit of the page has been served.
+  virtual void page_done(std::uint32_t token) = 0;
+  /// The page is lost: the target server rejected the submission (crashed)
+  /// or dropped the page mid-service (crash while queued or in flight).
+  virtual void page_failed(std::uint32_t token) = 0;
+
+ protected:
+  /// Clients are never owned through this interface.
+  ~PageClient() = default;
+};
+
 /// One page request: a burst of `hits` HTTP hits (the HTML page plus its
-/// embedded objects) served back-to-back by one server.
+/// embedded objects) served back-to-back by one server. The page names the
+/// client to tell and a token the client chose (the client pool uses the
+/// client's index); a null client means nobody is told, and the loss or
+/// completion shows only in the server-side counters. 24 bytes, trivially
+/// copyable.
 struct PageRequest {
   DomainId domain = 0;
   int hits = 1;
-  /// Invoked when the last hit of the page has been served.
-  std::function<void()> on_complete;
-  /// Invoked instead of on_complete when the page is lost: the target
-  /// server rejects the submission (crashed) or drops the page mid-service
-  /// (crash while queued or in flight). Null = the loss is silent (the
-  /// server-side counters still record it). Callbacks must not resubmit
-  /// synchronously; schedule a retry through the simulator.
-  std::function<void()> on_fail;
-
-  PageRequest() = default;
-  PageRequest(DomainId d, int h, std::function<void()> complete = nullptr,
-              std::function<void()> fail = nullptr)
-      : domain(d), hits(h), on_complete(std::move(complete)), on_fail(std::move(fail)) {}
+  PageClient* client = nullptr;
+  std::uint32_t token = 0;
 };
 
 }  // namespace adattl::web

@@ -1,7 +1,6 @@
 #include "web/web_server.h"
 
 #include <stdexcept>
-#include <utility>
 #include <vector>
 
 namespace adattl::web {
@@ -28,7 +27,7 @@ void WebServer::submit_page(PageRequest req) {
     // estimator cannot attribute hidden load to a dead server.
     ++rejected_pages_;
     if (tracer_) tracer_->record(sim_.now(), obs::TraceKind::kRequestFailed, req.domain, id_);
-    if (req.on_fail) req.on_fail();
+    if (req.client) req.client->page_failed(req.token);
     return;
   }
 
@@ -37,7 +36,7 @@ void WebServer::submit_page(PageRequest req) {
   window_hits_[d] += static_cast<std::uint64_t>(req.hits);
   lifetime_hits_[d] += static_cast<std::uint64_t>(req.hits);
 
-  queue_.push_back(Job{std::move(req), sim_.now()});
+  queue_.push_back(Job{req, sim_.now()});
   if (!busy_ && !paused_) start_next();
 }
 
@@ -61,8 +60,8 @@ void WebServer::set_crashed(bool crashed) {
     return;
   }
 
-  // Collect victims first so every callback sees fully consistent state.
-  std::vector<std::function<void()>> failed;
+  // Collect victims first so every client sees fully consistent state.
+  std::vector<PageRequest> failed;
   std::uint64_t crash_pages = 0;
   std::uint64_t crash_hits = 0;
   if (busy_) {
@@ -72,13 +71,13 @@ void WebServer::set_crashed(bool crashed) {
     busy_ = false;
     ++crash_pages;
     crash_hits += static_cast<std::uint64_t>(current_.req.hits);
-    if (current_.req.on_fail) failed.push_back(std::move(current_.req.on_fail));
+    if (current_.req.client) failed.push_back(current_.req);
     current_ = Job{};
   }
   for (Job& job : queue_) {
     ++crash_pages;
     crash_hits += static_cast<std::uint64_t>(job.req.hits);
-    if (job.req.on_fail) failed.push_back(std::move(job.req.on_fail));
+    if (job.req.client) failed.push_back(job.req);
   }
   queue_.clear();
 
@@ -89,7 +88,7 @@ void WebServer::set_crashed(bool crashed) {
                     static_cast<std::int32_t>(crash_pages),
                     static_cast<double>(crash_hits));
   }
-  for (auto& cb : failed) cb();
+  for (const PageRequest& victim : failed) victim.client->page_failed(victim.token);
 }
 
 void WebServer::set_capacity_factor(double factor) {
@@ -99,7 +98,7 @@ void WebServer::set_capacity_factor(double factor) {
 }
 
 void WebServer::start_next() {
-  current_ = std::move(queue_.front());
+  current_ = queue_.front();
   queue_.pop_front();
   busy_ = true;
   service_start_ = sim_.now();
@@ -118,11 +117,12 @@ void WebServer::finish_current() {
   response_time_.add(sim_.now() - current_.arrival);
   response_hist_.add(sim_.now() - current_.arrival);
 
-  // Detach the completion callback before dequeueing the next job so a
-  // callback that immediately submits another page sees consistent state.
-  auto done = std::move(current_.req.on_complete);
+  // Copy the client out before dequeueing the next job so a client that
+  // immediately submits another page sees consistent state.
+  PageClient* const client = current_.req.client;
+  const std::uint32_t token = current_.req.token;
   if (!queue_.empty() && !paused_) start_next();
-  if (done) done();
+  if (client) client->page_done(token);
 }
 
 double WebServer::cumulative_busy_time(sim::SimTime now) const {

@@ -42,10 +42,11 @@ class WebServer {
   ServerId id() const { return id_; }
   double capacity() const { return capacity_; }
 
-  /// Enqueues a page; its completion callback fires when all hits are
-  /// served. While crashed the page is rejected instead: the lost-work
-  /// counters grow, `on_fail` fires (if set), and nothing — not even the
-  /// per-domain hit accounting — records the page as demand.
+  /// Enqueues a page; its client's page_done(token) fires when all hits
+  /// are served. While crashed the page is rejected instead: the lost-work
+  /// counters grow, its client's page_failed(token) fires (if it names a
+  /// client), and nothing — not even the per-domain hit accounting —
+  /// records the page as demand.
   void submit_page(PageRequest req);
 
   /// Pauses/resumes service (outage injection). A paused server keeps
@@ -59,9 +60,10 @@ class WebServer {
 
   /// Crashes/recovers the server. Crashing cancels the in-flight service
   /// (its partial busy time is kept — the work really was performed),
-  /// drops the whole queue, and fires each victim's `on_fail` after the
-  /// server state is consistent. Recovery restarts service only when new
-  /// pages arrive. Idempotent in both directions.
+  /// drops the whole queue, and tells each victim's client page_failed
+  /// after the server state is consistent: the page in service first, then
+  /// the queue in order. Recovery restarts service only when new pages
+  /// arrive. Idempotent in both directions.
   void set_crashed(bool crashed);
   bool crashed() const { return crashed_; }
 
@@ -118,6 +120,7 @@ class WebServer {
     PageRequest req;
     sim::SimTime arrival;
   };
+  static_assert(sizeof(Job) == 32, "a queued page is four words");
 
   void start_next();
   void finish_current();

@@ -125,7 +125,7 @@ void ClientPool::begin_session(std::uint32_t i) {
 void ClientPool::dispatch_request(std::uint32_t i) {
   Rec& c = recs_[i];
   // One geo lookup per dispatch: the mapping cannot change between the
-  // request and reply legs, so on_server_complete() reuses the cached value.
+  // request and reply legs, so page_done() reuses the cached value.
   c.page_rtt = geo_ ? geo_->rtt(c.resolver->domain(), c.mapped_server) : 0.0;
   if (c.page_rtt > 0.0) {
     // Request leg only. The reply leg is charged when (if) the server
@@ -145,12 +145,10 @@ void ClientPool::arrive(std::uint32_t i) {
   }
   c.page_start = sim_.now();
   dispatcher_.dispatch(c.mapped_server,
-                       web::PageRequest{c.resolver->domain(), c.pending_hits,
-                                        [this, i] { on_server_complete(i); },
-                                        [this, i] { on_page_failed(i); }});
+                       web::PageRequest{c.resolver->domain(), c.pending_hits, this, i});
 }
 
-void ClientPool::on_server_complete(std::uint32_t i) {
+void ClientPool::page_done(std::uint32_t i) {
   Rec& c = recs_[i];
   if (c.page_rtt > 0.0) c.network_time += c.page_rtt / 2.0;  // the reply leg home
   // Client-perceived response: request flight + server time + reply
@@ -186,7 +184,7 @@ void ClientPool::on_server_complete(std::uint32_t i) {
   }
 }
 
-void ClientPool::on_page_failed(std::uint32_t i) {
+void ClientPool::page_failed(std::uint32_t i) {
   // Called from inside the server's crash/reject path — never resubmit
   // synchronously; the retry is a fresh simulator event.
   ++recs_[i].pages_failed;

@@ -41,9 +41,11 @@ struct SessionProfile {
 /// object: one contiguous vector of 120-byte records (per-client RNG
 /// state, session counters, the page in flight) instead of a heap
 /// allocation per client. At a million clients that is one ~120 MB
-/// allocation, iterated cache-linearly for end-of-run aggregation, and
-/// every simulator callback captures just {pool, index} — small enough for
-/// both the kernel's InlineCallback SBO and std::function's.
+/// allocation, iterated cache-linearly for end-of-run aggregation. Every
+/// simulator callback captures just {pool, index}, a trivial 16-byte
+/// capture for the kernel's InlineCallback, and every page names the pool
+/// as its web::PageClient with the client's index as its token, so a page
+/// in flight carries no closure at all.
 ///
 /// Lifecycle per client (paper §4.1): a session opens with a single
 /// address resolution through the domain's name server, then issues a
@@ -70,7 +72,7 @@ struct SessionProfile {
 /// which really does fly to the (possibly dead) server — and the reply leg
 /// (rtt/2) only when the server completes the page. A page that fails at
 /// the server never charges the reply it never received.
-class ClientPool {
+class ClientPool final : private web::PageClient {
  public:
   /// `geo` (optional) adds network round-trip time to every page: the
   /// request travels rtt/2 before reaching the server and the reply
@@ -164,8 +166,9 @@ class ClientPool {
   void begin_session(std::uint32_t i);
   void dispatch_request(std::uint32_t i);
   void arrive(std::uint32_t i);
-  void on_server_complete(std::uint32_t i);
-  void on_page_failed(std::uint32_t i);
+  // web::PageClient: the token is the client's index.
+  void page_done(std::uint32_t i) override;
+  void page_failed(std::uint32_t i) override;
   void retry_page(std::uint32_t i);
 
   sim::Simulator& sim_;

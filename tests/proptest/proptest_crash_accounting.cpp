@@ -14,6 +14,7 @@
 #include <numeric>
 #include <vector>
 
+#include "../page_recorder.h"
 #include "experiment/site.h"
 #include "invariants.h"
 #include "proptest.h"
@@ -43,10 +44,10 @@ TEST(CrashAccountingProperty, DirectServerOpSequences) {
       std::uint64_t accepted = 0;
       std::uint64_t rejected = 0;
       std::uint64_t accepted_hits = 0;
-      std::uint64_t done_cb = 0;
-      std::uint64_t fail_cb = 0;
     };
     Tally tally;
+    // Every page names this client; it hears of each completion and loss.
+    web::PageRecorder client;
 
     const int ops = static_cast<int>(rng.uniform_int(150, 500));
     std::vector<double> times(static_cast<std::size_t>(ops));
@@ -58,12 +59,11 @@ TEST(CrashAccountingProperty, DirectServerOpSequences) {
       if (kind < 0.7) {
         const int domain = static_cast<int>(rng.uniform_int(0, domains - 1));
         const int hits = static_cast<int>(rng.uniform_int(1, 20));
-        simulator.at(t, [&tally, &server, domain, hits] {
+        simulator.at(t, [&tally, &client, &server, domain, hits] {
           const bool was_crashed = server.crashed();
           const std::uint64_t rejected0 = server.rejected_pages();
-          server.submit_page(web::PageRequest(domain, hits,
-                                              [&tally] { ++tally.done_cb; },
-                                              [&tally] { ++tally.fail_cb; }));
+          const auto token = static_cast<std::uint32_t>(tally.submitted);
+          server.submit_page(client.page(domain, hits, token));
           ++tally.submitted;
           if (was_crashed) {
             // Rejected at the door: counted, failed, and NOT recorded as
@@ -103,10 +103,15 @@ TEST(CrashAccountingProperty, DirectServerOpSequences) {
     // the end (server left paused), so "queued" is a first-class term.
     EXPECT_EQ(tally.submitted, tally.accepted + tally.rejected);
     EXPECT_EQ(server.rejected_pages(), tally.rejected);
-    EXPECT_EQ(server.pages_served(), tally.done_cb);
+    EXPECT_EQ(server.pages_served(), client.done.size());
     EXPECT_EQ(server.pages_served() + server.lost_pages() + server.queue_length(),
               tally.accepted);
-    EXPECT_EQ(tally.fail_cb, server.lost_pages() + server.rejected_pages());
+    EXPECT_EQ(client.failed.size(), server.lost_pages() + server.rejected_pages());
+    // Each page is reported once at most: completed or failed, never both.
+    std::vector<std::uint32_t> told = client.done;
+    told.insert(told.end(), client.failed.begin(), client.failed.end());
+    std::sort(told.begin(), told.end());
+    EXPECT_EQ(std::adjacent_find(told.begin(), told.end()), told.end());
 
     // Hits are tallied at submission for accepted pages only; served, lost
     // and still-queued hits must decompose them exactly.

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "experiment/cli.h"
 #include "experiment/site.h"
+#include "page_recorder.h"
 #include "sim/random.h"
 
 namespace adattl {
@@ -93,8 +97,8 @@ TEST(RedirectingDispatcher, ParkedPagesReachTheServerChosenAtDispatch) {
   web::RedirectingDispatcher d(rig.simulator, rig.cluster, 0.5, 0.1, 10.0);
   for (int i = 0; i < 10; ++i) rig.cluster.server(0).submit_page({0, 10, nullptr});  // 1 s
   // Servers 1 and 2 are both idle: the tie goes to server 1.
-  bool a_done = false;
-  d.dispatch(0, web::PageRequest{1, 10, [&a_done] { a_done = true; }});
+  web::PageRecorder client;
+  d.dispatch(0, client.page(1, 10, 1));
   // Now server 1 is the busier one, so the next redirect picks server 2,
   // while the first page is still parked.
   rig.simulator.run_until(0.05);
@@ -107,9 +111,35 @@ TEST(RedirectingDispatcher, ParkedPagesReachTheServerChosenAtDispatch) {
   rig.simulator.run_until(0.2);
   EXPECT_EQ(rig.cluster.server(1).lifetime_domain_hits()[1], 10u);
   EXPECT_EQ(rig.cluster.server(2).lifetime_domain_hits()[1], 5u);
-  // The page carried its completion callback through the wait.
+  // The page carried its client through the wait.
   rig.simulator.run_until(10.0);
-  EXPECT_TRUE(a_done);
+  EXPECT_EQ(client.done, (std::vector<std::uint32_t>{1}));
+}
+
+TEST(RedirectingDispatcher, RedirectedPageKeepsItsToken) {
+  Rig rig;
+  web::RedirectingDispatcher d(rig.simulator, rig.cluster, 0.5, 0.1, 10.0);
+  for (int i = 0; i < 10; ++i) rig.cluster.server(0).submit_page({0, 10, nullptr});  // 1 s
+  web::PageRecorder client;
+  // Three pages parked at once: one for a live server, two for a server
+  // that crashes while they are in flight.
+  d.dispatch(0, client.page(1, 10, 7001));  // parked for server 1
+  for (int i = 0; i < 20; ++i) rig.cluster.server(1).submit_page({0, 10, nullptr});  // 2 s
+  d.dispatch(0, client.page(1, 5, 7002));  // parked for server 2
+  d.dispatch(0, client.page(1, 5, 7003));  // parked for server 2 as well
+  EXPECT_EQ(d.redirects(), 3u);
+  rig.cluster.server(2).set_crashed(true);
+  EXPECT_TRUE(client.done.empty());
+  EXPECT_TRUE(client.failed.empty());
+
+  // Delivery: server 2 rejects both of its pages, in parking order, each
+  // with the token it was dispatched with.
+  rig.simulator.run_until(0.2);
+  EXPECT_EQ(client.failed, (std::vector<std::uint32_t>{7002, 7003}));
+  EXPECT_EQ(rig.cluster.server(1).lifetime_domain_hits()[1], 10u);
+  rig.simulator.run_until(10.0);
+  EXPECT_EQ(client.done, (std::vector<std::uint32_t>{7001}));
+  EXPECT_EQ(client.failed.size(), 2u);
 }
 
 TEST(RedirectingDispatcher, TargetAlreadyLeastLoadedIsNotRedirected) {

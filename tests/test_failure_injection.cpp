@@ -5,6 +5,7 @@
 
 #include "experiment/cli.h"
 #include "experiment/site.h"
+#include "page_recorder.h"
 #include "sim/random.h"
 
 namespace adattl {
@@ -15,10 +16,10 @@ TEST(WebServerPause, PausedServerQueuesWithoutServing) {
   sim::RngStream rng(1);
   web::WebServer s(simulator, 0, 100.0, 1, rng.split());
   s.set_paused(true);
-  int done = 0;
-  for (int i = 0; i < 5; ++i) s.submit_page(web::PageRequest{0, 10, [&] { ++done; }});
+  web::PageRecorder client;
+  for (int i = 0; i < 5; ++i) s.submit_page(client.page(0, 10));
   simulator.run_until(100.0);
-  EXPECT_EQ(done, 0);
+  EXPECT_EQ(client.done.size(), 0u);
   EXPECT_EQ(s.queue_length(), 5u);
   EXPECT_DOUBLE_EQ(s.cumulative_busy_time(simulator.now()), 0.0);
 }
@@ -28,12 +29,12 @@ TEST(WebServerPause, ResumeDrainsBacklog) {
   sim::RngStream rng(2);
   web::WebServer s(simulator, 0, 100.0, 1, rng.split());
   s.set_paused(true);
-  int done = 0;
-  for (int i = 0; i < 5; ++i) s.submit_page(web::PageRequest{0, 10, [&] { ++done; }});
+  web::PageRecorder client;
+  for (int i = 0; i < 5; ++i) s.submit_page(client.page(0, 10));
   simulator.run_until(50.0);
   s.set_paused(false);
   simulator.run();
-  EXPECT_EQ(done, 5);
+  EXPECT_EQ(client.done.size(), 5u);
   EXPECT_EQ(s.queue_length(), 0u);
 }
 
@@ -41,12 +42,12 @@ TEST(WebServerPause, InFlightPageFinishesDuringPause) {
   sim::Simulator simulator;
   sim::RngStream rng(3);
   web::WebServer s(simulator, 0, 100.0, 1, rng.split());
-  int done = 0;
-  s.submit_page(web::PageRequest{0, 10, [&] { ++done; }});  // starts service
-  s.submit_page(web::PageRequest{0, 10, [&] { ++done; }});  // queued
+  web::PageRecorder client;
+  s.submit_page(client.page(0, 10));  // starts service
+  s.submit_page(client.page(0, 10));  // queued
   s.set_paused(true);
   simulator.run_until(100.0);
-  EXPECT_EQ(done, 1);  // the in-flight page completed, the queued one did not
+  EXPECT_EQ(client.done.size(), 1u);  // the in-flight page completed, the queued one did not
   EXPECT_EQ(s.queue_length(), 1u);
 }
 

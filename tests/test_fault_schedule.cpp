@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "fault/dns_outage.h"
 
@@ -151,6 +154,58 @@ TEST(FaultSchedule, ValidateChecksEveryWindow) {
   FaultSchedule bad_factor;
   bad_factor.degradations.push_back({10.0, 5.0, 0, 0.0});
   EXPECT_THROW(bad_factor.validate(7), std::invalid_argument);
+}
+
+TEST(FaultSchedule, ValidateRejectsNaNTimesAndNonFiniteFactors) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto rejects = [](const FaultSchedule& s, const std::string& field) {
+    try {
+      s.validate(7);
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+      return;
+    }
+    ADD_FAILURE() << "validate accepted a schedule with a bad " << field;
+  };
+
+  // What --crash=nan:50:1, --pause=100:nan:1, --dns-outage=nan:10,
+  // --degrade=100:50:1:nan and :inf, --resize=100:1:nan and
+  // --scale-down=nan:1 parse to.
+  FaultSchedule crash;
+  crash.crashes.push_back(FaultSchedule::parse_crash("nan:50:1"));
+  rejects(crash, "crash: start");
+  FaultSchedule pause;
+  pause.pauses.push_back(FaultSchedule::parse_pause("100:nan:1"));
+  rejects(pause, "pause: duration");
+  FaultSchedule outage;
+  outage.dns_outages.push_back(FaultSchedule::parse_dns_outage("nan:10"));
+  rejects(outage, "dns-outage: start");
+  for (const char* factor : {"nan", "inf", "-inf"}) {
+    FaultSchedule degrade;
+    degrade.degradations.push_back(
+        FaultSchedule::parse_degrade(std::string("100:50:1:") + factor));
+    rejects(degrade, "degrade: capacity factor");
+    FaultSchedule resize;
+    resize.resizes.push_back(FaultSchedule::parse_resize(std::string("100:1:") + factor));
+    rejects(resize, "resize: factor");
+  }
+  FaultSchedule scale;
+  scale.scale_events.push_back(FaultSchedule::parse_scale("nan:1", false));
+  rejects(scale, "scale-down: start");
+  FaultSchedule resize_start;
+  resize_start.resizes.push_back({nan, 1, 0.5});
+  rejects(resize_start, "resize: start");
+  FaultSchedule degrade_window;
+  degrade_window.degradations.push_back({100.0, nan, 1, 0.5});
+  rejects(degrade_window, "degrade: duration");
+
+  // An infinite duration is a crash that never recovers, and an infinite
+  // start a window that never opens: both stay legal.
+  FaultSchedule permanent;
+  permanent.crashes.push_back(FaultSchedule::parse_crash("100:inf:1"));
+  permanent.pauses.push_back({inf, 10.0, 0});
+  EXPECT_NO_THROW(permanent.validate(7));
 }
 
 TEST(FaultSchedule, MergeAppendsAllWindowKinds) {

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "core/policy_factory.h"
 #include "obs/event_tracer.h"
@@ -24,26 +26,71 @@ std::atomic<std::uint64_t> g_allocations{0};
 
 }  // namespace
 
-// Replace the global allocation entry points. All other forms (nothrow,
-// aligned, sized delete) funnel through these on this toolchain; the test
-// only needs the count to be an upper bound anyway.
-void* operator new(std::size_t size) {
+// Replace the global allocation entry points. The nothrow and sized forms
+// funnel through these; the aligned forms do not (libstdc++ sends them to
+// aligned_alloc directly), and the event queue's slot table is 64-byte
+// aligned, so they are replaced and counted too. The test only needs the
+// count to be an upper bound.
+// None is inlined: GCC would pair an inlined malloc or free with the
+// other side's operator and report a mismatch (-Wmismatched-new-delete).
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void* operator new[](std::size_t size) { return ::operator new(size); }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void* operator new(std::size_t size, std::align_val_t align) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(align);
+  // aligned_alloc wants a size that is a multiple of the alignment.
+  if (void* p = std::aligned_alloc(a, (size + a - 1) / a * a)) return p;
+  throw std::bad_alloc();
+}
+
+[[gnu::noinline]] void* operator new[](std::size_t size, std::align_val_t align) {
+  return ::operator new(size, align);
+}
+
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
 
 namespace adattl::sim {
 namespace {
 
 std::uint64_t allocations() { return g_allocations.load(std::memory_order_relaxed); }
+
+TEST(KernelAlloc, OverAlignedVectorGrowthIsCounted) {
+  // The counter must see the aligned allocations, or the zero-allocation
+  // tests below would pass without looking at the slot table.
+  struct alignas(64) Line {
+    unsigned char bytes[64];
+  };
+  std::vector<Line> lines;
+  const std::uint64_t before = allocations();
+  lines.reserve(16);
+  EXPECT_EQ(allocations() - before, 1u);
+  lines.resize(17);  // grows past the reservation
+  EXPECT_EQ(allocations() - before, 2u);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lines.data()) % 64, 0u);
+
+  // The queue's reserve sizes the heap, the slot table and the free list.
+  EventQueue q;
+  const std::uint64_t before_reserve = allocations();
+  q.reserve(100);
+  EXPECT_EQ(allocations() - before_reserve, 3u);
+}
 
 TEST(KernelAlloc, SteadyStateChurnAllocatesNothing) {
   // The simulation's dominant pattern: a resident set of events where each

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 namespace adattl::sim {
 namespace {
@@ -81,6 +83,18 @@ TEST(EmpiricalCdf, NegativeClampsToFirstBin) {
   EmpiricalCdf c(10);
   c.add(-0.5);
   EXPECT_DOUBLE_EQ(c.prob_below(0.2), 1.0);
+}
+
+TEST(EmpiricalCdf, RejectsNaNSamplesAndQueries) {
+  EmpiricalCdf c(10);
+  c.add(0.55);
+  EXPECT_THROW(c.add(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(c.prob_below(std::nan("")), std::invalid_argument);
+  EXPECT_EQ(c.count(), 1u);
+  EXPECT_DOUBLE_EQ(c.prob_below(0.5), 0.0);
+  EXPECT_DOUBLE_EQ(c.prob_below(0.6), 1.0);
+  // An empty CDF rejects a NaN query as well.
+  EXPECT_THROW(EmpiricalCdf(10).prob_below(std::nan("")), std::invalid_argument);
 }
 
 TEST(EmpiricalCdf, EmptyReturnsZero) {
@@ -230,6 +244,24 @@ TEST(Histogram, MergeRejectsShapeMismatch) {
 TEST(Histogram, RejectsNegativeValues) {
   Histogram h(10.0, 10);
   EXPECT_THROW(h.add(-1.0), std::invalid_argument);
+}
+
+TEST(Histogram, RejectsNaNAndKeepsItsState) {
+  Histogram h(10.0, 10);
+  h.add(2.5);
+  EXPECT_THROW(h.add(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(h.add(-std::nan("")), std::invalid_argument);
+  // The rejected sample left no trace: no count, no NaN in the sum.
+  EXPECT_EQ(h.count(), 1u);
+  EXPECT_EQ(h.counts()[0], 0u);
+  EXPECT_DOUBLE_EQ(h.sum(), 2.5);
+  EXPECT_DOUBLE_EQ(h.mean(), 2.5);
+  // -0.0 and +inf are still legal samples.
+  h.add(-0.0);
+  h.add(std::numeric_limits<double>::infinity());
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_EQ(h.counts()[0], 1u);
+  EXPECT_EQ(h.counts()[10], 1u);  // overflow bin
 }
 
 TEST(BatchMeans, RejectsZeroBatchSize) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "experiment/site.h"
+#include "page_recorder.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "web/cluster.h"
@@ -26,10 +29,11 @@ TEST_F(WebServerTest, RejectsBadConstruction) {
 
 TEST_F(WebServerTest, ServesAPageAndInvokesCompletion) {
   WebServer s(simulator, 0, 100.0, 3, rng.split());
-  bool done = false;
-  s.submit_page(PageRequest{1, 10, [&] { done = true; }});
+  PageRecorder client;
+  s.submit_page(client.page(1, 10, 7));
   simulator.run();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(client.done, (std::vector<std::uint32_t>{7}));
+  EXPECT_TRUE(client.failed.empty());
   EXPECT_EQ(s.pages_served(), 1u);
   EXPECT_EQ(s.hits_served(), 10u);
 }
@@ -44,14 +48,16 @@ TEST_F(WebServerTest, ServiceTimeScalesWithHitsAndCapacity) {
   sim::RunningStat durations;
   // Submit sequentially: next page only after the previous completes, so
   // queueing never inflates the measured service time.
-  std::function<void()> submit = [&] {
+  PageRecorder client;
+  const auto submit = [&] {
     if (completed == pages) return;
     submit_time = simulator.now();
-    s.submit_page(PageRequest{0, 10, [&] {
-                                durations.add(simulator.now() - submit_time);
-                                ++completed;
-                                submit();
-                              }});
+    s.submit_page(client.page(0, 10));
+  };
+  client.then_on_done = [&](std::uint32_t) {
+    durations.add(simulator.now() - submit_time);
+    ++completed;
+    submit();
   };
   submit();
   simulator.run();
@@ -61,12 +67,10 @@ TEST_F(WebServerTest, ServiceTimeScalesWithHitsAndCapacity) {
 
 TEST_F(WebServerTest, FifoOrderPreserved) {
   WebServer s(simulator, 0, 100.0, 1, rng.split());
-  std::vector<int> order;
-  for (int i = 0; i < 5; ++i) {
-    s.submit_page(PageRequest{0, 5, [&order, i] { order.push_back(i); }});
-  }
+  PageRecorder client;
+  for (std::uint32_t i = 0; i < 5; ++i) s.submit_page(client.page(0, 5, i));
   simulator.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(client.done, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
 }
 
 TEST_F(WebServerTest, BusyTimeAccountsQueueingCorrectly) {
@@ -184,37 +188,35 @@ TEST_F(WebServerTest, QueueDepthGaugeMatchesQueueLengthConvention) {
 
 TEST_F(WebServerTest, CrashDropsQueueAndCountsLostWork) {
   WebServer s(simulator, 0, 100.0, 1, rng.split());
-  int failed = 0;
-  for (int i = 0; i < 4; ++i) {
-    s.submit_page(PageRequest{0, 10, nullptr, [&] { ++failed; }});
-  }
+  PageRecorder client;
+  for (int i = 0; i < 4; ++i) s.submit_page(client.page(0, 10));
   simulator.run_until(0.001);  // first page in flight, three queued
   s.set_crashed(true);
   EXPECT_TRUE(s.crashed());
-  EXPECT_EQ(failed, 4);  // every victim's on_fail fired
+  EXPECT_EQ(client.failed.size(), 4u);  // every victim's client was told
   EXPECT_EQ(s.lost_pages(), 4u);
   EXPECT_EQ(s.lost_hits(), 40u);  // in-flight page counted at full burst
   EXPECT_EQ(s.queue_length(), 0u);
   simulator.run();
   EXPECT_EQ(s.pages_served(), 0u);  // the cancelled service never completed
+  EXPECT_TRUE(client.done.empty());
 }
 
 TEST_F(WebServerTest, CrashedServerRejectsSubmissions) {
   WebServer s(simulator, 0, 100.0, 1, rng.split());
   s.set_crashed(true);
-  int failed = 0;
-  s.submit_page(PageRequest{0, 10, nullptr, [&] { ++failed; }});
-  EXPECT_EQ(failed, 1);
+  PageRecorder client;
+  s.submit_page(client.page(0, 10, 3));
+  EXPECT_EQ(client.failed, (std::vector<std::uint32_t>{3}));
   EXPECT_EQ(s.rejected_pages(), 1u);
   EXPECT_EQ(s.queue_length(), 0u);
   // Rejected pages never enter demand accounting.
   EXPECT_EQ(s.lifetime_domain_hits()[0], 0u);
   // Recovery: the server accepts and serves again.
   s.set_crashed(false);
-  bool done = false;
-  s.submit_page(PageRequest{0, 10, [&] { done = true; }});
+  s.submit_page(client.page(0, 10, 4));
   simulator.run();
-  EXPECT_TRUE(done);
+  EXPECT_EQ(client.done, (std::vector<std::uint32_t>{4}));
   EXPECT_EQ(s.pages_served(), 1u);
 }
 
@@ -253,14 +255,16 @@ TEST_F(WebServerTest, CapacityFactorScalesNewServices) {
   int completed = 0;
   double submit_time = 0.0;
   sim::RunningStat durations;
-  std::function<void()> submit = [&] {
+  PageRecorder client;
+  const auto submit = [&] {
     if (completed == pages) return;
     submit_time = simulator.now();
-    s.submit_page(PageRequest{0, 10, [&] {
-                                durations.add(simulator.now() - submit_time);
-                                ++completed;
-                                submit();
-                              }});
+    s.submit_page(client.page(0, 10));
+  };
+  client.then_on_done = [&](std::uint32_t) {
+    durations.add(simulator.now() - submit_time);
+    ++completed;
+    submit();
   };
   submit();
   simulator.run();
@@ -272,13 +276,46 @@ TEST_F(WebServerTest, CapacityFactorScalesNewServices) {
 TEST_F(WebServerTest, CompletionCallbackMaySubmitImmediately) {
   WebServer s(simulator, 0, 100.0, 1, rng.split());
   int served = 0;
-  std::function<void()> resubmit = [&] {
-    if (++served < 10) s.submit_page(PageRequest{0, 5, resubmit});
+  PageRecorder client;
+  // Resubmits from inside page_done: the server has already moved on.
+  client.then_on_done = [&](std::uint32_t token) {
+    if (++served < 10) s.submit_page(client.page(0, 5, token + 1));
   };
-  s.submit_page(PageRequest{0, 5, resubmit});
+  s.submit_page(client.page(0, 5, 0));
   simulator.run();
   EXPECT_EQ(served, 10);
   EXPECT_EQ(s.pages_served(), 10u);
+  EXPECT_EQ(client.done, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(WebServer, CrashReportsEachVictimTokenOnceInQueueOrder) {
+  sim::Simulator simulator;
+  sim::RngStream rng(99);
+  WebServer s(simulator, 0, 100.0, 1, rng.split());
+  PageRecorder a;
+  PageRecorder b;
+  s.submit_page(a.page(0, 10, 40));  // in service
+  s.submit_page(b.page(0, 10, 41));
+  s.submit_page(PageRequest{0, 10, nullptr, 42});  // nobody to tell
+  s.submit_page(a.page(0, 10, 43));
+  s.submit_page(b.page(0, 10, 44));
+  s.submit_page(a.page(0, 10, 45));
+  simulator.run_until(0.001);
+  ASSERT_EQ(s.queue_length(), 6u);
+
+  s.set_crashed(true);
+  // The page in service first, then the queue front to back; each victim
+  // once, to its own client.
+  EXPECT_EQ(a.failed, (std::vector<std::uint32_t>{40, 43, 45}));
+  EXPECT_EQ(b.failed, (std::vector<std::uint32_t>{41, 44}));
+  EXPECT_EQ(s.lost_pages(), 6u);
+
+  // Crashing again reports nobody twice, and no victim completes later.
+  s.set_crashed(true);
+  simulator.run();
+  EXPECT_EQ(a.failed.size() + b.failed.size(), 5u);
+  EXPECT_TRUE(a.done.empty());
+  EXPECT_TRUE(b.done.empty());
 }
 
 }  // namespace
