@@ -131,5 +131,97 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, DecisionGolden, ::testing::ValuesIn(kGolde
                            return name;
                          });
 
+// ---- Measured weights ----
+//
+// The rows above run on oracle weights, so a domain's class and TTL factor
+// never change mid-run. These rows run the online estimator instead: the
+// weights move every collection window, so hot/normal classes flip, RRK
+// re-ranks its domains and the TTL policy recalibrates while decisions are
+// being made. Their digest extends digest_result with the whole
+// max-utilization CDF (every percent and seven quantiles), each scheduler's
+// assignment counters and the final model weights of every slice.
+// Captured 2026-10-17 from commit 587e8e9.
+
+struct MeasuredGolden {
+  const char* label;
+  const char* policy;
+  experiment::EstimatorKind estimator;
+  bool cold_start;
+  std::uint64_t serial;
+  std::uint64_t sharded;
+};
+
+experiment::SimulationConfig measured_config(const MeasuredGolden& g) {
+  experiment::SimulationConfig c = base_config(g.policy);
+  c.oracle_weights = false;
+  c.estimator_kind = g.estimator;
+  c.estimator_cold_start = g.cold_start;
+  return c;
+}
+
+std::uint64_t digest_measured(const experiment::RunResult& r) {
+  std::uint64_t h = digest_result(r);
+  h = fnv1a(h, r.max_util_cdf.count());
+  for (int i = 0; i <= 100; ++i) h = fnv1a_d(h, r.max_util_cdf.prob_below(i / 100.0));
+  for (double p : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+    h = fnv1a_d(h, r.max_util_cdf.quantile(p));
+  }
+  return h;
+}
+
+std::uint64_t digest_slice(std::uint64_t h, const experiment::SiteSlice& slice) {
+  for (std::uint64_t a : slice.bundle.scheduler->assignments()) h = fnv1a(h, a);
+  for (double w : slice.bundle.domains->weights()) h = fnv1a_d(h, w);
+  return h;
+}
+
+std::uint64_t measured_serial_digest(const MeasuredGolden& g) {
+  experiment::Site site(measured_config(g));
+  const experiment::RunResult r = site.run();
+  return digest_slice(digest_measured(r), site.slices()[0]);
+}
+
+std::uint64_t measured_sharded_digest(const MeasuredGolden& g) {
+  experiment::SimulationConfig c = measured_config(g);
+  c.shard_domains = true;
+  c.shard_count = 3;
+  experiment::ShardedSite site(c);
+  std::uint64_t h = digest_measured(site.run());
+  for (int s = 0; s < site.shard_count(); ++s) h = digest_slice(h, site.shard(s));
+  return h;
+}
+
+constexpr auto kEwma = experiment::EstimatorKind::kEwma;
+constexpr auto kHolt = experiment::EstimatorKind::kHoltWinters;
+
+constexpr MeasuredGolden kMeasuredGolden[] = {
+    {"RR2", "RR2", kEwma, false, 0xea9bcb120d06fd04ULL, 0x4129d78bc1f1102bULL},
+    {"PRR2_TTL_K", "PRR2-TTL/K", kEwma, false, 0x95cdc686a8def819ULL, 0xc720020afaef839bULL},
+    {"RR3_TTL_2", "RR3-TTL/2", kEwma, false, 0x4ce4a915e1d26b80ULL, 0xe5ecd92c9a161a0bULL},
+    {"RRK", "RRK", kEwma, false, 0x65a23398f161009aULL, 0x250e86f742be5a65ULL},
+    {"DRR2_TTL_S_K", "DRR2-TTL/S_K", kEwma, false, 0x99cf8453ccd0bb3fULL, 0x03f7060449ae66acULL},
+    {"DRR2_TTL_S_K_ColdStart", "DRR2-TTL/S_K", kEwma, true, 0x28216ec98862fc85ULL,
+     0x04419a7346e87ab5ULL},
+    {"PRR2_TTL_2_Holt", "PRR2-TTL/2", kHolt, false, 0x2e4d5e029fdac02fULL, 0x4173a00fcc2fa9ddULL},
+};
+
+class MeasuredGoldenTest : public ::testing::TestWithParam<MeasuredGolden> {};
+
+TEST_P(MeasuredGoldenTest, SerialRunIsBitIdentical) {
+  const MeasuredGolden& g = GetParam();
+  EXPECT_EQ(measured_serial_digest(g), g.serial) << "policy " << g.policy;
+}
+
+TEST_P(MeasuredGoldenTest, ShardedRunIsBitIdentical) {
+  const MeasuredGolden& g = GetParam();
+  EXPECT_EQ(measured_sharded_digest(g), g.sharded) << "policy " << g.policy;
+}
+
+INSTANTIATE_TEST_SUITE_P(MeasuredWeights, MeasuredGoldenTest,
+                         ::testing::ValuesIn(kMeasuredGolden),
+                         [](const ::testing::TestParamInfo<MeasuredGolden>& info) {
+                           return std::string(info.param.label);
+                         });
+
 }  // namespace
 }  // namespace adattl
