@@ -1,22 +1,11 @@
 #include "core/cost_policy.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <stdexcept>
 
 #include "geo/geo_model.h"
 
 namespace adattl::core {
-namespace {
-
-std::string format_param(const char* base, double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%s(%g)", base, value);
-  return buf;
-}
-
-}  // namespace
-
 // ---------------------------------------------------------- CostPolicyBase
 
 CostPolicyBase::CostPolicyBase(std::vector<double> capacities)
@@ -92,8 +81,6 @@ web::ServerId CompositeCostPolicy::select(const DecisionContext& ctx) {
   return best;
 }
 
-std::string CompositeCostPolicy::name() const { return format_param("COST", alpha_); }
-
 // --------------------------------------------------------- LatencyCapPolicy
 
 LatencyCapPolicy::LatencyCapPolicy(std::vector<double> capacities, double cap_sec)
@@ -128,7 +115,5 @@ web::ServerId LatencyCapPolicy::select(const DecisionContext& ctx) {
   note_assignment(best);
   return best;
 }
-
-std::string LatencyCapPolicy::name() const { return format_param("COSTCAP", cap_sec_); }
 
 }  // namespace adattl::core

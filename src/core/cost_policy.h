@@ -63,7 +63,6 @@ class CompositeCostPolicy : public CostPolicyBase {
 
   using SelectionPolicy::select;
   web::ServerId select(const DecisionContext& ctx) override;
-  std::string name() const override;
 
   double alpha() const { return alpha_; }
 
@@ -83,7 +82,6 @@ class LatencyCapPolicy : public CostPolicyBase {
 
   using SelectionPolicy::select;
   web::ServerId select(const DecisionContext& ctx) override;
-  std::string name() const override;
 
   double cap_sec() const { return cap_sec_; }
 

@@ -26,7 +26,6 @@ class DalPolicy : public SelectionPolicy {
   web::ServerId select(const DecisionContext& ctx) override;
   void on_assign(web::DomainId domain, web::ServerId server, double ttl) override;
   std::vector<double> stationary_shares() const override;
-  std::string name() const override { return "DAL"; }
 
   /// Currently accumulated (undecayed) load of a server; exposed for tests.
   double accumulated(web::ServerId s) const {

@@ -10,8 +10,8 @@ namespace adattl::core {
 DomainModel::DomainModel(std::vector<double> weights, double class_threshold)
     : weights_(std::move(weights)), gamma_(class_threshold) {
   if (weights_.empty()) throw std::invalid_argument("DomainModel: no domains");
-  if (gamma_ <= 0.0 || gamma_ >= 1.0) {
-    throw std::invalid_argument("DomainModel: class threshold must lie in (0, 1)");
+  if (!(gamma_ > 0.0 && gamma_ <= 1.0)) {
+    throw std::invalid_argument("DomainModel: class threshold must lie in (0, 1]");
   }
   recompute();
 }

@@ -23,8 +23,9 @@ inline constexpr int kPerDomainClasses = -1;
 /// hits-per-interval counts directly.
 class DomainModel {
  public:
-  /// `class_threshold` is the paper's γ: a domain is "hot" when its share
-  /// of the total load exceeds γ (default 1/K, set by the caller).
+  /// `class_threshold` is the paper's γ ∈ (0, 1]: a domain is "hot" when
+  /// its share of the total load exceeds γ (default 1/K, set by the
+  /// caller). γ = 1, the default of a one-domain site, makes no domain hot.
   DomainModel(std::vector<double> weights, double class_threshold);
 
   int num_domains() const { return static_cast<int>(weights_.size()); }

@@ -75,45 +75,6 @@ bool any_positive_rate(const std::vector<double>& rates) {
 
 }  // namespace
 
-EwmaLoadEstimator::EwmaLoadEstimator(DomainModel& model, double smoothing, bool oracle,
-                                     bool seed_from_model)
-    : LoadEstimator(model, oracle),
-      smoothing_(smoothing),
-      rates_(static_cast<std::size_t>(model.num_domains()), 0.0),
-      seed_from_model_(seed_from_model) {
-  if (smoothing <= 0.0 || smoothing > 1.0) {
-    throw std::invalid_argument("EwmaLoadEstimator: smoothing must lie in (0, 1]");
-  }
-}
-
-std::vector<double> EwmaLoadEstimator::incorporate(const std::vector<double>& rates) {
-  if (!seeded_) {
-    // An all-zero window before any traffic carries no information to seed
-    // from: discard it (empty return — it does not count as observed).
-    if (!any_positive_rate(rates)) return {};
-    seeded_ = true;
-    if (seed_from_model_) {
-      // Cold start: the model holds deliberately-uninformed (uniform)
-      // weights, but they are still the configured prior. Seeding the
-      // estimate *outright* from the first non-empty window would anchor
-      // it with zero smoothing — a flash crowd landing in that window
-      // becomes the whole estimate. Instead seed from the prior (scale-
-      // matched to the observed total) and let the first window blend
-      // through the normal smoothing path below.
-      rates_ = scaled_prior(rates);
-    } else {
-      // Warm start: the model already holds the true weights; the first
-      // measured window is strictly better information, take it whole.
-      rates_ = rates;
-      return rates_;
-    }
-  }
-  for (std::size_t d = 0; d < rates_.size(); ++d) {
-    rates_[d] = smoothing_ * rates[d] + (1.0 - smoothing_) * rates_[d];
-  }
-  return rates_;
-}
-
 SlidingWindowLoadEstimator::SlidingWindowLoadEstimator(DomainModel& model, int window_count,
                                                        bool oracle)
     : LoadEstimator(model, oracle),
@@ -166,13 +127,23 @@ HoltWintersLoadEstimator::HoltWintersLoadEstimator(DomainModel& model, double sm
 
 std::vector<double> HoltWintersLoadEstimator::incorporate(const std::vector<double>& rates) {
   if (!seeded_) {
+    // An all-zero window before any traffic carries no information to seed
+    // from: discard it (empty return — it does not count as observed).
     if (!any_positive_rate(rates)) return {};
     seeded_ = true;
     // Trend starts at zero either way: one window gives no slope.
     if (seed_from_model_) {
+      // Cold start: the model holds deliberately-uninformed (uniform)
+      // weights, but they are still the configured prior. Seeding the
+      // level *outright* from the first non-empty window would anchor it
+      // with zero smoothing — a flash crowd landing in that window becomes
+      // the whole estimate. Instead seed from the prior (scale-matched to
+      // the observed total) and let the first window blend through the
+      // normal update below.
       level_ = scaled_prior(rates);
-      // fall through: the first window blends through the normal update.
     } else {
+      // Warm start: the model already holds the true weights; the first
+      // measured window is strictly better information, take it whole.
       level_ = rates;
       return level_;
     }

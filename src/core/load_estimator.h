@@ -81,30 +81,6 @@ class LoadEstimator {
   int windows_ = 0;
 };
 
-/// Exponentially-weighted moving average: cheap, memoryless, reacts to
-/// shifts within ~1/smoothing windows. The library default.
-class EwmaLoadEstimator : public LoadEstimator {
- public:
-  /// `smoothing` ∈ (0, 1]: weight of the newest window (1 = no memory).
-  /// With `seed_from_model` (the estimator_cold_start path) the estimate
-  /// seeds from the installed model weights — scale-matched to the first
-  /// non-empty window — and that window blends normally, instead of
-  /// anchoring the estimate outright with zero smoothing.
-  EwmaLoadEstimator(DomainModel& model, double smoothing, bool oracle = false,
-                    bool seed_from_model = false);
-
-  const std::vector<double>& current_rates() const { return rates_; }
-
- protected:
-  std::vector<double> incorporate(const std::vector<double>& rates) override;
-
- private:
-  double smoothing_;
-  std::vector<double> rates_;
-  bool seeded_ = false;
-  bool seed_from_model_;
-};
-
 /// Plain moving average over the last `window_count` collection windows:
 /// smoother than EWMA under bursty traffic, slower to track shifts, and
 /// O(window_count) memory.
@@ -130,8 +106,11 @@ class SlidingWindowLoadEstimator : public LoadEstimator {
 class HoltWintersLoadEstimator : public LoadEstimator {
  public:
   /// `smoothing` (α) ∈ (0, 1] smooths the level; `trend` (β) ∈ [0, 1]
-  /// smooths the trend (β = 0 degrades to EWMA-plus-frozen-trend).
-  /// `seed_from_model` behaves as in EwmaLoadEstimator.
+  /// smooths the trend (β = 0 keeps the trend at zero: EWMA).
+  /// With `seed_from_model` (the estimator_cold_start path) the estimate
+  /// seeds from the installed model weights — scale-matched to the first
+  /// non-empty window — and that window blends normally, instead of
+  /// anchoring the estimate outright with zero smoothing.
   HoltWintersLoadEstimator(DomainModel& model, double smoothing, double trend,
                            bool oracle = false, bool seed_from_model = false);
 
@@ -148,6 +127,18 @@ class HoltWintersLoadEstimator : public LoadEstimator {
   std::vector<double> trend_;
   bool seeded_ = false;
   bool seed_from_model_;
+};
+
+/// Exponentially-weighted moving average: Holt–Winters with β = 0, whose
+/// trend stays zero, so the level is the plain EWMA and the forecast is
+/// the level. Cheap, memoryless, reacts to shifts within ~1/smoothing
+/// windows. The library default.
+class EwmaLoadEstimator : public HoltWintersLoadEstimator {
+ public:
+  /// `smoothing` ∈ (0, 1]: weight of the newest window (1 = no memory).
+  EwmaLoadEstimator(DomainModel& model, double smoothing, bool oracle = false,
+                    bool seed_from_model = false)
+      : HoltWintersLoadEstimator(model, smoothing, 0.0, oracle, seed_from_model) {}
 };
 
 /// AR(p) one-step prediction: per domain, an autoregressive model

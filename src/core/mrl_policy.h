@@ -30,7 +30,6 @@ class MrlPolicy : public SelectionPolicy {
   web::ServerId select(const DecisionContext& ctx) override;
   void on_assign(web::DomainId domain, web::ServerId server, double ttl) override;
   std::vector<double> stationary_shares() const override;
-  std::string name() const override { return "MRL"; }
 
   /// Current residual load of a server; exposed for tests.
   double residual(web::ServerId s) const;

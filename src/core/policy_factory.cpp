@@ -1,6 +1,7 @@
 #include "core/policy_factory.h"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 
 #include <cstdio>
@@ -48,17 +49,11 @@ bool parse_cost_param(const std::string& tok, const std::string& base, double fa
 std::string selection_token(const PolicySpec& spec) {
   switch (spec.selection) {
     case SelectionKind::kRR:
-      return "RR";
-    case SelectionKind::kRR2:
-      return "RR2";
-    case SelectionKind::kRRn:
-      return spec.selection_tiers == kPerDomainClasses
-                 ? "RRK"
-                 : "RR" + std::to_string(spec.selection_tiers);
-    case SelectionKind::kPRR:
-      return "PRR";
-    case SelectionKind::kPRR2:
-      return "PRR2";
+    case SelectionKind::kPRR: {
+      const std::string base = spec.selection == SelectionKind::kPRR ? "PRR" : "RR";
+      if (spec.selection_tiers == kPerDomainClasses) return base + "K";
+      return spec.selection_tiers == 1 ? base : base + std::to_string(spec.selection_tiers);
+    }
     case SelectionKind::kWRR:
       return "WRR";
     case SelectionKind::kDAL:
@@ -77,35 +72,33 @@ std::string selection_token(const PolicySpec& spec) {
 
 /// Fills spec.selection (+tiers); returns true for the DRR/DRR2 aliases.
 bool parse_selection(const std::string& tok, PolicySpec* spec) {
-  if (tok == "RR") {
-    spec->selection = SelectionKind::kRR;
-    return false;
-  }
-  if (tok == "RR2") {
-    spec->selection = SelectionKind::kRR2;
-    return false;
-  }
-  if (tok == "RRK") {
-    spec->selection = SelectionKind::kRRn;
-    spec->selection_tiers = kPerDomainClasses;
-    return false;
-  }
-  // "RR<n>" for n >= 3: the multi-tier extension.
-  if (tok.size() > 2 && tok.rfind("RR", 0) == 0 &&
-      tok.find_first_not_of("0123456789", 2) == std::string::npos) {
-    const int tiers = std::stoi(tok.substr(2));
-    if (tiers < 3) throw std::invalid_argument("'" + tok + "': multi-tier RR needs >= 3 tiers");
-    spec->selection = SelectionKind::kRRn;
-    spec->selection_tiers = tiers;
-    return false;
-  }
-  if (tok == "PRR") {
-    spec->selection = SelectionKind::kPRR;
-    return false;
-  }
-  if (tok == "PRR2") {
-    spec->selection = SelectionKind::kPRR2;
-    return false;
+  // The round-robin family: RR, PRR or DRR, then a tier count. The paper
+  // writes DRR/DRR2 for "RR/RR2 combined with deterministic (server-aware)
+  // adaptive TTL" — the same selection rule with a different TTL.
+  const char lead = tok.empty() ? '\0' : tok[0];
+  const std::size_t rr = (lead == 'P' || lead == 'D') ? 1 : 0;
+  if (tok.compare(rr, 2, "RR") == 0) {
+    spec->selection = lead == 'P' ? SelectionKind::kPRR : SelectionKind::kRR;
+    const std::string tiers = tok.substr(rr + 2);
+    if (tiers.empty() || tiers == "2") {
+      spec->selection_tiers = tiers.empty() ? 1 : 2;
+      return lead == 'D';
+    }
+    // "RR<n>" for n >= 3 and "RRK" (one pointer per domain) extend the
+    // paper's two tiers; they have no PRR or DRR spelling.
+    if (rr == 0 && tiers == "K") {
+      spec->selection_tiers = kPerDomainClasses;
+      return false;
+    }
+    if (rr == 0 && tiers.find_first_not_of("0123456789") == std::string::npos) {
+      int n = 0;
+      if (std::from_chars(tiers.data(), tiers.data() + tiers.size(), n).ec != std::errc()) {
+        throw std::invalid_argument("'" + tok + "': bad round-robin tier count");
+      }
+      if (n < 3) throw std::invalid_argument("'" + tok + "': multi-tier RR needs >= 3 tiers");
+      spec->selection_tiers = n;
+      return false;
+    }
   }
   if (tok == "WRR") {
     spec->selection = SelectionKind::kWRR;
@@ -144,16 +137,6 @@ bool parse_selection(const std::string& tok, PolicySpec* spec) {
       return false;
     }
   }
-  // The paper writes DRR/DRR2 for "RR/RR2 combined with deterministic
-  // (server-aware) adaptive TTL" — same selection rule, different TTL.
-  if (tok == "DRR") {
-    spec->selection = SelectionKind::kRR;
-    return true;
-  }
-  if (tok == "DRR2") {
-    spec->selection = SelectionKind::kRR2;
-    return true;
-  }
   throw std::invalid_argument("unknown selection policy: '" + tok + "'");
 }
 
@@ -162,8 +145,9 @@ bool parse_selection(const std::string& tok, PolicySpec* spec) {
 std::string PolicySpec::canonical_name() const {
   // The deterministic family is spelled DRR/DRR2 in the paper.
   std::string sel = selection_token(*this);
-  if (server_ttl_term && (selection == SelectionKind::kRR || selection == SelectionKind::kRR2)) {
-    sel = (selection == SelectionKind::kRR) ? "DRR" : "DRR2";
+  if (server_ttl_term && selection == SelectionKind::kRR &&
+      (selection_tiers == 1 || selection_tiers == 2)) {
+    sel = "D" + sel;
   }
   if (ttl_classes == 0) return sel;
   std::string ttl = server_ttl_term ? "TTL/S_" : "TTL/";
@@ -251,24 +235,16 @@ SchedulerBundle make_scheduler(const std::string& name, const SchedulerFactoryCo
   for (std::size_t i = 0; i < alpha.size(); ++i) alpha[i] = config.capacities[i] / c1;
 
   std::unique_ptr<SelectionPolicy> selection;
-  const int n = static_cast<int>(config.capacities.size());
   switch (spec.selection) {
     case SelectionKind::kRR:
-      selection = std::make_unique<RoundRobinPolicy>(n);
-      break;
-    case SelectionKind::kRR2:
-      selection = std::make_unique<TwoTierRoundRobinPolicy>(n, *bundle.domains);
-      break;
-    case SelectionKind::kRRn:
-      selection = std::make_unique<MultiTierRoundRobinPolicy>(n, *bundle.domains,
-                                                              spec.selection_tiers);
+      // α ≡ 1 draws no variate, so the stream is a copy, not a split: a
+      // split would shift every split drawn from `rng` after it.
+      selection = std::make_unique<RoundRobinPolicy>(std::vector<double>(alpha.size(), 1.0),
+                                                     *bundle.domains, spec.selection_tiers, rng);
       break;
     case SelectionKind::kPRR:
-      selection = std::make_unique<ProbabilisticRoundRobinPolicy>(alpha, rng.split());
-      break;
-    case SelectionKind::kPRR2:
-      selection =
-          std::make_unique<ProbabilisticTwoTierPolicy>(alpha, *bundle.domains, rng.split());
+      selection = std::make_unique<RoundRobinPolicy>(alpha, *bundle.domains,
+                                                     spec.selection_tiers, rng.split());
       break;
     case SelectionKind::kWRR:
       selection = std::make_unique<WeightedRoundRobinPolicy>(config.capacities);

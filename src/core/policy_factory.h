@@ -13,15 +13,18 @@
 
 namespace adattl::core {
 
-/// Which server-selection rule a composite algorithm uses.
-enum class SelectionKind { kRR, kRR2, kRRn, kPRR, kPRR2, kWRR, kDAL, kMRL, kGEO, kCost, kCostCap };
+/// Which server-selection rule a composite algorithm uses. kRR and kPRR
+/// are the tiered round robin (RoundRobinPolicy), deterministic or
+/// capacity-probabilistic.
+enum class SelectionKind { kRR, kPRR, kWRR, kDAL, kMRL, kGEO, kCost, kCostCap };
 
 /// Parsed form of an algorithm name such as "DRR2-TTL/S_K".
 struct PolicySpec {
   SelectionKind selection = SelectionKind::kRR;
-  /// For kRRn: number of round-robin tiers (>= 3, or kPerDomainClasses for
-  /// "RRK" — one pointer per domain). Unused otherwise.
-  int selection_tiers = 0;
+  /// For kRR and kPRR: the number of round-robin tiers (1 for RR/PRR, 2 for
+  /// RR2/PRR2, n >= 3 for RRn, kPerDomainClasses for RRK — one pointer per
+  /// domain). Unused otherwise.
+  int selection_tiers = 1;
   /// For kCost: weight of the load term in the composite objective.
   double cost_alpha = 0.5;
   /// For kCostCap: the latency budget (seconds) of the two-tier variant.

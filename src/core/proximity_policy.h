@@ -26,7 +26,6 @@ class ProximityPolicy : public SelectionPolicy {
   using SelectionPolicy::select;
   web::ServerId select(const DecisionContext& ctx) override;
   std::vector<double> stationary_shares() const override;
-  std::string name() const override { return "GEO"; }
 
  private:
   web::ServerId weighted_pick(std::vector<double>& credit, const std::vector<bool>& allowed,

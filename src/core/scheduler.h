@@ -26,8 +26,9 @@ struct Decision {
 /// alarm-based exclusion, with bookkeeping of every decision it makes.
 ///
 /// This is the paper's composite algorithm; e.g. DRR2-TTL/S_K is
-/// TwoTierRoundRobinPolicy + AdaptiveTtlPolicy(per-domain classes, server
-/// term on).
+/// RoundRobinPolicy(α ≡ 1, two tiers) + AdaptiveTtlPolicy(per-domain
+/// classes, server term on). Its name() is the algorithm's canonical
+/// spelling (PolicySpec::canonical_name), the one name a policy has.
 class DnsScheduler {
  public:
   /// `geo` (optional) makes the scheduler latency-aware: it is handed to

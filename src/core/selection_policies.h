@@ -1,6 +1,6 @@
 #pragma once
 
-#include <memory>
+#include <vector>
 
 #include "core/domain_model.h"
 #include "core/selection_policy.h"
@@ -8,63 +8,47 @@
 
 namespace adattl::core {
 
-/// Plain round robin (the NCSA scheme): cycles one pointer over all
-/// servers, skipping alarmed ones.
+/// Tiered round robin: the paper's one selection rule (§3, §3.1). Domains
+/// are partitioned into `tiers` classes (DomainModel::partition) and each
+/// class cycles its own pointer over the servers, so a burst of same-class
+/// mappings spreads while classes stay decoupled. Advancing cyclically
+/// from its class's last pick, the pointer accepts eligible candidate S_i
+/// with probability α_i and otherwise skips it. The family:
+///
+///   * RR  — 1 tier, α ≡ 1: the NCSA scheme;
+///   * RR2 — 2 tiers (the γ hot/normal split), α ≡ 1: ICDCS'97 [4];
+///   * RRn, RRK — n log-spaced tiers, or one per domain (kPerDomainClasses),
+///     α ≡ 1: extensions beyond the paper, which stops at two tiers;
+///   * PRR, PRR2 — 1 or 2 tiers with α_i = C_i / C_1: long-run shares are
+///     proportional to capacity, which is how the probabilistic family
+///     absorbs heterogeneity.
+///
+/// An α of 1 draws no variate, so the deterministic family never touches
+/// `rng`. The domain→class table is re-derived on every weight update, so
+/// a decision is a table lookup; a class that empties keeps its pointer.
 class RoundRobinPolicy : public SelectionPolicy {
  public:
-  explicit RoundRobinPolicy(int num_servers);
+  /// `alpha` holds one acceptance probability in (0, 1] per server. The
+  /// policy subscribes to `domains` for good: the model must outlive it
+  /// and update no weights after it is destroyed.
+  RoundRobinPolicy(std::vector<double> alpha, DomainModel& domains, int tiers,
+                   sim::RngStream rng);
+  RoundRobinPolicy(const RoundRobinPolicy&) = delete;
+  RoundRobinPolicy& operator=(const RoundRobinPolicy&) = delete;
 
   using SelectionPolicy::select;
   web::ServerId select(const DecisionContext& ctx) override;
   std::vector<double> stationary_shares() const override;
-  std::string name() const override { return "RR"; }
 
  private:
-  int num_servers_;
-  int last_ = -1;
-};
+  void reclassify();
 
-/// Two-tier round robin (RR2, from ICDCS'97 [4]): hot domains (share > γ)
-/// and normal domains each cycle their own pointer, so a burst of hot-
-/// domain mappings cannot land on consecutive occasions on the same server
-/// that normal domains also concentrate on.
-class TwoTierRoundRobinPolicy : public SelectionPolicy {
- public:
-  TwoTierRoundRobinPolicy(int num_servers, const DomainModel& domains);
-
-  using SelectionPolicy::select;
-  web::ServerId select(const DecisionContext& ctx) override;
-  std::vector<double> stationary_shares() const override;
-  std::string name() const override { return "RR2"; }
-
- private:
-  int num_servers_;
+  std::vector<double> alpha_;
   const DomainModel& domains_;
-  int last_hot_ = -1;
-  int last_normal_ = -1;
-};
-
-/// N-tier round robin: the natural generalization of RR2 (extension beyond
-/// the paper, which stops at two tiers). Domains are partitioned into
-/// `num_tiers` classes by hidden load weight (DomainModel::partition) and
-/// each class cycles its own round-robin pointer, so same-class bursts
-/// spread while classes stay decoupled. RR2 == MultiTierRoundRobinPolicy
-/// with 2 tiers and the γ rule; kPerDomainClasses gives one pointer per
-/// domain.
-class MultiTierRoundRobinPolicy : public SelectionPolicy {
- public:
-  MultiTierRoundRobinPolicy(int num_servers, const DomainModel& domains, int num_tiers);
-
-  using SelectionPolicy::select;
-  web::ServerId select(const DecisionContext& ctx) override;
-  std::vector<double> stationary_shares() const override;
-  std::string name() const override;
-
- private:
-  int num_servers_;
-  const DomainModel& domains_;
-  int num_tiers_;
-  std::vector<int> last_;  // one pointer per tier, grown on demand
+  int tiers_;
+  sim::RngStream rng_;
+  std::vector<int> tier_;  // domain → class
+  std::vector<int> last_;  // one pointer per class, grown on demand
 };
 
 /// Smooth weighted round robin (WRR — extension baseline): the classic
@@ -81,54 +65,11 @@ class WeightedRoundRobinPolicy : public SelectionPolicy {
   using SelectionPolicy::select;
   web::ServerId select(const DecisionContext& ctx) override;
   std::vector<double> stationary_shares() const override;
-  std::string name() const override { return "WRR"; }
 
  private:
   std::vector<double> weights_;
   std::vector<double> credit_;
   double total_weight_ = 0.0;
-};
-
-/// Probabilistic round robin (PRR, §3.1): advancing cyclically from the
-/// last chosen server, candidate S_i is accepted with probability
-/// α_i = C_i / C_1, otherwise skipped. Long-run shares are proportional to
-/// server capacity, which is how the probabilistic family absorbs
-/// heterogeneity.
-class ProbabilisticRoundRobinPolicy : public SelectionPolicy {
- public:
-  ProbabilisticRoundRobinPolicy(std::vector<double> relative_capacities, sim::RngStream rng);
-
-  using SelectionPolicy::select;
-  web::ServerId select(const DecisionContext& ctx) override;
-  std::vector<double> stationary_shares() const override;
-  std::string name() const override { return "PRR"; }
-
- private:
-  friend class ProbabilisticTwoTierPolicy;
-  web::ServerId advance(int& last, const std::vector<bool>& eligible);
-
-  std::vector<double> alpha_;
-  sim::RngStream rng_;
-  int last_ = -1;
-};
-
-/// PRR2: the two-tier pointer structure of RR2 with PRR's capacity-
-/// probabilistic skipping.
-class ProbabilisticTwoTierPolicy : public SelectionPolicy {
- public:
-  ProbabilisticTwoTierPolicy(std::vector<double> relative_capacities, const DomainModel& domains,
-                             sim::RngStream rng);
-
-  using SelectionPolicy::select;
-  web::ServerId select(const DecisionContext& ctx) override;
-  std::vector<double> stationary_shares() const override;
-  std::string name() const override { return "PRR2"; }
-
- private:
-  ProbabilisticRoundRobinPolicy inner_;
-  const DomainModel& domains_;
-  int last_hot_ = -1;
-  int last_normal_ = -1;
 };
 
 }  // namespace adattl::core

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/decision_context.h"
@@ -41,8 +40,6 @@ class SelectionPolicy {
   /// stay eligible. Exact for the round-robin family; the TTL calibration
   /// uses it to average the per-server TTL term.
   virtual std::vector<double> stationary_shares() const = 0;
-
-  virtual std::string name() const = 0;
 };
 
 }  // namespace adattl::core

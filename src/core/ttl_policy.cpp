@@ -81,14 +81,4 @@ double AdaptiveTtlPolicy::expected_address_rate() const {
   return rate;
 }
 
-std::string AdaptiveTtlPolicy::name() const {
-  std::string n = server_term_ ? "TTL/S_" : "TTL/";
-  if (num_classes_ == kPerDomainClasses) {
-    n += "K";
-  } else {
-    n += std::to_string(num_classes_);
-  }
-  return n;
-}
-
 }  // namespace adattl::core

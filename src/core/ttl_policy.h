@@ -1,6 +1,5 @@
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/domain_model.h"
@@ -17,8 +16,6 @@ class TtlPolicy {
 
   /// Re-derives internal factors after a hidden-load-weight update.
   virtual void recalibrate() = 0;
-
-  virtual std::string name() const = 0;
 };
 
 /// TTL/1 — the non-adaptive baseline: one constant TTL for everything
@@ -29,7 +26,6 @@ class ConstantTtlPolicy : public TtlPolicy {
 
   double ttl(web::DomainId, web::ServerId) const override { return value_; }
   void recalibrate() override {}
-  std::string name() const override { return "TTL/1"; }
 
  private:
   double value_;
@@ -61,7 +57,6 @@ class AdaptiveTtlPolicy : public TtlPolicy {
 
   double ttl(web::DomainId domain, web::ServerId server) const override;
   void recalibrate() override;
-  std::string name() const override;
 
   /// Smallest TTL the policy can emit (hottest class on the weakest server).
   double min_ttl() const;

@@ -8,7 +8,7 @@ namespace adattl::experiment {
 MaxUtilizationTracker::MaxUtilizationTracker(int num_servers, sim::SimTime warmup_end,
                                              int cdf_bins, std::size_t batch_ticks)
     : warmup_end_(warmup_end),
-      cdf_(cdf_bins),
+      cdf_(1.0, cdf_bins),
       batches_(batch_ticks),
       per_server_(static_cast<std::size_t>(num_servers)) {
   if (num_servers <= 0) throw std::invalid_argument("MaxUtilizationTracker: need servers");
@@ -22,7 +22,7 @@ void MaxUtilizationTracker::observe(sim::SimTime now, const std::vector<double>&
   if (utilizations.size() != per_server_.size()) {
     throw std::invalid_argument("MaxUtilizationTracker: size mismatch");
   }
-  double mx = 0.0;
+  double mx = 0.0;  // a max from 0: never negative, as Histogram::add requires
   for (std::size_t i = 0; i < utilizations.size(); ++i) {
     per_server_[i].add(utilizations[i]);
     mx = std::max(mx, utilizations[i]);
@@ -36,16 +36,6 @@ std::vector<double> MaxUtilizationTracker::mean_utilizations() const {
   std::vector<double> out(per_server_.size());
   for (std::size_t i = 0; i < per_server_.size(); ++i) out[i] = per_server_[i].mean();
   return out;
-}
-
-double MaxUtilizationTracker::mean_aggregate_utilization() const {
-  // Equal-capacity-weighted mean would need capacities; the plain mean over
-  // servers of mean utilization is the paper's "average system utilization"
-  // only under equal weighting, so callers that need the capacity-weighted
-  // figure compute it from mean_utilizations() and the cluster spec.
-  double sum = 0.0;
-  for (const auto& s : per_server_) sum += s.mean();
-  return per_server_.empty() ? 0.0 : sum / static_cast<double>(per_server_.size());
 }
 
 }  // namespace adattl::experiment

@@ -24,15 +24,15 @@ class MaxUtilizationTracker {
   /// period is closed on the left — the convention for all collectors).
   void observe(sim::SimTime now, const std::vector<double>& utilizations);
 
-  const sim::EmpiricalCdf& cdf() const { return cdf_; }
+  /// The max-utilization distribution over [0, 1); saturated ticks land in
+  /// the overflow bin.
+  const sim::Histogram& cdf() const { return cdf_; }
   double prob_below(double u) const { return cdf_.prob_below(u); }
 
   /// Per-server mean utilization over the measured period.
   std::vector<double> mean_utilizations() const;
   /// Mean of the per-tick max utilization.
   double mean_max_utilization() const { return max_stat_.mean(); }
-  /// Mean utilization aggregated over servers (≈ offered load / capacity).
-  double mean_aggregate_utilization() const;
 
   std::uint64_t samples() const { return cdf_.count(); }
 
@@ -43,7 +43,7 @@ class MaxUtilizationTracker {
 
  private:
   sim::SimTime warmup_end_;
-  sim::EmpiricalCdf cdf_;
+  sim::Histogram cdf_;
   sim::RunningStat max_stat_;
   sim::BatchMeans batches_;
   std::vector<sim::RunningStat> per_server_;

@@ -42,7 +42,7 @@ struct RunResult {
   /// Master seed the run was built with (SimulationConfig::seed) — lets
   /// replication outputs be traced back to their exact seed derivation.
   std::uint64_t seed = 0;
-  sim::EmpiricalCdf max_util_cdf{500};
+  sim::Histogram max_util_cdf{1.0, 500};
   double prob_below_090 = 0.0;
   double prob_below_098 = 0.0;
   double mean_max_utilization = 0.0;

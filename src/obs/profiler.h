@@ -1,10 +1,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace adattl::obs {
 
@@ -28,31 +24,6 @@ class Stopwatch {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named wall-clock spans (setup, warmup, measurement,
-/// reduction, ...) across one run or a whole sweep. Phases keep first-add
-/// order; adding to an existing phase accumulates seconds and bumps its
-/// count, so per-replication spans roll up into per-sweep totals.
-class PhaseProfiler {
- public:
-  struct Phase {
-    std::string name;
-    double seconds = 0.0;
-    std::uint64_t count = 0;
-  };
-
-  void add(const std::string& phase, double seconds);
-
-  const std::vector<Phase>& phases() const { return phases_; }
-  double total_seconds() const;
-
-  /// {"phases":[{"name":...,"seconds":...,"count":...},...],"total_seconds":...}
-  std::string to_json() const;
-
- private:
-  std::vector<Phase> phases_;
-  std::unordered_map<std::string, std::size_t> index_;
 };
 
 }  // namespace adattl::obs

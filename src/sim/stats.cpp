@@ -43,87 +43,6 @@ double RunningStat::variance() const {
 
 double RunningStat::stddev() const { return std::sqrt(variance()); }
 
-void TimeWeightedMean::set(SimTime at, double value) {
-  if (origin_ == kTimeNever) {
-    origin_ = at;
-  } else {
-    if (at < last_change_) throw std::invalid_argument("TimeWeightedMean: time went backwards");
-    weighted_sum_ += value_ * (at - last_change_);
-  }
-  last_change_ = at;
-  value_ = value;
-}
-
-double TimeWeightedMean::mean(SimTime at) const {
-  if (origin_ == kTimeNever || at <= origin_) return value_;
-  const double total = weighted_sum_ + value_ * (at - last_change_);
-  return total / (at - origin_);
-}
-
-EmpiricalCdf::EmpiricalCdf(int bins) {
-  if (bins <= 0) throw std::invalid_argument("EmpiricalCdf: bins must be >= 1");
-  counts_.assign(static_cast<std::size_t>(bins) + 1, 0);
-}
-
-void EmpiricalCdf::add(double x) {
-  const int bins = this->bins();
-  std::size_t idx;
-  // Negated so NaN takes this branch too, and is rejected rather than cast
-  // to an index (undefined behaviour).
-  if (!(x >= 0.0)) {
-    if (std::isnan(x)) throw std::invalid_argument("EmpiricalCdf: NaN sample");
-    idx = 0;
-  } else if (x >= 1.0) {
-    idx = static_cast<std::size_t>(bins);  // overflow bin
-  } else {
-    idx = static_cast<std::size_t>(x * bins);
-  }
-  counts_[idx]++;
-  ++n_;
-}
-
-double EmpiricalCdf::prob_below(double x) const {
-  if (std::isnan(x)) throw std::invalid_argument("EmpiricalCdf: NaN query");
-  if (n_ == 0) return 0.0;
-  if (x <= 0.0) return 0.0;
-  const int bins = this->bins();
-  const std::size_t upto = (x >= 1.0)
-                               ? static_cast<std::size_t>(bins)
-                               : static_cast<std::size_t>(x * bins);
-  std::uint64_t below = 0;
-  for (std::size_t i = 0; i < upto; ++i) below += counts_[i];
-  return static_cast<double>(below) / static_cast<double>(n_);
-}
-
-double EmpiricalCdf::quantile(double p) const {
-  const int bins = this->bins();
-  if (n_ == 0) return 0.0;
-  // p == 0 asks for the infimum of the support: the domain's lower edge,
-  // not the first (possibly empty) bin's upper edge.
-  if (p <= 0.0) return 0.0;
-  std::uint64_t acc = 0;
-  const auto target = static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(n_)));
-  for (int i = 0; i <= bins; ++i) {
-    acc += counts_[static_cast<std::size_t>(i)];
-    // Mass in the overflow bin (i == bins) reports the domain upper bound
-    // 1.0, never (bins+1)/bins — quantiles stay inside [0, 1].
-    if (acc >= target) return (i == bins) ? 1.0 : static_cast<double>(i + 1) / bins;
-  }
-  return 1.0;
-}
-
-std::vector<double> EmpiricalCdf::cumulative() const {
-  const int bins = this->bins();
-  std::vector<double> out(static_cast<std::size_t>(bins) + 1, 0.0);
-  std::uint64_t acc = 0;
-  for (int i = 0; i <= bins; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        n_ ? static_cast<double>(acc) / static_cast<double>(n_) : 0.0;
-    acc += counts_[static_cast<std::size_t>(i)];
-  }
-  return out;
-}
-
 Histogram::Histogram(double upper, int bins) : upper_(upper) {
   if (upper <= 0) throw std::invalid_argument("Histogram: upper bound must be > 0");
   if (bins <= 0) throw std::invalid_argument("Histogram: bins must be >= 1");
@@ -153,7 +72,9 @@ void Histogram::merge(const Histogram& other) {
 
 double Histogram::quantile(double p) const {
   if (n_ == 0) return 0.0;
-  if (p <= 0.0) return 0.0;  // lower edge of the domain (same rule as EmpiricalCdf)
+  // p == 0 asks for the infimum of the support: the range's lower edge,
+  // not the first (possibly empty) bin's upper edge.
+  if (p <= 0.0) return 0.0;
   const int bins = this->bins();
   const auto target = static_cast<std::uint64_t>(std::ceil(p * static_cast<double>(n_)));
   std::uint64_t acc = 0;
@@ -164,6 +85,17 @@ double Histogram::quantile(double p) const {
     }
   }
   return upper_;
+}
+
+double Histogram::prob_below(double x) const {
+  if (std::isnan(x)) throw std::invalid_argument("Histogram: NaN query");
+  if (n_ == 0 || x <= 0.0) return 0.0;
+  const int bins = this->bins();
+  const std::size_t upto = (x >= upper_) ? static_cast<std::size_t>(bins)
+                                         : static_cast<std::size_t>(x / upper_ * bins);
+  std::uint64_t below = 0;
+  for (std::size_t i = 0; i < upto; ++i) below += counts_[i];
+  return static_cast<double>(below) / static_cast<double>(n_);
 }
 
 BatchMeans::BatchMeans(std::size_t batch_size) : batch_size_(batch_size) {

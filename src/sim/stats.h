@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/time.h"
-
 namespace adattl::sim {
 
 /// Running mean/variance accumulator (Welford's algorithm — numerically
@@ -36,64 +34,11 @@ class RunningStat {
   double max_ = 0.0;
 };
 
-/// Mean of a piecewise-constant signal weighted by the time each value was
-/// held: used for utilization-style quantities.
-class TimeWeightedMean {
- public:
-  explicit TimeWeightedMean(SimTime start = 0.0) : last_change_(start) {}
-
-  /// Records that the signal takes `value` from time `at` onward.
-  /// `at` must be monotonically non-decreasing.
-  void set(SimTime at, double value);
-
-  /// Mean over [start, at], extending the current value to `at`.
-  double mean(SimTime at) const;
-
-  double current() const { return value_; }
-
- private:
-  SimTime last_change_;
-  double value_ = 0.0;
-  double weighted_sum_ = 0.0;
-  SimTime origin_ = kTimeNever;  // set on first set()
-};
-
-/// Empirical CDF over [0, 1] with fixed-width bins, for the paper's
-/// "cumulative frequency of maximum server utilization" curves.
-///
-/// Values below 0 clamp to the first bin; values above 1 land in a
-/// dedicated overflow bin so P(x < 1.0) stays exact. A NaN sample or query
-/// throws std::invalid_argument.
-class EmpiricalCdf {
- public:
-  explicit EmpiricalCdf(int bins = 200);
-
-  void add(double x);
-
-  std::uint64_t count() const { return n_; }
-
-  /// P(X < x). Exact at bin boundaries; linear in-between bin granularity
-  /// otherwise (conservative: uses the lower boundary's mass).
-  double prob_below(double x) const;
-
-  /// Smallest bin-boundary q with P(X < q) >= p (an upper quantile bound),
-  /// clamped to the CDF's domain: 0.0 for p <= 0, and 1.0 when the target
-  /// mass lands in the overflow bin.
-  double quantile(double p) const;
-
-  int bins() const { return static_cast<int>(counts_.size()) - 1; }
-
-  /// Cumulative probability at each bin boundary i/bins, i in [0, bins].
-  std::vector<double> cumulative() const;
-
- private:
-  std::vector<std::uint64_t> counts_;  // last slot = overflow (x >= 1)
-  std::uint64_t n_ = 0;
-};
-
 /// Fixed-range linear histogram with an overflow bin, supporting merging
-/// and quantile queries. Used for response-time percentiles (p50/p95/p99)
-/// where a RunningStat's mean hides the overload tail.
+/// and quantile and CDF queries. Used for response-time percentiles
+/// (p50/p95/p99), where a RunningStat's mean hides the overload tail, and,
+/// over [0, 1), for the paper's "cumulative frequency of maximum server
+/// utilization" curves.
 class Histogram {
  public:
   /// Range [0, upper); values >= upper land in the overflow bin and are
@@ -115,8 +60,14 @@ class Histogram {
 
   /// Smallest bin upper boundary q with P(X <= q) >= p; `upper` if the
   /// quantile falls in the overflow bin. 0 when empty or for p <= 0 (the
-  /// lower edge of the range, matching EmpiricalCdf::quantile).
+  /// lower edge of the range).
   double quantile(double p) const;
+
+  /// P(X < x), counted over the whole bins below x: exact at bin
+  /// boundaries, conservative in between. Values >= `upper` sit in the
+  /// overflow bin, so P(X < upper) stays exact. 0 when empty; a NaN query
+  /// throws std::invalid_argument.
+  double prob_below(double x) const;
 
   double upper() const { return upper_; }
   int bins() const { return static_cast<int>(counts_.size()) - 1; }

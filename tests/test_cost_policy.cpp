@@ -133,7 +133,8 @@ TEST(CompositeCostPolicy, ThrowsWithoutGeoContext) {
 
 TEST(CompositeCostPolicy, NameAndSharesAndValidation) {
   CompositeCostPolicy p({50.0, 100.0, 50.0}, 0.7);
-  EXPECT_EQ(p.name(), "COST(0.7)");
+  EXPECT_DOUBLE_EQ(p.alpha(), 0.7);
+  EXPECT_EQ(parse_policy_name("COST(0.7)").canonical_name(), "COST(0.7)");
   const std::vector<double> shares = p.stationary_shares();
   ASSERT_EQ(shares.size(), 3u);
   EXPECT_DOUBLE_EQ(shares[0], 0.25);
@@ -171,7 +172,8 @@ TEST(LatencyCapPolicy, WidensWhenNoInCapServerIsEligible) {
 
 TEST(LatencyCapPolicy, NameAndValidation) {
   LatencyCapPolicy p({100.0}, 0.08);
-  EXPECT_EQ(p.name(), "COSTCAP(0.08)");
+  EXPECT_DOUBLE_EQ(p.cap_sec(), 0.08);
+  EXPECT_EQ(parse_policy_name("COSTCAP(0.08)").canonical_name(), "COSTCAP(0.08)");
   EXPECT_THROW(LatencyCapPolicy({100.0}, 0.0), std::invalid_argument);
   EXPECT_THROW(LatencyCapPolicy({100.0}, -1.0), std::invalid_argument);
 }
@@ -240,9 +242,13 @@ TEST(CostPolicyFactory, RequiresAGeoModel) {
 
   fc.geo = std::make_shared<const geo::GeoModel>(two_domain_geo());
   const SchedulerBundle cost = make_scheduler("COST(0.7)", fc, alarms, sim, rng);
-  EXPECT_EQ(cost.scheduler->selection().name(), "COST(0.7)");
+  EXPECT_EQ(cost.scheduler->name(), "COST(0.7)");
+  EXPECT_DOUBLE_EQ(
+      dynamic_cast<const CompositeCostPolicy&>(cost.scheduler->selection()).alpha(), 0.7);
   const SchedulerBundle cap = make_scheduler("COSTCAP(0.1)", fc, alarms, sim, rng);
-  EXPECT_EQ(cap.scheduler->selection().name(), "COSTCAP(0.1)");
+  EXPECT_EQ(cap.scheduler->name(), "COSTCAP(0.1)");
+  EXPECT_DOUBLE_EQ(
+      dynamic_cast<const LatencyCapPolicy&>(cap.scheduler->selection()).cap_sec(), 0.1);
 }
 
 }  // namespace

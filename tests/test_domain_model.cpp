@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "sim/random.h"
 
 namespace adattl::core {
@@ -14,9 +16,20 @@ std::vector<double> zipf_weights(int k) {
 TEST(DomainModel, RejectsBadConstruction) {
   EXPECT_THROW(DomainModel({}, 0.05), std::invalid_argument);
   EXPECT_THROW(DomainModel({1.0}, 0.0), std::invalid_argument);
-  EXPECT_THROW(DomainModel({1.0}, 1.0), std::invalid_argument);
+  EXPECT_THROW(DomainModel({1.0}, 1.5), std::invalid_argument);
+  EXPECT_THROW(DomainModel({1.0}, std::nan("")), std::invalid_argument);
   EXPECT_THROW(DomainModel({0.0, 0.0}, 0.5), std::invalid_argument);
   EXPECT_THROW(DomainModel({-1.0, 2.0}, 0.5), std::invalid_argument);
+}
+
+// γ = 1 is the default 1/K of a one-domain site: no share exceeds it, so
+// no domain is hot. It used to be rejected, aborting every K = 1 run.
+TEST(DomainModel, ThresholdOfOneMeansNoDomainIsHot) {
+  const DomainModel single({3.0}, 1.0);
+  EXPECT_FALSE(single.is_hot(0));
+  EXPECT_EQ(single.partition(2), std::vector<int>{1});
+  const DomainModel pair({9.0, 1.0}, 1.0);
+  EXPECT_EQ(pair.hot_count(), 0);
 }
 
 TEST(DomainModel, SharesSumToOne) {

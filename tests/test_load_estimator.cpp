@@ -77,8 +77,8 @@ TEST(LoadEstimator, EwmaDecaysThroughTrafficLulls) {
   est.observe({800, 80}, 8.0);  // rates 100, 10
   for (int w = 0; w < 3; ++w) est.observe({0, 0}, 8.0);
   // Three empty windows halve the estimate three times: 100 -> 12.5.
-  EXPECT_DOUBLE_EQ(est.current_rates()[0], 12.5);
-  EXPECT_DOUBLE_EQ(est.current_rates()[1], 1.25);
+  EXPECT_DOUBLE_EQ(est.level()[0], 12.5);
+  EXPECT_DOUBLE_EQ(est.level()[1], 1.25);
   // Shares are scale-free, so the installed model still ranks domain 0
   // first — but a single busy window for domain 1 now flips the ranking
   // quickly instead of fighting a frozen rate of 100.
@@ -159,8 +159,11 @@ TEST(HoltWintersEstimator, RejectsBadParameters) {
 }
 
 TEST(HoltWintersEstimator, ZeroTrendDegradesToEwma) {
-  // With beta = 0 the trend stays at its zero seed, so level updates are
-  // exactly the EWMA recurrence and the installed forecast equals it.
+  // With beta = 0 the trend stays at its zero seed, so the level follows
+  // the EWMA recurrence level = 0.4 * rate + 0.6 * level and the installed
+  // forecast is the level. By hand: rates {10, 5} seed the level, then
+  // {20, 5} -> {14, 5}, {5, 25} -> {10.4, 13}, {0, 0} -> {6.24, 7.8} and
+  // {10, 10} -> {7.744, 8.68}. EwmaLoadEstimator is that estimator.
   DomainModel m1({1.0, 1.0}, 0.4);
   DomainModel m2({1.0, 1.0}, 0.4);
   HoltWintersLoadEstimator hw(m1, 0.4, 0.0);
@@ -171,8 +174,12 @@ TEST(HoltWintersEstimator, ZeroTrendDegradesToEwma) {
     hw.observe(w, 8.0);
     ewma.observe(w, 8.0);
   }
-  EXPECT_DOUBLE_EQ(m1.weight(0), m2.weight(0));
-  EXPECT_DOUBLE_EQ(m1.weight(1), m2.weight(1));
+  for (const DomainModel* m : {&m1, &m2}) {
+    EXPECT_NEAR(m->weight(0), 7.744, 1e-12);
+    EXPECT_NEAR(m->weight(1), 8.68, 1e-12);
+  }
+  EXPECT_EQ(hw.trend(), std::vector<double>(2, 0.0));
+  EXPECT_EQ(ewma.trend(), std::vector<double>(2, 0.0));
 }
 
 TEST(HoltWintersEstimator, TracksLinearRampAheadOfEwma) {

@@ -1,5 +1,5 @@
 // Observability layer: the metrics snapshot, tracer ring buffer and
-// exporters, phase profiler, and end-to-end wiring through a Site run —
+// exporters, and end-to-end wiring through a Site run —
 // including the invariant that enabling observability never changes the
 // simulation results.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "experiment/site.h"
 #include "obs/event_tracer.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "sim/stats.h"
 
 namespace adattl {
@@ -438,27 +437,6 @@ TEST(DecisionLog, AttachedToSiteCapturesAllDecisions) {
   // Hot domains re-resolve more often under TTL/K: domain 0 must appear
   // strictly more often than the coldest domain.
   EXPECT_GT(d0, d19);
-}
-
-// --------------------------------------------------------------- profiler
-
-TEST(PhaseProfiler, AccumulatesInFirstAddOrder) {
-  obs::PhaseProfiler profiler;
-  profiler.add("setup", 1.0);
-  profiler.add("run", 2.0);
-  profiler.add("setup", 0.5);
-
-  const auto& phases = profiler.phases();
-  ASSERT_EQ(phases.size(), 2u);
-  EXPECT_EQ(phases[0].name, "setup");
-  EXPECT_DOUBLE_EQ(phases[0].seconds, 1.5);
-  EXPECT_EQ(phases[0].count, 2u);
-  EXPECT_EQ(phases[1].name, "run");
-  EXPECT_DOUBLE_EQ(profiler.total_seconds(), 3.5);
-
-  const std::string json = profiler.to_json();
-  EXPECT_NE(json.find("\"name\":\"setup\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"total_seconds\":3.5"), std::string::npos) << json;
 }
 
 // ------------------------------------------------------------- end to end

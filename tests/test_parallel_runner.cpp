@@ -35,7 +35,7 @@ experiment::SimulationConfig small_config(std::uint64_t seed = 7701) {
 void expect_identical_run(const experiment::RunResult& a, const experiment::RunResult& b) {
   EXPECT_EQ(a.seed, b.seed);
   EXPECT_EQ(a.max_util_cdf.count(), b.max_util_cdf.count());
-  EXPECT_EQ(a.max_util_cdf.cumulative(), b.max_util_cdf.cumulative());
+  EXPECT_EQ(a.max_util_cdf.counts(), b.max_util_cdf.counts());
   EXPECT_EQ(a.prob_below_090, b.prob_below_090);
   EXPECT_EQ(a.prob_below_098, b.prob_below_098);
   EXPECT_EQ(a.mean_max_utilization, b.mean_max_utilization);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "core/ttl_policy.h"
 #include "sim/random.h"
 
@@ -25,29 +28,35 @@ class PolicyFactoryTest : public ::testing::Test {
 TEST(ParsePolicyName, ConstantTtlFamilies) {
   EXPECT_EQ(parse_policy_name("RR").selection, SelectionKind::kRR);
   EXPECT_EQ(parse_policy_name("RR").ttl_classes, 0);
-  EXPECT_EQ(parse_policy_name("RR2").selection, SelectionKind::kRR2);
+  EXPECT_EQ(parse_policy_name("RR").selection_tiers, 1);
+  EXPECT_EQ(parse_policy_name("RR2").selection, SelectionKind::kRR);
+  EXPECT_EQ(parse_policy_name("RR2").selection_tiers, 2);
   EXPECT_EQ(parse_policy_name("DAL").selection, SelectionKind::kDAL);
 }
 
 TEST(ParsePolicyName, ProbabilisticFamily) {
   const PolicySpec p = parse_policy_name("PRR2-TTL/K");
-  EXPECT_EQ(p.selection, SelectionKind::kPRR2);
+  EXPECT_EQ(p.selection, SelectionKind::kPRR);
+  EXPECT_EQ(p.selection_tiers, 2);
   EXPECT_EQ(p.ttl_classes, kPerDomainClasses);
   EXPECT_FALSE(p.server_ttl_term);
 
   const PolicySpec q = parse_policy_name("PRR-TTL/2");
   EXPECT_EQ(q.selection, SelectionKind::kPRR);
+  EXPECT_EQ(q.selection_tiers, 1);
   EXPECT_EQ(q.ttl_classes, 2);
 }
 
 TEST(ParsePolicyName, DeterministicFamily) {
   const PolicySpec p = parse_policy_name("DRR2-TTL/S_K");
-  EXPECT_EQ(p.selection, SelectionKind::kRR2);
+  EXPECT_EQ(p.selection, SelectionKind::kRR);
+  EXPECT_EQ(p.selection_tiers, 2);
   EXPECT_EQ(p.ttl_classes, kPerDomainClasses);
   EXPECT_TRUE(p.server_ttl_term);
 
   const PolicySpec q = parse_policy_name("DRR-TTL/S_1");
   EXPECT_EQ(q.selection, SelectionKind::kRR);
+  EXPECT_EQ(q.selection_tiers, 1);
   EXPECT_EQ(q.ttl_classes, 1);
   EXPECT_TRUE(q.server_ttl_term);
 }
@@ -60,12 +69,12 @@ TEST(ParsePolicyName, AblationCombinations) {
 
 TEST(ParsePolicyName, MultiTierExtension) {
   const PolicySpec rr3 = parse_policy_name("RR3");
-  EXPECT_EQ(rr3.selection, SelectionKind::kRRn);
+  EXPECT_EQ(rr3.selection, SelectionKind::kRR);
   EXPECT_EQ(rr3.selection_tiers, 3);
   EXPECT_EQ(rr3.canonical_name(), "RR3");
 
   const PolicySpec rrk = parse_policy_name("RRK-TTL/K");
-  EXPECT_EQ(rrk.selection, SelectionKind::kRRn);
+  EXPECT_EQ(rrk.selection, SelectionKind::kRR);
   EXPECT_EQ(rrk.selection_tiers, kPerDomainClasses);
   EXPECT_EQ(rrk.ttl_classes, kPerDomainClasses);
   EXPECT_EQ(rrk.canonical_name(), "RRK-TTL/K");
@@ -73,6 +82,48 @@ TEST(ParsePolicyName, MultiTierExtension) {
   EXPECT_THROW(parse_policy_name("RR1"), std::invalid_argument);
   EXPECT_THROW(parse_policy_name("RR0"), std::invalid_argument);
   EXPECT_THROW(parse_policy_name("RRx"), std::invalid_argument);
+}
+
+// The round-robin family is one rule with a tier count; its accepted
+// spellings and their canonical forms are exactly the per-class ones.
+TEST(ParsePolicyName, RoundRobinFamilySpellings) {
+  const std::pair<const char*, const char*> accepted[] = {
+      {"RR", "RR"},
+      {"RR2", "RR2"},
+      {"RR3", "RR3"},
+      {"RR03", "RR3"},
+      {"RR12", "RR12"},
+      {"RRK", "RRK"},
+      {"PRR", "PRR"},
+      {"PRR2", "PRR2"},
+      {"PRR-TTL/K", "PRR-TTL/K"},
+      {"PRR2-TTL/S_2", "PRR2-TTL/S_2"},
+      {"DRR-TTL/S_2", "DRR-TTL/S_2"},
+      {"DRR2-TTL/S_K", "DRR2-TTL/S_K"},
+      {"RR-TTL/S_1", "DRR-TTL/S_1"},
+      {"RR2-TTL/S_K", "DRR2-TTL/S_K"},
+      {"RR3-TTL/S_K", "RR3-TTL/S_K"},
+      {"RRK-TTL/S_2", "RRK-TTL/S_2"},
+      {"RR4-TTL/2", "RR4-TTL/2"},
+  };
+  for (const auto& [name, canonical] : accepted) {
+    EXPECT_EQ(parse_policy_name(name).canonical_name(), canonical) << name;
+  }
+  for (const char* name : {"RR02", "RR-1", "RRk", "PRR3", "PRRK", "PRR02", "DRR3-TTL/S_K",
+                           "DRRK-TTL/S_K", "DRR", "DRR2", "DRR2-TTL/2", "RRR", "PR", "D"}) {
+    EXPECT_THROW(parse_policy_name(name), std::invalid_argument) << name;
+  }
+}
+
+// A tier count beyond int used to escape as std::out_of_range ("stoi"),
+// which the policy knob's check does not catch.
+TEST(ParsePolicyName, TierCountOverflowIsRejectedNamingTheToken) {
+  try {
+    parse_policy_name("RR99999999999-TTL/K");
+    FAIL() << "accepted an out-of-range tier count";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'RR99999999999'"), std::string::npos) << e.what();
+  }
 }
 
 TEST(ParsePolicyName, RoundTripsThroughCanonicalName) {

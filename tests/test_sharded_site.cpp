@@ -56,6 +56,17 @@ void expect_bit_identical(const RunResult& a, const RunResult& b) {
   }
 }
 
+// A one-domain site defaults γ to 1/K = 1, which DomainModel used to
+// reject; sharded, it is one shard.
+TEST(ShardedSite, SingleDomainSiteRuns) {
+  SimulationConfig cfg = sharded_config();
+  cfg.num_domains = 1;
+  cfg.oracle_weights = false;
+  ShardedSite site(cfg);
+  EXPECT_EQ(site.shard_count(), 1);
+  EXPECT_GT(site.run().total_pages, 0u);
+}
+
 TEST(ShardedSite, RepeatedRunsAreBitIdentical) {
   ShardedSite a(sharded_config());
   ShardedSite b(sharded_config());

@@ -22,6 +22,20 @@ SimulationConfig short_config(const std::string& policy, int het = 35) {
   return cfg;
 }
 
+// A one-domain site defaults γ to 1/K = 1, which DomainModel used to
+// reject, so every policy aborted the run.
+TEST(SiteIntegration, SingleDomainSiteRuns) {
+  for (const char* policy : {"RR", "RR2", "RRK", "PRR2-TTL/2", "DRR2-TTL/S_K", "DAL"}) {
+    SimulationConfig cfg = short_config(policy);
+    cfg.num_domains = 1;
+    cfg.oracle_weights = false;
+    cfg.duration_sec = 600.0;
+    Site site(cfg);
+    EXPECT_GT(site.run().total_pages, 0u) << policy;
+    EXPECT_EQ(site.domain_model().hot_count(), 0) << policy;
+  }
+}
+
 TEST(SiteIntegration, AggregateUtilizationNearTwoThirds) {
   Site site(short_config("RR"));
   const RunResult r = site.run();

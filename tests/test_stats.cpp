@@ -42,27 +42,14 @@ TEST(RunningStat, StableForManySamples) {
   EXPECT_NEAR(s.variance(), 0.25, 1e-6);
 }
 
-TEST(TimeWeightedMean, WeighsByHoldingTime) {
-  TimeWeightedMean m;
-  m.set(0.0, 1.0);   // 1.0 held for 10 s
-  m.set(10.0, 3.0);  // 3.0 held for 5 s
-  EXPECT_DOUBLE_EQ(m.mean(15.0), (1.0 * 10 + 3.0 * 5) / 15.0);
-}
-
-TEST(TimeWeightedMean, CurrentValueExtendsToQueryTime) {
-  TimeWeightedMean m;
-  m.set(0.0, 2.0);
-  EXPECT_DOUBLE_EQ(m.mean(4.0), 2.0);
-}
-
-TEST(TimeWeightedMean, RejectsTimeGoingBackwards) {
-  TimeWeightedMean m;
-  m.set(5.0, 1.0);
-  EXPECT_THROW(m.set(4.0, 2.0), std::invalid_argument);
-}
+// ---- The max-utilization CDF ----
+//
+// The paper's "cumulative frequency of maximum server utilization" is a
+// Histogram over [0, 1) (MaxUtilizationTracker, RunResult::max_util_cdf);
+// these tests pin its CDF and quantile queries.
 
 TEST(EmpiricalCdf, ProbBelowBasics) {
-  EmpiricalCdf c(100);
+  Histogram c(1.0, 100);
   for (int i = 0; i < 50; ++i) c.add(0.25);
   for (int i = 0; i < 50; ++i) c.add(0.75);
   EXPECT_DOUBLE_EQ(c.prob_below(0.1), 0.0);
@@ -72,21 +59,15 @@ TEST(EmpiricalCdf, ProbBelowBasics) {
 }
 
 TEST(EmpiricalCdf, OverflowBinHoldsSaturatedValues) {
-  EmpiricalCdf c(100);
+  Histogram c(1.0, 100);
   c.add(0.5);
   c.add(1.2);  // utilization can never exceed 1, but the CDF must not lose it
   c.add(1.0);
   EXPECT_DOUBLE_EQ(c.prob_below(1.0), 1.0 / 3.0);
 }
 
-TEST(EmpiricalCdf, NegativeClampsToFirstBin) {
-  EmpiricalCdf c(10);
-  c.add(-0.5);
-  EXPECT_DOUBLE_EQ(c.prob_below(0.2), 1.0);
-}
-
 TEST(EmpiricalCdf, RejectsNaNSamplesAndQueries) {
-  EmpiricalCdf c(10);
+  Histogram c(1.0, 10);
   c.add(0.55);
   EXPECT_THROW(c.add(std::nan("")), std::invalid_argument);
   EXPECT_THROW(c.prob_below(std::nan("")), std::invalid_argument);
@@ -94,38 +75,39 @@ TEST(EmpiricalCdf, RejectsNaNSamplesAndQueries) {
   EXPECT_DOUBLE_EQ(c.prob_below(0.5), 0.0);
   EXPECT_DOUBLE_EQ(c.prob_below(0.6), 1.0);
   // An empty CDF rejects a NaN query as well.
-  EXPECT_THROW(EmpiricalCdf(10).prob_below(std::nan("")), std::invalid_argument);
+  EXPECT_THROW(Histogram(1.0, 10).prob_below(std::nan("")), std::invalid_argument);
 }
 
 TEST(EmpiricalCdf, EmptyReturnsZero) {
-  EmpiricalCdf c(10);
+  Histogram c(1.0, 10);
   EXPECT_DOUBLE_EQ(c.prob_below(0.5), 0.0);
 }
 
 TEST(EmpiricalCdf, QuantileFindsBoundary) {
-  EmpiricalCdf c(100);
+  Histogram c(1.0, 100);
   for (int i = 0; i < 100; ++i) c.add(i / 100.0 + 0.001);
   EXPECT_NEAR(c.quantile(0.5), 0.5, 0.02);
   EXPECT_NEAR(c.quantile(0.98), 0.98, 0.02);
 }
 
 TEST(EmpiricalCdf, CumulativeCurveIsMonotone) {
-  EmpiricalCdf c(50);
+  Histogram c(1.0, 50);
   for (int i = 0; i < 1000; ++i) c.add((i % 100) / 100.0);
-  const std::vector<double> curve = c.cumulative();
-  EXPECT_EQ(curve.size(), 51u);
+  std::vector<double> curve;  // P(X < i/50) at every bin boundary
+  for (int i = 0; i <= 50; ++i) curve.push_back(c.prob_below(i / 50.0));
   for (std::size_t i = 1; i < curve.size(); ++i) EXPECT_GE(curve[i], curve[i - 1]);
   EXPECT_DOUBLE_EQ(curve.front(), 0.0);
+  EXPECT_DOUBLE_EQ(curve.back(), 1.0);
 }
 
 TEST(EmpiricalCdf, RejectsBadBinCount) {
-  EXPECT_THROW(EmpiricalCdf(0), std::invalid_argument);
+  EXPECT_THROW(Histogram(1.0, 0), std::invalid_argument);
 }
 
 TEST(EmpiricalCdf, QuantileClampsOverflowMassToDomain) {
   // Regression: mass in the overflow bin used to report (bins+1)/bins,
   // i.e. a "probability" above 1. It must clamp to the domain edge 1.0.
-  EmpiricalCdf c(10);
+  Histogram c(1.0, 10);
   for (int i = 0; i < 10; ++i) c.add(1.5);  // all samples saturate
   EXPECT_DOUBLE_EQ(c.quantile(0.5), 1.0);
   EXPECT_DOUBLE_EQ(c.quantile(1.0), 1.0);
@@ -135,7 +117,7 @@ TEST(EmpiricalCdf, QuantileClampsOverflowMassToDomain) {
 }
 
 TEST(EmpiricalCdf, QuantileZeroIsLowerDomainEdge) {
-  EmpiricalCdf c(10);
+  Histogram c(1.0, 10);
   // Leading empty bins: p == 0 must report the domain's lower edge, not
   // the first occupied bin's upper boundary.
   c.add(0.75);
@@ -146,24 +128,25 @@ TEST(EmpiricalCdf, QuantileZeroIsLowerDomainEdge) {
 }
 
 TEST(Quantiles, HistogramAndCdfAgreeOnSharedUnitData) {
-  // Property cross-check: a Histogram over [0, 1) with N bins and an
-  // EmpiricalCdf with N bins are the same data structure up to naming;
-  // fed identical samples they must return identical quantiles.
-  constexpr int kBins = 64;
-  Histogram h(1.0, kBins);
-  EmpiricalCdf c(kBins);
-  RngStream rng(1234);
-  for (int i = 0; i < 5000; ++i) {
-    const double x = rng.uniform(0.0, 1.3);  // ~23% saturates into overflow
-    h.add(x);
-    c.add(x);
-  }
-  for (double p = 0.0; p <= 1.0; p += 0.01) {
-    EXPECT_DOUBLE_EQ(h.quantile(p), c.quantile(p)) << "p=" << p;
-  }
-  // Both stay inside the domain even with overflow mass.
-  EXPECT_LE(h.quantile(1.0), 1.0);
-  EXPECT_LE(c.quantile(1.0), 1.0);
+  // The CDF and quantile queries of one unit histogram, against values
+  // counted by hand: ten bins of 0.1; one sample saturates into overflow.
+  Histogram h(1.0, 10);
+  for (double x : {0.05, 0.15, 0.15, 0.35, 0.95, 1.2}) h.add(x);
+  EXPECT_DOUBLE_EQ(h.prob_below(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(h.prob_below(0.1), 1.0 / 6);
+  EXPECT_DOUBLE_EQ(h.prob_below(0.2), 3.0 / 6);
+  EXPECT_DOUBLE_EQ(h.prob_below(0.3), 3.0 / 6);
+  EXPECT_DOUBLE_EQ(h.prob_below(0.4), 4.0 / 6);
+  EXPECT_DOUBLE_EQ(h.prob_below(0.9), 4.0 / 6);
+  EXPECT_DOUBLE_EQ(h.prob_below(1.0), 5.0 / 6);
+  EXPECT_DOUBLE_EQ(h.prob_below(1.5), 5.0 / 6);  // the overflow bin is never "below"
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 0.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.1), 0.1);
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.2);
+  EXPECT_DOUBLE_EQ(h.quantile(0.6), 0.4);
+  EXPECT_DOUBLE_EQ(h.quantile(0.8), 1.0);
+  // Overflow mass reports the range's upper edge, never beyond it.
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 1.0);
 }
 
 TEST(ConfidenceInterval, KnownTValue) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+
+#include "core/policy_factory.h"
 #include "sim/random.h"
 
 namespace adattl::core {
@@ -19,7 +22,6 @@ TEST(ConstantTtl, AlwaysReturnsValue) {
   ConstantTtlPolicy p(240.0);
   EXPECT_DOUBLE_EQ(p.ttl(0, 0), 240.0);
   EXPECT_DOUBLE_EQ(p.ttl(19, 6), 240.0);
-  EXPECT_EQ(p.name(), "TTL/1");
   EXPECT_THROW(ConstantTtlPolicy(0.0), std::invalid_argument);
 }
 
@@ -130,17 +132,28 @@ TEST(AdaptiveTtl, CalibrationOffUsesReferenceAsBase) {
   EXPECT_DOUBLE_EQ(p.ttl(0, 0), 240.0);
 }
 
+// A TTL policy has no name of its own: the algorithm's one spelling,
+// PolicySpec::canonical_name, carries its TTL/i or TTL/S_i suffix (K for
+// one class per domain, none for the constant TTL).
 TEST(AdaptiveTtl, NamesFollowPaperConvention) {
   DomainModel m(zipf_weights(5), 0.2);
   const std::vector<double> cap{100.0, 50.0};
-  EXPECT_EQ(AdaptiveTtlPolicy(m, cap, 1, false, uniform_shares(2)).name(), "TTL/1");
-  EXPECT_EQ(AdaptiveTtlPolicy(m, cap, 2, false, uniform_shares(2)).name(), "TTL/2");
-  EXPECT_EQ(AdaptiveTtlPolicy(m, cap, kPerDomainClasses, false, uniform_shares(2)).name(),
-            "TTL/K");
-  EXPECT_EQ(AdaptiveTtlPolicy(m, cap, 1, true, uniform_shares(2)).name(), "TTL/S_1");
-  EXPECT_EQ(AdaptiveTtlPolicy(m, cap, 2, true, uniform_shares(2)).name(), "TTL/S_2");
-  EXPECT_EQ(AdaptiveTtlPolicy(m, cap, kPerDomainClasses, true, uniform_shares(2)).name(),
-            "TTL/S_K");
+  const std::tuple<int, bool, const char*> cases[] = {
+      {1, false, "PRR-TTL/1"},  {2, false, "PRR-TTL/2"},  {kPerDomainClasses, false, "PRR-TTL/K"},
+      {1, true, "PRR-TTL/S_1"}, {2, true, "PRR-TTL/S_2"}, {kPerDomainClasses, true, "PRR-TTL/S_K"},
+  };
+  for (const auto& [classes, server_term, name] : cases) {
+    const AdaptiveTtlPolicy p(m, cap, classes, server_term, uniform_shares(2));
+    PolicySpec spec;
+    spec.selection = SelectionKind::kPRR;
+    spec.ttl_classes = p.num_classes();
+    spec.server_ttl_term = p.has_server_term();
+    EXPECT_EQ(spec.canonical_name(), name);
+    EXPECT_EQ(parse_policy_name(name).ttl_classes, classes) << name;
+    EXPECT_EQ(parse_policy_name(name).server_ttl_term, server_term) << name;
+  }
+  EXPECT_EQ(parse_policy_name("PRR").canonical_name(), "PRR");
+  EXPECT_EQ(parse_policy_name("PRR").ttl_classes, 0);
 }
 
 TEST(AdaptiveTtl, CapacityWeightedSharesShiftCalibration) {
