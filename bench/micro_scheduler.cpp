@@ -47,6 +47,8 @@ void BM_Schedule(benchmark::State& state, const char* policy) {
 }
 BENCHMARK_CAPTURE(BM_Schedule, RR, "RR");
 BENCHMARK_CAPTURE(BM_Schedule, RR2, "RR2");
+BENCHMARK_CAPTURE(BM_Schedule, RR3, "RR3");
+BENCHMARK_CAPTURE(BM_Schedule, RRK, "RRK");
 BENCHMARK_CAPTURE(BM_Schedule, PRR_TTL1, "PRR-TTL/1");
 BENCHMARK_CAPTURE(BM_Schedule, PRR2_TTLK, "PRR2-TTL/K");
 BENCHMARK_CAPTURE(BM_Schedule, DRR2_TTLSK, "DRR2-TTL/S_K");

@@ -96,12 +96,6 @@ int RngStream::geometric_min1(double mean) {
   return static_cast<int>(std::min(x, 1e9));
 }
 
-bool RngStream::bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return next_double() < p;
-}
-
 ZipfDistribution::ZipfDistribution(int n, double theta) : theta_(theta) {
   if (n <= 0) throw std::invalid_argument("ZipfDistribution: n must be >= 1");
   pmf_.resize(static_cast<std::size_t>(n));
