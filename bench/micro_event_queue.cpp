@@ -44,7 +44,7 @@ void BM_SteadyStateChurn(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SteadyStateChurn)->Arg(500)->Arg(5000);
+BENCHMARK(BM_SteadyStateChurn)->Arg(500)->Arg(5000)->Arg(50000);
 
 void BM_CancelHeavy(benchmark::State& state) {
   // TTL-expiry style workloads cancel many events before they fire.

@@ -45,14 +45,15 @@ ShardedSite::ShardedSite(const SimulationConfig& config)
   owner_ = partition_by_load(domain_set().true_weights(), num_shards);
   // One split per shard, in shard order, from the master stream: the
   // derivation depends only on (seed, shard index), never on worker count
-  // or interleaving.
+  // or interleaving. One shard takes the seed's own stream, as Site does,
+  // so a one-shard run draws Site's sample.
   sim::RngStream master(config_.seed);
   for (int s = 0; s < num_shards; ++s) {
     std::vector<int> owned;
     for (int d = 0; d < config_.num_domains; ++d) {
       if (owner(d) == s) owned.push_back(d);
     }
-    slices_.add(std::move(owned), master.split());
+    slices_.add(std::move(owned), num_shards == 1 ? sim::RngStream(config_.seed) : master.split());
   }
   // Cumulative busy time is 0 at t = 0, matching MonitorHub::start().
   prev_busy_.assign(static_cast<std::size_t>(num_shards),

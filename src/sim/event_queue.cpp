@@ -2,26 +2,49 @@
 
 #include <bit>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace adattl::sim {
 
 namespace {
 
-// 4-ary heap indexing. Four children of a 24-byte entry span 96 bytes —
-// at most two cache lines per sift level, versus three levels' worth of
-// scattered lines for a binary heap of the same size.
+// 4-ary heap indexing. The four children of a node are 64 contiguous
+// bytes of 16-byte entries, and the heap's allocator starts every family
+// on a line boundary: one cache line per sift level, versus a line per
+// level over twice the levels for a binary heap of the same size.
 constexpr std::size_t kArity = 4;
 
 constexpr std::size_t parent_of(std::size_t i) { return (i - 1) / kArity; }
 constexpr std::size_t first_child_of(std::size_t i) { return kArity * i + 1; }
 
 // The strict (time, seq) order as one unsigned compare: ties on time fall
-// through to seq in the low half, with no branch on either.
+// through to the tag in the low half, whose high bits are the seq, with no
+// branch on either.
 __extension__ using Key = unsigned __int128;
 
 template <typename Item>
 Key key_of(const Item& item) {
-  return (static_cast<Key>(item.time_key) << 64) | item.seq;
+  return (static_cast<Key>(item.time_key) << 64) | item.tag;
+}
+
+// Index of the least entry of the family of children that starts at
+// `first` (first < n). A full family is a two-round tournament on index
+// arithmetic, so the random event times never steer a branch. Inlined
+// into each sift level.
+template <typename Item>
+[[gnu::always_inline]] inline std::size_t least_child(const Item* h, std::size_t first,
+                                                      std::size_t n) {
+  if (first + kArity <= n) {
+    const std::size_t a = first + (key_of(h[first + 1]) < key_of(h[first]));
+    const std::size_t b = first + 2 + (key_of(h[first + 3]) < key_of(h[first + 2]));
+    return a ^ ((a ^ b) & (0 - static_cast<std::size_t>(key_of(h[b]) < key_of(h[a]))));
+  }
+  std::size_t best = first;
+  for (std::size_t c = first + 1; c < n; ++c) {
+    if (key_of(h[c]) < key_of(h[best])) best = c;
+  }
+  return best;
 }
 
 std::uint64_t time_key(SimTime t) {
@@ -37,6 +60,13 @@ SimTime time_of(std::uint64_t key) {
 }
 
 }  // namespace
+
+void EventQueue::throw_past_bound(bool slots) {
+  throw std::length_error(slots ? "EventQueue: more than " + std::to_string(kMaxSlots) +
+                                      " live events"
+                                : "EventQueue: more than " + std::to_string(kMaxSeq) +
+                                      " events scheduled");
+}
 
 void EventQueue::reserve(std::size_t n) {
   heap_.reserve(n);
@@ -64,11 +94,14 @@ void EventQueue::release_slot(std::uint32_t slot) {
 
 EventHandle EventQueue::schedule(SimTime at, Callback cb) {
   assert(cb && "cannot schedule an empty callback");
+  // Packed before anything changes: past a bound the queue throws as it was.
+  const std::uint64_t tag =
+      pack_tag(next_seq_, free_slots_.empty() ? slots_.size() : free_slots_.back());
   const std::uint32_t slot = acquire_slot();
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.seq = next_seq_++;
-  const HeapItem item{time_key(at), s.seq, slot};
+  const HeapItem item{time_key(at), tag};
   if (root_vacant_) {
     // The first successor of a firing event takes its root.
     root_vacant_ = false;
@@ -110,8 +143,8 @@ SimTime EventQueue::next_time() const {
 std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
   assert(live_ > 0 && !root_vacant_);
   const HeapItem top = heap_.front();
-  Callback cb = std::move(slots_[top.slot].cb);
-  release_slot(top.slot);
+  Callback cb = std::move(slots_[slot_of(top)].cb);
+  release_slot(slot_of(top));
   --live_;
   remove_root();
   drop_dead_root();
@@ -121,11 +154,19 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
 void EventQueue::fire_next(SimTime& now) {
   assert(live_ > 0 && !root_vacant_);
   const HeapItem top = heap_.front();
-  Callback cb = std::move(slots_[top.slot].cb);
-  release_slot(top.slot);
+  Callback cb = std::move(slots_[slot_of(top)].cb);
+  release_slot(slot_of(top));
   --live_;
   now = time_of(top.time_key);
   root_vacant_ = true;
+  // The root's least child is the next event unless the callback schedules
+  // an earlier one. Its family is the line the successor's sift reads first
+  // anyway; its slot is a random line the next fire would otherwise wait on.
+  // (Inline on purpose: GCC deems a function that only prefetches pure, and
+  // drops a call to it whose result goes unused.)
+  if (heap_.size() > 1) {
+    __builtin_prefetch(&slots_[slot_of(heap_[least_child(heap_.data(), 1, heap_.size())])]);
+  }
   try {
     cb();
   } catch (...) {
@@ -185,22 +226,8 @@ void EventQueue::sift_down(std::size_t hole, HeapItem item) {
   HeapItem* const h = heap_.data();
   const std::size_t n = heap_.size();
   const Key k = key_of(item);
-  for (;;) {
-    const std::size_t first = first_child_of(hole);
-    std::size_t best;
-    if (first + kArity <= n) {
-      // A full family: a two-round tournament on index arithmetic, so the
-      // random event times never steer a branch.
-      const std::size_t a = first + (key_of(h[first + 1]) < key_of(h[first]));
-      const std::size_t b = first + 2 + (key_of(h[first + 3]) < key_of(h[first + 2]));
-      best = a ^ ((a ^ b) & (0 - static_cast<std::size_t>(key_of(h[b]) < key_of(h[a]))));
-    } else {
-      if (first >= n) break;
-      best = first;
-      for (std::size_t c = first + 1; c < n; ++c) {
-        if (key_of(h[c]) < key_of(h[best])) best = c;
-      }
-    }
+  for (std::size_t first = first_child_of(hole); first < n; first = first_child_of(hole)) {
+    const std::size_t best = least_child(h, first, n);
     if (!(key_of(h[best]) < k)) break;
     h[hole] = h[best];
     hole = best;

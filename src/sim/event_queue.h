@@ -1,6 +1,8 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -29,24 +31,35 @@ struct EventHandle {
 ///
 /// Internals are built for the simulation's steady-state churn (fire one
 /// event, schedule its successor, ~1.5M times per run), so that each
-/// dispatched event costs about one sift:
+/// dispatched event costs about one sift and touches few cache lines:
 ///  * fire_next() runs the earliest event in place and leaves the heap's
 ///    root vacant; the first event the callback schedules sifts down from
 ///    that root instead of being appended and sifted up, so a near-future
 ///    successor (a service completion) stops after a level or two;
-///  * the heap holds 24-byte (time, seq, slot) entries in a 4-ary layout
-///    and orders them by one unsigned 128-bit key (the time's
-///    order-preserving bit pattern, then seq), so each level picks the
-///    least of four children without a data-dependent branch;
+///  * the heap holds 16-byte (time key, tag) entries in a 4-ary layout,
+///    where the tag packs the event's seq above its slot index. Seqs are
+///    unique, so one unsigned 128-bit compare of (time key, tag) orders
+///    entries exactly by (time, seq), and each level picks the least of
+///    four children without a data-dependent branch;
+///  * the heap's buffer puts entry 1 on a cache-line boundary, so the four
+///    children of every node are exactly one 64-byte line: one line per
+///    sift level;
 ///  * callbacks live in a slot table addressed by the heap entries and
 ///    never move during sifts; slots are recycled via a free list, so the
 ///    table is bounded by the maximum number of *live* events;
 ///  * a slot is one 64-byte, line-aligned cache line (callback, seq,
-///    generation), so firing an event reads one line of the table;
+///    generation), so firing an event reads one line of the table, and
+///    fire_next() prefetches the slot of the root's least child, the next
+///    event unless the callback schedules an earlier one, before it runs
+///    the callback;
 ///  * callbacks are SBO `InlineCallback`s: scheduling a kernel-sized
 ///    capture performs zero heap allocations once the vectors reach
 ///    steady-state capacity, and moving one in or out of its slot is a
 ///    `memcpy` with no indirect call.
+///
+/// The tag bounds a queue to kMaxSlots live events and kMaxSeq schedules
+/// over its lifetime; schedule() throws std::length_error rather than
+/// wrap past either.
 ///
 /// cancel() is lazy: it frees the slot at once and leaves the heap entry
 /// behind as a tombstone (its seq no longer matches the slot's), which is
@@ -58,8 +71,26 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
+  /// Low bits of a heap entry's tag: the slot index.
+  static constexpr unsigned kSlotBits = 24;
+  /// Most events a queue holds live at once (slots 0 .. kMaxSlots - 1).
+  static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  /// Most events a queue schedules over its lifetime (seqs 1 .. kMaxSeq).
+  static constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
+
+  /// A heap entry's tag, `seq << kSlotBits | slot`. Throws
+  /// std::length_error, naming the bound, if `seq` exceeds kMaxSeq or
+  /// `slot` is not below kMaxSlots.
+  static std::uint64_t pack_tag(std::uint64_t seq, std::uint64_t slot) {
+    if (slot >= kMaxSlots || seq > kMaxSeq) [[unlikely]] throw_past_bound(slot >= kMaxSlots);
+    return seq << kSlotBits | slot;
+  }
+
   /// Schedules `cb` at absolute time `at`. Precondition: `at` must not be
   /// in the past relative to the last fired event (checked by Simulator).
+  /// Throws std::length_error, leaving the queue unchanged, if the event
+  /// would be the kMaxSlots + 1-th live one or the kMaxSeq + 1-th ever
+  /// scheduled.
   EventHandle schedule(SimTime at, Callback cb);
 
   /// Cancels a pending event. Returns true if the event was still pending.
@@ -99,12 +130,40 @@ class EventQueue {
   std::uint64_t cancels() const { return cancels_; }
 
  private:
-  // Heap entries carry only the ordering key plus the slot index; the
-  // callback never moves during sifts.
+  // Heap entries carry only the ordering key and the tag; the callback
+  // never moves during sifts.
   struct HeapItem {
     std::uint64_t time_key;  // the time's bits, remapped so unsigned order is time order
-    std::uint64_t seq;       // tie-breaker: lower seq fires first
-    std::uint32_t slot;      // index into slots_
+    std::uint64_t tag;       // pack_tag(seq, slot): lower seq fires first
+  };
+  static_assert(sizeof(HeapItem) == 16, "four heap entries fill one cache line");
+
+  static constexpr std::uint64_t kSlotMask = kMaxSlots - 1;
+  static std::uint32_t slot_of(const HeapItem& item) {
+    return static_cast<std::uint32_t>(item.tag & kSlotMask);
+  }
+
+  // Allocates the heap's entries with entry 1 on a cache-line boundary:
+  // the children of node i are entries 4i+1 .. 4i+4, which then always
+  // share one line.
+  template <typename T>
+  struct ChildLineAllocator {
+    using value_type = T;
+    static constexpr std::size_t kLine = 64;
+    static constexpr std::size_t kPad = kLine - sizeof(T);
+
+    ChildLineAllocator() = default;
+    template <typename U>
+    ChildLineAllocator(const ChildLineAllocator<U>&) noexcept {}
+
+    T* allocate(std::size_t n) {
+      void* block = ::operator new(n * sizeof(T) + kPad, std::align_val_t{kLine});
+      return reinterpret_cast<T*>(static_cast<std::byte*>(block) + kPad);
+    }
+    void deallocate(T* p, std::size_t) noexcept {
+      ::operator delete(reinterpret_cast<std::byte*>(p) - kPad, std::align_val_t{kLine});
+    }
+    friend bool operator==(ChildLineAllocator, ChildLineAllocator) { return true; }
   };
 
   // One cache line per slot: the 48-byte callback, seq and generation,
@@ -120,8 +179,11 @@ class EventQueue {
 
   /// A heap entry whose event was cancelled (its slot was freed, and may
   /// since hold a newer event with a larger seq).
-  bool dead(const HeapItem& item) const { return slots_[item.slot].seq != item.seq; }
+  bool dead(const HeapItem& item) const {
+    return slots_[slot_of(item)].seq != item.tag >> kSlotBits;
+  }
 
+  [[noreturn]] static void throw_past_bound(bool slots);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void remove_root();
@@ -131,7 +193,7 @@ class EventQueue {
   void sift_up(std::size_t hole, HeapItem item);
   void sift_down(std::size_t hole, HeapItem item);
 
-  std::vector<HeapItem> heap_;  // live entries plus tombstones
+  std::vector<HeapItem, ChildLineAllocator<HeapItem>> heap_;  // live entries plus tombstones
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace adattl::sim {
@@ -226,6 +228,39 @@ TEST(EventQueue, CancelledEventsLeaveNoTraceInSizeOrOrder) {
     EXPECT_EQ(static_cast<int>(t) % 2, 1);
     last = t;
   }
+}
+
+TEST(EventQueue, TagPacksSeqAboveSlotUpToEachBound) {
+  // 24 slot bits and 40 seq bits: 16.7M live events and 1.1e12 schedules
+  // per queue, past a million-client shard.
+  static_assert(EventQueue::kMaxSlots == std::uint64_t{1} << 24);
+  static_assert(EventQueue::kMaxSeq == (std::uint64_t{1} << 40) - 1);
+  EXPECT_EQ(EventQueue::pack_tag(1, 0), std::uint64_t{1} << 24);
+  EXPECT_EQ(EventQueue::pack_tag(5, 7), (std::uint64_t{5} << 24) | 7);
+  const std::uint64_t top = EventQueue::pack_tag(EventQueue::kMaxSeq, EventQueue::kMaxSlots - 1);
+  EXPECT_EQ(top, ~std::uint64_t{0});
+  EXPECT_EQ(top >> EventQueue::kSlotBits, EventQueue::kMaxSeq);
+  EXPECT_EQ(top & (EventQueue::kMaxSlots - 1), EventQueue::kMaxSlots - 1);
+  // A higher seq is a higher tag whatever the slots: tags order as seqs.
+  EXPECT_LT(EventQueue::pack_tag(8, EventQueue::kMaxSlots - 1), EventQueue::pack_tag(9, 0));
+}
+
+TEST(EventQueue, TagPastEitherBoundThrowsNamingIt) {
+  try {
+    (void)EventQueue::pack_tag(1, EventQueue::kMaxSlots);
+    ADD_FAILURE() << "a slot past the bound packed";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("16777216 live events"), std::string::npos) << e.what();
+  }
+  try {
+    (void)EventQueue::pack_tag(EventQueue::kMaxSeq + 1, 0);
+    ADD_FAILURE() << "a seq past the bound packed";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("1099511627775 events scheduled"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW((void)EventQueue::pack_tag(EventQueue::kMaxSeq + 1, EventQueue::kMaxSlots),
+               std::length_error);
 }
 
 }  // namespace

@@ -5,10 +5,12 @@
 // determinism rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <map>
 #include <optional>
+#include <ostream>
 
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -53,10 +55,25 @@ class ReferenceQueue {
   std::uint64_t next_id_ = 1;
 };
 
-class EventQueueFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+/// One fuzz case: a seed, and how many live events the queue holds. A
+/// deep case fills the queue to its depth with a cancel for every two
+/// schedules: the unreserved heap grows through a dozen reallocations, and
+/// the tombstones make it compact in place on the way. 50,000 is about a
+/// sharded_day shard's depth.
+struct FuzzCase {
+  std::uint64_t seed;
+  std::size_t depth;
+};
+
+// Printed as the seed alone, so the suites name their cases by seed.
+void PrintTo(const FuzzCase& c, std::ostream* os) { *os << c.seed; }
+
+constexpr std::size_t kShardDepth = 50000;
+
+class EventQueueFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(EventQueueFuzz, MatchesReferenceUnderRandomOps) {
-  RngStream rng(GetParam());
+  RngStream rng(GetParam().seed);
   EventQueue dut;
   ReferenceQueue ref;
 
@@ -70,8 +87,14 @@ TEST_P(EventQueueFuzz, MatchesReferenceUnderRandomOps) {
 
   double clock = 0.0;  // popped-time watermark; schedules stay >= clock
 
-  for (int step = 0; step < 30000; ++step) {
-    const double roll = rng.next_double();
+  // After a deep case's fill, the mix schedules, cancels and pops about
+  // evenly, so the depth holds.
+  bool filling = GetParam().depth > 0;
+  for (int step = 0; step < 30000; step += !filling) {
+    filling = filling && dut.size() < GetParam().depth;
+    const double roll = !filling                      ? rng.next_double()
+                        : rng.next_double() < 2.0 / 3 ? 0.0   // a schedule
+                                                      : 0.6;  // a cancel
     if (roll < 0.5) {
       // Schedule at a time at/after the watermark; duplicates likely.
       const double t = clock + std::floor(rng.uniform(0.0, 16.0));  // integer offsets: many ties
@@ -109,6 +132,7 @@ TEST_P(EventQueueFuzz, MatchesReferenceUnderRandomOps) {
     }
     ASSERT_EQ(dut.size(), ref.size()) << "step " << step;
   }
+  EXPECT_GE(dut.peak_size(), GetParam().depth);
 
   // Drain both and compare identity end-to-end.
   while (!dut.empty()) {
@@ -134,20 +158,26 @@ TEST_P(EventQueueFuzz, MatchesReferenceUnderRandomOps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFuzz,
-                         ::testing::Values(1u, 2u, 3u, 5u, 8u, 13u, 21u, 34u));
+                         ::testing::Values(FuzzCase{1, 0}, FuzzCase{2, 0}, FuzzCase{3, 0},
+                                           FuzzCase{5, 0}, FuzzCase{8, 0}, FuzzCase{13, 0},
+                                           FuzzCase{21, 0}, FuzzCase{34, 0},
+                                           FuzzCase{55, kShardDepth}, FuzzCase{89, kShardDepth}));
 
-class EventQueueFireFuzz : public ::testing::TestWithParam<std::uint64_t> {};
+class EventQueueFireFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 // The path every site run takes: Simulator::run_until fires each event in
 // place, and its callback schedules 0, 1 or 2 successors (the first one
 // takes the vacated root; some land at the current instant, so FIFO order
 // among ties is exercised) and cancels a random pending event, sometimes
-// before its first successor (root vacant) and sometimes after. A cancel
-// after about half the fires leaves enough tombstones that the heap fills
-// up and is compacted in place dozens of times per seed. Every fire is
-// checked against the multimap reference, by identity.
+// before its first successor (root vacant) and sometimes after. The
+// successor count keeps the population near the case's depth (300 events
+// unless it asks for more). A cancel after about half the fires leaves
+// enough tombstones that the heap fills up and is compacted in place
+// dozens of times per seed. Every fire is checked against the multimap
+// reference, by identity.
 TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
-  RngStream rng(GetParam());
+  RngStream rng(GetParam().seed);
+  const std::size_t depth = std::max<std::size_t>(GetParam().depth, 300);
   Simulator sim;
   ReferenceQueue ref;
 
@@ -194,8 +224,9 @@ TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
     const bool cancel = growing && rng.next_double() < 0.55;
     if (cancel && cancel_first) cancel_one();
     const double roll = rng.next_double();
-    const int successors = !growing ? 0 : live.size() < 300 ? (roll < 0.7 ? 2 : 1)
-                                                             : (roll < 0.6 ? 1 : roll < 0.8 ? 2 : 0);
+    const int successors = !growing              ? 0
+                           : live.size() < depth ? (roll < 0.7 ? 2 : 1)
+                                                 : (roll < 0.6 ? 1 : roll < 0.8 ? 2 : 0);
     for (int i = 0; i < successors; ++i) {
       const double kind = rng.next_double();
       const double delay = kind < 0.3   ? 0.0
@@ -208,6 +239,10 @@ TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
   };
 
   for (int i = 0; i < 300; ++i) schedule(std::floor(rng.uniform(0.0, 8.0)));
+  while (live.size() < depth) {
+    schedule(std::floor(rng.uniform(0.0, 8.0)));
+    if (rng.next_double() < 1.0 / 3) cancel_one();
+  }
   // Many short horizons: the loop's `next_time() <= end` stop is checked
   // against events exactly at the horizon as well.
   for (double end = 0.0; fired < 40000; end += 0.5) {
@@ -224,10 +259,14 @@ TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
   EXPECT_EQ(sim.pending(), 0u);
   EXPECT_EQ(sim.cancels(), cancels);
   EXPECT_EQ(sim.events_dispatched(), fired);
+  EXPECT_GE(sim.peak_pending(), depth);
   EXPECT_GT(cancels, 15000u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFireFuzz, ::testing::Values(3u, 11u, 29u, 47u));
+INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFireFuzz,
+                         ::testing::Values(FuzzCase{3, 0}, FuzzCase{11, 0}, FuzzCase{29, 0},
+                                           FuzzCase{47, 0}, FuzzCase{61, kShardDepth},
+                                           FuzzCase{83, kShardDepth}));
 
 /// Naive oracle for the recycling fuzz: a vector of (time, tag) kept
 /// unsorted; pop scans for the minimum (time, tag). Trivially correct, and
