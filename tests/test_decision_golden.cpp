@@ -82,6 +82,15 @@ std::uint64_t sharded_digest(const std::string& policy) {
   return digest_result(site.run());
 }
 
+// A policy name as a gtest parameter name: punctuation becomes '_'.
+std::string test_name(const std::string& policy) {
+  std::string name = policy;
+  for (char& ch : name) {
+    if (ch == '-' || ch == '/' || ch == '(' || ch == ')' || ch == '.') ch = '_';
+  }
+  return name;
+}
+
 struct Golden {
   const char* policy;
   std::uint64_t serial;
@@ -121,14 +130,7 @@ TEST_P(DecisionGolden, ShardedRunIsBitIdenticalToPreRefactorMain) {
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, DecisionGolden, ::testing::ValuesIn(kGolden),
                          [](const ::testing::TestParamInfo<Golden>& info) {
-                           std::string name = info.param.policy;
-                           for (char& ch : name) {
-                             if (ch == '-' || ch == '/' || ch == '(' || ch == ')' ||
-                                 ch == '.') {
-                               ch = '_';
-                             }
-                           }
-                           return name;
+                           return test_name(info.param.policy);
                          });
 
 // ---- Measured weights ----
@@ -142,9 +144,12 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, DecisionGolden, ::testing::ValuesIn(kGolde
 // assignment counters and the final model weights of every slice.
 // Captured 2026-10-17 from commit 587e8e9.
 
+// The row holds no pointer: gtest prints a parameter without a PrintTo as
+// its raw bytes, gtest_discover_tests puts that text into every ctest
+// name, and a pointer's bytes are an address that ASLR moves on every
+// run, so the names would change from one build to the next.
 struct MeasuredGolden {
-  const char* label;
-  const char* policy;
+  char policy[16];
   experiment::EstimatorKind estimator;
   bool cold_start;
   std::uint64_t serial;
@@ -195,14 +200,13 @@ constexpr auto kEwma = experiment::EstimatorKind::kEwma;
 constexpr auto kHolt = experiment::EstimatorKind::kHoltWinters;
 
 constexpr MeasuredGolden kMeasuredGolden[] = {
-    {"RR2", "RR2", kEwma, false, 0xea9bcb120d06fd04ULL, 0x4129d78bc1f1102bULL},
-    {"PRR2_TTL_K", "PRR2-TTL/K", kEwma, false, 0x95cdc686a8def819ULL, 0xc720020afaef839bULL},
-    {"RR3_TTL_2", "RR3-TTL/2", kEwma, false, 0x4ce4a915e1d26b80ULL, 0xe5ecd92c9a161a0bULL},
-    {"RRK", "RRK", kEwma, false, 0x65a23398f161009aULL, 0x250e86f742be5a65ULL},
-    {"DRR2_TTL_S_K", "DRR2-TTL/S_K", kEwma, false, 0x99cf8453ccd0bb3fULL, 0x03f7060449ae66acULL},
-    {"DRR2_TTL_S_K_ColdStart", "DRR2-TTL/S_K", kEwma, true, 0x28216ec98862fc85ULL,
-     0x04419a7346e87ab5ULL},
-    {"PRR2_TTL_2_Holt", "PRR2-TTL/2", kHolt, false, 0x2e4d5e029fdac02fULL, 0x4173a00fcc2fa9ddULL},
+    {"RR2", kEwma, false, 0xea9bcb120d06fd04ULL, 0x4129d78bc1f1102bULL},
+    {"PRR2-TTL/K", kEwma, false, 0x95cdc686a8def819ULL, 0xc720020afaef839bULL},
+    {"RR3-TTL/2", kEwma, false, 0x4ce4a915e1d26b80ULL, 0xe5ecd92c9a161a0bULL},
+    {"RRK", kEwma, false, 0x65a23398f161009aULL, 0x250e86f742be5a65ULL},
+    {"DRR2-TTL/S_K", kEwma, false, 0x99cf8453ccd0bb3fULL, 0x03f7060449ae66acULL},
+    {"DRR2-TTL/S_K", kEwma, true, 0x28216ec98862fc85ULL, 0x04419a7346e87ab5ULL},
+    {"PRR2-TTL/2", kHolt, false, 0x2e4d5e029fdac02fULL, 0x4173a00fcc2fa9ddULL},
 };
 
 class MeasuredGoldenTest : public ::testing::TestWithParam<MeasuredGolden> {};
@@ -220,7 +224,11 @@ TEST_P(MeasuredGoldenTest, ShardedRunIsBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(MeasuredWeights, MeasuredGoldenTest,
                          ::testing::ValuesIn(kMeasuredGolden),
                          [](const ::testing::TestParamInfo<MeasuredGolden>& info) {
-                           return std::string(info.param.label);
+                           const MeasuredGolden& g = info.param;
+                           std::string name = test_name(g.policy);
+                           if (g.cold_start) name += "_ColdStart";
+                           if (g.estimator == kHolt) name += "_Holt";
+                           return name;
                          });
 
 }  // namespace
