@@ -61,7 +61,8 @@ int main() {
     for (int i = 0; i < 8; ++i) {
       const std::vector<std::uint8_t> query =
           dnswire::encode_query(static_cast<std::uint16_t>(1000 + i), "www.site.org");
-      const std::vector<std::uint8_t> response = frontend.handle(query, domain);
+      std::vector<std::uint8_t> response;
+      frontend.handle(query, domain, &response);
       dnswire::Header h;
       std::uint32_t ip = 0, ttl = 0;
       if (!dnswire::decode_a_response(response, &h, &ip, &ttl)) {

@@ -7,8 +7,6 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <poll.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -89,7 +87,7 @@ const std::vector<std::uint8_t>& ShardCore::handle(const std::uint8_t* data,
       break;
   }
   scratch_.assign(data, data + len);
-  reply_ = frontend_->handle(scratch_, domain);
+  frontend_->handle(scratch_, domain, &reply_);
   return reply_;
 }
 
@@ -116,7 +114,6 @@ struct alignas(64) ShardStatsAtomics {
 struct UdpDaemon::Shard {
   int index = 0;
   int fd = -1;
-  int wake_fd = -1;  ///< eventfd that request_stop() writes to wake the loop
   std::unique_ptr<ShardCore> core;
   ShardStatsAtomics stats;
   std::thread thread;
@@ -128,7 +125,9 @@ struct UdpDaemon::Shard {
 namespace {
 
 int open_shard_socket(const DaemonConfig& cfg, int bind_port) {
-  const int fd = ::socket(AF_INET, SOCK_DGRAM | SOCK_NONBLOCK, 0);
+  // Blocking: a shard sleeps in recvmmsg, and request_stop() wakes it
+  // with shutdown(SHUT_RD).
+  const int fd = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd < 0) throw_errno("socket");
   const int one = 1;
   if (::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one)) != 0) {
@@ -182,7 +181,6 @@ bool rxq_ovfl_of(msghdr& msg, std::uint32_t* value) {
 /// from, its bytes, and (after processing) the reply to send back.
 struct Slot {
   sockaddr_in peer{};
-  std::size_t rx_len = 0;
   std::vector<std::uint8_t> rx;
   std::vector<std::uint8_t> tx;
   alignas(cmsghdr) char cmsg[64];
@@ -206,8 +204,6 @@ UdpDaemon::UdpDaemon(DaemonConfig cfg) : cfg_(std::move(cfg)) {
       bound_port_ = bound_port_of(shard->fd);
       port = bound_port_;  // shards 1..N-1 join shard 0's REUSEPORT group
     }
-    shard->wake_fd = ::eventfd(0, EFD_NONBLOCK);
-    if (shard->wake_fd < 0) throw_errno("eventfd");
     shards_.push_back(std::move(shard));
   }
 }
@@ -216,7 +212,6 @@ UdpDaemon::~UdpDaemon() {
   stop();
   for (auto& s : shards_) {
     if (s->fd >= 0) ::close(s->fd);
-    if (s->wake_fd >= 0) ::close(s->wake_fd);
   }
 }
 
@@ -234,12 +229,12 @@ void UdpDaemon::start() {
 
 void UdpDaemon::request_stop() noexcept {
   stop_.store(true, std::memory_order_release);
-  const std::uint64_t one = 1;
   for (auto& s : shards_) {
-    if (s->wake_fd >= 0) {
-      // write() is async-signal-safe; the value is irrelevant, the wakeup is.
-      [[maybe_unused]] ssize_t n = ::write(s->wake_fd, &one, sizeof(one));
-    }
+    // shutdown() is async-signal-safe. It wakes a shard blocked in
+    // recvmmsg with a zero-length read, and every later read returns at
+    // once. On an unconnected UDP socket it also fails with ENOTCONN,
+    // which is expected.
+    (void)::shutdown(s->fd, SHUT_RD);
   }
 }
 
@@ -308,8 +303,35 @@ void UdpDaemon::shard_loop(Shard& shard) {
   // allocates is local to this shard from the start.
   shard.core = std::make_unique<ShardCore>(cfg_, shard.index);
   const int batch = cfg_.batch;
-  std::vector<Slot> slots(static_cast<std::size_t>(batch));
-  for (Slot& s : slots) s.rx.resize(kMaxDatagram);
+  const auto slots_n = static_cast<std::size_t>(batch);
+  std::vector<Slot> slots(slots_n);
+
+  // Persistent recvmmsg/sendmmsg scaffolding over the slots, built once;
+  // batch 1 is a vector of length 1.
+  std::vector<mmsghdr> rxvec(slots_n), txvec(slots_n);
+  std::vector<iovec> rxio(slots_n), txio(slots_n);
+  for (std::size_t i = 0; i < slots_n; ++i) {
+    Slot& slot = slots[i];
+    slot.rx.resize(kMaxDatagram);
+    rxio[i] = {slot.rx.data(), slot.rx.size()};
+    msghdr& m = rxvec[i].msg_hdr;
+    m.msg_name = &slot.peer;
+    m.msg_iov = &rxio[i];
+    m.msg_iovlen = 1;
+    m.msg_control = slot.cmsg;
+    txvec[i].msg_hdr.msg_iov = &txio[i];
+    txvec[i].msg_hdr.msg_iovlen = 1;
+  }
+  /// The kernel writes back the address and control lengths of every
+  /// header it fills; restores them for the first n.
+  const auto arm_rx = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      msghdr& m = rxvec[static_cast<std::size_t>(i)].msg_hdr;
+      m.msg_namelen = sizeof(sockaddr_in);
+      m.msg_controllen = sizeof(Slot::cmsg);
+    }
+  };
+  arm_rx(batch);
 
   auto& st = shard.stats;
 
@@ -337,7 +359,7 @@ void UdpDaemon::shard_loop(Shard& shard) {
     std::uint64_t undecodable = 0;
     for (int i = 0; i < n; ++i) {
       Slot& slot = slots[static_cast<std::size_t>(i)];
-      slot.tx = shard.core->handle(slot.rx.data(), slot.rx_len,
+      slot.tx = shard.core->handle(slot.rx.data(), rxvec[static_cast<std::size_t>(i)].msg_len,
                                    ntohl(slot.peer.sin_addr.s_addr),
                                    ntohs(slot.peer.sin_port));
       if (slot.tx.empty()) ++undecodable;
@@ -357,52 +379,23 @@ void UdpDaemon::shard_loop(Shard& shard) {
                              std::memory_order_relaxed);
   };
 
-  // Persistent recvmmsg scaffolding over the slots; batch 1 is a vector
-  // of length 1.
-  std::vector<mmsghdr> rxvec(static_cast<std::size_t>(batch));
-  std::vector<iovec> rxio(static_cast<std::size_t>(batch));
-  const auto arm_rx = [&] {
-    for (int i = 0; i < batch; ++i) {
-      Slot& slot = slots[static_cast<std::size_t>(i)];
-      rxio[i] = {slot.rx.data(), slot.rx.size()};
-      msghdr& m = rxvec[i].msg_hdr;
-      std::memset(&m, 0, sizeof(m));
-      m.msg_name = &slot.peer;
-      m.msg_namelen = sizeof(slot.peer);
-      m.msg_iov = &rxio[static_cast<std::size_t>(i)];
-      m.msg_iovlen = 1;
-      m.msg_control = slot.cmsg;
-      m.msg_controllen = sizeof(slot.cmsg);
-      rxvec[i].msg_len = 0;
-    }
-  };
-
   const auto send_batch = [&](int n) {
-    // Gather the non-empty replies into one sendmmsg vector.
-    std::vector<mmsghdr> txvec;
-    std::vector<iovec> txio;
-    txvec.reserve(static_cast<std::size_t>(n));
-    txio.reserve(static_cast<std::size_t>(n));
+    // Gather the non-empty replies into the front of the sendmmsg vector.
+    unsigned count = 0;
     for (int i = 0; i < n; ++i) {
       Slot& slot = slots[static_cast<std::size_t>(i)];
       if (slot.tx.empty()) continue;
-      txio.push_back({slot.tx.data(), slot.tx.size()});
-      mmsghdr m{};
-      m.msg_hdr.msg_name = &slot.peer;
-      m.msg_hdr.msg_namelen = sizeof(slot.peer);
-      txvec.push_back(m);
+      txio[count] = {slot.tx.data(), slot.tx.size()};
+      txvec[count].msg_hdr.msg_name = &slot.peer;
+      txvec[count].msg_hdr.msg_namelen = sizeof(slot.peer);
+      ++count;
     }
-    for (std::size_t i = 0; i < txvec.size(); ++i) {
-      txvec[i].msg_hdr.msg_iov = &txio[i];
-      txvec[i].msg_hdr.msg_iovlen = 1;
-    }
-    std::size_t off = 0;
+    unsigned off = 0;
     int stalls = 0;
-    while (off < txvec.size()) {
-      const int sent = ::sendmmsg(shard.fd, txvec.data() + off,
-                                  static_cast<unsigned>(txvec.size() - off), 0);
+    while (off < count) {
+      const int sent = ::sendmmsg(shard.fd, txvec.data() + off, count - off, MSG_DONTWAIT);
       if (sent > 0) {
-        off += static_cast<std::size_t>(sent);
+        off += static_cast<unsigned>(sent);
         stalls = 0;
         continue;
       }
@@ -413,51 +406,32 @@ void UdpDaemon::shard_loop(Shard& shard) {
         (void)::poll(&p, 1, 10);
         continue;
       }
-      st.send_errors.fetch_add(txvec.size() - off, std::memory_order_relaxed);
+      st.send_errors.fetch_add(count - off, std::memory_order_relaxed);
       break;
     }
   };
 
-  const int epfd = ::epoll_create1(0);
-  if (epfd < 0) throw_errno("epoll_create1");
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = shard.fd;
-  if (::epoll_ctl(epfd, EPOLL_CTL_ADD, shard.fd, &ev) != 0) throw_errno("epoll_ctl");
-  ev.data.fd = shard.wake_fd;
-  if (::epoll_ctl(epfd, EPOLL_CTL_ADD, shard.wake_fd, &ev) != 0) {
-    throw_errno("epoll_ctl(wake)");
-  }
-
   while (!stop_.load(std::memory_order_acquire)) {
-    epoll_event events[2];
-    const int ready = ::epoll_wait(epfd, events, 2, -1);
-    if (ready < 0) {
+    // Sleeps until the first datagram, then takes whatever else is queued.
+    const int n = ::recvmmsg(shard.fd, rxvec.data(), static_cast<unsigned>(batch),
+                             MSG_WAITFORONE, nullptr);
+    if (n < 0) {
       if (errno == EINTR) continue;
       break;
     }
-    // Drain the socket completely before sleeping again (level-triggered,
-    // so anything left re-arms the loop anyway — this just saves wakeups).
-    for (;;) {
-      if (stop_.load(std::memory_order_acquire)) break;
-      arm_rx();
-      const int n = ::recvmmsg(shard.fd, rxvec.data(), static_cast<unsigned>(batch),
-                               MSG_DONTWAIT, nullptr);
-      if (n <= 0) {
-        if (n < 0 && errno == EINTR) continue;
-        break;  // EAGAIN: drained
-      }
-      std::uint32_t ovfl = 0;
-      for (int i = 0; i < n; ++i) {
-        slots[static_cast<std::size_t>(i)].rx_len = rxvec[i].msg_len;
-        if (rxq_ovfl_of(rxvec[i].msg_hdr, &ovfl) && i == n - 1) account_kernel_drops(ovfl);
-      }
-      process(n);
-      send_batch(n);
-      note_progress();
+    // request_stop()'s shutdown wakes a blocked read with a zero-length
+    // one that has no peer address; it only comes first, from the
+    // blocking read. It is no datagram: stop.
+    if (n == 0 || rxvec[0].msg_hdr.msg_namelen == 0) break;
+    std::uint32_t ovfl = 0;
+    if (rxq_ovfl_of(rxvec[static_cast<std::size_t>(n - 1)].msg_hdr, &ovfl)) {
+      account_kernel_drops(ovfl);
     }
+    process(n);
+    send_batch(n);
+    note_progress();
+    arm_rx(n);
   }
-  ::close(epfd);
 }
 
 }  // namespace adattl::dnswire

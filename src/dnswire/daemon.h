@@ -65,8 +65,9 @@ class ShardCore {
   /// Processes one query datagram: derives the domain key (ECS when
   /// enabled and present, source hash otherwise), feeds the frontend, and
   /// returns the reply bytes (empty = drop). The returned reference stays
-  /// valid until the next handle() call; buffers are reused so the steady
-  /// state settles into zero allocations per packet.
+  /// valid until the next handle() call. The reply is written in place
+  /// into a buffer the core keeps, so once the buffers have grown no
+  /// answer allocates (tests/test_kernel_alloc.cpp pins it).
   const std::vector<std::uint8_t>& handle(const std::uint8_t* data, std::size_t len,
                                           std::uint32_t src_ip_host,
                                           std::uint16_t src_port);
@@ -96,16 +97,21 @@ class ShardCore {
 };
 
 /// Multi-core authoritative UDP DNS server: N worker shards, each with its
-/// own SO_REUSEPORT socket (the kernel spreads resolvers across shards by
-/// flow hash), its own epoll loop woken by an eventfd, recvmmsg/sendmmsg
-/// I/O for every batch size (batch 1 is a vector of length 1), explicit
-/// SO_RCVBUF/SO_SNDBUF sizing and SO_RXQ_OVFL drop accounting. Linux only.
+/// own blocking SO_REUSEPORT socket (the kernel spreads resolvers across
+/// shards by flow hash), explicit SO_RCVBUF/SO_SNDBUF sizing and
+/// SO_RXQ_OVFL drop accounting. Linux only.
+///
+/// Each shard wake-up is two system calls: one recvmmsg(MSG_WAITFORONE)
+/// that sleeps until the first datagram and then takes whatever else is
+/// queued, up to `batch` (batch 1 is a vector of length 1), and one
+/// sendmmsg of the answers.
 ///
 /// Lifecycle: the constructor binds every socket (throws on failure),
 /// start() launches the shard threads, stop() requests a graceful drain
 /// (each shard finishes the batch in hand, answers it, then exits) and
-/// joins. Per-shard stats are relaxed atomics, safe to snapshot from any
-/// thread while shards run.
+/// joins. A stop shuts down each socket's read side, which wakes a shard
+/// asleep in recvmmsg. Per-shard stats are relaxed atomics, safe to
+/// snapshot from any thread while shards run.
 class UdpDaemon {
  public:
   explicit UdpDaemon(DaemonConfig cfg);
@@ -118,8 +124,8 @@ class UdpDaemon {
   void stop();
 
   /// Async-signal-safe stop request: sets the stop flag and wakes every
-  /// shard. Safe to call from a signal handler; follow with stop() from a
-  /// normal context to join.
+  /// shard with shutdown(SHUT_RD) on its socket. Safe to call from a
+  /// signal handler; follow with stop() from a normal context to join.
   void request_stop() noexcept;
 
   /// True once every shard has exited its loop (max_queries reached or a

@@ -69,8 +69,7 @@ EcsResult extract_client_subnet(const std::uint8_t* data, std::size_t size,
 
   // Skip the question section.
   for (std::uint16_t q = 0; q < qdcount; ++q) {
-    std::string name;
-    if (!decode_name(data, size, &pos, &name)) return EcsResult::kMalformed;
+    if (!decode_name(data, size, &pos, nullptr)) return EcsResult::kMalformed;
     if (pos + 4 > size) return EcsResult::kMalformed;
     pos += 4;  // qtype + qclass
   }
@@ -79,8 +78,7 @@ EcsResult extract_client_subnet(const std::uint8_t* data, std::size_t size,
   // section but a lying count puts it anywhere, so just scan all of them.
   const std::uint32_t rrs = static_cast<std::uint32_t>(ancount) + nscount + arcount;
   for (std::uint32_t r = 0; r < rrs; ++r) {
-    std::string name;
-    if (!decode_name(data, size, &pos, &name)) return EcsResult::kMalformed;
+    if (!decode_name(data, size, &pos, nullptr)) return EcsResult::kMalformed;
     std::uint16_t type = 0, klass = 0, rdlength = 0;
     if (!get16be(data, size, &pos, &type) || !get16be(data, size, &pos, &klass)) {
       return EcsResult::kMalformed;

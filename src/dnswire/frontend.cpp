@@ -27,6 +27,7 @@ DnsFrontend::DnsFrontend(core::DnsScheduler& scheduler, std::string site_name,
   if (!encode_name(site_name_, &scratch)) {
     throw std::invalid_argument("DnsFrontend: site name is not encodable as a DNS name");
   }
+  site_question_ = {site_name_, kTypeA, kClassIn};
 }
 
 void DnsFrontend::set_outages(const fault::DnsOutageCalendar* calendar,
@@ -38,57 +39,52 @@ void DnsFrontend::set_outages(const fault::DnsOutageCalendar* calendar,
   clock_ = clock;
 }
 
-std::vector<std::uint8_t> DnsFrontend::handle(const std::vector<std::uint8_t>& query,
-                                              web::DomainId source_domain) {
+void DnsFrontend::handle(const std::vector<std::uint8_t>& query, web::DomainId source_domain,
+                         std::vector<std::uint8_t>* reply) {
   Header header;
-  Question question;
+  Question& question = question_;
+  const auto refuse = [&](const Question& echo, std::uint8_t rcode) {
+    ++errors_;
+    encode_a_response(header, echo, 0, 0, rcode, reply);
+  };
   if (!decode_query(query, &header, &question)) {
-    ++errors_;
-    if (query.size() < 2) return {};  // cannot even echo an id: drop
+    if (query.size() < 2) {  // cannot even echo an id: drop
+      ++errors_;
+      reply->clear();
+      return;
+    }
     // Enough header to answer FORMERR; echo what we parsed (qdcount may be
-    // wrong, so answer with an empty question echo via a minimal message).
-    Question empty;
-    empty.qname = site_name_;
-    empty.qtype = kTypeA;
-    empty.qclass = kClassIn;
+    // wrong, so answer with the site's own question via a minimal message).
     header.id = static_cast<std::uint16_t>((query[0] << 8) | query[1]);
-    return encode_a_response(header, empty, 0, 0, kRcodeFormErr);
+    return refuse(site_question_, kRcodeFormErr);
   }
-  if (header.qr || header.opcode != 0) {
-    ++errors_;
-    return encode_a_response(header, question, 0, 0, kRcodeFormErr);
-  }
+  if (header.qr || header.opcode != 0) return refuse(question, kRcodeFormErr);
   if ((question.qtype != kTypeA && question.qtype != kTypeAaaa) ||
       question.qclass != kClassIn) {
-    ++errors_;
-    return encode_a_response(header, question, 0, 0, kRcodeNotImp);
+    return refuse(question, kRcodeNotImp);
   }
-  if (question.qname != site_name_) {
-    ++errors_;
-    return encode_a_response(header, question, 0, 0, kRcodeNxDomain);
-  }
+  if (question.qname != site_name_) return refuse(question, kRcodeNxDomain);
 
   if (outages_ && outages_->unreachable(clock_->now())) {
     // The question was valid — this is our outage, not the client's
     // mistake. SERVFAIL tells the resolver to retry later; no scheduling
     // decision is consumed (the scheduler is the thing that is down).
     ++outage_failures_;
-    return encode_a_response(header, question, 0, 0, kRcodeServFail);
+    encode_a_response(header, question, 0, 0, kRcodeServFail, reply);
+    return;
   }
 
   const core::Decision decision = scheduler_.schedule(source_domain);
   const auto server = static_cast<std::size_t>(decision.server);
-  if (server >= server_ipv4_.size()) {
-    ++errors_;
-    return encode_a_response(header, question, 0, 0, kRcodeRefused);
-  }
+  if (server >= server_ipv4_.size()) return refuse(question, kRcodeRefused);
   ++answered_;
   // DNS TTLs are integral seconds; never round an adaptive TTL down to 0.
   const auto ttl = static_cast<std::uint32_t>(decision.ttl_sec < 1.0 ? 1.0 : decision.ttl_sec);
   if (question.qtype == kTypeAaaa) {
-    return encode_aaaa_response(header, question, server_ipv6_[server], ttl);
+    encode_aaaa_response(header, question, server_ipv6_[server], ttl, kRcodeNoError, reply);
+  } else {
+    encode_a_response(header, question, server_ipv4_[server], ttl, kRcodeNoError, reply);
   }
-  return encode_a_response(header, question, server_ipv4_[server], ttl);
 }
 
 }  // namespace adattl::dnswire

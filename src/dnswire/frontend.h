@@ -35,11 +35,13 @@ class DnsFrontend {
               std::vector<std::uint32_t> server_ipv4,
               std::vector<Ipv6> server_ipv6 = {});
 
-  /// Answers one query datagram. Always returns a well-formed response
-  /// when at least the query header was readable; returns an empty vector
-  /// only when not even the id could be recovered (drop the datagram).
-  std::vector<std::uint8_t> handle(const std::vector<std::uint8_t>& query,
-                                   web::DomainId source_domain);
+  /// Answers one query datagram into `reply` (cleared first; its capacity
+  /// is kept, so a reused buffer allocates nothing). Always writes a
+  /// well-formed response when at least the query header was readable;
+  /// leaves `reply` empty only when not even the id could be recovered
+  /// (drop the datagram).
+  void handle(const std::vector<std::uint8_t>& query, web::DomainId source_domain,
+              std::vector<std::uint8_t>* reply);
 
   /// Wires an outage calendar: while `calendar->unreachable(clock->now())`
   /// the frontend answers SERVFAIL (without consuming a scheduling
@@ -57,6 +59,8 @@ class DnsFrontend {
   std::string site_name_;  // stored lower-cased
   std::vector<std::uint32_t> server_ipv4_;
   std::vector<Ipv6> server_ipv6_;  // always sized like server_ipv4_
+  Question site_question_;  // echoed by FORMERR answers
+  Question question_;       // decode target, reused so its name keeps its capacity
   const fault::DnsOutageCalendar* outages_ = nullptr;
   const sim::Simulator* clock_ = nullptr;
   std::uint64_t answered_ = 0;

@@ -66,33 +66,38 @@ bool decode_header(const std::uint8_t* data, std::size_t size, std::size_t* pos,
 }  // namespace
 
 bool encode_name(const std::string& dotted, std::vector<std::uint8_t>* out) {
-  std::vector<std::uint8_t> bytes;
+  const std::size_t mark = out->size();
   std::size_t start = 0;
   while (start <= dotted.size()) {
     const std::size_t dot = dotted.find('.', start);
     const std::size_t end = (dot == std::string::npos) ? dotted.size() : dot;
     const std::size_t len = end - start;
-    if (len == 0 || len > 63) return false;
-    bytes.push_back(static_cast<std::uint8_t>(len));
-    for (std::size_t i = start; i < end; ++i) {
-      bytes.push_back(static_cast<std::uint8_t>(dotted[i]));
+    if (len == 0 || len > 63) {
+      out->resize(mark);
+      return false;
     }
+    out->push_back(static_cast<std::uint8_t>(len));
+    out->insert(out->end(), dotted.begin() + static_cast<std::ptrdiff_t>(start),
+                dotted.begin() + static_cast<std::ptrdiff_t>(end));
     if (dot == std::string::npos) break;
     start = dot + 1;
   }
-  bytes.push_back(0);  // root label
-  if (bytes.size() > 255) return false;
-  out->insert(out->end(), bytes.begin(), bytes.end());
+  out->push_back(0);  // root label
+  if (out->size() - mark > 255) {
+    out->resize(mark);
+    return false;
+  }
   return true;
 }
 
 bool decode_name(const std::uint8_t* data, std::size_t size, std::size_t* pos,
                  std::string* out) {
-  out->clear();
+  if (out) out->clear();
   std::size_t cursor = *pos;
   bool jumped = false;
   int hops = 0;
   std::size_t end_after_name = 0;  // set at the first pointer
+  std::size_t dotted_len = 0;
 
   for (;;) {
     if (cursor >= size) return false;
@@ -117,12 +122,16 @@ bool decode_name(const std::uint8_t* data, std::size_t size, std::size_t* pos,
       return true;
     }
     if (cursor + 1 + len > size) return false;
-    if (!out->empty()) out->push_back('.');
-    if (out->size() + len > 255) return false;
-    for (std::size_t i = 0; i < len; ++i) {
-      out->push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(data[cursor + 1 + i]))));
+    if (dotted_len != 0) ++dotted_len;  // the '.' before this label
+    if (dotted_len + len > 255) return false;
+    if (out) {
+      if (!out->empty()) out->push_back('.');
+      for (std::size_t i = 0; i < len; ++i) {
+        out->push_back(static_cast<char>(
+            std::tolower(static_cast<unsigned char>(data[cursor + 1 + i]))));
+      }
     }
+    dotted_len += len;
     cursor += 1 + static_cast<std::size_t>(len);
   }
 }
@@ -155,19 +164,22 @@ bool decode_query(const std::vector<std::uint8_t>& wire, Header* header, Questio
 namespace {
 
 /// Shared body of encode_a_response / encode_aaaa_response: one address
-/// record of `rr_type` whose rdata is `rdata[0..rdata_len)`.
-std::vector<std::uint8_t> encode_address_response(const Header& query_header,
-                                                  const Question& question,
-                                                  std::uint16_t rr_type,
-                                                  const std::uint8_t* rdata,
-                                                  std::uint16_t rdata_len,
-                                                  std::uint32_t ttl_sec, std::uint8_t rcode) {
+/// record of `rr_type` whose rdata is `rdata[0..rdata_len)`, written into
+/// `out` in place.
+void encode_address_response(const Header& query_header, const Question& question,
+                             std::uint16_t rr_type, const std::uint8_t* rdata,
+                             std::uint16_t rdata_len, std::uint32_t ttl_sec,
+                             std::uint8_t rcode, std::vector<std::uint8_t>* out) {
   Header h;
   h.id = query_header.id;
   h.qr = true;
   h.aa = true;
   h.rd = query_header.rd;
   h.rcode = rcode;
+  h.qdcount = 1;
+  h.ancount = (rcode == kRcodeNoError) ? 1 : 0;
+  out->clear();
+  encode_header(out, h);
 
   // Echo the question when it survives re-encoding. decode_name accepts
   // names encode_name must reject — the root name (empty), labels
@@ -176,32 +188,27 @@ std::vector<std::uint8_t> encode_address_response(const Header& query_header,
   // echo (qdcount 0) instead of failing: the resolver still gets its
   // rcode and id. Found by the proptest dnswire fuzzer (corpus:
   // root-name-query, label-with-dot-byte, overlong-echo-name).
-  std::vector<std::uint8_t> question_section;
-  const bool echo = encode_name(question.qname, &question_section);
-  if (echo) {
-    put16(&question_section, question.qtype);
-    put16(&question_section, question.qclass);
+  if (encode_name(question.qname, out)) {
+    put16(out, question.qtype);
+    put16(out, question.qclass);
+  } else if (rcode == kRcodeNoError) {
+    // A positive answer anchors its owner name on the echoed question via
+    // a compression pointer, so it cannot be built without one.
+    out->clear();
+    return;
+  } else {
+    (*out)[5] = 0;  // qdcount (bytes 4-5) 1 -> 0
   }
-  h.qdcount = echo ? 1 : 0;
-  h.ancount = (rcode == kRcodeNoError) ? 1 : 0;
-  // A positive answer anchors its owner name on the echoed question via a
-  // compression pointer, so it cannot be built without one.
-  if (!echo && rcode == kRcodeNoError) return {};
-
-  std::vector<std::uint8_t> out;
-  encode_header(&out, h);
-  out.insert(out.end(), question_section.begin(), question_section.end());
-  if (rcode != kRcodeNoError) return out;
+  if (rcode != kRcodeNoError) return;
 
   // Answer: pointer to the question name at offset 12 (0xc00c).
-  out.push_back(0xc0);
-  out.push_back(0x0c);
-  put16(&out, rr_type);
-  put16(&out, kClassIn);
-  put32(&out, ttl_sec);
-  put16(&out, rdata_len);
-  out.insert(out.end(), rdata, rdata + rdata_len);
-  return out;
+  out->push_back(0xc0);
+  out->push_back(0x0c);
+  put16(out, rr_type);
+  put16(out, kClassIn);
+  put32(out, ttl_sec);
+  put16(out, rdata_len);
+  out->insert(out->end(), rdata, rdata + rdata_len);
 }
 
 /// Shared body of decode_a_response / decode_aaaa_response: expects one
@@ -251,21 +258,21 @@ Ipv6 v4_mapped_ipv6(std::uint32_t ipv4) {
   return out;
 }
 
-std::vector<std::uint8_t> encode_a_response(const Header& query_header,
-                                            const Question& question, std::uint32_t ipv4,
-                                            std::uint32_t ttl_sec, std::uint8_t rcode) {
+void encode_a_response(const Header& query_header, const Question& question,
+                       std::uint32_t ipv4, std::uint32_t ttl_sec, std::uint8_t rcode,
+                       std::vector<std::uint8_t>* out) {
   std::uint8_t rdata[4] = {static_cast<std::uint8_t>(ipv4 >> 24),
                            static_cast<std::uint8_t>(ipv4 >> 16),
                            static_cast<std::uint8_t>(ipv4 >> 8),
                            static_cast<std::uint8_t>(ipv4)};
-  return encode_address_response(query_header, question, kTypeA, rdata, 4, ttl_sec, rcode);
+  encode_address_response(query_header, question, kTypeA, rdata, 4, ttl_sec, rcode, out);
 }
 
-std::vector<std::uint8_t> encode_aaaa_response(const Header& query_header,
-                                               const Question& question, const Ipv6& ipv6,
-                                               std::uint32_t ttl_sec, std::uint8_t rcode) {
-  return encode_address_response(query_header, question, kTypeAaaa, ipv6.data(),
-                                 static_cast<std::uint16_t>(ipv6.size()), ttl_sec, rcode);
+void encode_aaaa_response(const Header& query_header, const Question& question,
+                          const Ipv6& ipv6, std::uint32_t ttl_sec, std::uint8_t rcode,
+                          std::vector<std::uint8_t>* out) {
+  encode_address_response(query_header, question, kTypeAaaa, ipv6.data(),
+                          static_cast<std::uint16_t>(ipv6.size()), ttl_sec, rcode, out);
 }
 
 bool decode_a_response(const std::vector<std::uint8_t>& wire, Header* header,

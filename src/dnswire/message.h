@@ -58,15 +58,16 @@ inline constexpr std::uint8_t kRcodeNxDomain = 3;
 inline constexpr std::uint8_t kRcodeNotImp = 4;
 inline constexpr std::uint8_t kRcodeRefused = 5;
 
-/// Encodes a dotted name as DNS labels onto `out`. Returns false (leaving
-/// `out` untouched) if any label is empty, longer than 63 bytes, or the
-/// whole name exceeds 255 bytes.
+/// Appends a dotted name as DNS labels to `out`, in place. Returns false
+/// (truncating `out` back to its old size) if any label is empty, longer
+/// than 63 bytes, or the whole name exceeds 255 bytes.
 bool encode_name(const std::string& dotted, std::vector<std::uint8_t>* out);
 
 /// Decodes a (possibly compressed) name starting at `*pos`. On success
 /// advances `*pos` past the name's wire bytes (not past any pointer
-/// target) and writes the dotted, lower-cased form to `out`. Returns false
-/// on truncation, label overflow, or a pointer loop.
+/// target) and writes the dotted, lower-cased form to `out`, or only
+/// checks the name when `out` is null. Returns false on truncation, label
+/// overflow, or a pointer loop.
 bool decode_name(const std::uint8_t* data, std::size_t size, std::size_t* pos,
                  std::string* out);
 
@@ -82,17 +83,17 @@ std::vector<std::uint8_t> encode_query(std::uint16_t id, const std::string& qnam
 /// is still filled as far as possible so a FORMERR response can echo the id.
 bool decode_query(const std::vector<std::uint8_t>& wire, Header* header, Question* question);
 
-/// Builds the authoritative response to `question`: one A record with the
-/// given IPv4 (host byte order) and TTL, or an empty answer section when
-/// `rcode` is non-zero. A question whose name cannot be re-encoded (the
-/// decoder accepts names the encoder must reject, e.g. the root name) is
-/// omitted from an error response (qdcount 0) rather than failing; a
-/// positive answer needs the echo as its compression-pointer anchor, so
-/// only that combination returns an empty vector.
-std::vector<std::uint8_t> encode_a_response(const Header& query_header,
-                                            const Question& question, std::uint32_t ipv4,
-                                            std::uint32_t ttl_sec,
-                                            std::uint8_t rcode = kRcodeNoError);
+/// Writes the authoritative response to `question` into `out` (cleared
+/// first; its capacity is kept, so a reused buffer allocates nothing): one
+/// A record with the given IPv4 (host byte order) and TTL, or an empty
+/// answer section when `rcode` is non-zero. A question whose name cannot
+/// be re-encoded (the decoder accepts names the encoder must reject, e.g.
+/// the root name) is omitted from an error response (qdcount 0) rather
+/// than failing; a positive answer needs the echo as its
+/// compression-pointer anchor, so only that combination leaves `out` empty.
+void encode_a_response(const Header& query_header, const Question& question,
+                       std::uint32_t ipv4, std::uint32_t ttl_sec, std::uint8_t rcode,
+                       std::vector<std::uint8_t>* out);
 
 /// Parses a response built by encode_a_response (tests / demo): fills the
 /// header and, when present, the answer's IPv4 + TTL. Returns false on
@@ -101,11 +102,10 @@ bool decode_a_response(const std::vector<std::uint8_t>& wire, Header* header,
                        std::uint32_t* ipv4, std::uint32_t* ttl_sec);
 
 /// AAAA counterpart of encode_a_response: one quad-A record (rdlength 16)
-/// with the same question-echo / error-rcode semantics.
-std::vector<std::uint8_t> encode_aaaa_response(const Header& query_header,
-                                               const Question& question, const Ipv6& ipv6,
-                                               std::uint32_t ttl_sec,
-                                               std::uint8_t rcode = kRcodeNoError);
+/// with the same question-echo / error-rcode / buffer semantics.
+void encode_aaaa_response(const Header& query_header, const Question& question,
+                          const Ipv6& ipv6, std::uint32_t ttl_sec, std::uint8_t rcode,
+                          std::vector<std::uint8_t>* out);
 
 /// Parses a response built by encode_aaaa_response. Returns false on
 /// malformed input or when the answer is not a 16-byte AAAA record.

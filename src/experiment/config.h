@@ -143,8 +143,8 @@ struct SimulationConfig {
   // ---- Live DNS daemon (tools/adattl_dnsd; inert for simulations) ----
   /// UDP port the sharded daemon binds (0 = ephemeral, reported at start).
   int dnsd_port = 5353;
-  /// Worker shards, each with its own SO_REUSEPORT socket + epoll loop and
-  /// its own scheduler state (1 = bit-compatible with the serial scheduler).
+  /// Worker shards, each with its own SO_REUSEPORT socket, I/O thread and
+  /// scheduler state (1 = bit-compatible with the serial scheduler).
   int dnsd_shards = 1;
   /// recvmmsg/sendmmsg batch size (datagrams per syscall; 1 = a batch of one).
   int dnsd_batch = 32;

@@ -71,7 +71,6 @@ class WebServer {
   /// started after the call run at capacity() * factor; the in-flight
   /// interval is not rescaled.
   void set_capacity_factor(double factor);
-  double capacity_factor() const { return capacity_factor_; }
   double effective_capacity() const { return capacity_ * capacity_factor_; }
 
   /// Total busy seconds since construction, up to `now` (includes the

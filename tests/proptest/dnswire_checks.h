@@ -81,7 +81,8 @@ inline void check_frontend_contract(FrontendHarness& h, const std::vector<std::u
   const std::uint64_t outage0 = f.outage_failures();
   const std::uint64_t decisions0 = h.scheduler().decisions();
 
-  const std::vector<std::uint8_t> reply = f.handle(input, source_domain);
+  std::vector<std::uint8_t> reply;
+  f.handle(input, source_domain, &reply);
   if (reply_out != nullptr) *reply_out = reply;
 
   const std::uint64_t moved = (f.answered() - answered0) + (f.refused() - refused0) +

@@ -78,8 +78,11 @@ std::vector<std::uint8_t> draw_base(sim::RngStream& rng, const FrontendHarness& 
     q.qname = random_name(rng);
     q.qtype = dnswire::kTypeA;
     q.qclass = dnswire::kClassIn;
-    return dnswire::encode_a_response(qh, q, 0x0a000001u,
-                                      static_cast<std::uint32_t>(rng.uniform_int(1, 3600)));
+    std::vector<std::uint8_t> response;
+    dnswire::encode_a_response(qh, q, 0x0a000001u,
+                               static_cast<std::uint32_t>(rng.uniform_int(1, 3600)),
+                               dnswire::kRcodeNoError, &response);
+    return response;
   }
   std::vector<std::uint8_t> noise(static_cast<std::size_t>(rng.uniform_int(0, 80)));
   for (std::uint8_t& b : noise) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));

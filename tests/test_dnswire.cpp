@@ -56,6 +56,15 @@ TEST(DnsName, EncodeRejectsBadLabels) {
   huge += "com";  // > 255 bytes total
   EXPECT_FALSE(encode_name(huge, &out));
   EXPECT_TRUE(out.empty());  // failed encodes leave the buffer untouched
+
+  // Names are written in place after what the buffer holds; a failure,
+  // early (a bad label) or late (the length limit), truncates back to it.
+  out = {0xAA, 0xBB};
+  EXPECT_FALSE(encode_name("ok.a..b", &out));
+  EXPECT_FALSE(encode_name(huge, &out));
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{0xAA, 0xBB}));
+  ASSERT_TRUE(encode_name("a.b", &out));
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{0xAA, 0xBB, 1, 'a', 1, 'b', 0}));
 }
 
 TEST(DnsName, DecodeHandlesCompressionPointer) {
@@ -112,7 +121,8 @@ TEST(DnsMessage, ResponseRoundTrip) {
   qh.id = 42;
   qh.rd = true;
   Question q{"www.site.org", kTypeA, kClassIn};
-  const std::vector<std::uint8_t> wire = encode_a_response(qh, q, 0x0A000001, 43);
+  std::vector<std::uint8_t> wire;
+  encode_a_response(qh, q, 0x0A000001, 43, kRcodeNoError, &wire);
   Header rh;
   std::uint32_t ip = 0, ttl = 0;
   ASSERT_TRUE(decode_a_response(wire, &rh, &ip, &ttl));
@@ -130,7 +140,8 @@ TEST(DnsMessage, ErrorResponseHasNoAnswer) {
   Header qh;
   qh.id = 7;
   Question q{"other.org", kTypeA, kClassIn};
-  const std::vector<std::uint8_t> wire = encode_a_response(qh, q, 0, 0, kRcodeNxDomain);
+  std::vector<std::uint8_t> wire;
+  encode_a_response(qh, q, 0, 0, kRcodeNxDomain, &wire);
   Header rh;
   std::uint32_t ip = 0, ttl = 0;
   ASSERT_TRUE(decode_a_response(wire, &rh, &ip, &ttl));
@@ -242,7 +253,9 @@ TEST(DnsGolden, AResponseWireImage) {
       0x00, 0x04,              // rdlength
       0x0a, 0x00, 0x00, 0x01,  // 10.0.0.1
   };
-  EXPECT_EQ(encode_a_response(qh, q, 0x0A000001, 43), golden);
+  std::vector<std::uint8_t> wire = {0xde, 0xad};  // stale bytes are cleared
+  encode_a_response(qh, q, 0x0A000001, 43, kRcodeNoError, &wire);
+  EXPECT_EQ(wire, golden);
 
   Header rh;
   std::uint32_t ip = 0, ttl = 0;
@@ -272,7 +285,9 @@ TEST(DnsGolden, AaaaResponseWireImage) {
       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
       0x00, 0x00, 0xff, 0xff, 0x0a, 0x00, 0x00, 0x01,  // ::ffff:10.0.0.1
   };
-  EXPECT_EQ(encode_aaaa_response(qh, q, v4_mapped_ipv6(0x0A000001), 43), golden);
+  std::vector<std::uint8_t> wire;
+  encode_aaaa_response(qh, q, v4_mapped_ipv6(0x0A000001), 43, kRcodeNoError, &wire);
+  EXPECT_EQ(wire, golden);
 
   Header rh;
   Ipv6 addr{};
@@ -376,7 +391,8 @@ struct FrontendRig {
 TEST(DnsFrontendTest, AnswersWithSchedulerDecision) {
   FrontendRig rig;
   const std::vector<std::uint8_t> query = encode_query(0x1234, "www.site.org");
-  const std::vector<std::uint8_t> response = rig.frontend->handle(query, /*domain=*/0);
+  std::vector<std::uint8_t> response;
+  rig.frontend->handle(query, /*domain=*/0, &response);
   Header h;
   std::uint32_t ip = 0, ttl = 0;
   ASSERT_TRUE(decode_a_response(response, &h, &ip, &ttl));
@@ -395,8 +411,8 @@ TEST(DnsFrontendTest, AnswersWithSchedulerDecision) {
 TEST(DnsFrontendTest, HotDomainsGetShorterTtlsOnTheWire) {
   FrontendRig rig;
   const auto ttl_for = [&](int domain) {
-    const std::vector<std::uint8_t> r =
-        rig.frontend->handle(encode_query(1, "www.site.org"), domain);
+    std::vector<std::uint8_t> r;
+    rig.frontend->handle(encode_query(1, "www.site.org"), domain, &r);
     Header h;
     std::uint32_t ip = 0, ttl = 0;
     EXPECT_TRUE(decode_a_response(r, &h, &ip, &ttl));
@@ -407,8 +423,8 @@ TEST(DnsFrontendTest, HotDomainsGetShorterTtlsOnTheWire) {
 
 TEST(DnsFrontendTest, CaseInsensitiveNameMatch) {
   FrontendRig rig;
-  const std::vector<std::uint8_t> r =
-      rig.frontend->handle(encode_query(2, "WWW.SITE.ORG"), 0);
+  std::vector<std::uint8_t> r;
+  rig.frontend->handle(encode_query(2, "WWW.SITE.ORG"), 0, &r);
   Header h;
   std::uint32_t ip = 0, ttl = 0;
   ASSERT_TRUE(decode_a_response(r, &h, &ip, &ttl));
@@ -417,8 +433,8 @@ TEST(DnsFrontendTest, CaseInsensitiveNameMatch) {
 
 TEST(DnsFrontendTest, ForeignNameGetsNxDomainWithoutSchedulingCost) {
   FrontendRig rig;
-  const std::vector<std::uint8_t> r =
-      rig.frontend->handle(encode_query(3, "evil.example.com"), 0);
+  std::vector<std::uint8_t> r;
+  rig.frontend->handle(encode_query(3, "evil.example.com"), 0, &r);
   Header h;
   std::uint32_t ip = 0, ttl = 0;
   ASSERT_TRUE(decode_a_response(r, &h, &ip, &ttl));
@@ -429,8 +445,8 @@ TEST(DnsFrontendTest, ForeignNameGetsNxDomainWithoutSchedulingCost) {
 
 TEST(DnsFrontendTest, NonAddressQueriesGetNotImp) {
   FrontendRig rig;
-  const std::vector<std::uint8_t> r =
-      rig.frontend->handle(encode_query(4, "www.site.org", /*qtype=*/15), 0);  // MX
+  std::vector<std::uint8_t> r;
+  rig.frontend->handle(encode_query(4, "www.site.org", /*qtype=*/15), 0, &r);  // MX
   Header h;
   std::uint32_t ip = 0, ttl = 0;
   ASSERT_TRUE(decode_a_response(r, &h, &ip, &ttl));
@@ -439,8 +455,8 @@ TEST(DnsFrontendTest, NonAddressQueriesGetNotImp) {
 
 TEST(DnsFrontendTest, AaaaQueriesGetV4MappedAnswers) {
   FrontendRig rig;
-  const std::vector<std::uint8_t> r =
-      rig.frontend->handle(encode_query(5, "www.site.org", kTypeAaaa), 0);
+  std::vector<std::uint8_t> r;
+  rig.frontend->handle(encode_query(5, "www.site.org", kTypeAaaa), 0, &r);
   Header h;
   Ipv6 addr{};
   std::uint32_t ttl = 0;
@@ -464,8 +480,8 @@ TEST(DnsFrontendTest, ExplicitIpv6AddressesWinOverMapping) {
   DnsFrontend v6_frontend(*rig.bundle.scheduler, "www.site.org",
                           std::vector<std::uint32_t>{0x0A000001},
                           std::vector<Ipv6>{native});
-  const std::vector<std::uint8_t> r =
-      v6_frontend.handle(encode_query(6, "www.site.org", kTypeAaaa), 0);
+  std::vector<std::uint8_t> r;
+  v6_frontend.handle(encode_query(6, "www.site.org", kTypeAaaa), 0, &r);
   Header h;
   Ipv6 addr{};
   std::uint32_t ttl = 0;
@@ -480,11 +496,13 @@ TEST(DnsFrontendTest, ExplicitIpv6AddressesWinOverMapping) {
 
 TEST(DnsFrontendTest, MalformedQueryGetsFormErrOrDrop) {
   FrontendRig rig;
-  // One byte: not even an id — dropped.
-  EXPECT_TRUE(rig.frontend->handle({0xFF}, 0).empty());
+  // One byte: not even an id — dropped, and the stale reply is cleared.
+  std::vector<std::uint8_t> r = {0x12, 0x34};
+  rig.frontend->handle({0xFF}, 0, &r);
+  EXPECT_TRUE(r.empty());
   // Header-only with a claimed question: FORMERR echoing the id.
   const std::vector<std::uint8_t> bad = {0xAB, 0xCD, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0};
-  const std::vector<std::uint8_t> r = rig.frontend->handle(bad, 0);
+  rig.frontend->handle(bad, 0, &r);
   Header h;
   std::uint32_t ip = 0, ttl = 0;
   ASSERT_TRUE(decode_a_response(r, &h, &ip, &ttl));

@@ -1,6 +1,7 @@
-// Zero-allocation contract of the event kernel (ISSUE 2 acceptance):
-// once the queue's vectors reach steady-state capacity, schedule/pop churn
-// with kernel-sized callbacks must never touch the heap. Verified by
+// Zero-allocation contracts of the event kernel and the daemon's answer
+// path: once the queue's vectors reach steady-state capacity, schedule/pop
+// churn with kernel-sized callbacks must never touch the heap, and neither
+// may a ShardCore answer once its buffers have grown. Verified by
 // interposing the global allocation functions with a counter.
 //
 // This suite lives in its own test binary because the operator new/delete
@@ -14,6 +15,9 @@
 #include <vector>
 
 #include "core/policy_factory.h"
+#include "dnswire/daemon.h"
+#include "dnswire/ecs.h"
+#include "dnswire/message.h"
 #include "obs/event_tracer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -213,6 +217,60 @@ TEST(KernelAlloc, TracerRecordAllocatesNothing) {
   EXPECT_EQ(allocations() - before, 0u) << "trace records must not allocate";
   EXPECT_EQ(tracer.total_recorded(), 10000u);
   EXPECT_EQ(tracer.dropped(), 10000u - 1024u);
+}
+
+TEST(KernelAlloc, ShardCoreAnswersAllocateNothing) {
+  // The daemon's per-answer path: key derivation, decode, scheduling and
+  // the encoders all work in buffers the core keeps, so after one warm-up
+  // pass no answer of any outcome allocates. Both names are longer than
+  // std::string's inline buffer, so a decoded name must reuse capacity.
+  namespace dw = dnswire;
+  dw::DaemonConfig cfg;
+  cfg.site_name = "www.an-example-site.org";
+  cfg.server_ipv4 = {0x0a000001, 0x0a000002, 0x0a000003};
+  dw::ShardCore core(cfg, 0);
+
+  dw::ClientSubnet subnet{};
+  subnet.family = dw::kEcsFamilyIpv4;
+  subnet.source_prefix = 24;
+  subnet.address_len = 3;
+  subnet.address = {10, 1, 2};
+  const auto with_ecs = [&](std::vector<std::uint8_t> q) {
+    dw::append_ecs_option(&q, subnet);
+    return q;
+  };
+  struct Case {
+    std::vector<std::uint8_t> query;
+    std::uint8_t rcode;
+  };
+  const std::vector<Case> cases = {
+      {with_ecs(dw::encode_query(1, cfg.site_name)), dw::kRcodeNoError},          // A, ECS
+      {dw::encode_query(2, cfg.site_name), dw::kRcodeNoError},                    // A
+      {dw::encode_query(3, cfg.site_name, dw::kTypeAaaa), dw::kRcodeNoError},     // AAAA
+      {{0xab, 0xcd, 0xff, 0xff, 0xff}, dw::kRcodeFormErr},                        // garbage
+      {dw::encode_query(5, cfg.site_name, /*MX*/ 15), dw::kRcodeNotImp},
+      {with_ecs(dw::encode_query(6, "www.another-site.example")), dw::kRcodeNxDomain},
+  };
+  for (const Case& c : cases) {  // warm-up: the buffers grow here
+    const std::vector<std::uint8_t>& reply = core.handle(c.query.data(), c.query.size(),
+                                                         0x7f000001u, 40000);
+    ASSERT_GE(reply.size(), 12u);
+    ASSERT_EQ(reply[3] & 0x0f, c.rcode);
+  }
+
+  std::uint64_t wrong_rcode = 0;
+  const std::uint64_t before = allocations();
+  for (std::uint32_t round = 0; round < 200; ++round) {
+    for (const Case& c : cases) {
+      const std::vector<std::uint8_t>& reply = core.handle(
+          c.query.data(), c.query.size(), 0x7f000001u + round, 40000);
+      if (reply.size() < 12 || (reply[3] & 0x0f) != c.rcode) ++wrong_rcode;
+    }
+  }
+  EXPECT_EQ(allocations() - before, 0u) << "an answer must not allocate";
+  EXPECT_EQ(wrong_rcode, 0u);
+  EXPECT_EQ(core.frontend().answered(), 3u * 201u);
+  EXPECT_EQ(core.ecs_keys(), 2u * 201u);
 }
 
 }  // namespace

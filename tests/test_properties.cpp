@@ -19,10 +19,22 @@ namespace {
 // alarmed server while a non-alarmed one exists.
 // ---------------------------------------------------------------------
 
+// gtest prints a parameter without a PrintTo as its raw bytes, and
+// gtest_discover_tests puts that text into every ctest name. So the case
+// holds no pointer (a std::string holds an address ASLR moves) and no byte
+// left unset: its 40 bytes, and so the test names, are the same in every
+// build.
 struct SchedulerCase {
-  std::string policy;
+  char policy[36];
   int het_level;
 };
+
+SchedulerCase scheduler_case(const std::string& policy, int het_level) {
+  SchedulerCase c{};  // zero-fills the name's tail
+  policy.copy(c.policy, sizeof(c.policy) - 1);
+  c.het_level = het_level;
+  return c;
+}
 
 class SchedulerInvariants : public ::testing::TestWithParam<SchedulerCase> {};
 
@@ -82,7 +94,7 @@ std::vector<SchedulerCase> all_scheduler_cases() {
     names.emplace_back(extra);
   }
   for (const std::string& p : names) {
-    for (int het : {0, 20, 50, 65}) cases.push_back({p, het});
+    for (int het : {0, 20, 50, 65}) cases.push_back(scheduler_case(p, het));
   }
   return cases;
 }
@@ -90,7 +102,7 @@ std::vector<SchedulerCase> all_scheduler_cases() {
 INSTANTIATE_TEST_SUITE_P(AllPoliciesAllLevels, SchedulerInvariants,
                          ::testing::ValuesIn(all_scheduler_cases()),
                          [](const ::testing::TestParamInfo<SchedulerCase>& info) {
-                           std::string n = info.param.policy + "_het" +
+                           std::string n = std::string(info.param.policy) + "_het" +
                                            std::to_string(info.param.het_level);
                            for (char& c : n) {
                              if (c == '-' || c == '/') c = '_';

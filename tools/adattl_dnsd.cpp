@@ -6,11 +6,13 @@
 //   dig @127.0.0.1 -p 5353 www.site.org A     # watch addresses + TTLs rotate
 //
 // Architecture (DESIGN.md §15): N worker shards, each with its own
-// SO_REUSEPORT socket, epoll loop, recvmmsg/sendmmsg batching and its own
-// scheduler state — the hot decision path shares nothing and takes no
-// locks. Domain keys come from EDNS0 Client-Subnet when the resolver
-// forwards one (--dnsd-ecs, default on), with the legacy source-address
-// hash as fallback, so the hidden-load estimate keys on real subnets.
+// SO_REUSEPORT socket, one blocking recvmmsg and one sendmmsg per wake-up
+// and its own scheduler state — the hot decision path shares nothing,
+// takes no locks and allocates nothing. SIGINT/SIGTERM wake the shards by
+// shutting down their sockets' read side. Domain keys come from EDNS0
+// Client-Subnet when the resolver forwards one (--dnsd-ecs, default on),
+// with the legacy source-address hash as fallback, so the hidden-load
+// estimate keys on real subnets.
 //
 // Registry knobs (--dnsd-port/--dnsd-shards/--dnsd-batch/--dnsd-ecs plus
 // --policy/--domains/--seed) resolve through the parameter registry:

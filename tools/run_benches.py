@@ -20,7 +20,8 @@ one schema:
 Google-benchmark binaries run 5 interleaved repetitions (a benchmark can
 set its own count). The daemon rows run each configuration 3 times with
 one load generator per shard, counting only runs in which every shard
-served a flow.
+served a flow. A saturating generator measures queueing in its latency
+rows, so one configuration also runs at a fixed rate, below saturation.
 micro_estimator and micro_geo report accuracy, not time: their own JSON
 document is kept under the common context, and they exit nonzero, which
 stops this tool, when their claims fail.
@@ -39,8 +40,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SECONDS_PER = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
 CONTEXT_KEYS = {"date", "host_name", "num_cpus", "build_type", "git_sha"}
 ROW_KEYS = {"unit", "median", "min", "max", "reps"}
-DAEMON_CONFIGS = {"shards1_batch1": (1, 1), "shards1_batch32": (1, 32),
-                  "shards2_batch32": (2, 32), "shards4_batch32": (4, 32)}
+# name -> (shards, batch, adattl_dnsblast --qps per shard; 0 = saturate)
+DAEMON_CONFIGS = {"shards1_batch1": (1, 1, 0), "shards1_batch32": (1, 32, 0),
+                  "shards2_batch32": (2, 32, 0), "shards4_batch32": (4, 32, 0),
+                  "shards2_batch32_qps20k": (2, 32, 10000)}
 DAEMON_RUNS = 3
 DAEMON_SECONDS = 2
 
@@ -80,8 +83,9 @@ def ratio(rows, over, under):
     return rows[over]["median"] / rows[under]["median"]
 
 
-def daemon_run(build, shards, batch):
-    """One adattl_dnsd under one saturating adattl_dnsblast per shard.
+def daemon_run(build, shards, batch, qps):
+    """One adattl_dnsd under one adattl_dnsblast per shard, each sending
+    `qps` queries a second (0 = as fast as it can).
     Returns answers/s, answers per daemon CPU second, and the worst flow's
     p50 and p99 in seconds; or None when some shard served nothing, since
     SO_REUSEPORT places each UDP flow on a shard by a hash of its address
@@ -98,7 +102,7 @@ def daemon_run(build, shards, batch):
             raise RuntimeError("adattl_dnsd exited without reporting its port")
         cpu0 = cpu_seconds(dnsd.pid)
         blasts = [subprocess.Popen(
-            [os.path.join(build, "tools", "adattl_dnsblast"), f"--port={port}", "--qps=0",
+            [os.path.join(build, "tools", "adattl_dnsblast"), f"--port={port}", f"--qps={qps}",
              f"--duration={DAEMON_SECONDS}", "--batch=32", "--ecs", "--json"],
             stdout=subprocess.PIPE, text=True) for _ in range(shards)]
         flows = [json.loads(b.communicate()[0]) for b in blasts]
@@ -124,13 +128,13 @@ def cpu_seconds(pid):
 
 def daemon_rows(build):
     rows = {}
-    for name, (shards, batch) in DAEMON_CONFIGS.items():
+    for name, (shards, batch, qps) in DAEMON_CONFIGS.items():
         runs, attempts = [], 0
         while len(runs) < DAEMON_RUNS:
             attempts += 1
             if attempts > 100:
                 raise RuntimeError(f"{name}: too few runs loaded every shard")
-            run = daemon_run(build, shards, batch)
+            run = daemon_run(build, shards, batch, qps)
             if run:
                 runs.append(run)
         print(f"  daemon {name}: {DAEMON_RUNS} runs ({attempts - DAEMON_RUNS} discarded "
@@ -138,6 +142,8 @@ def daemon_rows(build):
         for metric, unit, values in zip(
                 ("answers_per_sec", "answers_per_daemon_cpu_sec", "p50", "p99"),
                 ("1/s", "1/cpu_s", "s", "s"), zip(*runs)):
+            if qps and metric == "answers_per_sec":
+                continue  # the offered rate, not a measurement
             rows[f"{name}/{metric}"] = row(unit, values)
     return rows
 
