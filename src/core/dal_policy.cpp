@@ -38,9 +38,9 @@ void DalPolicy::on_assign(web::DomainId domain, web::ServerId server, double ttl
   accumulated_[static_cast<std::size_t>(server)] += load;
   // The mapping stops attracting *new* sessions when its TTL expires;
   // decay the accumulated contribution then.
-  sim_.after(std::max(ttl, 0.0), sim::assert_inline([this, server, load] {
-               accumulated_[static_cast<std::size_t>(server)] -= load;
-             }));
+  sim_.after(std::max(ttl, 0.0), [this, server, load] {
+    accumulated_[static_cast<std::size_t>(server)] -= load;
+  });
 }
 
 std::vector<double> DalPolicy::stationary_shares() const {

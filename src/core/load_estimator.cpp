@@ -9,9 +9,9 @@ namespace adattl::core {
 LoadEstimator::LoadEstimator(DomainModel& model, bool oracle)
     : model_(model), oracle_(oracle) {}
 
-void LoadEstimator::observe(const std::vector<std::uint64_t>& hits_per_domain,
+bool LoadEstimator::observe(const std::vector<std::uint64_t>& hits_per_domain,
                             double window_sec) {
-  if (oracle_) return;
+  if (oracle_) return false;
   if (hits_per_domain.size() != static_cast<std::size_t>(model_.num_domains())) {
     throw std::invalid_argument("LoadEstimator: domain count mismatch");
   }
@@ -29,24 +29,22 @@ void LoadEstimator::observe(const std::vector<std::uint64_t>& hits_per_domain,
   // positive entry carries no ranking information (and DomainModel rejects
   // it), so the model keeps its previous weights until traffic returns.
   std::vector<double> weights = incorporate(rates);
-  if (weights.empty()) return;
+  if (weights.empty()) return false;
   // Only windows the estimator actually folded in count as observed —
   // incorporate() returning empty means the window was discarded without
   // touching any state (e.g. an all-zero window before an EWMA has seeded),
   // and the kEstimatorUpdate trace must not report it as an update.
   ++windows_;
-  bool any_positive = false;
-  for (const double w : weights) any_positive = any_positive || w > 0.0;
-  if (any_positive) {
-    // Floor the *installed* vector (estimator state keeps its true
-    // values): a forecast that clamped to exact zero must not install a
-    // hard-zero weight — see kMinInstallFraction in the header.
-    double hottest = 0.0;
-    for (const double w : weights) hottest = std::max(hottest, w);
-    const double floor = kMinInstallFraction * hottest;
-    for (double& w : weights) w = std::max(w, floor);
-    model_.update_weights(std::move(weights));
-  }
+  double hottest = 0.0;
+  for (const double w : weights) hottest = std::max(hottest, w);
+  if (hottest <= 0.0) return false;
+  // Floor the *installed* vector (estimator state keeps its true values):
+  // a forecast that clamped to exact zero must not install a hard-zero
+  // weight — see kMinInstallFraction in the header.
+  const double floor = kMinInstallFraction * hottest;
+  for (double& w : weights) w = std::max(w, floor);
+  model_.update_weights(std::move(weights));
+  return true;
 }
 
 std::vector<double> LoadEstimator::scaled_prior(const std::vector<double>& rates) const {

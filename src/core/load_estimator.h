@@ -43,7 +43,8 @@ class LoadEstimator {
   /// any other observation so running estimates decay through traffic
   /// lulls; the model only keeps its previous weights when the resulting
   /// weight vector has no positive entry (no ranking information).
-  void observe(const std::vector<std::uint64_t>& hits_per_domain, double window_sec);
+  /// Returns true if the window installed new weights into the model.
+  bool observe(const std::vector<std::uint64_t>& hits_per_domain, double window_sec);
 
   bool oracle() const { return oracle_; }
 

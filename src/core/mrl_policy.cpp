@@ -46,10 +46,10 @@ void MrlPolicy::on_assign(web::DomainId domain, web::ServerId server, double ttl
   const auto i = static_cast<std::size_t>(server);
   rate_sum_[i] += rate;
   rate_expiry_sum_[i] += rate * expiry;
-  sim_.at(expiry, sim::assert_inline([this, i, rate, expiry] {
-            rate_sum_[i] -= rate;
-            rate_expiry_sum_[i] -= rate * expiry;
-          }));
+  sim_.at(expiry, [this, i, rate, expiry] {
+    rate_sum_[i] -= rate;
+    rate_expiry_sum_[i] -= rate * expiry;
+  });
 }
 
 std::vector<double> MrlPolicy::stationary_shares() const {

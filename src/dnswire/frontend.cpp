@@ -30,15 +30,6 @@ DnsFrontend::DnsFrontend(core::DnsScheduler& scheduler, std::string site_name,
   site_question_ = {site_name_, kTypeA, kClassIn};
 }
 
-void DnsFrontend::set_outages(const fault::DnsOutageCalendar* calendar,
-                              const sim::Simulator* clock) {
-  if ((calendar == nullptr) != (clock == nullptr)) {
-    throw std::invalid_argument("DnsFrontend: calendar and clock must be set together");
-  }
-  outages_ = calendar;
-  clock_ = clock;
-}
-
 void DnsFrontend::handle(const std::vector<std::uint8_t>& query, web::DomainId source_domain,
                          std::vector<std::uint8_t>* reply) {
   Header header;
@@ -64,15 +55,6 @@ void DnsFrontend::handle(const std::vector<std::uint8_t>& query, web::DomainId s
     return refuse(question, kRcodeNotImp);
   }
   if (question.qname != site_name_) return refuse(question, kRcodeNxDomain);
-
-  if (outages_ && outages_->unreachable(clock_->now())) {
-    // The question was valid — this is our outage, not the client's
-    // mistake. SERVFAIL tells the resolver to retry later; no scheduling
-    // decision is consumed (the scheduler is the thing that is down).
-    ++outage_failures_;
-    encode_a_response(header, question, 0, 0, kRcodeServFail, reply);
-    return;
-  }
 
   const core::Decision decision = scheduler_.schedule(source_domain);
   const auto server = static_cast<std::size_t>(decision.server);

@@ -6,8 +6,6 @@
 
 #include "core/scheduler.h"
 #include "dnswire/message.h"
-#include "fault/dns_outage.h"
-#include "sim/simulator.h"
 
 namespace adattl::dnswire {
 
@@ -43,16 +41,8 @@ class DnsFrontend {
   void handle(const std::vector<std::uint8_t>& query, web::DomainId source_domain,
               std::vector<std::uint8_t>* reply);
 
-  /// Wires an outage calendar: while `calendar->unreachable(clock->now())`
-  /// the frontend answers SERVFAIL (without consuming a scheduling
-  /// decision) — the wire-level face of an authoritative-DNS outage.
-  /// Pass nulls to detach; both pointers must be set together.
-  void set_outages(const fault::DnsOutageCalendar* calendar, const sim::Simulator* clock);
-
   std::uint64_t answered() const { return answered_; }
   std::uint64_t refused() const { return errors_; }
-  /// Queries answered SERVFAIL because of a scheduled outage.
-  std::uint64_t outage_failures() const { return outage_failures_; }
 
  private:
   core::DnsScheduler& scheduler_;
@@ -61,11 +51,8 @@ class DnsFrontend {
   std::vector<Ipv6> server_ipv6_;  // always sized like server_ipv4_
   Question site_question_;  // echoed by FORMERR answers
   Question question_;       // decode target, reused so its name keeps its capacity
-  const fault::DnsOutageCalendar* outages_ = nullptr;
-  const sim::Simulator* clock_ = nullptr;
   std::uint64_t answered_ = 0;
   std::uint64_t errors_ = 0;
-  std::uint64_t outage_failures_ = 0;
 };
 
 }  // namespace adattl::dnswire

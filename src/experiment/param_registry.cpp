@@ -607,21 +607,6 @@ ParamRegistry::ParamRegistry() {
     s.get_list = [](const C&) { return std::vector<std::string>{}; };
     add(std::move(s));
   }
-  {
-    ParamSpec s;
-    s.name = "outage";
-    s.kind = ParamKind::kSpecList;
-    s.group = "dynamics";
-    s.hint = "START:DURATION:SERVER";
-    s.doc = "older spelling of --pause: the server queues but serves nothing";
-    s.repeatable = true;
-    s.in_dump = false;  // dumped as the pause window it adds
-    s.set = [](C& o, const std::string& v) {
-      o.config.faults.pauses.push_back(fault::FaultSchedule::parse_pause(v));
-    };
-    s.get_list = [](const C&) { return std::vector<std::string>{}; };
-    add(std::move(s));
-  }
 
   // ---- faults ----
   {
@@ -1226,8 +1211,7 @@ std::string ParamRegistry::params_markdown() const {
       "Every knob is declared exactly once, in `src/experiment/param_registry.cpp`.\n"
       "The same table drives the CLI flags, the `ADATTL_*` environment overrides,\n"
       "scenario-file keys, `--help`, `--dump-config`, this document, and the\n"
-      "resolved-config + provenance blocks embedded in runner JSON and sweep\n"
-      "manifests.\n"
+      "resolved-config + provenance blocks embedded in runner JSON.\n"
       "\n"
       "Resolution precedence (later wins): **defaults** < **scenario file**\n"
       "(`--config=FILE`, wherever it appears on the command line) < **environment**\n"

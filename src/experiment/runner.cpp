@@ -44,45 +44,6 @@ std::vector<std::pair<double, double>> ReplicatedResult::mean_cdf_curve(int poin
   return curve;
 }
 
-std::string SweepResult::manifest_json() const {
-  char buf[128];
-  std::string out = "{";
-  std::snprintf(buf, sizeof(buf), "\"jobs\":%d,\"wall_seconds\":%.6g,\"points\":[", jobs,
-                wall_seconds);
-  out += buf;
-  for (std::size_t p = 0; p < points.size(); ++p) {
-    if (p) out += ",";
-    const std::string label = p < point_labels.size() ? point_labels[p] : "";
-    const double cpu = p < point_cpu_seconds.size() ? point_cpu_seconds[p] : 0.0;
-    RunProfile phases;  // summed over the point's replications
-    for (const RunResult& r : points[p].runs) {
-      phases.setup_sec += r.profile.setup_sec;
-      phases.warmup_sec += r.profile.warmup_sec;
-      phases.measurement_sec += r.profile.measurement_sec;
-      phases.collect_sec += r.profile.collect_sec;
-    }
-    out += "{\"label\":\"" + json_escape(label) + "\",";
-    std::snprintf(buf, sizeof(buf), "\"replications\":%zu,\"cpu_seconds\":%.6g,",
-                  points[p].runs.size(), cpu);
-    out += buf;
-    std::snprintf(buf, sizeof(buf),
-                  "\"phases\":{\"setup_sec\":%.6g,\"warmup_sec\":%.6g,"
-                  "\"measurement_sec\":%.6g,\"collect_sec\":%.6g}",
-                  phases.setup_sec, phases.warmup_sec, phases.measurement_sec,
-                  phases.collect_sec);
-    out += buf;
-    if (p < point_config_json.size() && !point_config_json[p].empty()) {
-      out += ",\"config\":" + point_config_json[p];
-    }
-    if (p < point_provenance_json.size() && !point_provenance_json[p].empty()) {
-      out += ",\"provenance\":" + point_provenance_json[p];
-    }
-    out += "}";
-  }
-  out += "]}";
-  return out;
-}
-
 std::size_t Sweep::add(SimulationConfig config, int replications, std::string label) {
   if (replications < 1) throw std::invalid_argument("Sweep::add: need >= 1 replications");
   points_.push_back(Point{std::move(config), replications, std::move(label)});
@@ -105,19 +66,6 @@ SweepResult Sweep::run(ParallelExecutor& executor, ProgressFn on_point_done) con
   out.jobs = executor.jobs();
   out.points.resize(points_.size());
   out.point_cpu_seconds.assign(points_.size(), 0.0);
-  out.point_labels.reserve(points_.size());
-  out.point_config_json.reserve(points_.size());
-  out.point_provenance_json.reserve(points_.size());
-  const ParamRegistry& registry = ParamRegistry::instance();
-  for (const Point& point : points_) {
-    out.point_labels.push_back(point.label);
-    CliOptions resolved;
-    resolved.config = point.config;
-    resolved.replications = point.replications;
-    out.point_config_json.push_back(registry.config_json(resolved));
-    out.point_provenance_json.push_back(
-        registry.provenance_json(registry.infer_provenance(resolved)));
-  }
 
   // Pre-size every point's run vector so each task owns exactly one slot:
   // result placement is positional, never completion-ordered.

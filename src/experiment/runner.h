@@ -49,23 +49,8 @@ struct SweepResult {
   std::vector<ReplicatedResult> points;
   /// Summed replication wall-clock per point (the serial-equivalent cost).
   std::vector<double> point_cpu_seconds;
-  /// Point labels in add() order (empty string when none was given).
-  std::vector<std::string> point_labels;
-  /// Fully resolved configuration of each point as a JSON object keyed by
-  /// registry knob name (ParamRegistry::config_json), in add() order.
-  std::vector<std::string> point_config_json;
-  /// Per-point provenance JSON (knobs differing from the registry
-  /// defaults, attributed to the code layer), in add() order.
-  std::vector<std::string> point_provenance_json;
   double wall_seconds = 0.0;
   int jobs = 1;
-
-  /// Machine-readable sweep manifest: jobs, wall seconds, and per point
-  /// the label, replication count, cpu seconds, the summed wall-clock
-  /// phase breakdown (setup/warmup/measurement/collect) of its runs, and
-  /// the point's fully resolved config + provenance from the parameter
-  /// registry.
-  std::string manifest_json() const;
 };
 
 /// A batch of independent simulation points (config × replications) that

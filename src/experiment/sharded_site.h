@@ -30,7 +30,8 @@ namespace adattl::experiment {
 /// order — merges server busy-time deltas and queue depths into site-wide
 /// utilizations and hands that view to SliceSet::feedback_tick, the same
 /// feedback a Site runs: every shard's alarm registry sees the SAME merged
-/// view and every estimator the same summed hit counts, so all scheduler
+/// view, and the run's one estimator sees the summed hit counts and its
+/// weights are copied into every shard's DomainModel, so all scheduler
 /// replicas evolve identical feedback state. SliceSet::reduce then merges
 /// the shards into one RunResult, exactly as it reduces a Site's one slice.
 ///

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 
 namespace adattl::experiment {
@@ -24,6 +25,37 @@ SiteWorkload::SiteWorkload(const SimulationConfig& config) {
                                config.geo_intra_rtt_sec, config.geo_inter_rtt_sec));
   }
 }
+
+namespace {
+
+// Cold-started estimators seed from the installed uniform prior instead of
+// anchoring on whatever the first measured window happens to hold.
+bool cold_start(const SimulationConfig& config) {
+  return config.estimator_cold_start && !config.oracle_weights;
+}
+
+/// The run's estimator, over `model` (the first slice's DomainModel).
+std::unique_ptr<core::LoadEstimator> make_estimator(const SimulationConfig& config,
+                                                    core::DomainModel& model) {
+  switch (config.estimator_kind) {
+    case EstimatorKind::kEwma:
+      return std::make_unique<core::EwmaLoadEstimator>(model, config.estimator_smoothing,
+                                                       config.oracle_weights, cold_start(config));
+    case EstimatorKind::kSlidingWindow:
+      return std::make_unique<core::SlidingWindowLoadEstimator>(
+          model, config.estimator_window_count, config.oracle_weights);
+    case EstimatorKind::kHoltWinters:
+      return std::make_unique<core::HoltWintersLoadEstimator>(
+          model, config.estimator_smoothing, config.estimator_trend, config.oracle_weights,
+          cold_start(config));
+    case EstimatorKind::kAr:
+      return std::make_unique<core::ArLoadEstimator>(model, config.estimator_ar_order,
+                                                     config.oracle_weights);
+  }
+  throw std::invalid_argument("SliceSet: unknown estimator kind");
+}
+
+}  // namespace
 
 // The build order below is the event insertion order (and thus the
 // same-timestamp FIFO ties) and the RNG split order the goldens pin.
@@ -48,9 +80,7 @@ SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workloa
   for (const workload::RateShift& shift : config.rate_shifts) {
     if (!owns(shift.domain)) continue;
     workload::ThinkTimeModel* t = think.get();
-    sim->at(shift.at_sec, sim::assert_inline([t, shift] {
-              t->scale_rate(shift.domain, shift.rate_factor);
-            }));
+    sim->at(shift.at_sec, [t, shift] { t->scale_rate(shift.domain, shift.rate_factor); });
   }
   std::vector<workload::TraceEvent> trace;
   std::copy_if(config.trace_events.begin(), config.trace_events.end(), std::back_inserter(trace),
@@ -84,12 +114,9 @@ SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workloa
     ac.min_servers = config.autoscale_min_servers;
     autoscaler = std::make_unique<core::Autoscaler>(*alarms, ac);
   }
-  // Cold-started estimators seed from the installed uniform prior instead
-  // of anchoring on whatever the first measured window happens to hold.
-  const bool cold_start = config.estimator_cold_start && !config.oracle_weights;
   core::SchedulerFactoryConfig fc;
   fc.capacities = cluster->capacities();
-  fc.initial_weights = cold_start
+  fc.initial_weights = cold_start(config)
                            ? std::vector<double>(static_cast<std::size_t>(config.num_domains), 1.0)
                            : workload.base.true_weights();
   fc.class_threshold = config.effective_class_threshold();
@@ -97,25 +124,6 @@ SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workloa
   fc.calibrate_ttl = config.calibrate_ttl;
   fc.geo = workload.geo;
   bundle = core::make_scheduler(config.policy, fc, *alarms, *sim, rng);
-  switch (config.estimator_kind) {
-    case EstimatorKind::kEwma:
-      estimator = std::make_unique<core::EwmaLoadEstimator>(
-          *bundle.domains, config.estimator_smoothing, config.oracle_weights, cold_start);
-      break;
-    case EstimatorKind::kSlidingWindow:
-      estimator = std::make_unique<core::SlidingWindowLoadEstimator>(
-          *bundle.domains, config.estimator_window_count, config.oracle_weights);
-      break;
-    case EstimatorKind::kHoltWinters:
-      estimator = std::make_unique<core::HoltWintersLoadEstimator>(
-          *bundle.domains, config.estimator_smoothing, config.estimator_trend,
-          config.oracle_weights, cold_start);
-      break;
-    case EstimatorKind::kAr:
-      estimator = std::make_unique<core::ArLoadEstimator>(
-          *bundle.domains, config.estimator_ar_order, config.oracle_weights);
-      break;
-  }
 
   // ---- Name servers (ns_per_domain caches per owned domain) ----
   dnscache::NsTtlBehavior ns_behavior;
@@ -185,7 +193,10 @@ SiteSlice& SliceSet::add(std::vector<int> domains, sim::RngStream rng,
                          obs::EventTracer* tracer) {
   slices_.push_back(
       std::make_unique<SiteSlice>(config_, workload_, std::move(domains), rng, tracer));
-  return *slices_.back();
+  SiteSlice& slice = *slices_.back();
+  if (!estimator_) estimator_ = make_estimator(config_, *slice.bundle.domains);
+  slice.estimator = estimator_.get();
+  return slice;
 }
 
 double SliceSet::feedback_tick(sim::SimTime now, const std::vector<double>& util,
@@ -205,7 +216,14 @@ double SliceSet::feedback_tick(sim::SimTime now, const std::vector<double>& util
     }
   }
   const double window_sec = config_.monitor_interval_sec * config_.estimator_collect_every_ticks;
-  for (const auto& slice : slices_) slice->estimator->observe(total, window_sec);
+  if (estimator_->observe(total, window_sec)) {
+    // The estimator installed into the first slice's model; every other
+    // slice's DNS takes the same weights, in slice order.
+    const std::vector<double>& weights = slices_.front()->bundle.domains->weights();
+    for (std::size_t s = 1; s < slices_.size(); ++s) {
+      slices_[s]->bundle.domains->update_weights(weights);
+    }
+  }
   return window_sec;
 }
 

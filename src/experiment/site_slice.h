@@ -166,12 +166,12 @@ struct SliceHistograms {
 };
 
 /// The object graph of one simulator over a subset of the domains: a
-/// cluster replica, the fault injector, the DNS scheduler with its alarms,
-/// autoscaler and estimator, and the name servers and pooled clients of
-/// the owned domains. A Site is one slice that owns every domain; a
-/// ShardedSite is one slice per shard. Components keep references into the
-/// slice, so it is built in place and never moved. Public for tests and
-/// invariant checkers; treat as read-only from outside.
+/// cluster replica, the fault injector, the DNS scheduler with its alarms
+/// and autoscaler, and the name servers and pooled clients of the owned
+/// domains. A Site is one slice that owns every domain; a ShardedSite is
+/// one slice per shard. Components keep references into the slice, so it
+/// is built in place and never moved. Public for tests and invariant
+/// checkers; treat as read-only from outside.
 struct SiteSlice {
   /// Builds the slice over `owned` (ascending global domain ids), drawing
   /// every random stream from `rng`. Of the config's rate shifts and trace
@@ -193,7 +193,9 @@ struct SiteSlice {
   /// Null unless autoscale_enabled.
   std::unique_ptr<core::Autoscaler> autoscaler;
   core::SchedulerBundle bundle;
-  std::unique_ptr<core::LoadEstimator> estimator;
+  /// The run's one estimator, owned by the SliceSet; it installs into the
+  /// first slice's DomainModel.
+  core::LoadEstimator* estimator = nullptr;
   /// NS replicas of owned domain k live at [k*ns_per_domain, ...).
   std::vector<std::unique_ptr<dnscache::NameServer>> name_servers;
   std::vector<std::unique_ptr<dnscache::ClientCache>> client_caches;  // optional layer
@@ -202,10 +204,10 @@ struct SiteSlice {
   std::unique_ptr<SliceHistograms> histograms;
 };
 
-/// The slices of one run and what they share: the workload, the monitor
-/// feedback that keeps every slice's DNS state identical, the
-/// max-utilization tracker, and the reduction of all slices into one
-/// RunResult.
+/// The slices of one run and what they share: the workload, the load
+/// estimator, the monitor feedback that keeps every slice's DNS state
+/// identical, the max-utilization tracker, and the reduction of all slices
+/// into one RunResult.
 class SliceSet {
  public:
   /// Validates `config` (already scaled; it must outlive the set) and
@@ -213,7 +215,8 @@ class SliceSet {
   explicit SliceSet(const SimulationConfig& config);
 
   /// Builds a slice in place over `domains` from `rng`, recording into
-  /// `tracer` when it is not null.
+  /// `tracer` when it is not null. The first slice added also gets the
+  /// run's estimator, over its DomainModel.
   SiteSlice& add(std::vector<int> domains, sim::RngStream rng,
                  obs::EventTracer* tracer = nullptr);
 
@@ -227,8 +230,9 @@ class SliceSet {
   /// alarm registry, then its autoscaler, observes `util` and `queues`; the
   /// tracker samples `util`; and on every estimator_collect_every_ticks-th
   /// tick the per-domain hits drained from all slices are summed and fed to
-  /// every estimator. Returns the window fed to the estimators in seconds,
-  /// or 0 on ticks that fed none.
+  /// the estimator, whose new weights, if it installs any, are copied into
+  /// every other slice's DomainModel. Returns the window fed to the
+  /// estimator in seconds, or 0 on ticks that fed none.
   double feedback_tick(sim::SimTime now, const std::vector<double>& util,
                        const std::vector<std::size_t>& queues);
 
@@ -250,6 +254,7 @@ class SliceSet {
   const SimulationConfig& config_;
   SiteWorkload workload_;
   std::vector<std::unique_ptr<SiteSlice>> slices_;
+  std::unique_ptr<core::LoadEstimator> estimator_;
   MaxUtilizationTracker tracker_;
   int ticks_ = 0;
 };

@@ -85,17 +85,6 @@ std::vector<TraceRecord> EventTracer::records() const {
   return out;
 }
 
-std::string EventTracer::to_csv() const {
-  std::string out = "time,kind,a,b,value\n";
-  char buf[128];
-  for (const TraceRecord& r : records()) {
-    std::snprintf(buf, sizeof(buf), "%.6f,%s,%d,%d,%.6g\n", r.time, trace_kind_name(r.kind),
-                  r.a, r.b, r.value);
-    out += buf;
-  }
-  return out;
-}
-
 std::vector<TraceRecord> EventTracer::complete_records(const char* view) const {
   if (dropped() != 0) {
     const std::string total = std::to_string(total_recorded());

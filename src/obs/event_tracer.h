@@ -63,10 +63,10 @@ struct TraceRecord {
 /// tracer is wired into components as a nullable pointer — the disabled
 /// cost at every instrumentation point is a single null check.
 ///
-/// Exports: CSV (one row per record), Chrome `trace_event` JSON (load
-/// chrome://tracing or https://ui.perfetto.dev and drop the file), and two
-/// CSV views, per-tick utilization and DNS decisions. A view is complete or
-/// not produced: it throws if the ring dropped any record.
+/// Exports: Chrome `trace_event` JSON (load chrome://tracing or
+/// https://ui.perfetto.dev and drop the file), and two CSV views, per-tick
+/// utilization and DNS decisions. A view is complete or not produced: it
+/// throws if the ring dropped any record.
 class EventTracer {
  public:
   /// `capacity` > 0: maximum records retained (oldest evicted first).
@@ -92,9 +92,6 @@ class EventTracer {
 
   /// Retained records in chronological (recording) order.
   std::vector<TraceRecord> records() const;
-
-  /// "time,kind,a,b,value" rows in chronological order.
-  std::string to_csv() const;
 
   /// Chrome trace_event JSON: instant events, ts in microseconds, one tid
   /// per layer (0 = DNS decisions, 1 = alarms, 2 = name servers,

@@ -52,10 +52,10 @@ struct EventHandle {
 ///    fire_next() prefetches the slot of the root's least child, the next
 ///    event unless the callback schedules an earlier one, before it runs
 ///    the callback;
-///  * callbacks are SBO `InlineCallback`s: scheduling a kernel-sized
-///    capture performs zero heap allocations once the vectors reach
-///    steady-state capacity, and moving one in or out of its slot is a
-///    `memcpy` with no indirect call.
+///  * callbacks are `InlineCallback`s, whose captures always live in their
+///    32-byte buffer: scheduling performs zero heap allocations once the
+///    vectors reach steady-state capacity, and moving a callback in or out
+///    of its slot is a `memcpy` with no indirect call.
 ///
 /// The tag bounds a queue to kMaxSlots live events and kMaxSeq schedules
 /// over its lifetime; schedule() throws std::length_error rather than
@@ -166,7 +166,7 @@ class EventQueue {
     friend bool operator==(ChildLineAllocator, ChildLineAllocator) { return true; }
   };
 
-  // One cache line per slot: the 48-byte callback, seq and generation,
+  // One cache line per slot: the 40-byte callback, seq and generation,
   // line-aligned so firing an event touches exactly one line of the table
   // (std::vector allocates over-aligned types through aligned new).
   struct alignas(64) Slot {

@@ -52,7 +52,7 @@ void RedirectingDispatcher::dispatch(ServerId target, PageRequest request) {
       // rather than in the event: [this, server, request] would be 40
       // bytes, past InlineCallback's 32-byte buffer.
       parked_.emplace_back(alternative, request);
-      sim_.after(redirect_delay_sec_, sim::assert_inline([this] { deliver_parked(); }));
+      sim_.after(redirect_delay_sec_, [this] { deliver_parked(); });
       return;
     }
   }

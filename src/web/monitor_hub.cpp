@@ -19,7 +19,7 @@ void MonitorHub::start() {
     prev_busy_[static_cast<std::size_t>(i)] =
         cluster_.server(i).cumulative_busy_time(sim_.now());
   }
-  sim_.after(interval_, sim::assert_inline([this] { tick(); }));
+  sim_.after(interval_, [this] { tick(); });
 }
 
 void MonitorHub::tick() {
@@ -32,7 +32,7 @@ void MonitorHub::tick() {
     last_queue_[idx] = cluster_.server(i).queue_length();
   }
   for (const auto& obs : full_observers_) obs(now, last_util_, last_queue_);
-  sim_.after(interval_, sim::assert_inline([this] { tick(); }));
+  sim_.after(interval_, [this] { tick(); });
 }
 
 }  // namespace adattl::web

@@ -105,7 +105,7 @@ void WebServer::start_next() {
   const int h = current_.req.hits;
   const double service = rng_.erlang(h, static_cast<double>(h) / effective_capacity());
   service_end_ = service_start_ + service;
-  service_event_ = sim_.at(service_end_, sim::assert_inline([this] { finish_current(); }));
+  service_event_ = sim_.at(service_end_, [this] { finish_current(); });
 }
 
 void WebServer::finish_current() {

@@ -1,11 +1,12 @@
 """The perf ledger's row builder (tools/run_benches.py) turns
-google-benchmark JSON into rows of seconds with their spread."""
+google-benchmark JSON into rows of seconds with their spread, and its
+CPU clock reads a process's threads in nanoseconds."""
 import os
 import sys
 import unittest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
-from run_benches import gbench_rows  # noqa: E402
+from run_benches import cpu_seconds, gbench_rows  # noqa: E402
 
 
 def run(name, real_time, unit, rep, items=None):
@@ -74,6 +75,17 @@ class GbenchRows(unittest.TestCase):
     def test_rows_carry_only_the_schema_fields(self):
         for name, r in self.rows.items():
             self.assertEqual(set(r), {"unit", "median", "min", "max", "reps"}, name)
+
+
+class CpuSeconds(unittest.TestCase):
+    def test_grows_across_a_busy_loop(self):
+        before = cpu_seconds(os.getpid())
+        self.assertGreater(before, 0.0)
+        x = 0
+        for i in range(200000):
+            x += i * i
+        self.assertGreater(x, 0)
+        self.assertGreater(cpu_seconds(os.getpid()), before)
 
 
 if __name__ == "__main__":

@@ -223,10 +223,10 @@ TEST_F(ClientTest, NetworkTimeChargesReplyLegOnlyOnCompletion) {
   const std::size_t c = pool.add(*w.ns, w.rng.split());
   w.cluster->server(0).set_crashed(true);
   w.cluster->server(1).set_crashed(true);
-  w.simulator.at(2.0, sim::assert_inline([this] {
-                   w.cluster->server(0).set_crashed(false);
-                   w.cluster->server(1).set_crashed(false);
-                 }));
+  w.simulator.at(2.0, [this] {
+    w.cluster->server(0).set_crashed(false);
+    w.cluster->server(1).set_crashed(false);
+  });
   pool.start(c, 0.0);
   w.simulator.run_until(100.0);
 

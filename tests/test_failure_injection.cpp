@@ -329,18 +329,24 @@ TEST(FaultCli, FaultsValidateAgainstClusterSize) {
 }
 
 TEST(OutageCli, ParsesOutageAndQueueAlarm) {
-  // --outage is the older spelling of --pause: both add the same window,
-  // in flag order.
+  // Repeated --pause windows are kept in flag order.
   const experiment::CliOptions opt = experiment::parse_cli(
-      {"--pause=100:50:1", "--outage=600:300:2", "--queue-alarm=40"});
+      {"--pause=100:50:1", "--pause=600:300:2", "--queue-alarm=40"});
   ASSERT_EQ(opt.config.faults.pauses.size(), 2u);
   EXPECT_EQ(opt.config.faults.pauses[0].server, 1);
   EXPECT_DOUBLE_EQ(opt.config.faults.pauses[1].start_sec, 600.0);
   EXPECT_DOUBLE_EQ(opt.config.faults.pauses[1].duration_sec, 300.0);
   EXPECT_EQ(opt.config.faults.pauses[1].server, 2);
   EXPECT_EQ(opt.config.alarm_queue_threshold, 40u);
-  EXPECT_THROW(experiment::parse_cli({"--outage=600:300"}), std::invalid_argument);
-  EXPECT_THROW(experiment::parse_cli({"--outage=600:300:99"}), std::invalid_argument);
+  EXPECT_THROW(experiment::parse_cli({"--pause=600:300"}), std::invalid_argument);
+  EXPECT_THROW(experiment::parse_cli({"--pause=600:300:99"}), std::invalid_argument);
+  // --outage was an older spelling of --pause; it is no longer a knob.
+  try {
+    experiment::parse_cli({"--outage=600:300:2"});
+    FAIL() << "--outage must be rejected";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown flag"), std::string::npos) << e.what();
+  }
 }
 
 }  // namespace

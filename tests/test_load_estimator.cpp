@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <functional>
+#include <memory>
+#include <utility>
 #include <vector>
 
 namespace adattl::core {
@@ -50,6 +53,45 @@ TEST(LoadEstimator, OracleModeNeverTouchesModel) {
   EXPECT_DOUBLE_EQ(m.weight(0), 7.0);
   EXPECT_DOUBLE_EQ(m.weight(1), 1.0);
   EXPECT_EQ(est.windows_observed(), 0);
+}
+
+TEST(LoadEstimator, ObserveReportsWhetherItInstalledWeights) {
+  // The sharded run copies the weights into every other shard's model only
+  // when observe() says it installed some; every kind must say so exactly.
+  using Make = std::function<std::unique_ptr<LoadEstimator>(DomainModel&, bool)>;
+  const std::vector<std::pair<const char*, Make>> kinds = {
+      {"ewma",
+       [](DomainModel& m, bool oracle) {
+         return std::make_unique<EwmaLoadEstimator>(m, 0.3, oracle);
+       }},
+      {"sliding-window",
+       [](DomainModel& m, bool oracle) {
+         return std::make_unique<SlidingWindowLoadEstimator>(m, 3, oracle);
+       }},
+      {"holt-winters",
+       [](DomainModel& m, bool oracle) {
+         return std::make_unique<HoltWintersLoadEstimator>(m, 0.3, 0.2, oracle);
+       }},
+      {"ar",
+       [](DomainModel& m, bool oracle) {
+         return std::make_unique<ArLoadEstimator>(m, 2, oracle);
+       }},
+  };
+  const std::vector<double> prior = {3.0, 1.0};
+  for (const auto& [name, make] : kinds) {
+    SCOPED_TRACE(name);
+    DomainModel oracle_model(prior, 0.4);
+    EXPECT_FALSE(make(oracle_model, true)->observe({80, 40}, 8.0));
+    EXPECT_EQ(oracle_model.weights(), prior);
+
+    DomainModel m(prior, 0.4);
+    const std::unique_ptr<LoadEstimator> est = make(m, false);
+    // A first window without traffic yields no positive weight to install.
+    EXPECT_FALSE(est->observe({0, 0}, 8.0));
+    EXPECT_EQ(m.weights(), prior);
+    EXPECT_TRUE(est->observe({80, 40}, 8.0));
+    EXPECT_NE(m.weights(), prior);
+  }
 }
 
 TEST(LoadEstimator, AllZeroWindowKeepsPreviousWeights) {

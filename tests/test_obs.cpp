@@ -182,16 +182,6 @@ TEST(EventTracer, RecordsInOrderAndWraps) {
   }
 }
 
-TEST(EventTracer, CsvExport) {
-  obs::EventTracer tracer(8);
-  tracer.record(1.5, obs::TraceKind::kDecision, 3, 2, 240.0);
-  tracer.record(2.0, obs::TraceKind::kAlarm, 1, 0, 0.95);
-  const std::string csv = tracer.to_csv();
-  EXPECT_NE(csv.find("time,kind,a,b,value"), std::string::npos);
-  EXPECT_NE(csv.find("1.500000,decision,3,2,240"), std::string::npos) << csv;
-  EXPECT_NE(csv.find("2.000000,alarm,1,0,0.95"), std::string::npos) << csv;
-}
-
 TEST(EventTracer, ChromeJsonExport) {
   obs::EventTracer tracer(8);
   tracer.record(1.0, obs::TraceKind::kDecision, 3, 2, 240.0);
@@ -591,25 +581,6 @@ TEST(SiteObservability, RunProfileIsFilled) {
   EXPECT_GE(r.profile.warmup_sec, 0.0);
   EXPECT_GE(r.profile.collect_sec, 0.0);
   EXPECT_GT(r.profile.total(), 0.0);
-}
-
-TEST(SweepManifest, CarriesLabelsAndPhases) {
-  experiment::SimulationConfig config = obs_config();
-  config.duration_sec = 120.0;
-  experiment::Sweep sweep;
-  sweep.add(config, 2, "pointA");
-  sweep.add_policy(config, "RR", 1);
-  const experiment::SweepResult result = sweep.run();
-
-  ASSERT_EQ(result.point_labels.size(), 2u);
-  EXPECT_EQ(result.point_labels[0], "pointA");
-  EXPECT_EQ(result.point_labels[1], "RR");
-
-  const std::string manifest = result.manifest_json();
-  EXPECT_NE(manifest.find("\"label\":\"pointA\""), std::string::npos) << manifest;
-  EXPECT_NE(manifest.find("\"replications\":2"), std::string::npos) << manifest;
-  EXPECT_NE(manifest.find("\"measurement_sec\":"), std::string::npos) << manifest;
-  EXPECT_NE(manifest.find("\"jobs\":"), std::string::npos) << manifest;
 }
 
 TEST(RunnerJson, IncludesMetricsWhenEnabled) {

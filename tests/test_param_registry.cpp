@@ -130,7 +130,6 @@ const std::map<std::string, std::string>& sample_values() {
       {"redirect", "true"},
       {"shift", "600:3:5"},
       {"trace-point", "900:4:2.5"},
-      {"outage", "100:60:2"},
       {"crash", "900:60:2"},
       {"degrade", "900:60:1:0.5"},
       {"pause", "100:50:3"},
@@ -460,24 +459,6 @@ TEST(ParamRegistry, ConfigAndProvenanceJsonAreWellFormed) {
             std::string::npos)
       << prov;
   EXPECT_EQ(prov.find("\"domains\""), std::string::npos) << prov;  // defaults omitted
-}
-
-TEST(ParamRegistry, SweepManifestEmbedsConfigAndProvenance) {
-  clear_registry_env();
-  SimulationConfig cfg;
-  cfg.policy = "RR";
-  cfg.num_domains = 4;
-  cfg.total_clients = 40;
-  cfg.duration_sec = 60.0;
-  cfg.warmup_sec = 10.0;
-  Sweep sweep;
-  sweep.add(cfg, 1, "tiny");
-  const SweepResult swept = sweep.run();
-  const std::string manifest = swept.manifest_json();
-  EXPECT_NE(manifest.find("\"config\":{"), std::string::npos) << manifest;
-  EXPECT_NE(manifest.find("\"domains\":4"), std::string::npos) << manifest;
-  EXPECT_NE(manifest.find("\"provenance\":{"), std::string::npos) << manifest;
-  EXPECT_NE(manifest.find("\"layer\":\"code\""), std::string::npos) << manifest;
 }
 
 TEST(ParamRegistry, HelpAndMarkdownCoverEveryKnob) {

@@ -231,9 +231,10 @@ TEST(ShardedSite, TracePointAndRateShiftReachTheOwningShard) {
 }
 
 TEST(ShardedSite, EveryShardEstimatesFromTheMergedHits) {
-  // The barrier feeds every shard's estimator the hits of all shards, so
-  // every scheduler replica ends a measured run with the same weights,
-  // including those of the domains it never serves.
+  // The barrier feeds the estimator the hits of all shards and copies its
+  // weights into every shard, so every scheduler replica ends a measured
+  // run with the same weights, including those of the domains it never
+  // serves.
   SimulationConfig cfg = sharded_config();
   cfg.oracle_weights = false;
   ShardedSite site(cfg);
@@ -241,6 +242,24 @@ TEST(ShardedSite, EveryShardEstimatesFromTheMergedHits) {
   ASSERT_GT(site.shard(0).estimator->windows_observed(), 0);
   const std::vector<double> weights = site.shard(0).bundle.domains->weights();
   for (int s = 1; s < site.shard_count(); ++s) {
+    EXPECT_EQ(site.shard(s).bundle.domains->weights(), weights) << "shard " << s;
+  }
+}
+
+TEST(ShardedSite, OneEstimatorFeedsEveryShard) {
+  // A run keeps one estimate of the hidden load weights: every shard points
+  // at the same estimator, and its weights reach every shard's model.
+  SimulationConfig cfg = sharded_config();
+  cfg.oracle_weights = false;
+  ShardedSite site(cfg);
+  ASSERT_EQ(site.shard_count(), 4);
+  site.run();
+  const core::LoadEstimator* estimator = site.shard(0).estimator;
+  ASSERT_NE(estimator, nullptr);
+  EXPECT_GT(estimator->windows_observed(), 0);
+  const std::vector<double>& weights = site.shard(0).bundle.domains->weights();
+  for (int s = 1; s < site.shard_count(); ++s) {
+    EXPECT_EQ(site.shard(s).estimator, estimator) << "shard " << s;
     EXPECT_EQ(site.shard(s).bundle.domains->weights(), weights) << "shard " << s;
   }
 }

@@ -96,12 +96,17 @@ TEST(Simulator, CancelPendingEvent) {
 }
 
 TEST(Simulator, EventsCanScheduleMoreEvents) {
+  // Each step schedules a copy of itself: a functor of two pointers.
+  struct Step {
+    Simulator* sim;
+    int* chain;
+    void operator()() const {
+      if (++*chain < 100) sim->after(1.0, *this);
+    }
+  };
   Simulator s;
   int chain = 0;
-  std::function<void()> step = [&] {
-    if (++chain < 100) s.after(1.0, step);
-  };
-  s.at(0.0, step);
+  s.at(0.0, Step{&s, &chain});
   s.run();
   EXPECT_EQ(chain, 100);
   EXPECT_DOUBLE_EQ(s.now(), 99.0);

@@ -5,9 +5,11 @@
 // Open-loop means the send schedule never waits for replies: queries go
 // out on a fixed cadence (--qps; 0 = as fast as the socket accepts) so a
 // slow server shows up as latency and loss instead of silently throttling
-// the offered load. Latency is matched by DNS message id through a ring
-// of send timestamps and accumulated into a log-geometric histogram
-// (~1 µs .. ~1 s) for p50/p90/p99 without storing samples.
+// the offered load. With --qps each query leaves at its own due time, and
+// the generator waits for replies in ppoll until the next one is due.
+// Latency is matched by DNS message id through a ring of send timestamps
+// and accumulated into a log-geometric histogram (~1 µs .. ~1 s) for
+// p50/p90/p99 without storing samples.
 //
 // --ecs rotates an EDNS0 Client-Subnet option over --subnets distinct /24
 // prefixes so the daemon's subnet-keyed path is exercised; without it the
@@ -25,6 +27,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <vector>
 
@@ -179,9 +182,6 @@ int main(int argc, char** argv) {
 
   const auto start = Clock::now();
   const auto deadline = start + std::chrono::duration<double>(opt.duration_sec);
-  const double gap_ns = opt.qps > 0 ? 1e9 / opt.qps : 0.0;
-  double send_credit_ns = 0.0;
-  auto last_pace = start;
 
   // One reply's worth of accounting.
   const auto note_reply = [&](const std::uint8_t* buf, ssize_t n,
@@ -209,7 +209,8 @@ int main(int argc, char** argv) {
   std::vector<iovec> tx_iov(static_cast<std::size_t>(B));
   std::vector<mmsghdr> tx_hdrs(static_cast<std::size_t>(B));
 
-  auto drain_replies = [&](bool block) {
+  /// Takes every reply already queued, without waiting.
+  auto drain_replies = [&] {
     for (;;) {
       for (int i = 0; i < B; ++i) {
         auto& iv = rx_iov[static_cast<std::size_t>(i)];
@@ -222,13 +223,7 @@ int main(int argc, char** argv) {
       }
       const int got = ::recvmmsg(fd, rx_hdrs.data(), static_cast<unsigned>(B),
                                  MSG_DONTWAIT, nullptr);
-      if (got <= 0) {
-        if ((errno == EAGAIN || errno == EWOULDBLOCK) && block) {
-          pollfd p{fd, POLLIN, 0};
-          if (::poll(&p, 1, 10) > 0) continue;
-        }
-        return;
-      }
+      if (got <= 0) return;
       const auto now = Clock::now();
       for (int i = 0; i < got; ++i) {
         note_reply(rx_bufs[static_cast<std::size_t>(i)].data(),
@@ -279,22 +274,43 @@ int main(int argc, char** argv) {
     return done;
   };
 
-  while (Clock::now() < deadline) {
-    const auto now = Clock::now();
-    if (gap_ns > 0) {
-      send_credit_ns += std::chrono::duration<double, std::nano>(now - last_pace).count();
-      last_pace = now;
-      if (send_credit_ns > gap_ns * 1024) send_credit_ns = gap_ns * 1024;  // cap the burst
+  /// Takes replies as they arrive until `until`, sleeping in ppoll between
+  /// them; returns at once if `until` has passed.
+  const auto await_replies = [&](Clock::time_point until) {
+    for (;;) {
+      drain_replies();
+      const auto now = Clock::now();
+      if (now >= until) return;
+      const auto wait = std::chrono::duration_cast<std::chrono::nanoseconds>(until - now).count();
+      const timespec timeout{static_cast<time_t>(wait / 1000000000),
+                             static_cast<long>(wait % 1000000000)};
+      pollfd p{fd, POLLIN, 0};
+      if (::ppoll(&p, 1, &timeout, nullptr) <= 0) return;
     }
-    const int burst = gap_ns > 0 ? static_cast<int>(send_credit_ns / gap_ns)
-                                 : std::max(64, opt.batch);
-    if (gap_ns > 0) send_credit_ns -= burst * gap_ns;
-    send_burst(burst);
-    drain_replies(gap_ns > 0);
+  };
+
+  if (opt.qps > 0) {
+    // Query k is due at start + k / qps; one the generator is late for
+    // leaves at once.
+    const std::chrono::duration<double> gap(1.0 / opt.qps);
+    for (std::uint64_t k = 0;; ++k) {
+      const auto due =
+          start + std::chrono::duration_cast<Clock::duration>(gap * static_cast<double>(k));
+      if (due >= deadline) break;
+      await_replies(due);
+      send_burst(1);
+    }
+  } else {
+    while (Clock::now() < deadline) {
+      send_burst(std::max(64, opt.batch));
+      drain_replies();
+    }
   }
   // Post-deadline grace: collect in-flight replies for up to 200 ms.
   const auto grace = Clock::now() + std::chrono::milliseconds(200);
-  while (Clock::now() < grace && received < sent) drain_replies(true);
+  while (Clock::now() < grace && received < sent) {
+    await_replies(std::min(grace, Clock::now() + std::chrono::milliseconds(1)));
+  }
   ::close(fd);
 
   const double elapsed = std::chrono::duration<double>(Clock::now() - start).count();

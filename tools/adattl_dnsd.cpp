@@ -75,7 +75,6 @@ void usage() {
                "  --max-queries=N       exit after N answered+refused (testing hook)\n"
                "  --duration=SEC        exit after SEC seconds (0 = run until signal)\n"
                "  --stats-interval=SEC  periodic per-shard stats on stderr (0 = off)\n"
-               "  --port=N              alias for --dnsd-port=N (legacy spelling)\n"
                "registry knobs: --dnsd-port, --dnsd-shards, --dnsd-batch, --dnsd-ecs,\n"
                "  --policy, --domains, --seed (scenario files + ADATTL_* env work too)\n");
 }
@@ -130,8 +129,6 @@ int main(int argc, char** argv) {
       duration_sec = tools::flag_number(kTool, flag, value);
     } else if (flag == "--stats-interval") {
       stats_interval_sec = tools::flag_number(kTool, flag, value);
-    } else if (flag == "--port") {
-      registry_args.push_back("--dnsd-port=" + value);  // legacy spelling
     } else if (flag == "--help" || flag == "-h") {
       usage();
       return 2;

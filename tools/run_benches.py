@@ -121,9 +121,17 @@ def daemon_run(build, shards, batch, qps):
 
 
 def cpu_seconds(pid):
-    with open(f"/proc/{pid}/stat") as f:
-        fields = f.read().rsplit(")", 1)[1].split()
-    return (int(fields[11]) + int(fields[12])) / os.sysconf("SC_CLK_TCK")
+    """CPU seconds of `pid`'s live threads: the sum of the first field of
+    /proc/<pid>/task/*/schedstat, each thread's time on CPU in nanoseconds
+    (utime + stime in /proc/<pid>/stat would count 10 ms clock ticks)."""
+    total_ns = 0
+    for task in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{task}/schedstat") as f:
+                total_ns += int(f.read().split()[0])
+        except FileNotFoundError:
+            pass  # the thread exited after the listing
+    return total_ns * 1e-9
 
 
 def daemon_rows(build):
