@@ -4,7 +4,10 @@
 // invariant and the sweep isolates the kernel + pool scaling behavior).
 //
 // BM_ScaleClients runs the domain-sharded mode (the intended vehicle for
-// large populations); BM_ScaleClientsSerial keeps two unsharded reference
+// large populations); BM_ScaleShards holds 200k clients and varies the
+// shard count (1, 2, 4), which shows what the shards' parallelism and
+// their smaller per-shard working sets buy at a fixed population;
+// BM_ScaleClientsSerial keeps two unsharded reference
 // points. BM_MillionClientDay is the headline: one million clients
 // through a multi-hour simulated day, end to end. The sharded runs use
 // worker threads, so they report items/s per wall second (UseRealTime),
@@ -49,6 +52,29 @@ BENCHMARK(BM_ScaleClients)
     ->Arg(50000)
     ->Arg(500000)
     ->Arg(1000000)
+    ->Iterations(1)
+    ->Repetitions(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ScaleShards(benchmark::State& state) {
+  const int shards = static_cast<int>(state.range(0));
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    experiment::SimulationConfig cfg = scale_config(200000, 60.0, 240.0);
+    cfg.shard_domains = true;
+    cfg.shard_count = shards;
+    experiment::ShardedSite site(cfg);
+    const experiment::RunResult r = site.run();
+    events += r.events_dispatched;
+    benchmark::DoNotOptimize(r.prob_below_098);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_ScaleShards)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
     ->Iterations(1)
     ->Repetitions(3)
     ->UseRealTime()

@@ -2,6 +2,8 @@
 
 #include <bit>
 #include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
@@ -59,6 +61,17 @@ SimTime time_of(std::uint64_t key) {
   return std::bit_cast<SimTime>(key ^ (((key >> 63) - 1) | (std::uint64_t{1} << 63)));
 }
 
+// The target of an event scheduled without a hint: two lines that are
+// always mapped, so fire_next() prefetches a hint without checking it.
+alignas(64) constexpr std::byte kNoTarget[128]{};
+
+// The address `offset` bytes past `base`, computed as an integer: a
+// prefetch of it never faults, but a pointer formed past the end of the
+// object `base` points into would be undefined.
+const void* byte_offset(const void* base, std::size_t offset) {
+  return reinterpret_cast<const void*>(reinterpret_cast<std::uintptr_t>(base) + offset);
+}
+
 }  // namespace
 
 void EventQueue::throw_past_bound(bool slots) {
@@ -71,6 +84,7 @@ void EventQueue::throw_past_bound(bool slots) {
 void EventQueue::reserve(std::size_t n) {
   heap_.reserve(n);
   slots_.reserve(n);
+  hints_.reserve(n);
   free_slots_.reserve(n);
 }
 
@@ -81,6 +95,7 @@ std::uint32_t EventQueue::acquire_slot() {
     return s;
   }
   slots_.emplace_back();
+  hints_.push_back(kNoTarget);
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -92,7 +107,7 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventHandle EventQueue::schedule(SimTime at, Callback cb) {
+EventHandle EventQueue::schedule(SimTime at, Callback cb, const void* hint) {
   assert(cb && "cannot schedule an empty callback");
   // Packed before anything changes: past a bound the queue throws as it was.
   const std::uint64_t tag =
@@ -101,6 +116,7 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb) {
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.seq = next_seq_++;
+  hints_[slot] = hint != nullptr ? hint : kNoTarget;
   const HeapItem item{time_key(at), tag};
   if (root_vacant_) {
     // The first successor of a firing event takes its root.
@@ -161,11 +177,15 @@ void EventQueue::fire_next(SimTime& now) {
   root_vacant_ = true;
   // The root's least child is the next event unless the callback schedules
   // an earlier one. Its family is the line the successor's sift reads first
-  // anyway; its slot is a random line the next fire would otherwise wait on.
-  // (Inline on purpose: GCC deems a function that only prefetches pure, and
-  // drops a call to it whose result goes unused.)
+  // anyway; its slot and the two lines at its hint are random lines the
+  // next fire would otherwise wait on. (Inline on purpose: GCC deems a
+  // function that only prefetches pure, and drops a call to it whose
+  // result goes unused.)
   if (heap_.size() > 1) {
-    __builtin_prefetch(&slots_[slot_of(heap_[least_child(heap_.data(), 1, heap_.size())])]);
+    const std::uint32_t next = slot_of(heap_[least_child(heap_.data(), 1, heap_.size())]);
+    __builtin_prefetch(&slots_[next]);
+    __builtin_prefetch(hints_[next]);
+    __builtin_prefetch(byte_offset(hints_[next], 64));
   }
   try {
     cb();
@@ -227,6 +247,16 @@ void EventQueue::sift_down(std::size_t hole, HeapItem item) {
   const std::size_t n = heap_.size();
   const Key k = key_of(item);
   for (std::size_t first = first_child_of(hole); first < n; first = first_child_of(hole)) {
+    // The next level compares the children of one of first .. first + 3:
+    // entries 4 * first + 1 .. 4 * first + 16, four whole lines. Fetch all
+    // four before this level compares, so a deep sift's misses overlap
+    // instead of waiting one per level.
+    if (const std::size_t next = first_child_of(first); next < n) {
+      __builtin_prefetch(h + next);
+      __builtin_prefetch(byte_offset(h + next, 64));
+      __builtin_prefetch(byte_offset(h + next, 128));
+      __builtin_prefetch(byte_offset(h + next, 192));
+    }
     const std::size_t best = least_child(h, first, n);
     if (!(key_of(h[best]) < k)) break;
     h[hole] = h[best];

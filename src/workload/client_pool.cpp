@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace adattl::workload {
 
@@ -88,8 +89,12 @@ std::size_t ClientPool::add(dnscache::Resolver& resolver, sim::RngStream rng) {
 }
 
 void ClientPool::start(std::size_t i, double initial_delay) {
+  if (i >= recs_.size()) {
+    throw std::out_of_range("ClientPool::start: no client " + std::to_string(i) + " (pool has " +
+                            std::to_string(recs_.size()) + ")");
+  }
   const auto idx = static_cast<std::uint32_t>(i);
-  sim_.after(initial_delay, [this, idx] { begin_session(idx); });
+  sim_.after(initial_delay, [this, idx] { begin_session(idx); }, &recs_[i]);
 }
 
 ClientPool::Totals ClientPool::totals() const {
@@ -111,7 +116,7 @@ void ClientPool::begin_session(std::uint32_t i) {
     // DNS outage against a cold NS cache: nothing to stale-serve. The
     // session has not started — try again shortly.
     ++c.resolution_failures;
-    sim_.after(retry_delay_sec_, [this, i] { begin_session(i); });
+    sim_.after(retry_delay_sec_, [this, i] { begin_session(i); }, &c);
     return;
   }
   ++c.sessions;
@@ -131,7 +136,7 @@ void ClientPool::dispatch_request(std::uint32_t i) {
     // Request leg only. The reply leg is charged when (if) the server
     // completes the page — a rejected or crashed attempt never took it.
     c.network_time += c.page_rtt / 2.0;
-    sim_.after(c.page_rtt / 2.0, [this, i] { arrive(i); });
+    sim_.after(c.page_rtt / 2.0, [this, i] { arrive(i); }, &c);
   } else {
     arrive(i);
   }
@@ -167,17 +172,17 @@ void ClientPool::page_done(std::uint32_t i) {
     c.count_page_on_arrive = true;
     if (c.page_rtt > 0.0) {
       c.network_time += c.page_rtt / 2.0;  // next page's request leg
-      sim_.after(c.page_rtt / 2.0 + think + c.page_rtt / 2.0, [this, i] { arrive(i); });
+      sim_.after(c.page_rtt / 2.0 + think + c.page_rtt / 2.0, [this, i] { arrive(i); }, &c);
     } else {
-      sim_.after(think, [this, i] { arrive(i); });
+      sim_.after(think, [this, i] { arrive(i); }, &c);
     }
   } else {
     // Session over: reply flight + think, then re-resolve (the next
     // session's mapping may differ, so it cannot coalesce further).
     if (c.page_rtt > 0.0) {
-      sim_.after(c.page_rtt / 2.0 + think, [this, i] { begin_session(i); });
+      sim_.after(c.page_rtt / 2.0 + think, [this, i] { begin_session(i); }, &c);
     } else {
-      sim_.after(think, [this, i] { begin_session(i); });
+      sim_.after(think, [this, i] { begin_session(i); }, &c);
     }
   }
 }
@@ -186,7 +191,7 @@ void ClientPool::page_failed(std::uint32_t i) {
   // Called from inside the server's crash/reject path — never resubmit
   // synchronously; the retry is a fresh simulator event.
   ++recs_[i].pages_failed;
-  sim_.after(retry_delay_sec_, [this, i] { retry_page(i); });
+  sim_.after(retry_delay_sec_, [this, i] { retry_page(i); }, &recs_[i]);
 }
 
 void ClientPool::retry_page(std::uint32_t i) {
@@ -198,7 +203,7 @@ void ClientPool::retry_page(std::uint32_t i) {
   c.mapped_server = c.resolver->resolve();
   if (c.mapped_server < 0) {
     ++c.resolution_failures;
-    sim_.after(retry_delay_sec_, [this, i] { retry_page(i); });
+    sim_.after(retry_delay_sec_, [this, i] { retry_page(i); }, &c);
     return;
   }
   dispatch_request(i);

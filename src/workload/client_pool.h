@@ -44,9 +44,11 @@ struct SessionProfile {
 /// two cache lines of it. At a million clients that is one ~128 MB
 /// allocation, iterated cache-linearly for end-of-run aggregation. Every
 /// simulator callback captures just {pool, index}, a trivial 16-byte
-/// capture for the kernel's InlineCallback, and every page names the pool
-/// as its web::PageClient with the client's index as its token, so a page
-/// in flight carries no closure at all.
+/// capture for the kernel's InlineCallback, and names the client's record
+/// as its target hint, so the kernel prefetches the record one event
+/// before the callback reads it. Every page names the pool as its
+/// web::PageClient with the client's index as its token, so a page in
+/// flight carries no closure at all.
 ///
 /// Lifecycle per client (paper §4.1): a session opens with a single
 /// address resolution through the domain's name server, then issues a
@@ -87,6 +89,8 @@ class ClientPool final : private web::PageClient {
   ClientPool(const ClientPool&) = delete;
   ClientPool& operator=(const ClientPool&) = delete;
 
+  /// Reserving the whole population before add() keeps the records in
+  /// place, so the target hints of events already scheduled stay current.
   void reserve(std::size_t clients) { recs_.reserve(clients); }
 
   /// Adds one client that resolves through `resolver` (a NameServer or a
@@ -95,7 +99,8 @@ class ClientPool final : private web::PageClient {
   std::size_t add(dnscache::Resolver& resolver, sim::RngStream rng);
 
   /// Schedules client `i`'s first session `initial_delay` seconds from now
-  /// (staggered starts avoid a synchronized stampede at t = 0).
+  /// (staggered starts avoid a synchronized stampede at t = 0). Throws
+  /// std::out_of_range, naming `i`, if the pool has no client `i`.
   void start(std::size_t i, double initial_delay);
 
   std::size_t size() const { return recs_.size(); }

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "core/policy_factory.h"
 #include "dnscache/name_server.h"
@@ -250,6 +252,24 @@ TEST_F(ClientTest, NetworkTimeIsOneRoundTripPerServedPage) {
   EXPECT_EQ(pool.pages_requested(c), 1u);
   EXPECT_EQ(pool.pages_failed(c), 0u);
   EXPECT_NEAR(pool.network_time_sec(c), 0.3, 1e-12);
+}
+
+TEST_F(ClientTest, StartRejectsAnUnknownClient) {
+  // An index past the pool would schedule a session that reads past the
+  // records; start() refuses it, names it, and schedules nothing.
+  ThinkTimeModel think({15.0, 15.0, 15.0});
+  ClientPool pool(w.simulator, *w.dispatcher, profile, think);
+  EXPECT_THROW(pool.start(0, 0.0), std::out_of_range);
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
+  try {
+    pool.start(c + 1, 0.0);
+    FAIL() << "start() accepted client " << c + 1 << " of a one-client pool";
+  } catch (const std::out_of_range& e) {
+    EXPECT_NE(std::string(e.what()).find("client 1"), std::string::npos) << e.what();
+  }
+  EXPECT_EQ(w.simulator.pending(), 0u);
+  pool.start(c, 0.0);
+  EXPECT_EQ(w.simulator.pending(), 1u);
 }
 
 TEST_F(ClientTest, StartDelayDefersFirstSession) {

@@ -174,10 +174,13 @@ class EventQueueFireFuzz : public ::testing::TestWithParam<FuzzCase> {};
 // unless it asks for more). A cancel after about half the fires leaves
 // enough tombstones that the heap fills up and is compacted in place
 // dozens of times per seed. Every fire is checked against the multimap
-// reference, by identity.
+// reference, by identity. Events carry target hints: null, or pointers
+// into a live buffer, several to a line, so a hint provably never changes
+// the order.
 TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
   RngStream rng(GetParam().seed);
   const std::size_t depth = std::max<std::size_t>(GetParam().depth, 300);
+  std::vector<std::uint64_t> targets(1000);  // outlives every event; eight to a line
   Simulator sim;
   ReferenceQueue ref;
 
@@ -199,7 +202,9 @@ TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
   std::function<void(std::size_t)> on_fire;
   auto schedule = [&](double t) {
     const std::size_t tag = handles.size();
-    handles.push_back(sim.at(t, [&on_fire, tag] { on_fire(tag); }));
+    // Every time is a whole number of seconds, so now + (t - now) is t.
+    const std::uint64_t* hint = tag % 4 == 0 ? nullptr : &targets[tag % targets.size()];
+    handles.push_back(sim.after(t - sim.now(), [&on_fire, tag] { on_fire(tag); }, hint));
     ASSERT_EQ(ref.schedule(t), tag + 1);
     live_at.push_back(live.size());
     live.push_back(tag);

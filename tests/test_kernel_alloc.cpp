@@ -89,33 +89,40 @@ TEST(KernelAlloc, OverAlignedVectorGrowthIsCounted) {
   EXPECT_EQ(allocations() - before, 2u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lines.data()) % 64, 0u);
 
-  // The queue's reserve sizes the heap, the slot table and the free list.
+  // The queue's reserve sizes the heap, the slot table, the hint array and
+  // the free list.
   EventQueue q;
   const std::uint64_t before_reserve = allocations();
   q.reserve(100);
-  EXPECT_EQ(allocations() - before_reserve, 3u);
+  EXPECT_EQ(allocations() - before_reserve, 4u);
 }
 
 TEST(KernelAlloc, SteadyStateChurnAllocatesNothing) {
   // The simulation's dominant pattern: a resident set of events where each
   // pop schedules one successor (think timer -> next page -> think timer).
+  // Events carry target hints as a client pool's do, null or into a live
+  // buffer, several to a line.
   constexpr int kResident = 512;
   constexpr int kChurnEvents = 10000;
 
+  std::vector<std::uint64_t> targets(kResident);  // outlives the queue's events
   EventQueue q;
   RngStream rng(7);
   double now = 0.0;
   std::uint64_t fired = 0;
+  const auto hint = [&targets](int i) -> const void* {
+    return i % 4 == 0 ? nullptr : &targets[static_cast<std::size_t>(i % kResident)];
+  };
   for (int i = 0; i < kResident; ++i) {
-    q.schedule(rng.uniform(0.0, 30.0), [&fired] { ++fired; });
+    q.schedule(rng.uniform(0.0, 30.0), [&fired] { ++fired; }, hint(i));
   }
   // Warmup: one full churn pass lets every internal vector reach its
-  // steady-state capacity (heap, slot table, free list).
+  // steady-state capacity (heap, slot table, hint array, free list).
   for (int i = 0; i < kResident; ++i) {
     auto [t, cb] = q.pop();
     now = t;
     cb();
-    q.schedule(now + rng.exponential(15.0), [&fired] { ++fired; });
+    q.schedule(now + rng.exponential(15.0), [&fired] { ++fired; }, hint(i));
   }
 
   const std::uint64_t before = allocations();
@@ -123,7 +130,7 @@ TEST(KernelAlloc, SteadyStateChurnAllocatesNothing) {
     auto [t, cb] = q.pop();
     now = t;
     cb();
-    q.schedule(now + rng.exponential(15.0), [&fired] { ++fired; });
+    q.schedule(now + rng.exponential(15.0), [&fired] { ++fired; }, hint(i));
   }
   const std::uint64_t during = allocations() - before;
 
