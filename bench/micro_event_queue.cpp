@@ -1,66 +1,104 @@
 // Micro-benchmarks of the discrete-event kernel: the event queue is the
-// hot path of every simulation (two heap ops per page request).
+// hot path of every simulation (two heap ops per page request). Every row
+// schedules through Simulator and fires through its dispatch loop, as a
+// simulation does.
 #include <benchmark/benchmark.h>
 
-#include "sim/event_queue.h"
+#include <cstdint>
+#include <vector>
+
 #include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace {
 
 using adattl::sim::EventHandle;
-using adattl::sim::EventQueue;
 using adattl::sim::RngStream;
 using adattl::sim::Simulator;
 
-void BM_SchedulePop(benchmark::State& state) {
+/// The memory an event's owner keeps, as the client pool keeps a 128-byte
+/// record per client. Each callback below reads and writes its own record
+/// first and names it as its event's target hint, so these rows run the
+/// path a simulation runs: Simulator::after with a hint, and fire_next
+/// (with its slot, hint and heap-level prefetches) through run_until.
+struct alignas(64) Record {
+  std::uint64_t fired = 0;
+  std::uint64_t rest[15] = {};
+};
+static_assert(sizeof(Record) == 128, "a record spans two cache lines");
+
+void BM_ScheduleFire(benchmark::State& state) {
+  // n events at random times, then all of them fired.
   const int n = static_cast<int>(state.range(0));
   RngStream rng(1);
   std::vector<double> times(static_cast<std::size_t>(n));
   for (double& t : times) t = rng.uniform(0.0, 1e6);
+  std::vector<Record> records(static_cast<std::size_t>(n));
   for (auto _ : state) {
-    EventQueue q;
-    for (double t : times) q.schedule(t, [] {});
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+    Simulator sim;
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      Record* r = &records[i];
+      sim.after(times[i], [r] { ++r->fired; }, r);
+    }
+    sim.run_until(1e6);
   }
+  benchmark::DoNotOptimize(records.front().fired);
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_SchedulePop)->Arg(1000)->Arg(10000)->Arg(100000);
+BENCHMARK(BM_ScheduleFire)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_SteadyStateChurn(benchmark::State& state) {
-  // The simulation's actual access pattern: a queue holding ~#clients
-  // events where each pop schedules a successor.
+/// A client's think timer: each firing schedules its owner's next one.
+struct Churn {
+  Simulator* sim;
+  RngStream* rng;
+  Record* rec;
+  void operator()() const {
+    ++rec->fired;
+    sim->after(rng->exponential(15.0), *this, rec);
+  }
+};
+
+void BM_SteadyStateChurnFire(benchmark::State& state) {
+  // The simulation's actual access pattern: ~#clients resident events,
+  // each firing scheduling its successor. One iteration advances
+  // simulated time by the span in which about 64 events fall; the rate
+  // counts the events fired.
   const int resident = static_cast<int>(state.range(0));
   RngStream rng(2);
-  EventQueue q;
-  double now = 0.0;
-  for (int i = 0; i < resident; ++i) q.schedule(rng.uniform(0.0, 30.0), [] {});
-  for (auto _ : state) {
-    auto [t, cb] = q.pop();
-    now = t;
-    q.schedule(now + rng.exponential(15.0), [] {});
-  }
-  state.SetItemsProcessed(state.iterations());
+  Simulator sim;
+  std::vector<Record> records(static_cast<std::size_t>(resident));
+  for (Record& r : records) sim.after(rng.uniform(0.0, 30.0), Churn{&sim, &rng, &r}, &r);
+  const double step = 64 * 15.0 / resident;
+  double horizon = 0.0;
+  std::uint64_t fired = 0;
+  for (auto _ : state) fired += sim.run_until(horizon += step);
+  state.SetItemsProcessed(static_cast<std::int64_t>(fired));
 }
-BENCHMARK(BM_SteadyStateChurn)->Arg(500)->Arg(5000)->Arg(50000);
+BENCHMARK(BM_SteadyStateChurnFire)->Arg(500)->Arg(5000)->Arg(50000);
 
-void BM_CancelHeavy(benchmark::State& state) {
-  // TTL-expiry style workloads cancel many events before they fire.
+void BM_CancelHeavyFire(benchmark::State& state) {
+  // TTL-expiry style workloads cancel many events before they fire: half
+  // of 10000 are cancelled, the rest fired.
   RngStream rng(3);
+  std::vector<Record> records(10000);
+  std::vector<EventHandle> handles;
+  handles.reserve(records.size());
   for (auto _ : state) {
     state.PauseTiming();
-    EventQueue q;
-    std::vector<EventHandle> handles;
-    handles.reserve(10000);
-    for (int i = 0; i < 10000; ++i) {
-      handles.push_back(q.schedule(rng.uniform(0.0, 1e4), [] {}));
+    Simulator sim;
+    handles.clear();
+    for (Record& rec : records) {
+      Record* r = &rec;
+      handles.push_back(sim.after(rng.uniform(0.0, 1e4), [r] { ++r->fired; }, r));
     }
     state.ResumeTiming();
-    for (std::size_t i = 0; i < handles.size(); i += 2) q.cancel(handles[i]);
-    while (!q.empty()) benchmark::DoNotOptimize(q.pop());
+    for (std::size_t i = 0; i < handles.size(); i += 2) sim.cancel(handles[i]);
+    sim.run_until(1e4);
   }
+  benchmark::DoNotOptimize(records.front().fired);
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(records.size()));
 }
-BENCHMARK(BM_CancelHeavy);
+BENCHMARK(BM_CancelHeavyFire);
 
 void BM_SimulatorDispatch(benchmark::State& state) {
   // Each step schedules a copy of itself: a functor of two pointers.

@@ -4,7 +4,8 @@
 // invariant and the sweep isolates the kernel + pool scaling behavior).
 //
 // BM_ScaleClients runs the domain-sharded mode (the intended vehicle for
-// large populations); BM_ScaleShards holds 200k clients and varies the
+// large populations); BM_ScaleSetup times its construction alone at 200k
+// and 1M clients; BM_ScaleShards holds 200k clients and varies the
 // shard count (1, 2, 4), which shows what the shards' parallelism and
 // their smaller per-shard working sets buy at a fixed population;
 // BM_ScaleClientsSerial keeps two unsharded reference
@@ -13,6 +14,8 @@
 // worker threads, so they report items/s per wall second (UseRealTime),
 // not per second of main-thread CPU.
 #include <benchmark/benchmark.h>
+
+#include <memory>
 
 #include "experiment/sharded_site.h"
 #include "experiment/site.h"
@@ -54,6 +57,35 @@ BENCHMARK(BM_ScaleClients)
     ->Arg(1000000)
     ->Iterations(1)
     ->Repetitions(3)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void BM_ScaleSetup(benchmark::State& state) {
+  // Construction alone, on 4 shards: every shard's clients, event slots
+  // and first sessions, built on the site's pool (sized by ADATTL_JOBS).
+  // Each iteration destroys its site untimed. A serial build then reuses
+  // pages the previous site touched; a concurrent one allocates in the
+  // pool threads' malloc arenas, which hand much of that memory back, so
+  // its figure depends on what ran earlier in the process. Ten
+  // repetitions, since a build moves by a few milliseconds.
+  const std::int64_t clients = state.range(0);
+  experiment::SimulationConfig cfg = scale_config(clients, 60.0, 240.0);
+  cfg.shard_domains = true;
+  cfg.shard_count = 4;
+  for (auto _ : state) {
+    auto site = std::make_unique<experiment::ShardedSite>(cfg);
+    benchmark::DoNotOptimize(site.get());
+    state.PauseTiming();
+    site.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * clients);
+}
+BENCHMARK(BM_ScaleSetup)
+    ->Arg(200000)
+    ->Arg(1000000)
+    ->Iterations(5)
+    ->Repetitions(10)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -1,21 +1,20 @@
 #include "experiment/config.h"
 
 #include <cmath>
-#include <limits>
-#include <stdexcept>
 
 #include "experiment/param_registry.h"
 
 namespace adattl::experiment {
 
+double SimulationConfig::scaled_clients() const {
+  return std::round(scale * static_cast<double>(total_clients));
+}
+
 SimulationConfig SimulationConfig::scaled() const {
   if (scale == 1.0) return *this;
+  validate();
   SimulationConfig c = *this;
-  const double clients = std::llround(scale * static_cast<double>(total_clients));
-  if (clients < 1.0 || clients > static_cast<double>(std::numeric_limits<int>::max())) {
-    throw std::invalid_argument("config: scaled client population outside [1, INT_MAX]");
-  }
-  c.total_clients = static_cast<int>(clients);
+  c.total_clients = static_cast<int>(scaled_clients());
   c.cluster.total_capacity_hits_per_sec *= scale;
   c.scale = 1.0;
   return c;

@@ -193,9 +193,14 @@ struct SimulationConfig {
     return class_threshold > 0.0 ? class_threshold : 1.0 / num_domains;
   }
 
+  /// total_clients × scale, rounded half away from zero: the population a
+  /// Site runs. The registry's cross-knob checks keep it in [1, INT_MAX].
+  double scaled_clients() const;
+
   /// The configuration a Site actually runs: `scale` folded into
   /// total_clients and cluster capacity (then reset to 1). Identity when
-  /// scale == 1. Throws if the scaled population overflows int.
+  /// scale == 1; otherwise validates first, so a scale whose population
+  /// falls outside [1, INT_MAX] throws std::invalid_argument.
   SimulationConfig scaled() const;
 
   void validate() const;

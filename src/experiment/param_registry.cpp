@@ -12,6 +12,7 @@
 #include "core/policy_factory.h"
 #include "experiment/scenario_file.h"
 #include "fault/fault_schedule.h"
+#include "workload/domain_set.h"
 
 namespace adattl::experiment {
 
@@ -163,6 +164,28 @@ std::size_t edit_distance(const std::string& a, const std::string& b) {
 void cross_validate(const SimulationConfig& c) {
   c.cluster.validate();
   c.session.validate();
+  const double clients = c.scaled_clients();
+  if (!(clients >= 1.0 && clients <= INT_MAX)) {
+    bad("config: --scale: " + fmt_double(c.scale) + " x " + fmt_int(c.total_clients) +
+        " clients rounds to a population outside [1, INT_MAX]");
+  }
+  if (c.rate_perturbation_percent > 0.0) {
+    // The perturbation grows the busiest domain's rate and takes the
+    // difference from the others, so it must leave them some, over the
+    // population the run draws.
+    const int n = static_cast<int>(clients);
+    const double limit = workload::max_rate_perturbation_percent(
+        c.uniform_clients
+            ? workload::make_uniform_domains(c.num_domains, n, c.mean_think_sec)
+            : workload::make_zipf_domains(c.num_domains, n, c.mean_think_sec, c.zipf_theta));
+    if (c.rate_perturbation_percent >= limit) {
+      char bound[48] = "0";
+      if (limit > 0.0) std::snprintf(bound, sizeof bound, "below %.4g%%", limit);
+      bad("config: --error: " + fmt_double(c.rate_perturbation_percent) +
+          "% leaves the domains other than the busiest no load; it must be " + bound +
+          " for this population");
+    }
+  }
   for (const workload::RateShift& shift : c.rate_shifts) {
     if (shift.at_sec < 0) bad("config: rate shift in the past");
     if (shift.domain < 0 || shift.domain >= c.num_domains) {
@@ -813,7 +836,9 @@ ParamRegistry::ParamRegistry() {
     s.scope = ParamScope::kRun;
     s.group = "run";
     s.hint = "J";
-    s.doc = "parallel workers (1 = serial; results identical either way)";
+    s.doc =
+        "parallel workers (1 = serial; results identical either way); a sharded run builds "
+        "and runs its shards on ADATTL_JOBS workers, clamped to the shard count";
     s.in_dump = false;      // execution parallelism, not part of the run's identity
     s.in_manifest = false;  // must not vary report JSON across --jobs
     s.set = [](C& o, const std::string& v) {

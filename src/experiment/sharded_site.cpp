@@ -43,18 +43,24 @@ ShardedSite::ShardedSite(const SimulationConfig& config)
   // ---- Shard layout: offered load balanced over min(S, D) shards ----
   const int num_shards = std::min(config_.shard_count, config_.num_domains);
   owner_ = partition_by_load(domain_set().true_weights(), num_shards);
-  // One split per shard, in shard order, from the master stream: the
-  // derivation depends only on (seed, shard index), never on worker count
-  // or interleaving. One shard takes the seed's own stream, as Site does,
-  // so a one-shard run draws Site's sample.
+  // One split per shard, in shard order, from the master stream, all drawn
+  // here before any shard is built: the derivation depends only on (seed,
+  // shard index), never on worker count or interleaving. One shard takes
+  // the seed's own stream, as Site does, so a one-shard run draws Site's
+  // sample.
   sim::RngStream master(config_.seed);
+  std::vector<SliceSet::SliceSpec> specs;
   for (int s = 0; s < num_shards; ++s) {
     std::vector<int> owned;
     for (int d = 0; d < config_.num_domains; ++d) {
       if (owner(d) == s) owned.push_back(d);
     }
-    slices_.add(std::move(owned), num_shards == 1 ? sim::RngStream(config_.seed) : master.split());
+    specs.push_back({std::move(owned),
+                     num_shards == 1 ? sim::RngStream(config_.seed) : master.split()});
   }
+  // Build the shards concurrently, on the pool that run() advances them on.
+  pool_ = std::make_unique<ParallelExecutor>(std::min(default_jobs(), num_shards));
+  slices_.build(std::move(specs), *pool_);
   // Cumulative busy time is 0 at t = 0, matching MonitorHub::start().
   prev_busy_.assign(static_cast<std::size_t>(num_shards),
                     std::vector<double>(static_cast<std::size_t>(config_.cluster.size()), 0.0));
@@ -125,9 +131,6 @@ RunResult ShardedSite::run(ParallelExecutor& executor) {
   return r;
 }
 
-RunResult ShardedSite::run() {
-  ParallelExecutor executor;
-  return run(executor);
-}
+RunResult ShardedSite::run() { return run(*pool_); }
 
 }  // namespace adattl::experiment

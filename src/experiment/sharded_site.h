@@ -1,5 +1,6 @@
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "experiment/config.h"
@@ -35,10 +36,12 @@ namespace adattl::experiment {
 /// replicas evolve identical feedback state. SliceSet::reduce then merges
 /// the shards into one RunResult, exactly as it reduces a Site's one slice.
 ///
-/// Determinism: shards share no mutable state between barriers and every
-/// merge runs in fixed shard order on the caller's thread, so a run is
-/// bit-identical across repeats at a fixed seed and shard count — whatever
-/// the worker count (ADATTL_JOBS=1 and =8 produce the same bytes).
+/// Determinism: every shard's stream is split from the seed before any
+/// shard is built, shards share no mutable state while they are built or
+/// between barriers, and every merge runs in fixed shard order on the
+/// caller's thread, so a run is bit-identical across repeats at a fixed
+/// seed and shard count — whatever the worker count (ADATTL_JOBS=1 and =8
+/// produce the same bytes).
 ///
 /// Modeling caveats vs the unsharded Site (documented, intentional):
 /// each shard's cluster replica has the full per-server capacity, so
@@ -57,7 +60,10 @@ class ShardedSite {
 
   /// `config.shard_domains` must be set; `scale` is applied first. The
   /// shard count is config.shard_count clamped to num_domains; it never
-  /// depends on the host or on ADATTL_JOBS.
+  /// depends on the host or on ADATTL_JOBS. The shards are built on a pool
+  /// of ADATTL_JOBS workers clamped to the shard count, which the site
+  /// keeps for run(); with 1, they are built in shard order on the calling
+  /// thread and no thread starts.
   explicit ShardedSite(const SimulationConfig& config);
 
   ShardedSite(const ShardedSite&) = delete;
@@ -65,7 +71,7 @@ class ShardedSite {
 
   /// Runs warm-up + measured period across `executor`; single use.
   RunResult run(ParallelExecutor& executor);
-  /// run() on a fresh executor sized by ADATTL_JOBS.
+  /// run() on the pool that built the shards.
   RunResult run();
 
   int shard_count() const { return slices_.size(); }
@@ -81,6 +87,7 @@ class ShardedSite {
 
   SimulationConfig config_;
   SliceSet slices_;
+  std::unique_ptr<ParallelExecutor> pool_;
   std::vector<int> owner_;  // global domain id → owning shard index
   /// Per shard, per server: cumulative busy time at the previous barrier.
   std::vector<std::vector<double>> prev_busy_;

@@ -4,6 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "experiment/parallel_executor.h"
 #include "obs/profiler.h"
 
 namespace adattl::experiment {
@@ -20,10 +21,13 @@ Site::Site(const SimulationConfig& config) : config_(config.scaled()), slices_(c
     event_tracer_ = std::make_unique<obs::EventTracer>(config_.trace_capacity);
   }
 
-  // One slice owns every domain and draws from the master stream itself.
+  // One slice owns every domain and draws from the master stream itself;
+  // a one-job pool builds it on this thread.
   std::vector<int> all(static_cast<std::size_t>(config_.num_domains));
   std::iota(all.begin(), all.end(), 0);
-  SiteSlice& s = slices_.add(std::move(all), sim::RngStream(config_.seed), event_tracer_.get());
+  ParallelExecutor caller(1);
+  slices_.build({{std::move(all), sim::RngStream(config_.seed), event_tracer_.get()}}, caller);
+  SiteSlice& s = slice();
 
   // ---- Monitoring: alarms and estimation on the 8 s clock ----
   monitor_ = std::make_unique<web::MonitorHub>(*s.sim, *s.cluster, config_.monitor_interval_sec);

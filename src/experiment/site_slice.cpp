@@ -1,10 +1,13 @@
 #include "experiment/site_slice.h"
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+
+#include "experiment/parallel_executor.h"
 
 namespace adattl::experiment {
 
@@ -189,14 +192,19 @@ SliceSet::SliceSet(const SimulationConfig& config)
       workload_(config),
       tracker_(config.cluster.size(), config.warmup_sec) {}
 
-SiteSlice& SliceSet::add(std::vector<int> domains, sim::RngStream rng,
-                         obs::EventTracer* tracer) {
-  slices_.push_back(
-      std::make_unique<SiteSlice>(config_, workload_, std::move(domains), rng, tracer));
-  SiteSlice& slice = *slices_.back();
-  if (!estimator_) estimator_ = make_estimator(config_, *slice.bundle.domains);
-  slice.estimator = estimator_.get();
-  return slice;
+void SliceSet::build(std::vector<SliceSpec> specs, ParallelExecutor& pool) {
+  slices_.resize(specs.size());
+  std::vector<std::function<void()>> tasks;
+  tasks.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    tasks.push_back([this, &spec = specs[i], &slot = slices_[i]] {
+      slot = std::make_unique<SiteSlice>(config_, workload_, std::move(spec.domains), spec.rng,
+                                         spec.tracer);
+    });
+  }
+  pool.run(std::move(tasks));
+  estimator_ = make_estimator(config_, *slices_.front()->bundle.domains);
+  for (const auto& slice : slices_) slice->estimator = estimator_.get();
 }
 
 double SliceSet::feedback_tick(sim::SimTime now, const std::vector<double>& util,

@@ -27,6 +27,8 @@
 
 namespace adattl::experiment {
 
+class ParallelExecutor;
+
 /// Wall-clock phase breakdown of one run (host time, not simulated time).
 /// Purely additive observability: simulation results never depend on it.
 struct RunProfile {
@@ -210,15 +212,26 @@ struct SiteSlice {
 /// into one RunResult.
 class SliceSet {
  public:
+  /// What one slice is built from: its owned domains (ascending global
+  /// ids), the stream it draws every variate from, and the tracer its
+  /// components record into (null for none).
+  struct SliceSpec {
+    std::vector<int> domains;
+    sim::RngStream rng;
+    obs::EventTracer* tracer = nullptr;
+  };
+
   /// Validates `config` (already scaled; it must outlive the set) and
   /// derives the shared workload.
   explicit SliceSet(const SimulationConfig& config);
 
-  /// Builds a slice in place over `domains` from `rng`, recording into
-  /// `tracer` when it is not null. The first slice added also gets the
-  /// run's estimator, over its DomainModel.
-  SiteSlice& add(std::vector<int> domains, sim::RngStream rng,
-                 obs::EventTracer* tracer = nullptr);
+  /// Builds every slice of the run (call once, with at least one spec):
+  /// slice i is built in place from specs[i], one task per slice on
+  /// `pool`. Slices share nothing mutable while they are built (the config
+  /// and workload are read-only), so the set does not depend on the pool's
+  /// width or on which task ran first. After the join, the run's estimator
+  /// is made over the first slice's DomainModel and given to every slice.
+  void build(std::vector<SliceSpec> specs, ParallelExecutor& pool);
 
   int size() const { return static_cast<int>(slices_.size()); }
   SiteSlice& operator[](int i) { return *slices_.at(static_cast<std::size_t>(i)); }

@@ -61,6 +61,10 @@ void apply_rate_perturbation(DomainSet& domains, double error_percent) {
     throw std::invalid_argument("perturbation: need >= 2 domains to rebalance");
   }
 
+  if (error_percent >= max_rate_perturbation_percent(domains)) {
+    throw std::invalid_argument("perturbation: error so large the other domains vanish");
+  }
+
   const std::vector<double> rates = domains.true_weights();
   const double total = std::accumulate(rates.begin(), rates.end(), 0.0);
   const std::size_t busiest = static_cast<std::size_t>(
@@ -70,15 +74,19 @@ void apply_rate_perturbation(DomainSet& domains, double error_percent) {
   const double new_busiest = rates[busiest] * grow;
   const double rest_old = total - rates[busiest];
   const double rest_new = total - new_busiest;
-  if (rest_new <= 0.0) {
-    throw std::invalid_argument("perturbation: error so large the other domains vanish");
-  }
   const double shrink = rest_new / rest_old;
 
   // rate = clients / think, so rate × f ⇒ think ÷ f.
   for (std::size_t j = 0; j < domains.mean_think_sec.size(); ++j) {
     domains.mean_think_sec[j] /= (j == busiest) ? grow : shrink;
   }
+}
+
+double max_rate_perturbation_percent(const DomainSet& domains) {
+  const std::vector<double> rates = domains.true_weights();
+  const double total = std::accumulate(rates.begin(), rates.end(), 0.0);
+  const double busiest = *std::max_element(rates.begin(), rates.end());
+  return 100.0 * (total / busiest - 1.0);
 }
 
 }  // namespace adattl::workload

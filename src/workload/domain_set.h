@@ -44,6 +44,13 @@ DomainSet make_uniform_domains(int k, int total_clients, double mean_think_sec);
 /// by scaling think times, so client counts stay integral.
 /// The DNS keeps using the *unperturbed* weights, which is exactly what
 /// "estimation error" means in the paper's setup.
+/// Throws std::invalid_argument when `error_percent` is negative or at
+/// least max_rate_perturbation_percent(domains).
 void apply_rate_perturbation(DomainSet& domains, double error_percent);
+
+/// The error at or past which apply_rate_perturbation would leave the
+/// domains other than the busiest no load: 100 (total / busiest - 1) over
+/// the true rates, 0 for one domain.
+double max_rate_perturbation_percent(const DomainSet& domains);
 
 }  // namespace adattl::workload

@@ -62,6 +62,36 @@ TEST(Config, ValidateCatchesEachBadField) {
   expect_bad([](SimulationConfig& c) { c.duration_sec = 0; });
   expect_bad([](SimulationConfig& c) { c.cluster.relative = {0.5, 1.0}; });
   expect_bad([](SimulationConfig& c) { c.session.min_hits_per_page = 0; });
+  expect_bad([](SimulationConfig& c) { c.scale = 0.0009; });
+  expect_bad([](SimulationConfig& c) {
+    c.total_clients = 1;
+    c.scale = 0.4;
+  });
+}
+
+TEST(Config, ValidateBoundsThePerturbationByThePopulation) {
+  // The busiest of 20 Zipf(1) domains over 500 clients holds 139 of them,
+  // so an error of 100 (500 / 139 - 1) = 259.7% or more would leave the
+  // other domains no load.
+  SimulationConfig c;
+  c.rate_perturbation_percent = 259.0;
+  EXPECT_NO_THROW(c.validate());
+  c.rate_perturbation_percent = 260.0;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  // One domain holds all the load: only no error at all leaves it some.
+  c.num_domains = 1;
+  c.rate_perturbation_percent = 0.0;
+  EXPECT_NO_THROW(c.validate());
+  c.rate_perturbation_percent = 1.0;
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+}
+
+TEST(Config, ScaledThrowsWhenThePopulationRoundsToNoClient) {
+  SimulationConfig c;
+  c.scale = 0.0009;  // 0.45 clients
+  EXPECT_THROW(c.scaled(), std::invalid_argument);
+  c.scale = 0.002;
+  EXPECT_EQ(c.scaled().total_clients, 1);
 }
 
 }  // namespace

@@ -120,6 +120,13 @@ TEST(Perturbation, RejectsImpossibleErrors) {
   EXPECT_THROW(apply_rate_perturbation(ds, -5.0), std::invalid_argument);
   // Growing the busiest domain beyond the whole total is impossible.
   EXPECT_THROW(apply_rate_perturbation(ds, 10000.0), std::invalid_argument);
+  // The bound the registry validates --error against: 7 and 3 clients
+  // allow up to 100 (10 / 7 - 1) = 42.9%, exclusive.
+  const double bound = max_rate_perturbation_percent(ds);
+  EXPECT_NEAR(bound, 100.0 * (10.0 / 7.0 - 1.0), 1e-9);
+  DomainSet below = ds;
+  EXPECT_NO_THROW(apply_rate_perturbation(below, bound - 1.0));
+  EXPECT_THROW(apply_rate_perturbation(ds, bound), std::invalid_argument);
   DomainSet single;
   single.clients = {5};
   single.mean_think_sec = {15.0};

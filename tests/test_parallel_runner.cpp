@@ -8,8 +8,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "experiment/parallel_executor.h"
@@ -176,6 +178,24 @@ TEST(ParallelRunner, ExecutorReusableAcrossBatches) {
   const experiment::SweepResult first = sweep.run(executor);
   const experiment::SweepResult second = sweep.run(executor);
   expect_identical(first.points[0], second.points[0]);
+}
+
+TEST(ParallelRunner, OneJobRunsTheBatchInOrderOnTheCaller) {
+  // A sharded site with ADATTL_JOBS=1 builds and runs its shards this
+  // way: in shard order, on the thread that called.
+  experiment::ParallelExecutor one(1);
+  std::vector<int> order;
+  std::vector<std::thread::id> threads;
+  std::vector<std::function<void()>> tasks;
+  for (int i = 0; i < 5; ++i) {
+    tasks.push_back([&order, &threads, i] {
+      order.push_back(i);
+      threads.push_back(std::this_thread::get_id());
+    });
+  }
+  one.run(std::move(tasks));
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  for (const std::thread::id id : threads) EXPECT_EQ(id, std::this_thread::get_id());
 }
 
 // ---- ReplicatedResult::mean_cdf_curve edge cases ----

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -27,6 +28,19 @@ SimulationConfig sharded_config(const std::string& policy = "DRR2-TTL/S_K") {
   cfg.shard_domains = true;
   cfg.shard_count = 4;
   return cfg;
+}
+
+// A site built with ADATTL_JOBS set to `jobs` (the variable is restored
+// after). The site sizes the pool that builds and runs its shards when it
+// is constructed, so its run() does not read the variable.
+std::unique_ptr<ShardedSite> site_on_jobs(const SimulationConfig& cfg, const char* jobs) {
+  struct Restore {
+    const char* saved = std::getenv("ADATTL_JOBS");
+    std::string value = saved ? saved : "";
+    ~Restore() { saved ? setenv("ADATTL_JOBS", value.c_str(), 1) : unsetenv("ADATTL_JOBS"); }
+  } restore;
+  EXPECT_EQ(setenv("ADATTL_JOBS", jobs, 1), 0);
+  return std::make_unique<ShardedSite>(cfg);
 }
 
 void expect_same_histogram(const sim::Histogram& a, const sim::Histogram& b) {
@@ -120,6 +134,44 @@ TEST(ShardedSite, WorkerCountDoesNotChangeResults) {
   expect_bit_identical(serial.run(one), parallel.run(four));
 }
 
+TEST(ShardedSite, ConcurrentBuildIsTheSerialBuild) {
+  // Every shard's stream is split before any shard is built, and shards
+  // share nothing mutable while they are built, so building them on four
+  // workers must give what one worker gives building them in shard order:
+  // the same clients and pending events in every shard before the run,
+  // and the same run after it. Faults, geography and the measured
+  // estimator put every component a shard builds into play.
+  for (int shards : {2, 3, 4}) {
+    SimulationConfig cfg = sharded_config();
+    cfg.shard_count = shards;
+    cfg.oracle_weights = false;
+    cfg.geo_regions = 3;
+    cfg.geo_intra_rtt_sec = 0.02;
+    cfg.geo_inter_rtt_sec = 0.2;
+    fault::CrashWindow crash;
+    crash.start_sec = 600.0;
+    crash.duration_sec = 300.0;
+    crash.server = 2;
+    cfg.faults.crashes.push_back(crash);
+    fault::DnsOutageWindow outage;
+    outage.start_sec = 900.0;
+    outage.duration_sec = 60.0;
+    cfg.faults.dns_outages.push_back(outage);
+    const std::unique_ptr<ShardedSite> one = site_on_jobs(cfg, "1");
+    const std::unique_ptr<ShardedSite> four = site_on_jobs(cfg, "4");
+    ASSERT_EQ(one->shard_count(), shards);
+    ASSERT_EQ(four->shard_count(), shards);
+    for (int s = 0; s < shards; ++s) {
+      EXPECT_EQ(one->shard(s).domains, four->shard(s).domains) << shards << " shards, shard " << s;
+      EXPECT_EQ(one->shard(s).clients->size(), four->shard(s).clients->size())
+          << shards << " shards, shard " << s;
+      EXPECT_EQ(one->shard(s).sim->pending(), four->shard(s).sim->pending())
+          << shards << " shards, shard " << s;
+    }
+    expect_bit_identical(one->run(), four->run());
+  }
+}
+
 TEST(ShardedSite, DefaultShardCountDoesNotDependOnTheHost) {
   // shard_count left at its default: the layout and the RNG split must not
   // follow ADATTL_JOBS (or the CPU count), or one config would give
@@ -130,21 +182,10 @@ TEST(ShardedSite, DefaultShardCountDoesNotDependOnTheHost) {
   cfg.warmup_sec = 60.0;
   cfg.duration_sec = 600.0;
   cfg.shard_domains = true;
-  const char* saved = std::getenv("ADATTL_JOBS");
-  const std::string restore = saved ? saved : "";
-  ASSERT_EQ(setenv("ADATTL_JOBS", "1", 1), 0);
-  ShardedSite one(cfg);
-  const RunResult r1 = one.run();
-  ASSERT_EQ(setenv("ADATTL_JOBS", "4", 1), 0);
-  ShardedSite four(cfg);
-  const RunResult r4 = four.run();
-  if (saved) {
-    setenv("ADATTL_JOBS", restore.c_str(), 1);
-  } else {
-    unsetenv("ADATTL_JOBS");
-  }
-  EXPECT_EQ(one.shard_count(), four.shard_count());
-  expect_bit_identical(r1, r4);
+  const std::unique_ptr<ShardedSite> one = site_on_jobs(cfg, "1");
+  const std::unique_ptr<ShardedSite> four = site_on_jobs(cfg, "4");
+  EXPECT_EQ(one->shard_count(), four->shard_count());
+  expect_bit_identical(one->run(), four->run());
 }
 
 TEST(ShardedSite, LayoutOwnsEveryDomainOnceAscendingAndDeterministic) {
