@@ -18,9 +18,9 @@ using adattl::sim::Simulator;
 
 /// The memory an event's owner keeps, as the client pool keeps a 128-byte
 /// record per client. Each callback below reads and writes its own record
-/// first and names it as its event's target hint, so these rows run the
-/// path a simulation runs: Simulator::after with a hint, and fire_next
-/// (with its slot, hint and heap-level prefetches) through run_until.
+/// first, so these rows run the path a simulation runs: Simulator::after
+/// or after_owned, and fire_next (with its slot or record prefetch and the
+/// heap-level prefetches) through run_until.
 struct alignas(64) Record {
   std::uint64_t fired = 0;
   std::uint64_t rest[15] = {};
@@ -28,7 +28,7 @@ struct alignas(64) Record {
 static_assert(sizeof(Record) == 128, "a record spans two cache lines");
 
 void BM_ScheduleFire(benchmark::State& state) {
-  // n events at random times, then all of them fired.
+  // n closure events at random times, then all of them fired.
   const int n = static_cast<int>(state.range(0));
   RngStream rng(1);
   std::vector<double> times(static_cast<std::size_t>(n));
@@ -38,7 +38,7 @@ void BM_ScheduleFire(benchmark::State& state) {
     Simulator sim;
     for (std::size_t i = 0; i < times.size(); ++i) {
       Record* r = &records[i];
-      sim.after(times[i], [r] { ++r->fired; }, r);
+      sim.after(times[i], [r] { ++r->fired; });
     }
     sim.run_until(1e6);
   }
@@ -47,19 +47,21 @@ void BM_ScheduleFire(benchmark::State& state) {
 }
 BENCHMARK(BM_ScheduleFire)->Arg(1000)->Arg(10000)->Arg(100000);
 
-/// A client's think timer: each firing schedules its owner's next one.
-struct Churn {
+/// Clients' think timers, as the simulator's owner: each firing of client
+/// i's one pending event schedules its next one by index.
+struct ChurnOwner {
   Simulator* sim;
   RngStream* rng;
-  Record* rec;
-  void operator()() const {
-    ++rec->fired;
-    sim->after(rng->exponential(15.0), *this, rec);
+  std::vector<Record>* records;
+  static void fire(void* ctx, std::uint32_t i) {
+    const auto& self = *static_cast<const ChurnOwner*>(ctx);
+    ++(*self.records)[i].fired;
+    self.sim->after_owned(self.rng->exponential(15.0), i);
   }
 };
 
-void BM_SteadyStateChurnFire(benchmark::State& state) {
-  // The simulation's actual access pattern: ~#clients resident events,
+void BM_SteadyStateOwnedFire(benchmark::State& state) {
+  // The simulation's client pattern: ~#clients resident owned events,
   // each firing scheduling its successor. One iteration advances
   // simulated time by the span in which about 64 events fall; the rate
   // counts the events fired.
@@ -67,14 +69,16 @@ void BM_SteadyStateChurnFire(benchmark::State& state) {
   RngStream rng(2);
   Simulator sim;
   std::vector<Record> records(static_cast<std::size_t>(resident));
-  for (Record& r : records) sim.after(rng.uniform(0.0, 30.0), Churn{&sim, &rng, &r}, &r);
+  ChurnOwner owner{&sim, &rng, &records};
+  sim.set_owner({&ChurnOwner::fire, &owner, records.data(), sizeof(Record)});
+  for (std::uint32_t i = 0; i < records.size(); ++i) sim.after_owned(rng.uniform(0.0, 30.0), i);
   const double step = 64 * 15.0 / resident;
   double horizon = 0.0;
   std::uint64_t fired = 0;
   for (auto _ : state) fired += sim.run_until(horizon += step);
   state.SetItemsProcessed(static_cast<std::int64_t>(fired));
 }
-BENCHMARK(BM_SteadyStateChurnFire)->Arg(500)->Arg(5000)->Arg(50000);
+BENCHMARK(BM_SteadyStateOwnedFire)->Arg(500)->Arg(5000)->Arg(50000);
 
 void BM_CancelHeavyFire(benchmark::State& state) {
   // TTL-expiry style workloads cancel many events before they fire: half
@@ -89,7 +93,7 @@ void BM_CancelHeavyFire(benchmark::State& state) {
     handles.clear();
     for (Record& rec : records) {
       Record* r = &rec;
-      handles.push_back(sim.after(rng.uniform(0.0, 1e4), [r] { ++r->fired; }, r));
+      handles.push_back(sim.after(rng.uniform(0.0, 1e4), [r] { ++r->fired; }));
     }
     state.ResumeTiming();
     for (std::size_t i = 0; i < handles.size(); i += 2) sim.cancel(handles[i]);

@@ -90,6 +90,8 @@ BENCHMARK(BM_ScaleSetup)
     ->Unit(benchmark::kMillisecond);
 
 void BM_ScaleShards(benchmark::State& state) {
+  // Ten repetitions: with three, a row's range was too wide to resolve a
+  // change under about 40%.
   const int shards = static_cast<int>(state.range(0));
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -108,7 +110,7 @@ BENCHMARK(BM_ScaleShards)
     ->Arg(2)
     ->Arg(4)
     ->Iterations(1)
-    ->Repetitions(3)
+    ->Repetitions(10)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -837,8 +837,9 @@ ParamRegistry::ParamRegistry() {
     s.group = "run";
     s.hint = "J";
     s.doc =
-        "parallel workers (1 = serial; results identical either way); a sharded run builds "
-        "and runs its shards on ADATTL_JOBS workers, clamped to the shard count";
+        "parallel workers (1 = serial; results identical either way); each sharded "
+        "replication builds and runs its shards on J / min(J, replications) of them (at "
+        "least 1), clamped to the shard count";
     s.in_dump = false;      // execution parallelism, not part of the run's identity
     s.in_manifest = false;  // must not vary report JSON across --jobs
     s.set = [](C& o, const std::string& v) {

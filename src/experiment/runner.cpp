@@ -1,5 +1,6 @@
 #include "experiment/runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <mutex>
@@ -56,6 +57,14 @@ std::size_t Sweep::add_policy(SimulationConfig base, const std::string& policy,
   return add(std::move(base), replications, label.empty() ? policy : std::move(label));
 }
 
+int Sweep::site_workers(int jobs) const {
+  jobs = std::max(jobs, 1);
+  std::size_t replications = 0;
+  for (const Point& p : points_) replications += static_cast<std::size_t>(p.replications);
+  const auto at_once = std::clamp<std::size_t>(replications, 1, static_cast<std::size_t>(jobs));
+  return std::max(1, jobs / static_cast<int>(at_once));
+}
+
 SweepResult Sweep::run(ParallelExecutor& executor, ProgressFn on_point_done) const {
   using Clock = std::chrono::steady_clock;
   const auto since = [](Clock::time_point start) {
@@ -82,21 +91,23 @@ SweepResult Sweep::run(ParallelExecutor& executor, ProgressFn on_point_done) con
 
   std::mutex mutex;  // guards state, completed count, and progress delivery
   std::size_t completed = 0;
+  const int workers = site_workers(executor.jobs());
   const auto start = Clock::now();
 
   std::vector<std::function<void()>> tasks;
   for (std::size_t p = 0; p < points_.size(); ++p) {
     for (int i = 0; i < points_[p].replications; ++i) {
       tasks.push_back([this, &out, &state, &mutex, &completed, &on_point_done, &since,
-                       start, p, i] {
+                       start, workers, p, i] {
         SimulationConfig config = points_[p].config;
         config.seed = points_[p].config.seed + static_cast<std::uint64_t>(i);
         const auto run_start = Clock::now();
         RunResult result;
         if (config.shard_domains) {
           // Sharded runs parallelize internally over their own pool (the
-          // sweep executor is not reentrant from inside a task).
-          ShardedSite site(config);
+          // sweep executor is not reentrant from inside a task), sized to
+          // the share of the sweep's threads this replication leaves.
+          ShardedSite site(config, workers);
           result = site.run();
         } else {
           Site site(config);

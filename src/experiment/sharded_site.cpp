@@ -33,12 +33,15 @@ std::vector<int> partition_by_load(const std::vector<double>& load, int num_shar
 
 }  // namespace
 
-ShardedSite::ShardedSite(const SimulationConfig& config)
+ShardedSite::ShardedSite(const SimulationConfig& config) : ShardedSite(config, default_jobs()) {}
+
+ShardedSite::ShardedSite(const SimulationConfig& config, int workers)
     : config_(config.scaled()), slices_(config_) {
   obs::Stopwatch setup_watch;
   if (!config_.shard_domains) {
     throw std::invalid_argument("ShardedSite: config.shard_domains must be set");
   }
+  if (workers < 1) throw std::invalid_argument("ShardedSite: workers must be >= 1");
 
   // ---- Shard layout: offered load balanced over min(S, D) shards ----
   const int num_shards = std::min(config_.shard_count, config_.num_domains);
@@ -59,7 +62,7 @@ ShardedSite::ShardedSite(const SimulationConfig& config)
                      num_shards == 1 ? sim::RngStream(config_.seed) : master.split()});
   }
   // Build the shards concurrently, on the pool that run() advances them on.
-  pool_ = std::make_unique<ParallelExecutor>(std::min(default_jobs(), num_shards));
+  pool_ = std::make_unique<ParallelExecutor>(std::min(workers, num_shards));
   slices_.build(std::move(specs), *pool_);
   // Cumulative busy time is 0 at t = 0, matching MonitorHub::start().
   prev_busy_.assign(static_cast<std::size_t>(num_shards),

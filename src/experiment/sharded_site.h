@@ -65,6 +65,10 @@ class ShardedSite {
   /// keeps for run(); with 1, they are built in shard order on the calling
   /// thread and no thread starts.
   explicit ShardedSite(const SimulationConfig& config);
+  /// As above, on a pool of `workers` clamped to the shard count. Throws
+  /// std::invalid_argument if `workers` < 1. The result does not depend
+  /// on `workers`.
+  ShardedSite(const SimulationConfig& config, int workers);
 
   ShardedSite(const ShardedSite&) = delete;
   ShardedSite& operator=(const ShardedSite&) = delete;

@@ -61,10 +61,6 @@ SimTime time_of(std::uint64_t key) {
   return std::bit_cast<SimTime>(key ^ (((key >> 63) - 1) | (std::uint64_t{1} << 63)));
 }
 
-// The target of an event scheduled without a hint: two lines that are
-// always mapped, so fire_next() prefetches a hint without checking it.
-alignas(64) constexpr std::byte kNoTarget[128]{};
-
 // The address `offset` bytes past `base`, computed as an integer: a
 // prefetch of it never faults, but a pointer formed past the end of the
 // object `base` points into would be undefined.
@@ -74,17 +70,32 @@ const void* byte_offset(const void* base, std::size_t offset) {
 
 }  // namespace
 
-void EventQueue::throw_past_bound(bool slots) {
-  throw std::length_error(slots ? "EventQueue: more than " + std::to_string(kMaxSlots) +
-                                      " live events"
-                                : "EventQueue: more than " + std::to_string(kMaxSeq) +
-                                      " events scheduled");
+void EventQueue::throw_past_bound(Bound bound) {
+  switch (bound) {
+    case Bound::kSlots:
+      throw std::length_error("EventQueue: more than " + std::to_string(kMaxSlots) +
+                              " live events");
+    case Bound::kOwnedIndex:
+      throw std::length_error("EventQueue: owned event index not below " +
+                              std::to_string(kMaxSlots));
+    case Bound::kSeq:
+      break;
+  }
+  throw std::length_error("EventQueue: more than " + std::to_string(kMaxSeq) +
+                          " events scheduled");
+}
+
+void EventQueue::set_owner(const Owner& owner) {
+  if (owner.fire == nullptr) throw std::logic_error("EventQueue: an owner needs a fire function");
+  if (owner_.fire != nullptr && owner_.ctx != owner.ctx) {
+    throw std::logic_error("EventQueue: the queue already has an owner");
+  }
+  owner_ = owner;
 }
 
 void EventQueue::reserve(std::size_t n) {
   heap_.reserve(n);
   slots_.reserve(n);
-  hints_.reserve(n);
   free_slots_.reserve(n);
 }
 
@@ -95,7 +106,6 @@ std::uint32_t EventQueue::acquire_slot() {
     return s;
   }
   slots_.emplace_back();
-  hints_.push_back(kNoTarget);
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -107,7 +117,7 @@ void EventQueue::release_slot(std::uint32_t slot) {
   free_slots_.push_back(slot);
 }
 
-EventHandle EventQueue::schedule(SimTime at, Callback cb, const void* hint) {
+EventHandle EventQueue::schedule(SimTime at, Callback cb) {
   assert(cb && "cannot schedule an empty callback");
   // Packed before anything changes: past a bound the queue throws as it was.
   const std::uint64_t tag =
@@ -116,8 +126,20 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb, const void* hint) {
   Slot& s = slots_[slot];
   s.cb = std::move(cb);
   s.seq = next_seq_++;
-  hints_[slot] = hint != nullptr ? hint : kNoTarget;
-  const HeapItem item{time_key(at), tag};
+  push(HeapItem{time_key(at), tag});
+  return EventHandle{(static_cast<std::uint64_t>(slot) << 32) | s.gen};
+}
+
+void EventQueue::schedule_owned(SimTime at, std::uint32_t index) {
+  if (owner_.fire == nullptr) [[unlikely]] {
+    throw std::logic_error("EventQueue: an owned event on a queue without an owner");
+  }
+  const std::uint64_t tag = pack_tag(next_seq_, index, true);
+  ++next_seq_;
+  push(HeapItem{time_key(at), tag});
+}
+
+void EventQueue::push(HeapItem item) {
   if (root_vacant_) {
     // The first successor of a firing event takes its root.
     root_vacant_ = false;
@@ -131,7 +153,6 @@ EventHandle EventQueue::schedule(SimTime at, Callback cb, const void* hint) {
     sift_up(heap_.size() - 1, item);
   }
   if (++live_ > peak_size_) peak_size_ = live_;
-  return EventHandle{(static_cast<std::uint64_t>(slot) << 32) | s.gen};
 }
 
 bool EventQueue::cancel(EventHandle h) {
@@ -159,8 +180,13 @@ SimTime EventQueue::next_time() const {
 std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
   assert(live_ > 0 && !root_vacant_);
   const HeapItem top = heap_.front();
-  Callback cb = std::move(slots_[slot_of(top)].cb);
-  release_slot(slot_of(top));
+  Callback cb;
+  if (owned(top)) {
+    cb = [fire = owner_.fire, ctx = owner_.ctx, index = slot_of(top)] { fire(ctx, index); };
+  } else {
+    cb = std::move(slots_[slot_of(top)].cb);
+    release_slot(slot_of(top));
+  }
   --live_;
   remove_root();
   drop_dead_root();
@@ -170,25 +196,39 @@ std::pair<SimTime, EventQueue::Callback> EventQueue::pop() {
 void EventQueue::fire_next(SimTime& now) {
   assert(live_ > 0 && !root_vacant_);
   const HeapItem top = heap_.front();
-  Callback cb = std::move(slots_[slot_of(top)].cb);
-  release_slot(slot_of(top));
   --live_;
   now = time_of(top.time_key);
   root_vacant_ = true;
-  // The root's least child is the next event unless the callback schedules
-  // an earlier one. Its family is the line the successor's sift reads first
-  // anyway; its slot and the two lines at its hint are random lines the
-  // next fire would otherwise wait on. (Inline on purpose: GCC deems a
-  // function that only prefetches pure, and drops a call to it whose
-  // result goes unused.)
+  // The root's least child is the next event unless this one schedules an
+  // earlier one. Its family is the line the successor's sift reads first
+  // anyway; where it is read first, its slot or its owner's record, is two
+  // random lines the next fire would otherwise wait on. The tag alone
+  // gives the address, so no load stands between the child's entry and the
+  // prefetch. The kind selects base, stride and the second line's offset
+  // through a mask, so no branch depends on which kind comes next; a slot
+  // is one line, so its second prefetch is the first again. (Inline on
+  // purpose: GCC deems a function that only prefetches pure, and drops a
+  // call to it whose result goes unused.)
   if (heap_.size() > 1) {
-    const std::uint32_t next = slot_of(heap_[least_child(heap_.data(), 1, heap_.size())]);
-    __builtin_prefetch(&slots_[next]);
-    __builtin_prefetch(hints_[next]);
-    __builtin_prefetch(byte_offset(hints_[next], 64));
+    const std::uint64_t next = heap_[least_child(heap_.data(), 1, heap_.size())].tag;
+    const std::uintptr_t owned_mask = 0 - ((next >> kSlotBits) & 1);
+    const std::uintptr_t base =
+        (reinterpret_cast<std::uintptr_t>(owner_.records) & owned_mask) |
+        (reinterpret_cast<std::uintptr_t>(slots_.data()) & ~owned_mask);
+    const std::size_t stride = (owner_.stride & owned_mask) | (sizeof(Slot) & ~owned_mask);
+    const void* first =
+        byte_offset(reinterpret_cast<const void*>(base), (next & kSlotMask) * stride);
+    __builtin_prefetch(first);
+    __builtin_prefetch(byte_offset(first, 64 & owned_mask));
   }
   try {
-    cb();
+    if (owned(top)) {
+      owner_.fire(owner_.ctx, slot_of(top));
+    } else {
+      Callback cb = std::move(slots_[slot_of(top)].cb);
+      release_slot(slot_of(top));
+      cb();
+    }
   } catch (...) {
     finish_fire();
     throw;

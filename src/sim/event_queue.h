@@ -25,9 +25,17 @@ struct EventHandle {
   explicit operator bool() const { return id != 0; }
 };
 
-/// Min-heap of timestamped callbacks with stable FIFO ordering among
-/// events scheduled for the same instant (ties break by insertion order,
-/// which keeps simulations deterministic for a fixed seed).
+/// Min-heap of timestamped events with stable FIFO ordering among events
+/// scheduled for the same instant (ties break by insertion order, which
+/// keeps simulations deterministic for a fixed seed).
+///
+/// An event is one of two kinds:
+///  * a *closure event* carries a callback, held in a slot of the queue's
+///    slot table until it fires or is cancelled;
+///  * an *owned event* carries only an index. A queue has at most one
+///    owner (set_owner), an object with a record per index, such as a
+///    client pool; firing owned event i calls the owner with i. An owned
+///    event takes no slot and no callback, and cannot be cancelled.
 ///
 /// Internals are built for the simulation's steady-state churn (fire one
 /// event, schedule its successor, ~1.5M times per run), so that each
@@ -37,26 +45,24 @@ struct EventHandle {
 ///    that root instead of being appended and sifted up, so a near-future
 ///    successor (a service completion) stops after a level or two;
 ///  * the heap holds 16-byte (time key, tag) entries in a 4-ary layout,
-///    where the tag packs the event's seq above its slot index. Seqs are
-///    unique, so one unsigned 128-bit compare of (time key, tag) orders
-///    entries exactly by (time, seq), and each level picks the least of
-///    four children without a data-dependent branch;
+///    where the tag packs the event's seq above an owned bit and an index
+///    (the slot of a closure event, the owner's index of an owned one).
+///    Seqs are unique, so one unsigned 128-bit compare of (time key, tag)
+///    orders entries exactly by (time, seq), and each level picks the
+///    least of four children without a data-dependent branch;
 ///  * the heap's buffer puts entry 1 on a cache-line boundary, so the four
 ///    children of every node are exactly one 64-byte line: one line per
 ///    sift level;
 ///  * callbacks live in a slot table addressed by the heap entries and
 ///    never move during sifts; slots are recycled via a free list, so the
-///    table is bounded by the maximum number of *live* events;
+///    table is bounded by the maximum number of live closure events;
 ///  * a slot is one 64-byte, line-aligned cache line (callback, seq,
-///    generation), so firing an event reads one line of the table, and
-///    fire_next() prefetches the slot of the root's least child, the next
-///    event unless the callback schedules an earlier one, before it runs
-///    the callback;
-///  * an event may carry a target hint, the memory its callback reads
-///    first (a client's record). Hints live in a dense array of 8 bytes
-///    per slot beside the slot table, and fire_next() prefetches the two
-///    lines at the next event's hint along with its slot, so that memory
-///    also loads while the current callback runs;
+///    generation), so firing a closure event reads one line of the table;
+///  * before fire_next() runs an event, it prefetches the two lines where
+///    the root's least child (the next event, unless this one schedules an
+///    earlier one) is read first: its slot, or for an owned event the
+///    owner's record, whose address the index in the heap entry gives with
+///    no load;
 ///  * sift_down() prefetches the four lines of the next level's families
 ///    before it compares the current one, so a deep sift's misses overlap
 ///    instead of waiting one per level;
@@ -65,9 +71,10 @@ struct EventHandle {
 ///    vectors reach steady-state capacity, and moving a callback in or out
 ///    of its slot is a `memcpy` with no indirect call.
 ///
-/// The tag bounds a queue to kMaxSlots live events and kMaxSeq schedules
-/// over its lifetime; schedule() throws std::length_error rather than
-/// wrap past either.
+/// The tag bounds a queue to kMaxSlots live closure events, owned indices
+/// below kMaxSlots, and kMaxSeq schedules over its lifetime; schedule()
+/// and schedule_owned() throw std::length_error rather than wrap past
+/// any of them.
 ///
 /// cancel() is lazy: it frees the slot at once and leaves the heap entry
 /// behind as a tombstone (its seq no longer matches the slot's), which is
@@ -79,30 +86,65 @@ class EventQueue {
  public:
   using Callback = InlineCallback;
 
-  /// Low bits of a heap entry's tag: the slot index.
+  /// Low bits of a heap entry's tag: the slot or owned index.
   static constexpr unsigned kSlotBits = 24;
-  /// Most events a queue holds live at once (slots 0 .. kMaxSlots - 1).
+  /// Most closure events a queue holds live at once (slots 0 ..
+  /// kMaxSlots - 1); owned indices are below it too.
   static constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << kSlotBits;
+  /// The tag bit above the index that marks an owned event.
+  static constexpr std::uint64_t kOwnedBit = kMaxSlots;
+  /// The tag's seq lies above the owned bit.
+  static constexpr unsigned kSeqShift = kSlotBits + 1;
   /// Most events a queue schedules over its lifetime (seqs 1 .. kMaxSeq).
-  static constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << (64 - kSlotBits)) - 1;
+  static constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << (64 - kSeqShift)) - 1;
 
-  /// A heap entry's tag, `seq << kSlotBits | slot`. Throws
-  /// std::length_error, naming the bound, if `seq` exceeds kMaxSeq or
-  /// `slot` is not below kMaxSlots.
-  static std::uint64_t pack_tag(std::uint64_t seq, std::uint64_t slot) {
-    if (slot >= kMaxSlots || seq > kMaxSeq) [[unlikely]] throw_past_bound(slot >= kMaxSlots);
-    return seq << kSlotBits | slot;
+  /// A heap entry's tag, `seq << kSeqShift | owned << kSlotBits | index`.
+  /// Throws std::length_error, naming the bound, if `seq` exceeds kMaxSeq
+  /// or `index` is not below kMaxSlots.
+  static std::uint64_t pack_tag(std::uint64_t seq, std::uint64_t index, bool owned = false) {
+    if (index >= kMaxSlots || seq > kMaxSeq) [[unlikely]] {
+      throw_past_bound(index >= kMaxSlots ? (owned ? Bound::kOwnedIndex : Bound::kSlots)
+                                          : Bound::kSeq);
+    }
+    return seq << kSeqShift | (owned ? kOwnedBit : 0) | index;
   }
 
-  /// Schedules `cb` at absolute time `at`. Precondition: `at` must not be
-  /// in the past relative to the last fired event (checked by Simulator).
-  /// `hint`, if not null, points into the object `cb` reads first; it must
-  /// outlive the event. The queue never reads through it: it only
-  /// prefetches the two lines there one event ahead, so a hint changes
-  /// speed, never order. Throws std::length_error, leaving the queue
-  /// unchanged, if the event would be the kMaxSlots + 1-th live one or the
-  /// kMaxSeq + 1-th ever scheduled.
-  EventHandle schedule(SimTime at, Callback cb, const void* hint = nullptr);
+  /// What fire_next() calls to fire owned event `index`: `fire(ctx, index)`.
+  using OwnerFire = void (*)(void* ctx, std::uint32_t index);
+
+  /// The one owner of a queue's owned events. Owned event i reads first
+  /// the record at `records + i * stride`, whose first two lines
+  /// fire_next() prefetches one event ahead; the queue never reads
+  /// through `records`, so a stale base changes speed, never order.
+  struct Owner {
+    OwnerFire fire = nullptr;
+    void* ctx = nullptr;
+    const void* records = nullptr;
+    std::size_t stride = 0;
+  };
+
+  /// Registers the queue's owner. The owner must outlive its pending
+  /// events. Registering the same `ctx` again replaces its entry (an owner
+  /// whose records moved passes the new base); a different owner throws
+  /// std::logic_error, as does an owner without a fire function.
+  void set_owner(const Owner& owner);
+
+  /// Schedules a closure event: `cb` at absolute time `at`. Precondition:
+  /// `at` must not be in the past relative to the last fired event
+  /// (checked by Simulator). Throws std::length_error, leaving the queue
+  /// unchanged, if the event would be the kMaxSlots + 1-th live closure
+  /// event or the kMaxSeq + 1-th event ever scheduled.
+  EventHandle schedule(SimTime at, Callback cb);
+
+  /// Schedules owned event `index` at absolute time `at` (the same
+  /// precondition). It draws its seq from the counter closure events
+  /// draw from, so the two kinds interleave in (time, seq) order. Throws
+  /// std::logic_error if the queue has no owner, and std::length_error,
+  /// naming the bound, if `index` is not below kMaxSlots or the seqs are
+  /// spent; either way the queue is unchanged. The queue fires every owned
+  /// event it was given, so an owner that allows one pending event per
+  /// index checks that itself.
+  void schedule_owned(SimTime at, std::uint32_t index);
 
   /// Cancels a pending event. Returns true if the event was still pending.
   bool cancel(EventHandle h);
@@ -117,20 +159,22 @@ class EventQueue {
   /// fire_next() callback is running.
   SimTime next_time() const;
 
-  /// Removes and returns the earliest live event. Precondition: !empty(),
-  /// and no fire_next() callback is running.
+  /// Removes and returns the earliest live event; an owned event comes
+  /// back as a callback that calls its owner. Precondition: !empty(), and
+  /// no fire_next() callback is running.
   std::pair<SimTime, Callback> pop();
 
-  /// Fires the earliest live event in place: frees its slot, sets `now`
-  /// to its time and runs its callback. The first event the callback
-  /// schedules takes the vacated root; if it schedules none, the root is
-  /// removed as pop() removes it. A throwing callback leaves the queue
-  /// consistent and the exception propagates. Precondition: !empty(), and
-  /// no other fire_next() callback is running.
+  /// Fires the earliest live event in place: sets `now` to its time and
+  /// runs its callback (freeing its slot first) or calls its owner. The
+  /// first event the callback or owner schedules takes the vacated root;
+  /// if it schedules none, the root is removed as pop() removes it. A
+  /// throwing callback or owner leaves the queue consistent and the
+  /// exception propagates. Precondition: !empty(), and no other
+  /// fire_next() callback is running.
   void fire_next(SimTime& now);
 
-  /// Pre-sizes the heap, slot table, hint array and free list for `n`
-  /// concurrent events so the first n schedules allocate nothing.
+  /// Pre-sizes the heap, slot table and free list for `n` concurrent
+  /// events so the first n schedules allocate nothing.
   void reserve(std::size_t n);
 
   // ---- Kernel health (always-on, trivially cheap) ----
@@ -145,7 +189,7 @@ class EventQueue {
   // never moves during sifts.
   struct HeapItem {
     std::uint64_t time_key;  // the time's bits, remapped so unsigned order is time order
-    std::uint64_t tag;       // pack_tag(seq, slot): lower seq fires first
+    std::uint64_t tag;       // pack_tag(seq, index, owned): lower seq fires first
   };
   static_assert(sizeof(HeapItem) == 16, "four heap entries fill one cache line");
 
@@ -153,6 +197,7 @@ class EventQueue {
   static std::uint32_t slot_of(const HeapItem& item) {
     return static_cast<std::uint32_t>(item.tag & kSlotMask);
   }
+  static bool owned(const HeapItem& item) { return (item.tag & kOwnedBit) != 0; }
 
   // Allocates the heap's entries with entry 1 on a cache-line boundary:
   // the children of node i are entries 4i+1 .. 4i+4, which then always
@@ -189,12 +234,15 @@ class EventQueue {
   static_assert(alignof(Slot) == 64, "an event slot starts a cache line");
 
   /// A heap entry whose event was cancelled (its slot was freed, and may
-  /// since hold a newer event with a larger seq).
+  /// since hold a newer event with a larger seq). Owned events are never
+  /// cancelled.
   bool dead(const HeapItem& item) const {
-    return slots_[slot_of(item)].seq != item.tag >> kSlotBits;
+    return !owned(item) && slots_[slot_of(item)].seq != item.tag >> kSeqShift;
   }
 
-  [[noreturn]] static void throw_past_bound(bool slots);
+  enum class Bound { kSlots, kOwnedIndex, kSeq };
+  [[noreturn]] static void throw_past_bound(Bound bound);
+  void push(HeapItem item);
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
   void remove_root();
@@ -206,12 +254,8 @@ class EventQueue {
 
   std::vector<HeapItem, ChildLineAllocator<HeapItem>> heap_;  // live entries plus tombstones
   std::vector<Slot> slots_;
-  /// hints_[s]: where slot s's callback reads first, never null (an event
-  /// without a hint gets a static block, so fire_next() prefetches without
-  /// a branch). Kept apart from the slot: fire_next() reads the next
-  /// event's hint while that slot's own line is still on its way.
-  std::vector<const void*> hints_;
   std::vector<std::uint32_t> free_slots_;
+  Owner owner_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
   std::size_t peak_size_ = 0;

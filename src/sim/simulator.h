@@ -14,7 +14,9 @@ namespace adattl::sim {
 /// Components schedule callbacks at absolute or relative simulated times;
 /// run_until()/run() dispatch them in timestamp order (FIFO among equal
 /// timestamps). This is the CSIM-replacement kernel the whole model runs
-/// on: clients, servers, monitors and the DNS are all just event closures.
+/// on: servers, monitors and the DNS are all just event closures, and the
+/// client pool, as the simulator's one owner, schedules its clients'
+/// events by index.
 ///
 /// The kernel is single-threaded by design — runs are deterministic given
 /// a fixed seed, which the statistics methodology (replications with
@@ -43,18 +45,20 @@ class Simulator {
   /// completions, RTT legs), so it validates the delay sign directly:
   /// `now_ + delay >= now_` holds for any delay >= 0 under IEEE rounding,
   /// which skips the redundant absolute past-time comparison in at().
-  ///
-  /// `hint` names the memory `cb` reads first, such as its owner's record.
-  /// It must point into an object that outlives the event, or be null.
-  /// The kernel prefetches the two lines at the next event's hint while the
-  /// current callback runs, and never reads through it, so a hint changes
-  /// how fast a run goes, never what it computes.
-  EventHandle after(SimTime delay, EventQueue::Callback cb, const void* hint = nullptr) {
-    if (!(delay >= 0.0)) {
-      throw std::invalid_argument(std::isnan(delay) ? "Simulator::after: NaN delay"
-                                                    : "Simulator::after: negative delay");
-    }
-    return queue_.schedule(now_ + delay, std::move(cb), hint);
+  EventHandle after(SimTime delay, EventQueue::Callback cb) {
+    check_delay(delay);
+    return queue_.schedule(now_ + delay, std::move(cb));
+  }
+
+  /// Registers the one owner of this simulator's owned events (see
+  /// EventQueue::set_owner).
+  void set_owner(const EventQueue::Owner& owner) { queue_.set_owner(owner); }
+
+  /// Schedules the owner's event `index` `delay` seconds from now; it
+  /// validates the delay as after() does (see EventQueue::schedule_owned).
+  void after_owned(SimTime delay, std::uint32_t index) {
+    check_delay(delay);
+    queue_.schedule_owned(now_ + delay, index);
   }
 
   /// Cancels a pending event; returns true if it was still pending.
@@ -88,6 +92,13 @@ class Simulator {
   /// The one dispatch loop: fires events in place while the earliest is
   /// at or before `end`.
   std::uint64_t dispatch(SimTime end);
+
+  static void check_delay(SimTime delay) {
+    if (!(delay >= 0.0)) {
+      throw std::invalid_argument(std::isnan(delay) ? "Simulator::after: NaN delay"
+                                                    : "Simulator::after: negative delay");
+    }
+  }
 
   EventQueue queue_;
   SimTime now_ = 0.0;

@@ -75,6 +75,16 @@ ClientPool::ClientPool(sim::Simulator& sim, web::PageDispatcher& dispatcher,
   for (int d = 0; d < think_.num_domains(); ++d) {
     domain_response_.emplace_back(30.0, 600);
   }
+  own_simulator();
+}
+
+void ClientPool::own_simulator() {
+  sim_.set_owner({&ClientPool::fire, this, recs_.data(), sizeof(Rec)});
+}
+
+void ClientPool::reserve(std::size_t clients) {
+  recs_.reserve(clients);
+  own_simulator();
 }
 
 std::size_t ClientPool::add(dnscache::Resolver& resolver, sim::RngStream rng) {
@@ -85,6 +95,7 @@ std::size_t ClientPool::add(dnscache::Resolver& resolver, sim::RngStream rng) {
     throw std::invalid_argument("Client: resolver domain outside geo model");
   }
   recs_.emplace_back(rng, &resolver);
+  own_simulator();  // the records may have moved
   return recs_.size() - 1;
 }
 
@@ -93,8 +104,35 @@ void ClientPool::start(std::size_t i, double initial_delay) {
     throw std::out_of_range("ClientPool::start: no client " + std::to_string(i) + " (pool has " +
                             std::to_string(recs_.size()) + ")");
   }
-  const auto idx = static_cast<std::uint32_t>(i);
-  sim_.after(initial_delay, [this, idx] { begin_session(idx); }, &recs_[i]);
+  // A started client has a pending event, which wake() rejects, or a page
+  // at a server, which only a session can have sent.
+  if (recs_[i].sessions > 0) throw_not_idle(i, "was already started");
+  wake(static_cast<std::uint32_t>(i), Event::kBeginSession, initial_delay);
+}
+
+void ClientPool::throw_not_idle(std::size_t i, const char* what) {
+  throw std::logic_error("ClientPool: client " + std::to_string(i) + " " + what);
+}
+
+void ClientPool::wake(std::uint32_t i, Event next, double delay) {
+  Rec& c = recs_[i];
+  if (c.next != Event::kNone) [[unlikely]] throw_not_idle(i, "already has a pending event");
+  sim_.after_owned(delay, i);
+  c.next = next;
+}
+
+void ClientPool::fire(void* pool, std::uint32_t i) {
+  ClientPool& self = *static_cast<ClientPool*>(pool);
+  Rec& c = self.recs_[i];
+  const Event next = c.next;
+  c.next = Event::kNone;
+  switch (next) {
+    case Event::kBeginSession: return self.begin_session(i);
+    case Event::kArrive: return self.arrive(i);
+    case Event::kRetryPage: return self.retry_page(i);
+    case Event::kNone: break;
+  }
+  throw_not_idle(i, "fired with no pending event");
 }
 
 ClientPool::Totals ClientPool::totals() const {
@@ -116,7 +154,7 @@ void ClientPool::begin_session(std::uint32_t i) {
     // DNS outage against a cold NS cache: nothing to stale-serve. The
     // session has not started — try again shortly.
     ++c.resolution_failures;
-    sim_.after(retry_delay_sec_, [this, i] { begin_session(i); }, &c);
+    wake(i, Event::kBeginSession, retry_delay_sec_);
     return;
   }
   ++c.sessions;
@@ -136,7 +174,7 @@ void ClientPool::dispatch_request(std::uint32_t i) {
     // Request leg only. The reply leg is charged when (if) the server
     // completes the page — a rejected or crashed attempt never took it.
     c.network_time += c.page_rtt / 2.0;
-    sim_.after(c.page_rtt / 2.0, [this, i] { arrive(i); }, &c);
+    wake(i, Event::kArrive, c.page_rtt / 2.0);
   } else {
     arrive(i);
   }
@@ -172,17 +210,17 @@ void ClientPool::page_done(std::uint32_t i) {
     c.count_page_on_arrive = true;
     if (c.page_rtt > 0.0) {
       c.network_time += c.page_rtt / 2.0;  // next page's request leg
-      sim_.after(c.page_rtt / 2.0 + think + c.page_rtt / 2.0, [this, i] { arrive(i); }, &c);
+      wake(i, Event::kArrive, c.page_rtt / 2.0 + think + c.page_rtt / 2.0);
     } else {
-      sim_.after(think, [this, i] { arrive(i); }, &c);
+      wake(i, Event::kArrive, think);
     }
   } else {
     // Session over: reply flight + think, then re-resolve (the next
     // session's mapping may differ, so it cannot coalesce further).
     if (c.page_rtt > 0.0) {
-      sim_.after(c.page_rtt / 2.0 + think, [this, i] { begin_session(i); }, &c);
+      wake(i, Event::kBeginSession, c.page_rtt / 2.0 + think);
     } else {
-      sim_.after(think, [this, i] { begin_session(i); }, &c);
+      wake(i, Event::kBeginSession, think);
     }
   }
 }
@@ -191,7 +229,7 @@ void ClientPool::page_failed(std::uint32_t i) {
   // Called from inside the server's crash/reject path — never resubmit
   // synchronously; the retry is a fresh simulator event.
   ++recs_[i].pages_failed;
-  sim_.after(retry_delay_sec_, [this, i] { retry_page(i); }, &recs_[i]);
+  wake(i, Event::kRetryPage, retry_delay_sec_);
 }
 
 void ClientPool::retry_page(std::uint32_t i) {
@@ -203,7 +241,7 @@ void ClientPool::retry_page(std::uint32_t i) {
   c.mapped_server = c.resolver->resolve();
   if (c.mapped_server < 0) {
     ++c.resolution_failures;
-    sim_.after(retry_delay_sec_, [this, i] { retry_page(i); }, &c);
+    wake(i, Event::kRetryPage, retry_delay_sec_);
     return;
   }
   dispatch_request(i);

@@ -42,13 +42,16 @@ struct SessionProfile {
 /// (per-client RNG state, session counters, the page in flight) instead
 /// of a heap allocation per client, so a client's event touches exactly
 /// two cache lines of it. At a million clients that is one ~128 MB
-/// allocation, iterated cache-linearly for end-of-run aggregation. Every
-/// simulator callback captures just {pool, index}, a trivial 16-byte
-/// capture for the kernel's InlineCallback, and names the client's record
-/// as its target hint, so the kernel prefetches the record one event
-/// before the callback reads it. Every page names the pool as its
-/// web::PageClient with the client's index as its token, so a page in
-/// flight carries no closure at all.
+/// allocation, iterated cache-linearly for end-of-run aggregation.
+///
+/// A client is always in exactly one state (thinking, a page in flight, or
+/// waiting on a resolution), so it has at most one pending event, and its
+/// record says which handler that event runs. The pool is its simulator's
+/// owner (sim::EventQueue::Owner): a client's event is the client's index
+/// in the heap, with no slot and no callback, and the kernel prefetches
+/// the record from that index one event before the pool reads it. Every
+/// page names the pool as its web::PageClient with the client's index as
+/// its token, so a page in flight carries no closure either.
 ///
 /// Lifecycle per client (paper §4.1): a session opens with a single
 /// address resolution through the domain's name server, then issues a
@@ -90,8 +93,9 @@ class ClientPool final : private web::PageClient {
   ClientPool& operator=(const ClientPool&) = delete;
 
   /// Reserving the whole population before add() keeps the records in
-  /// place, so the target hints of events already scheduled stay current.
-  void reserve(std::size_t clients) { recs_.reserve(clients); }
+  /// place, so the record address the kernel prefetches from stays
+  /// current.
+  void reserve(std::size_t clients);
 
   /// Adds one client that resolves through `resolver` (a NameServer or a
   /// per-client cache on top of one) and draws from `rng`. Returns the
@@ -100,7 +104,9 @@ class ClientPool final : private web::PageClient {
 
   /// Schedules client `i`'s first session `initial_delay` seconds from now
   /// (staggered starts avoid a synchronized stampede at t = 0). Throws
-  /// std::out_of_range, naming `i`, if the pool has no client `i`.
+  /// std::out_of_range, naming `i`, if the pool has no client `i`, and
+  /// std::logic_error, naming `i`, if client `i` was already started: two
+  /// sessions on one record would overwrite each other's page.
   void start(std::size_t i, double initial_delay);
 
   std::size_t size() const { return recs_.size(); }
@@ -144,6 +150,9 @@ class ClientPool final : private web::PageClient {
   /// padded to two whole cache lines (std::vector allocates the
   /// over-aligned type through aligned new); packed at 120 bytes, three
   /// records in four would straddle a third line.
+  /// What a client's one pending event runs.
+  enum class Event : std::uint8_t { kNone, kBeginSession, kArrive, kRetryPage };
+
   struct alignas(64) Rec {
     Rec(sim::RngStream r, dnscache::Resolver* res) : rng(r), resolver(res) {}
 
@@ -170,8 +179,21 @@ class ClientPool final : private web::PageClient {
     /// fires (= the historical think-end instant), not when it is drawn at
     /// service-completion time; retries arrive without recounting.
     bool count_page_on_arrive = false;
+    /// The handler the client's pending event runs; kNone while its page
+    /// is at a server, and before start().
+    Event next = Event::kNone;
   };
   static_assert(sizeof(Rec) == 128, "a client record is exactly two cache lines");
+
+  /// The simulator's owner entry: fires client `i`'s pending event.
+  static void fire(void* pool, std::uint32_t i);
+  /// Registers the pool as its simulator's owner at the records' address.
+  void own_simulator();
+  /// Schedules client `i`'s one pending event, which runs `next`, `delay`
+  /// seconds from now. Throws std::logic_error, naming `i`, if client `i`
+  /// already has one.
+  void wake(std::uint32_t i, Event next, double delay);
+  [[noreturn]] static void throw_not_idle(std::size_t i, const char* what);
 
   void begin_session(std::uint32_t i);
   void dispatch_request(std::uint32_t i);

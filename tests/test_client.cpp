@@ -272,6 +272,42 @@ TEST_F(ClientTest, StartRejectsAnUnknownClient) {
   EXPECT_EQ(w.simulator.pending(), 1u);
 }
 
+TEST_F(ClientTest, StartRejectsAClientAlreadyStarted) {
+  // A client has one pending event or one page at a server. A second
+  // start() would run a second session on the same record, overwriting
+  // its page; it is refused, names the client, and schedules nothing.
+  ThinkTimeModel think({15.0, 15.0, 15.0});
+  ClientPool pool(w.simulator, *w.dispatcher, profile, think);
+  pool.add(*w.ns, w.rng.split());
+  const std::size_t c = pool.add(*w.ns, w.rng.split());
+  pool.start(c, 5.0);
+  const auto expect_refused = [&] {
+    const std::size_t pending = w.simulator.pending();
+    try {
+      pool.start(c, 0.0);
+      ADD_FAILURE() << "start() accepted client " << c << " twice";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("client 1 "), std::string::npos) << e.what();
+    }
+    EXPECT_EQ(w.simulator.pending(), pending);
+  };
+  expect_refused();  // its first session is pending
+  // At t = 5 the session resolves and its first page goes to a server, so
+  // for a moment the client has no pending event of its own.
+  w.simulator.run_until(5.0);
+  ASSERT_EQ(pool.sessions_started(c), 1u);
+  expect_refused();
+  w.simulator.run_until(1000.0);
+  expect_refused();
+  const std::uint64_t pages = pool.pages_requested(c);
+  EXPECT_GT(pages, 1u);
+  // The other client was never started, and still can be.
+  EXPECT_EQ(pool.sessions_started(0), 0u);
+  pool.start(0, 0.0);
+  w.simulator.run_until(1001.0);
+  EXPECT_EQ(pool.sessions_started(0), 1u);
+}
+
 TEST_F(ClientTest, StartDelayDefersFirstSession) {
   ThinkTimeModel think({15.0, 15.0, 15.0});
   ClientPool pool(w.simulator, *w.dispatcher, profile, think);

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <string>
 
 #include "experiment/param_registry.h"
@@ -24,19 +23,9 @@ constexpr double kSpikeFactor = 8.0;
 // isolates estimator dynamics.
 constexpr int kMaxWindows = 80;  // 6000 + 80 * 32 = 8560 < 9000
 
-// Locates scenarios/flash_crowd_outage.scenario from typical test cwds
-// (build/, build/tests/, repo root). Empty string when unreachable.
-std::string find_scenario() {
-  for (const char* rel : {"scenarios/flash_crowd_outage.scenario",
-                          "../scenarios/flash_crowd_outage.scenario",
-                          "../../scenarios/flash_crowd_outage.scenario"}) {
-    std::FILE* f = std::fopen(rel, "r");
-    if (!f) continue;
-    std::fclose(f);
-    return rel;
-  }
-  return "";
-}
+// The shipped scenario the ablation runs, in the source tree.
+const std::string kScenario =
+    std::string(ADATTL_SOURCE_DIR) + "/scenarios/flash_crowd_outage.scenario";
 
 // Steps one Site through the spike in collection-window increments and
 // returns the number of windows until the scheduler-visible share of the
@@ -65,12 +54,9 @@ int windows_to_reconverge(const SimulationConfig& cfg, double closure) {
 }
 
 TEST(EstimatorAblation, PredictiveEstimatorsReconvergeFasterOnFlashCrowd) {
-  const std::string scenario = find_scenario();
-  if (scenario.empty()) GTEST_SKIP() << "scenario files not reachable from test cwd";
-
-  const auto config_for = [&scenario](const std::string& kind) {
+  const auto config_for = [](const std::string& kind) {
     return ParamRegistry::instance()
-        .resolve({"--config=" + scenario, "--estimator=" + kind})
+        .resolve({"--config=" + kScenario, "--estimator=" + kind})
         .options.config;
   };
 
@@ -111,16 +97,13 @@ TEST(EstimatorAblation, PredictiveEstimatorsReconvergeFasterOnFlashCrowd) {
 }
 
 TEST(EstimatorAblation, ScenarioRunsEndToEndUnderEachEstimator) {
-  const std::string scenario = find_scenario();
-  if (scenario.empty()) GTEST_SKIP() << "scenario files not reachable from test cwd";
-
   // A short full run (warm-up + measurement + outage machinery) per kind:
   // the ablation above never crosses t = 9000, so this is the smoke proof
   // that every estimator survives the complete scenario, outage included.
   for (const std::string kind : {"ewma", "window", "holt", "ar"}) {
     const SimulationConfig cfg =
         ParamRegistry::instance()
-            .resolve({"--config=" + scenario, "--estimator=" + kind,
+            .resolve({"--config=" + kScenario, "--estimator=" + kind,
                       "--duration=10200", "--warmup=300"})
             .options.config;
     Site site(cfg);

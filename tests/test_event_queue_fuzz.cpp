@@ -168,30 +168,56 @@ class EventQueueFireFuzz : public ::testing::TestWithParam<FuzzCase> {};
 // The path every site run takes: Simulator::run_until fires each event in
 // place, and its callback schedules 0, 1 or 2 successors (the first one
 // takes the vacated root; some land at the current instant, so FIFO order
-// among ties is exercised) and cancels a random pending event, sometimes
-// before its first successor (root vacant) and sometimes after. The
-// successor count keeps the population near the case's depth (300 events
-// unless it asks for more). A cancel after about half the fires leaves
-// enough tombstones that the heap fills up and is compacted in place
-// dozens of times per seed. Every fire is checked against the multimap
-// reference, by identity. Events carry target hints: null, or pointers
-// into a live buffer, several to a line, so a hint provably never changes
-// the order.
+// among ties is exercised) and cancels a random pending closure event,
+// sometimes before its first successor (root vacant) and sometimes after.
+// The successor count keeps the population near the case's depth (300
+// events unless it asks for more). A cancel after about half the fires
+// leaves enough tombstones that the heap fills up and is compacted in place
+// dozens of times per seed. About half the events are owned, as a client
+// pool's are: the simulator's owner has an index for each of half the
+// depth, and at most one pending event per index, which it picks at random
+// among its idle indices. Every fire is checked against the multimap
+// reference, by identity, so owned and closure events interleave in
+// (time, seq) order.
 TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
   RngStream rng(GetParam().seed);
   const std::size_t depth = std::max<std::size_t>(GetParam().depth, 300);
-  std::vector<std::uint64_t> targets(1000);  // outlives every event; eight to a line
   Simulator sim;
   ReferenceQueue ref;
 
   // Indexed by tag; the reference issues ids in schedule order, so a
   // tag's reference id is tag + 1.
-  std::vector<EventHandle> handles;
-  std::vector<std::size_t> live;     // tags of pending events
+  std::vector<EventHandle> handles;  // none for an owned event
+  std::vector<std::size_t> live;     // tags of pending closure events
   std::vector<std::size_t> live_at;  // tag -> index in `live`
   std::uint64_t fired = 0;
   std::uint64_t cancels = 0;
+  std::uint64_t owned_fired = 0;
   bool growing = true;
+
+  // The owner: per index, the tag of its one pending event.
+  constexpr std::size_t kIdle = ~std::size_t{0};
+  struct alignas(64) Record {
+    std::uint64_t words[16];
+  };
+  std::vector<Record> records(depth / 2);
+  std::vector<std::size_t> pending_tag(records.size(), kIdle);
+  std::vector<std::uint32_t> idle(records.size());
+  for (std::uint32_t i = 0; i < idle.size(); ++i) idle[i] = i;
+  std::function<void(std::size_t)> on_fire;
+  struct Owner {
+    std::function<void(std::uint32_t)> fire;
+    static void call(void* ctx, std::uint32_t i) { static_cast<Owner*>(ctx)->fire(i); }
+  } owner;
+  owner.fire = [&](std::uint32_t i) {
+    const std::size_t tag = pending_tag[i];
+    ASSERT_NE(tag, kIdle) << "index " << i << " fired with no pending event";
+    pending_tag[i] = kIdle;
+    idle.push_back(i);
+    ++owned_fired;
+    on_fire(tag);
+  };
+  sim.set_owner({&Owner::call, &owner, records.data(), sizeof(Record)});
 
   auto forget = [&](std::size_t tag) {
     const std::size_t at = live_at[tag];
@@ -199,15 +225,28 @@ TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
     live[at] = live.back();
     live.pop_back();
   };
-  std::function<void(std::size_t)> on_fire;
   auto schedule = [&](double t) {
     const std::size_t tag = handles.size();
     // Every time is a whole number of seconds, so now + (t - now) is t.
-    const std::uint64_t* hint = tag % 4 == 0 ? nullptr : &targets[tag % targets.size()];
-    handles.push_back(sim.after(t - sim.now(), [&on_fire, tag] { on_fire(tag); }, hint));
+    if (!idle.empty() && rng.next_double() < 0.5) {
+      const std::size_t pick = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(idle.size()) - 1));
+      const std::uint32_t i = idle[pick];
+      idle[pick] = idle.back();
+      idle.pop_back();
+      sim.after_owned(t - sim.now(), i);
+      pending_tag[i] = tag;
+      handles.emplace_back();
+      live_at.push_back(kIdle);
+    } else {
+      handles.push_back(sim.after(t - sim.now(), [&on_fire, &forget, tag] {
+        forget(tag);
+        on_fire(tag);
+      }));
+      live_at.push_back(live.size());
+      live.push_back(tag);
+    }
     ASSERT_EQ(ref.schedule(t), tag + 1);
-    live_at.push_back(live.size());
-    live.push_back(tag);
   };
   auto cancel_one = [&] {
     if (live.empty()) return;
@@ -223,15 +262,14 @@ TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
     const auto [ref_t, ref_id] = ref.pop();
     ASSERT_EQ(ref_id, tag + 1) << "fire " << fired;
     ASSERT_EQ(sim.now(), ref_t);
-    forget(tag);
     ++fired;
     const bool cancel_first = rng.next_double() < 0.5;
     const bool cancel = growing && rng.next_double() < 0.55;
     if (cancel && cancel_first) cancel_one();
     const double roll = rng.next_double();
-    const int successors = !growing              ? 0
-                           : live.size() < depth ? (roll < 0.7 ? 2 : 1)
-                                                 : (roll < 0.6 ? 1 : roll < 0.8 ? 2 : 0);
+    const int successors = !growing             ? 0
+                           : ref.size() < depth ? (roll < 0.7 ? 2 : 1)
+                                                : (roll < 0.6 ? 1 : roll < 0.8 ? 2 : 0);
     for (int i = 0; i < successors; ++i) {
       const double kind = rng.next_double();
       const double delay = kind < 0.3   ? 0.0
@@ -244,7 +282,7 @@ TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
   };
 
   for (int i = 0; i < 300; ++i) schedule(std::floor(rng.uniform(0.0, 8.0)));
-  while (live.size() < depth) {
+  while (ref.size() < depth) {
     schedule(std::floor(rng.uniform(0.0, 8.0)));
     if (rng.next_double() < 1.0 / 3) cancel_one();
   }
@@ -266,6 +304,10 @@ TEST_P(EventQueueFireFuzz, FiringPathMatchesReference) {
   EXPECT_EQ(sim.events_dispatched(), fired);
   EXPECT_GE(sim.peak_pending(), depth);
   EXPECT_GT(cancels, 15000u);
+  // Both kinds fired in bulk.
+  EXPECT_GT(owned_fired, fired / 4);
+  EXPECT_LT(owned_fired, fired * 3 / 4);
+  EXPECT_EQ(idle.size(), records.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, EventQueueFireFuzz,

@@ -89,40 +89,33 @@ TEST(KernelAlloc, OverAlignedVectorGrowthIsCounted) {
   EXPECT_EQ(allocations() - before, 2u);
   EXPECT_EQ(reinterpret_cast<std::uintptr_t>(lines.data()) % 64, 0u);
 
-  // The queue's reserve sizes the heap, the slot table, the hint array and
-  // the free list.
+  // The queue's reserve sizes the heap, the slot table and the free list.
   EventQueue q;
   const std::uint64_t before_reserve = allocations();
   q.reserve(100);
-  EXPECT_EQ(allocations() - before_reserve, 4u);
+  EXPECT_EQ(allocations() - before_reserve, 3u);
 }
 
 TEST(KernelAlloc, SteadyStateChurnAllocatesNothing) {
   // The simulation's dominant pattern: a resident set of events where each
   // pop schedules one successor (think timer -> next page -> think timer).
-  // Events carry target hints as a client pool's do, null or into a live
-  // buffer, several to a line.
   constexpr int kResident = 512;
   constexpr int kChurnEvents = 10000;
 
-  std::vector<std::uint64_t> targets(kResident);  // outlives the queue's events
   EventQueue q;
   RngStream rng(7);
   double now = 0.0;
   std::uint64_t fired = 0;
-  const auto hint = [&targets](int i) -> const void* {
-    return i % 4 == 0 ? nullptr : &targets[static_cast<std::size_t>(i % kResident)];
-  };
   for (int i = 0; i < kResident; ++i) {
-    q.schedule(rng.uniform(0.0, 30.0), [&fired] { ++fired; }, hint(i));
+    q.schedule(rng.uniform(0.0, 30.0), [&fired] { ++fired; });
   }
   // Warmup: one full churn pass lets every internal vector reach its
-  // steady-state capacity (heap, slot table, hint array, free list).
+  // steady-state capacity (heap, slot table, free list).
   for (int i = 0; i < kResident; ++i) {
     auto [t, cb] = q.pop();
     now = t;
     cb();
-    q.schedule(now + rng.exponential(15.0), [&fired] { ++fired; }, hint(i));
+    q.schedule(now + rng.exponential(15.0), [&fired] { ++fired; });
   }
 
   const std::uint64_t before = allocations();
@@ -130,12 +123,42 @@ TEST(KernelAlloc, SteadyStateChurnAllocatesNothing) {
     auto [t, cb] = q.pop();
     now = t;
     cb();
-    q.schedule(now + rng.exponential(15.0), [&fired] { ++fired; }, hint(i));
+    q.schedule(now + rng.exponential(15.0), [&fired] { ++fired; });
   }
   const std::uint64_t during = allocations() - before;
 
   EXPECT_EQ(during, 0u) << "steady-state schedule/pop churn must not allocate";
   EXPECT_EQ(fired, static_cast<std::uint64_t>(kResident + kChurnEvents));
+}
+
+TEST(KernelAlloc, OwnedEventChurnAllocatesNothing) {
+  // A client pool's pattern through the firing path: each client's one
+  // pending event schedules its successor by index, beside closure events
+  // (a service completion per page) that come and go in slots.
+  constexpr std::uint32_t kClients = 512;
+  struct Pool {
+    Simulator sim;
+    RngStream rng{13};
+    std::vector<std::uint64_t> fired = std::vector<std::uint64_t>(kClients);
+    std::uint64_t completions = 0;
+    static void fire(void* ctx, std::uint32_t i) {
+      auto& pool = *static_cast<Pool*>(ctx);
+      ++pool.fired[i];
+      if (i % 2 == 0) {
+        pool.sim.after(pool.rng.exponential(0.5), [&pool] { ++pool.completions; });
+      }
+      pool.sim.after_owned(pool.rng.exponential(15.0), i);
+    }
+  } pool;
+  pool.sim.set_owner({&Pool::fire, &pool, pool.fired.data(), sizeof(std::uint64_t)});
+  for (std::uint32_t i = 0; i < kClients; ++i) pool.sim.after_owned(pool.rng.uniform(0.0, 30.0), i);
+  pool.sim.run_until(300.0);  // vectors at steady-state capacity
+
+  const std::uint64_t before = allocations();
+  const std::uint64_t fired = pool.sim.run_until(3000.0);
+  EXPECT_EQ(allocations() - before, 0u) << "owned-event churn must not allocate";
+  EXPECT_GT(fired, 50000u);
+  EXPECT_GT(pool.completions, 20000u);
 }
 
 TEST(KernelAlloc, CancelChurnAllocatesNothing) {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -199,6 +200,44 @@ TEST(ParallelRunner, OneJobRunsTheBatchInOrderOnTheCaller) {
 }
 
 // ---- ReplicatedResult::mean_cdf_curve edge cases ----
+
+TEST(ParallelRunner, SweepSharesItsWidthWithShardedReplications) {
+  // A sweep on J threads runs min(J, replications) replications at once
+  // and gives each sharded one's pool the threads left over, so that at
+  // J = 1 no site starts a thread and at J = 4 the sweep keeps to about
+  // four busy threads.
+  const auto sweep_of = [](std::initializer_list<int> replications) {
+    experiment::Sweep sweep;
+    for (int r : replications) sweep.add(small_config(), r);
+    return sweep;
+  };
+  const experiment::Sweep one = sweep_of({1});
+  const experiment::Sweep two = sweep_of({2});
+  const experiment::Sweep three = sweep_of({1, 2});
+  const experiment::Sweep four = sweep_of({1, 3});
+  const experiment::Sweep eight = sweep_of({8});
+  for (const experiment::Sweep* s : {&one, &two, &three, &four, &eight}) {
+    EXPECT_EQ(s->site_workers(1), 1);
+  }
+  EXPECT_EQ(one.site_workers(4), 4);
+  EXPECT_EQ(two.site_workers(4), 2);
+  EXPECT_EQ(three.site_workers(4), 1);
+  EXPECT_EQ(four.site_workers(4), 1);
+  EXPECT_EQ(eight.site_workers(4), 1);
+
+  // The width moves threads, never results.
+  experiment::SimulationConfig cfg = small_config();
+  cfg.shard_domains = true;
+  cfg.shard_count = 4;
+  experiment::Sweep sharded;
+  sharded.add(cfg, 2);
+  ASSERT_EQ(sharded.site_workers(4), 2);
+  experiment::ParallelExecutor serial(1);
+  experiment::ParallelExecutor wide(4);
+  const experiment::SweepResult a = sharded.run(serial);
+  const experiment::SweepResult b = sharded.run(wide);
+  expect_identical(a.points.front(), b.points.front());
+}
 
 TEST(MeanCdfCurve, EmptyRunsYieldAllZeroCurve) {
   const experiment::ReplicatedResult empty;

@@ -308,22 +308,14 @@ TEST(ParamRegistry, ShippedScenarioResolvesAndDumpRoundTrips) {
   const ParamRegistry& registry = ParamRegistry::instance();
   // paper_default rather than chaos_recovery: the latter references its
   // fault file relative to the repo root, unreachable from the test cwd.
-  for (const char* rel : {"scenarios/paper_default.scenario",
-                          "../scenarios/paper_default.scenario",
-                          "../../scenarios/paper_default.scenario"}) {
-    std::FILE* f = std::fopen(rel, "r");
-    if (!f) continue;
-    std::fclose(f);
-    const ConfigResolution first = registry.resolve({std::string("--config=") + rel});
-    EXPECT_EQ(first.options.config.policy, "DRR2-TTL/S_K");
-    const std::string path = write_temp("adattl_registry_shipped.scenario",
-                                        registry.dump_scenario(first));
-    const ConfigResolution second = registry.resolve({"--config=" + path});
-    std::remove(path.c_str());
-    EXPECT_EQ(fingerprint(first.options), fingerprint(second.options));
-    return;
-  }
-  GTEST_SKIP() << "scenario files not reachable from test cwd";
+  const ConfigResolution first = registry.resolve(
+      {std::string("--config=") + ADATTL_SOURCE_DIR + "/scenarios/paper_default.scenario"});
+  EXPECT_EQ(first.options.config.policy, "DRR2-TTL/S_K");
+  const std::string path =
+      write_temp("adattl_registry_shipped.scenario", registry.dump_scenario(first));
+  const ConfigResolution second = registry.resolve({"--config=" + path});
+  std::remove(path.c_str());
+  EXPECT_EQ(fingerprint(first.options), fingerprint(second.options));
 }
 
 TEST(ParamRegistry, IntegerKnobsKeepPrecisionAbove2Pow53) {

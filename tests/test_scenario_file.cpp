@@ -113,19 +113,10 @@ TEST(ScenarioFile, NestedConfigRejected) {
 }
 
 TEST(ScenarioFile, ShippedScenariosParse) {
-  // The scenarios/ directory must stay valid; run from the repo root or
-  // build tree. Skip silently if the files are not reachable from cwd.
-  for (const char* rel : {"scenarios/paper_default.scenario",
-                          "../scenarios/paper_default.scenario",
-                          "../../scenarios/paper_default.scenario"}) {
-    std::FILE* f = std::fopen(rel, "r");
-    if (!f) continue;
-    std::fclose(f);
-    const CliOptions opt = parse_cli({std::string("--config=") + rel});
-    EXPECT_EQ(opt.config.policy, "DRR2-TTL/S_K");
-    return;
-  }
-  GTEST_SKIP() << "scenario files not reachable from test cwd";
+  // The scenarios/ directory must stay valid.
+  const CliOptions opt = parse_cli(
+      {std::string("--config=") + ADATTL_SOURCE_DIR + "/scenarios/paper_default.scenario"});
+  EXPECT_EQ(opt.config.policy, "DRR2-TTL/S_K");
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
 #include <string>
 
 #include "proptest/invariants.h"
@@ -186,6 +187,17 @@ TEST(ShardedSite, DefaultShardCountDoesNotDependOnTheHost) {
   const std::unique_ptr<ShardedSite> four = site_on_jobs(cfg, "4");
   EXPECT_EQ(one->shard_count(), four->shard_count());
   expect_bit_identical(one->run(), four->run());
+}
+
+TEST(ShardedSite, WorkerCountLeavesTheResult) {
+  // A sweep gives its sharded sites a share of its threads; the share
+  // moves threads, never results, and more workers than shards is fine.
+  SimulationConfig cfg = sharded_config();
+  cfg.shard_count = 3;
+  EXPECT_THROW(ShardedSite(cfg, 0), std::invalid_argument);
+  ShardedSite one(cfg, 1);
+  ShardedSite many(cfg, 8);
+  expect_bit_identical(one.run(), many.run());
 }
 
 TEST(ShardedSite, LayoutOwnsEveryDomainOnceAscendingAndDeterministic) {
