@@ -101,21 +101,28 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  // A multi-slice run does not compute the max-utilization statistics.
+  const bool queueing = experiment::reports_queueing(opt.config);
   experiment::TableReport summary({"metric", "value", "+/-95%CI"});
   using R = experiment::TableReport;
-  auto add = [&](const char* name, sim::MeanCi ci, int prec = 3) {
-    summary.add_row({name, R::fmt(ci.mean, prec), R::fmt(ci.halfwidth, prec)});
+  auto add = [&](const char* name, sim::MeanCi ci, int prec = 3, bool computed = true) {
+    if (computed) {
+      summary.add_row({name, R::fmt(ci.mean, prec), R::fmt(ci.halfwidth, prec)});
+    } else {
+      summary.add_row({name, "n/a", "n/a"});
+    }
   };
-  add("P(maxUtil<0.90)", rep.prob_below(0.90));
-  add("P(maxUtil<0.98)", rep.prob_below(0.98));
-  add("mean max utilization", rep.ci([](const auto& r) { return r.mean_max_utilization; }));
+  add("P(maxUtil<0.90)", rep.prob_below(0.90), 3, queueing);
+  add("P(maxUtil<0.98)", rep.prob_below(0.98), 3, queueing);
+  add("mean max utilization", rep.ci([](const auto& r) { return r.mean_max_utilization; }), 3,
+      queueing);
   add("aggregate utilization", rep.aggregate_utilization());
   add("address requests/s", rep.address_request_rate(), 4);
   add("DNS-controlled fraction",
       rep.ci([](const auto& r) { return r.dns_controlled_fraction; }), 4);
   add("mean TTL handed out (s)", rep.ci([](const auto& r) { return r.mean_ttl; }), 1);
   add("within-run CI (frac of mean)",
-      rep.ci([](const auto& r) { return r.max_util_ci_relative; }), 4);
+      rep.ci([](const auto& r) { return r.max_util_ci_relative; }), 4, queueing);
 
   if (opt.csv) {
     summary.print_csv();
@@ -130,7 +137,9 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
-  if (opt.show_cdf) {
+  if (opt.show_cdf && !queueing) {
+    if (!opt.csv) std::printf("max-utilization CDF: n/a (sharded run)\n");
+  } else if (opt.show_cdf) {
     experiment::TableReport cdf({"maxUtil", "P(maxUtil<x)"});
     for (const auto& [u, p] : rep.mean_cdf_curve(50)) {
       cdf.add_row({R::fmt(u, 2), R::fmt(p, 4)});

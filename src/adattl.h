@@ -8,14 +8,15 @@
 /// Layering (each layer depends only on those above it):
 ///
 ///   sim/        discrete-event kernel, RNG, statistics
-///   web/        heterogeneous Web servers, cluster presets, monitoring
+///   web/        heterogeneous Web servers, cluster presets, dispatch
 ///   core/       the paper's contribution: selection + TTL policies,
 ///               calibration, estimation, alarm feedback, factory
 ///   fault/      scenario-driven failure injection (crash/degrade/pause
 ///               windows, authoritative-DNS outage calendar)
 ///   dnscache/   name-server and client address caches
 ///   workload/   Zipf client population, sessions, dynamics
-///   experiment/ configuration, full-site wiring, metrics, reporting
+///   experiment/ configuration, full-site wiring, the monitor clock,
+///               metrics, reporting
 ///
 /// Typical entry points:
 ///   * experiment::SimulationConfig + experiment::run_replications — run a
@@ -35,7 +36,6 @@
 // web
 #include "web/cluster.h"
 #include "web/dispatcher.h"
-#include "web/monitor_hub.h"
 #include "web/types.h"
 #include "web/web_server.h"
 

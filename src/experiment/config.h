@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -192,6 +193,10 @@ struct SimulationConfig {
   double effective_class_threshold() const {
     return class_threshold > 0.0 ? class_threshold : 1.0 / num_domains;
   }
+
+  /// Slices a run of this config is split over: min(shard_count,
+  /// num_domains) with shard_domains set, else 1.
+  int slice_count() const { return shard_domains ? std::min(shard_count, num_domains) : 1; }
 
   /// total_clients × scale, rounded half away from zero: the population a
   /// Site runs. The registry's cross-knob checks keep it in [1, INT_MAX].

@@ -19,9 +19,10 @@ class MaxUtilizationTracker {
   MaxUtilizationTracker(int num_servers, sim::SimTime warmup_end, int cdf_bins = 500,
                         std::size_t batch_ticks = 75);
 
-  /// MonitorHub observer entry point. Samples with now < warmup_end are
-  /// discarded; the sample at exactly warmup_end is kept (the measured
-  /// period is closed on the left — the convention for all collectors).
+  /// Fed once per monitor tick by the run driver. Samples with
+  /// now < warmup_end are discarded; the sample at exactly warmup_end is
+  /// kept (the measured period is closed on the left — the convention for
+  /// all collectors).
   void observe(sim::SimTime now, const std::vector<double>& utilizations);
 
   /// The max-utilization distribution over [0, 1); saturated ticks land in

@@ -12,12 +12,7 @@ int default_jobs() {
   return env_int("ADATTL_JOBS", fallback, 1, 512);
 }
 
-ParallelExecutor::ParallelExecutor(int jobs) : jobs_(std::max(1, jobs)) {
-  workers_.reserve(static_cast<std::size_t>(jobs_ - 1));
-  for (int i = 1; i < jobs_; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-}
+ParallelExecutor::ParallelExecutor(int jobs) : jobs_(std::max(1, jobs)) {}
 
 ParallelExecutor::~ParallelExecutor() {
   {
@@ -69,14 +64,17 @@ void ParallelExecutor::drain(Batch* batch) {
   }
 }
 
-void ParallelExecutor::run(std::vector<std::function<void()>> tasks) {
+void ParallelExecutor::run(const std::vector<std::function<void()>>& tasks) {
   if (tasks.empty()) return;
   if (jobs_ == 1 || tasks.size() == 1) {
     // Legacy serial path: index order on the calling thread, exceptions
     // propagate from the failing task immediately.
-    for (auto& task : tasks) task();
+    for (const auto& task : tasks) task();
     return;
   }
+  // No batch is published yet, so a worker started here waits for this one.
+  const std::size_t wanted = std::min(static_cast<std::size_t>(jobs_), tasks.size()) - 1;
+  while (workers_.size() < wanted) workers_.emplace_back([this] { worker_loop(); });
 
   Batch batch;
   batch.tasks = &tasks;

@@ -136,7 +136,7 @@ SweepResult Sweep::run(ParallelExecutor& executor, ProgressFn on_point_done) con
     }
   }
 
-  executor.run(std::move(tasks));
+  executor.run(tasks);
   out.wall_seconds = since(start);
   return out;
 }
@@ -166,6 +166,15 @@ void append_kv(std::string& out, const char* key, double value, bool comma = tru
   std::snprintf(buf, sizeof(buf), "\"%s\":%.6g", key, value);
   out += buf;
   if (comma) out += ",";
+}
+
+/// append_kv for a value the run computed, null for one it did not.
+void append_kv_or_null(std::string& out, const char* key, double value, bool computed) {
+  if (computed) {
+    append_kv(out, key, value);
+  } else {
+    out += std::string("\"") + key + "\":null,";
+  }
 }
 
 }  // namespace
@@ -203,8 +212,11 @@ std::string to_json(const SimulationConfig& config, const ReplicatedResult& resu
   return to_json(config, result, ParamRegistry::instance().infer_provenance(resolved));
 }
 
+bool reports_queueing(const SimulationConfig& config) { return config.slice_count() == 1; }
+
 std::string to_json(const SimulationConfig& config, const ReplicatedResult& result,
                     const ProvenanceMap& provenance) {
+  const bool queueing = reports_queueing(config);
   std::string out = "{";
   out += "\"policy\":\"" + json_escape(config.policy) + "\",";
   append_kv(out, "servers", config.cluster.size());
@@ -219,21 +231,24 @@ std::string to_json(const SimulationConfig& config, const ReplicatedResult& resu
 
   const sim::MeanCi p90 = result.prob_below(0.90);
   const sim::MeanCi p98 = result.prob_below(0.98);
-  append_kv(out, "p_max_util_below_090", p90.mean);
-  append_kv(out, "p_max_util_below_090_ci", p90.halfwidth);
-  append_kv(out, "p_max_util_below_098", p98.mean);
-  append_kv(out, "p_max_util_below_098_ci", p98.halfwidth);
-  append_kv(out, "mean_max_utilization",
-            result.ci([](const RunResult& r) { return r.mean_max_utilization; }).mean);
+  append_kv_or_null(out, "p_max_util_below_090", p90.mean, queueing);
+  append_kv_or_null(out, "p_max_util_below_090_ci", p90.halfwidth, queueing);
+  append_kv_or_null(out, "p_max_util_below_098", p98.mean, queueing);
+  append_kv_or_null(out, "p_max_util_below_098_ci", p98.halfwidth, queueing);
+  append_kv_or_null(out, "mean_max_utilization",
+                    result.ci([](const RunResult& r) { return r.mean_max_utilization; }).mean,
+                    queueing);
   append_kv(out, "aggregate_utilization", result.aggregate_utilization().mean);
   append_kv(out, "address_request_rate", result.address_request_rate().mean);
   append_kv(out, "dns_controlled_fraction",
             result.ci([](const RunResult& r) { return r.dns_controlled_fraction; }).mean);
   append_kv(out, "mean_ttl_sec", result.ci([](const RunResult& r) { return r.mean_ttl; }).mean);
-  append_kv(out, "mean_response_sec",
-            result.ci([](const RunResult& r) { return r.mean_page_response_sec; }).mean);
-  append_kv(out, "response_p99_sec",
-            result.ci([](const RunResult& r) { return r.response_p99_sec; }).mean);
+  append_kv_or_null(out, "mean_response_sec",
+                    result.ci([](const RunResult& r) { return r.mean_page_response_sec; }).mean,
+                    queueing);
+  append_kv_or_null(out, "response_p99_sec",
+                    result.ci([](const RunResult& r) { return r.response_p99_sec; }).mean,
+                    queueing);
   append_kv(out, "mean_network_rtt_sec",
             result.ci([](const RunResult& r) { return r.mean_network_rtt_sec; }).mean);
   append_kv(out, "mean_assignment_rtt_sec",
@@ -289,11 +304,13 @@ std::string to_json(const SimulationConfig& config, const ReplicatedResult& resu
     out += ",\"domain_latency\":[";
     for (std::size_t d = 0; d < first.domain_latency.size(); ++d) {
       const RunResult::DomainLatency& dl = first.domain_latency[d];
-      char buf[160];
-      std::snprintf(buf, sizeof(buf),
-                    "{\"p50_sec\":%.6g,\"p95_sec\":%.6g,\"p99_sec\":%.6g,"
-                    "\"mean_sec\":%.6g,\"pages\":%llu}%s",
-                    dl.p50_sec, dl.p95_sec, dl.p99_sec, dl.mean_sec,
+      out += "{";
+      append_kv_or_null(out, "p50_sec", dl.p50_sec, queueing);
+      append_kv_or_null(out, "p95_sec", dl.p95_sec, queueing);
+      append_kv_or_null(out, "p99_sec", dl.p99_sec, queueing);
+      append_kv_or_null(out, "mean_sec", dl.mean_sec, queueing);
+      char buf[48];
+      std::snprintf(buf, sizeof(buf), "\"pages\":%llu}%s",
                     static_cast<unsigned long long>(dl.pages),
                     d + 1 < first.domain_latency.size() ? "," : "");
       out += buf;

@@ -109,6 +109,12 @@ ReplicatedResult run_replications(SimulationConfig config, int replications);
 /// tweak applied to the base config.
 ReplicatedResult run_policy(SimulationConfig base, const std::string& policy, int replications);
 
+/// Whether a run of `config` computes the outputs that depend on site-wide
+/// queueing: the max-utilization statistics, the response times and the
+/// per-domain latency. A run over more than one slice does not (RunResult),
+/// so to_json writes null for them and run_scenario prints n/a.
+bool reports_queueing(const SimulationConfig& config);
+
 /// Serializes a scenario's headline results as a JSON object (policy,
 /// site shape, P(maxUtil < x) with CIs, utilization, address-rate, DNS
 /// control, response times, per-server utilizations), plus a "config"

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "experiment/config.h"
@@ -26,15 +25,15 @@ namespace adattl::experiment {
 /// shards, `d % 4` puts 40.2% of the load on shard 0, while largest-first
 /// gives domain 0 (27.8%) a shard to itself.
 ///
-/// Shards advance independently between monitor ticks; at every tick all
-/// shards stop on a phase barrier and the main thread — in fixed shard
+/// SliceSet::run drives the shards as it drives a Site's one slice: they
+/// advance independently between monitor ticks, and at every tick all
+/// shards stop on a phase barrier and the calling thread — in fixed shard
 /// order — merges server busy-time deltas and queue depths into site-wide
-/// utilizations and hands that view to SliceSet::feedback_tick, the same
-/// feedback a Site runs: every shard's alarm registry sees the SAME merged
-/// view, and the run's one estimator sees the summed hit counts and its
-/// weights are copied into every shard's DomainModel, so all scheduler
-/// replicas evolve identical feedback state. SliceSet::reduce then merges
-/// the shards into one RunResult, exactly as it reduces a Site's one slice.
+/// utilizations: every shard's alarm registry sees the SAME merged view,
+/// and the run's one estimator sees the summed hit counts and its weights
+/// are copied into every shard's DomainModel, so all scheduler replicas
+/// evolve identical feedback state. The shards then reduce into one
+/// RunResult, exactly as a Site's one slice does.
 ///
 /// Determinism: every shard's stream is split from the seed before any
 /// shard is built, shards share no mutable state while they are built or
@@ -52,22 +51,23 @@ namespace adattl::experiment {
 /// decision stream is split per shard (each shard's replica schedules its
 /// own domains with its own RNG), so decisions differ from the unsharded
 /// run's single stream. Sharded results are therefore an approximation of
-/// the same model, not a bit-compatible replay of Site.
+/// the same model, not a bit-compatible replay of Site (RunResult names the
+/// outputs a run over several shards approximates); one shard is Site's
+/// run exactly.
 class ShardedSite {
  public:
   /// One shard is one slice over the domains the partition gave it.
   using Shard = SiteSlice;
 
   /// `config.shard_domains` must be set; `scale` is applied first. The
-  /// shard count is config.shard_count clamped to num_domains; it never
-  /// depends on the host or on ADATTL_JOBS. The shards are built on a pool
-  /// of ADATTL_JOBS workers clamped to the shard count, which the site
-  /// keeps for run(); with 1, they are built in shard order on the calling
-  /// thread and no thread starts.
+  /// shard count is config.slice_count(); it never depends on the host or
+  /// on ADATTL_JOBS. The shards are built on a pool of ADATTL_JOBS jobs,
+  /// which the site keeps for run() and which starts at most
+  /// min(ADATTL_JOBS, shards) - 1 worker threads; with 1, they are built in
+  /// shard order on the calling thread and no thread starts.
   explicit ShardedSite(const SimulationConfig& config);
-  /// As above, on a pool of `workers` clamped to the shard count. Throws
-  /// std::invalid_argument if `workers` < 1. The result does not depend
-  /// on `workers`.
+  /// As above, on a pool of `workers` jobs. Throws std::invalid_argument
+  /// if `workers` < 1. The result does not depend on `workers`.
   ShardedSite(const SimulationConfig& config, int workers);
 
   ShardedSite(const ShardedSite&) = delete;
@@ -87,16 +87,10 @@ class ShardedSite {
   const workload::DomainSet& domain_set() const { return slices_.workload().domains; }
 
  private:
-  void monitor_tick(double now);
-
   SimulationConfig config_;
   SliceSet slices_;
-  std::unique_ptr<ParallelExecutor> pool_;
+  ParallelExecutor pool_;
   std::vector<int> owner_;  // global domain id → owning shard index
-  /// Per shard, per server: cumulative busy time at the previous barrier.
-  std::vector<std::vector<double>> prev_busy_;
-  double setup_seconds_ = 0.0;
-  bool ran_ = false;
 };
 
 }  // namespace adattl::experiment

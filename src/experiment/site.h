@@ -3,10 +3,10 @@
 #include <memory>
 
 #include "experiment/config.h"
+#include "experiment/parallel_executor.h"
 #include "experiment/site_slice.h"
 #include "obs/event_tracer.h"
 #include "sim/simulator.h"
-#include "web/monitor_hub.h"
 
 namespace adattl::experiment {
 
@@ -14,11 +14,9 @@ namespace adattl::experiment {
 /// scheduler, per-domain name servers, client population, monitor, alarm
 /// feedback, hidden-load estimation and metrics.
 ///
-/// The object graph is one SiteSlice that owns every domain. Its in-queue
-/// MonitorHub reports every monitor_interval_sec and drives the shared
-/// SliceSet::feedback_tick; run() executes warm-up plus the measured
-/// period and returns SliceSet::reduce. One Site = one simulation run
-/// (single-use).
+/// The object graph is one SiteSlice that owns every domain and draws from
+/// the seed's own stream; SliceSet::run drives it on the monitor clock, on
+/// the calling thread. One Site = one simulation run (single-use).
 class Site {
  public:
   explicit Site(const SimulationConfig& config);
@@ -31,11 +29,16 @@ class Site {
 
   // ---- Introspection (tests, examples) ----
   const SliceSet& slices() const { return slices_; }
+  /// The slice's kernel. Stepping it directly fires no monitor tick: the
+  /// ticks, and with them the alarms, the estimator and the max-utilization
+  /// sample, come only from run().
   sim::Simulator& simulator() { return *slice().sim; }
   web::Cluster& cluster() { return *slice().cluster; }
   core::DnsScheduler& scheduler() { return *slice().bundle.scheduler; }
   core::DomainModel& domain_model() { return *slice().bundle.domains; }
-  web::MonitorHub& monitor() { return *monitor_; }
+  /// The run's monitor clock: monitor().add_full_observer(f) has run() call
+  /// f once per tick, after the feedback.
+  SliceSet& monitor() { return slices_; }
   core::LoadEstimator& estimator() { return *slice().estimator; }
   const workload::DomainSet& domain_set() const { return slices_.workload().domains; }
   workload::ThinkTimeModel& think_time_model() { return *slice().think; }
@@ -53,12 +56,10 @@ class Site {
 
   SimulationConfig config_;
   SliceSet slices_;
-  std::unique_ptr<web::MonitorHub> monitor_;
+  ParallelExecutor caller_{1};  // one job: the slice builds and runs on this thread
 
   // Null unless config.trace_enabled — the zero-cost default.
   std::unique_ptr<obs::EventTracer> event_tracer_;
-  double setup_seconds_ = 0.0;
-  bool ran_ = false;
 };
 
 }  // namespace adattl::experiment

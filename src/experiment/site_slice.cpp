@@ -70,8 +70,8 @@ SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workloa
   for (int d : domains) num_clients += workload.domains.clients[static_cast<std::size_t>(d)];
 
   // Steady state holds roughly one in-flight event per client (think timer
-  // or service leg) plus TTL expiries and the monitor tick; pre-sizing the
-  // kernel keeps the whole run allocation-free inside the event loop.
+  // or service leg) plus TTL expiries; pre-sizing the kernel keeps the
+  // whole run allocation-free inside the event loop.
   sim->reserve(2 * num_clients + 64);
 
   // ---- Workload dynamics ----
@@ -202,37 +202,107 @@ void SliceSet::build(std::vector<SliceSpec> specs, ParallelExecutor& pool) {
                                          spec.tracer);
     });
   }
-  pool.run(std::move(tasks));
+  pool.run(tasks);
   estimator_ = make_estimator(config_, *slices_.front()->bundle.domains);
   for (const auto& slice : slices_) slice->estimator = estimator_.get();
+  tracer_ = specs.front().tracer;
+  // Cumulative busy time is 0 at t = 0.
+  prev_busy_.assign(slices_.size(),
+                    std::vector<double>(static_cast<std::size_t>(config_.cluster.size()), 0.0));
+  setup_sec_ = setup_watch_.elapsed();
 }
 
-double SliceSet::feedback_tick(sim::SimTime now, const std::vector<double>& util,
-                               const std::vector<std::size_t>& queues) {
+RunResult SliceSet::run(ParallelExecutor& pool) {
+  if (ran_) throw std::logic_error("SliceSet::run: a run is single-use");
+  ran_ = true;
+
+  obs::Stopwatch phase_watch;
+  double warmup_wall = 0.0;
+  bool warmup_lapped = false;
+  const double horizon = config_.warmup_sec + config_.duration_sec;
+  double target = 0.0;
+  std::vector<std::function<void()>> tasks;
+  for (const auto& slice : slices_) {
+    tasks.push_back([sim = slice->sim.get(), &target] { sim->run_until(target); });
+  }
+  double next_tick = config_.monitor_interval_sec;
+  while (true) {
+    target = std::min(next_tick, horizon);
+    pool.run(tasks);
+    if (!warmup_lapped && target >= config_.warmup_sec) {
+      warmup_wall = phase_watch.lap();
+      warmup_lapped = true;
+    }
+    if (target == next_tick) {
+      monitor_tick(next_tick);
+      next_tick += config_.monitor_interval_sec;
+    }
+    if (target >= horizon) break;
+  }
+  const double measurement_wall = phase_watch.lap();
+
+  RunResult r = reduce(horizon);
+  r.profile = {setup_sec_, warmup_wall, measurement_wall, phase_watch.lap()};
+  return r;
+}
+
+void SliceSet::monitor_tick(sim::SimTime now) {
+  const std::size_t num_servers = static_cast<std::size_t>(config_.cluster.size());
+  std::vector<double> util(num_servers, 0.0);
+  std::vector<std::size_t> queues(num_servers, 0);
+  for (std::size_t s = 0; s < slices_.size(); ++s) {
+    const web::Cluster& cluster = *slices_[s]->cluster;
+    std::vector<double>& prev = prev_busy_[s];
+    for (std::size_t i = 0; i < num_servers; ++i) {
+      const web::WebServer& server = cluster.server(static_cast<int>(i));
+      const double busy = server.cumulative_busy_time(now);
+      util[i] += (busy - prev[i]) / config_.monitor_interval_sec;
+      prev[i] = busy;
+      queues[i] += server.queue_length();
+    }
+  }
+  // Replicas with the full capacity can overlap in time, so a sum over
+  // several slices is clamped at 1. One slice reports its busy fraction as
+  // measured, rounding included (it can exceed 1 by an ulp or two).
+  if (slices_.size() > 1) {
+    for (double& u : util) u = std::min(u, 1.0);
+  }
+  if (tracer_) {
+    for (std::size_t i = 0; i < num_servers; ++i) {
+      tracer_->record(now, obs::TraceKind::kUtilization, static_cast<std::int32_t>(i), 0,
+                      util[i]);
+    }
+  }
+
   for (const auto& slice : slices_) {
     slice->alarms->observe_full(now, util, queues);
     if (slice->autoscaler) slice->autoscaler->observe(util);
   }
   tracker_.observe(now, util);
-  if (config_.oracle_weights || ++ticks_ % config_.estimator_collect_every_ticks != 0) return 0.0;
-
-  std::vector<std::uint64_t> total(static_cast<std::size_t>(config_.num_domains), 0);
-  for (const auto& slice : slices_) {
-    for (int s = 0; s < slice->cluster->size(); ++s) {
-      const std::vector<std::uint64_t> part = slice->cluster->server(s).drain_domain_hits();
-      for (std::size_t d = 0; d < total.size(); ++d) total[d] += part[d];
+  if (++ticks_ % config_.estimator_collect_every_ticks == 0 && !config_.oracle_weights) {
+    std::vector<std::uint64_t> total(static_cast<std::size_t>(config_.num_domains), 0);
+    for (const auto& slice : slices_) {
+      for (int s = 0; s < slice->cluster->size(); ++s) {
+        const std::vector<std::uint64_t> part = slice->cluster->server(s).drain_domain_hits();
+        for (std::size_t d = 0; d < total.size(); ++d) total[d] += part[d];
+      }
+    }
+    const double window_sec =
+        config_.monitor_interval_sec * config_.estimator_collect_every_ticks;
+    if (estimator_->observe(total, window_sec)) {
+      // The estimator installed into the first slice's model; every other
+      // slice's DNS takes the same weights, in slice order.
+      const std::vector<double>& weights = slices_.front()->bundle.domains->weights();
+      for (std::size_t s = 1; s < slices_.size(); ++s) {
+        slices_[s]->bundle.domains->update_weights(weights);
+      }
+    }
+    if (tracer_) {
+      tracer_->record(now, obs::TraceKind::kEstimatorUpdate, estimator_->windows_observed(), 0,
+                      window_sec);
     }
   }
-  const double window_sec = config_.monitor_interval_sec * config_.estimator_collect_every_ticks;
-  if (estimator_->observe(total, window_sec)) {
-    // The estimator installed into the first slice's model; every other
-    // slice's DNS takes the same weights, in slice order.
-    const std::vector<double>& weights = slices_.front()->bundle.domains->weights();
-    for (std::size_t s = 1; s < slices_.size(); ++s) {
-      slices_[s]->bundle.domains->update_weights(weights);
-    }
-  }
-  return window_sec;
+  for (const FullObserver& observer : observers_) observer(now, util, queues);
 }
 
 RunResult SliceSet::reduce(double horizon) const {
@@ -255,6 +325,7 @@ RunResult SliceSet::reduce(double horizon) const {
 
   // Every sum starts at zero and every RunningStat merges into an empty
   // one first, so a single slice reduces to its own figures bit for bit.
+  r.events_dispatched = ticks_;
   double network_time = 0.0;
   std::uint64_t redirects = 0;
   std::uint64_t direct_deliveries = 0;

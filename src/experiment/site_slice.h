@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -17,6 +18,7 @@
 #include "geo/geo_model.h"
 #include "obs/event_tracer.h"
 #include "obs/metrics.h"
+#include "obs/profiler.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -40,6 +42,13 @@ struct RunProfile {
 };
 
 /// Aggregate outcome of one simulation run.
+///
+/// A run over more than one slice computes what depends on site-wide
+/// queueing only per slice: each server replica serves at the full capacity
+/// but queues only its own slice's pages (DESIGN.md §16). There, the
+/// max-utilization statistics (max_util_cdf to max_util_ci_relative), the
+/// response times and the per-domain latency are per-shard approximations,
+/// which the reports print as not computed (reports_queueing()).
 struct RunResult {
   /// Master seed the run was built with (SimulationConfig::seed) — lets
   /// replication outputs be traced back to their exact seed derivation.
@@ -70,6 +79,9 @@ struct RunResult {
 
   double mean_ttl = 0.0;
   std::uint64_t alarm_signals = 0;
+  /// Kernel events dispatched by every slice's simulator plus the monitor
+  /// ticks (one per monitor_interval_sec up to the horizon, counted once
+  /// however many slices the run has).
   std::uint64_t events_dispatched = 0;
 
   /// Mean page response time (queueing + service) across all servers,
@@ -207,9 +219,10 @@ struct SiteSlice {
 };
 
 /// The slices of one run and what they share: the workload, the load
-/// estimator, the monitor feedback that keeps every slice's DNS state
-/// identical, the max-utilization tracker, and the reduction of all slices
-/// into one RunResult.
+/// estimator, the monitor clock that drives every run, the feedback that
+/// keeps every slice's DNS state identical, the max-utilization tracker,
+/// and the reduction of all slices into one RunResult. A Site is the
+/// one-slice layout, a ShardedSite one slice per shard; run() drives both.
 class SliceSet {
  public:
   /// What one slice is built from: its owned domains (ascending global
@@ -221,8 +234,16 @@ class SliceSet {
     obs::EventTracer* tracer = nullptr;
   };
 
+  /// Called once per monitor tick, after the feedback, with the tick's
+  /// time and the site-wide utilizations and queue depths (pages waiting or
+  /// in service), both indexed by ServerId. Queue depths expose silent
+  /// outages, which leave utilization low while the backlog grows.
+  using FullObserver = std::function<void(sim::SimTime, const std::vector<double>&,
+                                          const std::vector<std::size_t>&)>;
+
   /// Validates `config` (already scaled; it must outlive the set) and
-  /// derives the shared workload.
+  /// derives the shared workload. The run's setup time counts from here to
+  /// the end of build().
   explicit SliceSet(const SimulationConfig& config);
 
   /// Builds every slice of the run (call once, with at least one spec):
@@ -231,6 +252,8 @@ class SliceSet {
   /// and workload are read-only), so the set does not depend on the pool's
   /// width or on which task ran first. After the join, the run's estimator
   /// is made over the first slice's DomainModel and given to every slice.
+  /// The first slice's tracer also records the site-wide utilizations and
+  /// estimator updates of every tick.
   void build(std::vector<SliceSpec> specs, ParallelExecutor& pool);
 
   int size() const { return static_cast<int>(slices_.size()); }
@@ -238,16 +261,32 @@ class SliceSet {
   const SiteSlice& operator[](int i) const { return *slices_.at(static_cast<std::size_t>(i)); }
   const SiteWorkload& workload() const { return workload_; }
 
-  /// One monitor tick of the site-wide view, applied to every slice alike
-  /// so all scheduler replicas keep the same feedback state: each slice's
-  /// alarm registry, then its autoscaler, observes `util` and `queues`; the
-  /// tracker samples `util`; and on every estimator_collect_every_ticks-th
-  /// tick the per-domain hits drained from all slices are summed and fed to
-  /// the estimator, whose new weights, if it installs any, are copied into
-  /// every other slice's DomainModel. Returns the window fed to the
-  /// estimator in seconds, or 0 on ticks that fed none.
-  double feedback_tick(sim::SimTime now, const std::vector<double>& util,
-                       const std::vector<std::size_t>& queues);
+  /// Registers `observer` for every monitor tick of run().
+  void add_full_observer(FullObserver observer) { observers_.push_back(std::move(observer)); }
+
+  /// Runs warm-up plus the measured period and returns the run's result;
+  /// single use (a second call throws std::logic_error).
+  ///
+  /// The slices advance on `pool`, one task per slice, to the next monitor
+  /// tick or the horizon, whichever comes first. At each tick the calling
+  /// thread merges the site-wide view, in slice order: a server's
+  /// utilization is the sum of its replicas' busy-time deltas over the tick
+  /// divided by the interval (over several slices clamped at 1, since
+  /// replicas with the full capacity can overlap in time), and its queue
+  /// depth the sum of theirs. The tracer records that view, every slice's
+  /// alarm registry, then its autoscaler, observes it, the tracker samples
+  /// it, and on every estimator_collect_every_ticks-th tick the per-domain
+  /// hits drained from all slices are summed and fed to the estimator,
+  /// whose new weights, if it installs any, are copied into every other
+  /// slice's DomainModel. The observers run last. Tick times accumulate by
+  /// repeated addition from 0, and run_until is inclusive, so a tick that
+  /// lands on the horizon fires. Merges run in fixed order on one thread,
+  /// so the result does not depend on the pool's width.
+  RunResult run(ParallelExecutor& pool);
+
+ private:
+  /// One monitor tick at `now`, after every slice has run to it.
+  void monitor_tick(sim::SimTime now);
 
   /// The run's results over [0, horizon]: counters summed and statistics
   /// merged over the slices in order. Per-domain latency comes from the
@@ -256,7 +295,6 @@ class SliceSet {
   /// metrics_enabled the result carries metrics_snapshot(result).
   RunResult reduce(double horizon) const;
 
- private:
   /// The end-of-run metrics, read from the same component counters the
   /// reducer reads: what the slices split is summed over them in order
   /// (one slice reproduces its own figures bit for bit), what every slice
@@ -265,11 +303,18 @@ class SliceSet {
   obs::MetricsSnapshot metrics_snapshot(const RunResult& r) const;
 
   const SimulationConfig& config_;
+  obs::Stopwatch setup_watch_;  // started first: the setup time covers the workload
   SiteWorkload workload_;
   std::vector<std::unique_ptr<SiteSlice>> slices_;
   std::unique_ptr<core::LoadEstimator> estimator_;
+  obs::EventTracer* tracer_ = nullptr;  // the first slice's
   MaxUtilizationTracker tracker_;
-  int ticks_ = 0;
+  std::vector<FullObserver> observers_;
+  /// Per slice, per server: cumulative busy time at the previous tick.
+  std::vector<std::vector<double>> prev_busy_;
+  double setup_sec_ = 0.0;
+  std::uint64_t ticks_ = 0;
+  bool ran_ = false;
 };
 
 }  // namespace adattl::experiment

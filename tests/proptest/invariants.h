@@ -17,8 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "experiment/sharded_site.h"
-#include "experiment/site.h"
+#include "experiment/site_slice.h"
 
 namespace adattl::proptest {
 
@@ -169,15 +168,6 @@ inline void check_slices_conservation(const experiment::SimulationConfig& cfg,
     EXPECT_EQ(count_of("scheduler.ttl_sec"), decisions);
     EXPECT_EQ(count_of("ns.effective_ttl_sec"), ns_auth);
   }
-}
-
-inline void check_run_conservation(experiment::Site& site, const experiment::RunResult& r) {
-  check_slices_conservation(site.config(), site.slices(), r);
-}
-
-inline void check_sharded_run_conservation(experiment::ShardedSite& site,
-                                           const experiment::RunResult& r) {
-  check_slices_conservation(site.config(), site.slices(), r);
 }
 
 }  // namespace adattl::proptest

@@ -33,7 +33,7 @@ TEST(ConservationProperty, RandomizedConfigs) {
     // a run with no traffic would satisfy every conservation law vacuously.
     ASSERT_GT(r.total_pages, 0u);
     ASSERT_GT(r.authoritative_queries, 0u);
-    proptest::check_run_conservation(site, r);
+    proptest::check_slices_conservation(site.config(), site.slices(), r);
   });
 }
 
@@ -57,7 +57,7 @@ TEST(ConservationProperty, RandomizedShardedConfigs) {
     const experiment::RunResult r = site.run();
     ASSERT_GT(r.total_pages, 0u);
     ASSERT_GT(r.authoritative_queries, 0u);
-    proptest::check_sharded_run_conservation(site, r);
+    proptest::check_slices_conservation(site.config(), site.slices(), r);
   });
 }
 
@@ -76,7 +76,7 @@ TEST_P(RepresentativePolicyConservation, CountsAreConsistent) {
   cfg.seed = 31;
   experiment::Site site(cfg);
   const experiment::RunResult r = site.run();
-  proptest::check_run_conservation(site, r);
+  proptest::check_slices_conservation(site.config(), site.slices(), r);
 }
 
 INSTANTIATE_TEST_SUITE_P(RepresentativePolicies, RepresentativePolicyConservation,

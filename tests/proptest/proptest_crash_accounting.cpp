@@ -136,7 +136,7 @@ TEST(CrashAccountingProperty, FaultedSitesConserveEverything) {
     experiment::Site site(gc.config());
     const experiment::RunResult r = site.run();
     ASSERT_GT(r.total_pages, 0u);  // fault plans must not silence the site
-    proptest::check_run_conservation(site, r);
+    proptest::check_slices_conservation(site.config(), site.slices(), r);
     // A faulted run must actually account its faults: if any crash window
     // fired inside the horizon, failures show up iff work was in the house
     // or arrived while down — which we can't know a priori — but the

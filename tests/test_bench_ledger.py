@@ -1,12 +1,14 @@
 """The perf ledger's row builder (tools/run_benches.py) turns
-google-benchmark JSON into rows of seconds with their spread, and its
-CPU clock reads a process's threads in nanoseconds."""
+google-benchmark JSON into rows of seconds with their spread, runs each
+benchmark family apart, and its CPU clock reads a process's threads in
+nanoseconds."""
 import os
+import re
 import sys
 import unittest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "tools"))
-from run_benches import cpu_seconds, gbench_rows  # noqa: E402
+from run_benches import cpu_seconds, families, family_filter, gbench_rows  # noqa: E402
 
 
 def run(name, real_time, unit, rep, items=None):
@@ -75,6 +77,30 @@ class GbenchRows(unittest.TestCase):
     def test_rows_carry_only_the_schema_fields(self):
         for name, r in self.rows.items():
             self.assertEqual(set(r), {"unit", "median", "min", "max", "reps"}, name)
+
+
+class Families(unittest.TestCase):
+    LISTED = ["BM_ScaleClients/5000/iterations:1/repeats:3/real_time",
+              "BM_ScaleClients/50000/iterations:1/repeats:3/real_time",
+              "BM_ScaleShards/4/iterations:1/repeats:10/real_time",
+              "BM_ScaleClientsSerial/5000/iterations:1",
+              "BM_FullSite/DRR2_TTLSK", "BM_FullSite/DRR2_TTLSK_obs",
+              "BM_SiteConstruction"]
+
+    def test_a_family_is_the_name_before_the_first_slash(self):
+        self.assertEqual(families(self.LISTED), [
+            "BM_ScaleClients", "BM_ScaleShards", "BM_ScaleClientsSerial", "BM_FullSite",
+            "BM_SiteConstruction"])
+
+    def test_each_filter_selects_its_own_family_only(self):
+        selected = {f: [n for n in self.LISTED if re.search(family_filter(f), n)]
+                    for f in families(self.LISTED)}
+        self.assertEqual(selected, {
+            "BM_ScaleClients": self.LISTED[0:2],
+            "BM_ScaleShards": [self.LISTED[2]],
+            "BM_ScaleClientsSerial": [self.LISTED[3]],
+            "BM_FullSite": ["BM_FullSite/DRR2_TTLSK", "BM_FullSite/DRR2_TTLSK_obs"],
+            "BM_SiteConstruction": ["BM_SiteConstruction"]})
 
 
 class CpuSeconds(unittest.TestCase):

@@ -113,18 +113,21 @@ struct Golden {
 // when ShardedSite's domain layout changed from round-robin (`d % S`) to
 // the largest-first partition by offered load: each shard now owns other
 // domains, so its RNG split draws a different (equally valid) workload.
-// Serial runs are untouched by that change and keep their digests.
+// Serial runs are untouched by that change and keep their digests. Sharded
+// digests moved once more when events_dispatched came to count the monitor
+// ticks in every mode, as a serial run always had: each is the previous
+// digest with events_dispatched + 82 (660 s / 8 s).
 constexpr Golden kGolden[] = {
-    {kRR, 0x94d275d762874389ULL, 0x2bb05f6d81082b24ULL},
-    {kRR2, 0x112ea85c011b9504ULL, 0x1c4240a6cf591769ULL},
-    {kRR3, 0x7833fe211573b952ULL, 0x079836a4a2573fa8ULL},
-    {kWRR, 0x0c2b9a25e91a178aULL, 0x9b77c39544b003d2ULL},
-    {kPrrTtl2, 0xa1ea8e1e0a010e8fULL, 0x7b46330b8073eb58ULL},
-    {kPrr2TtlK, 0xf94596fc079a6605ULL, 0x514eb647ac92f66eULL},
-    {kDal, 0x58a8b14ad58803eeULL, 0x5a2cf576c3b1f7a4ULL},
-    {kMrl, 0x854accd64fd2e01fULL, 0x714f1de7443945b5ULL},
-    {kDrr2TtlSK, 0x403c52815996a3f1ULL, 0xc26b59126a2b7b13ULL},
-    {kGeoTtlK, 0x314ea3d84ce4c846ULL, 0x08b7cdd111b0a7c4ULL},
+    {kRR, 0x94d275d762874389ULL, 0x38c2a9f31b0e3bc7ULL},
+    {kRR2, 0x112ea85c011b9504ULL, 0x155d2bac34e0f4daULL},
+    {kRR3, 0x7833fe211573b952ULL, 0x2d22d6e657634d7fULL},
+    {kWRR, 0x0c2b9a25e91a178aULL, 0xc3213fdd551b5b99ULL},
+    {kPrrTtl2, 0xa1ea8e1e0a010e8fULL, 0x5024bc4445337bbaULL},
+    {kPrr2TtlK, 0xf94596fc079a6605ULL, 0x36b2f34148e76c20ULL},
+    {kDal, 0x58a8b14ad58803eeULL, 0x71abd598bf90fea2ULL},
+    {kMrl, 0x854accd64fd2e01fULL, 0xe12166ec2a1f7bd3ULL},
+    {kDrr2TtlSK, 0x403c52815996a3f1ULL, 0x671e924f4be4b628ULL},
+    {kGeoTtlK, 0x314ea3d84ce4c846ULL, 0x4bddf0da2bbdef1eULL},
 };
 
 class DecisionGolden : public ::testing::TestWithParam<Golden> {};
@@ -153,7 +156,8 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, DecisionGolden, ::testing::ValuesIn(kGolde
 // being made. Their digest extends digest_result with the whole
 // max-utilization CDF (every percent and seven quantiles), each scheduler's
 // assignment counters and the final model weights of every slice.
-// Captured 2026-10-17 from commit 587e8e9.
+// Captured 2026-10-17 from commit 587e8e9; the sharded column moved as the
+// one above did, by events_dispatched + 82.
 
 // The row holds no pointer: gtest prints a parameter without a PrintTo as
 // its raw bytes, gtest_discover_tests puts that text into every ctest
@@ -211,13 +215,13 @@ constexpr auto kEwma = experiment::EstimatorKind::kEwma;
 constexpr auto kHolt = experiment::EstimatorKind::kHoltWinters;
 
 constexpr MeasuredGolden kMeasuredGolden[] = {
-    {"RR2", kEwma, false, 0xea9bcb120d06fd04ULL, 0x4129d78bc1f1102bULL},
-    {"PRR2-TTL/K", kEwma, false, 0x95cdc686a8def819ULL, 0xc720020afaef839bULL},
-    {"RR3-TTL/2", kEwma, false, 0x4ce4a915e1d26b80ULL, 0xe5ecd92c9a161a0bULL},
-    {"RRK", kEwma, false, 0x65a23398f161009aULL, 0x250e86f742be5a65ULL},
-    {"DRR2-TTL/S_K", kEwma, false, 0x99cf8453ccd0bb3fULL, 0x03f7060449ae66acULL},
-    {"DRR2-TTL/S_K", kEwma, true, 0x28216ec98862fc85ULL, 0x04419a7346e87ab5ULL},
-    {"PRR2-TTL/2", kHolt, false, 0x2e4d5e029fdac02fULL, 0x4173a00fcc2fa9ddULL},
+    {"RR2", kEwma, false, 0xea9bcb120d06fd04ULL, 0xeb155d750ac4c240ULL},
+    {"PRR2-TTL/K", kEwma, false, 0x95cdc686a8def819ULL, 0x307e119278e726e1ULL},
+    {"RR3-TTL/2", kEwma, false, 0x4ce4a915e1d26b80ULL, 0x1723518f81e83cf0ULL},
+    {"RRK", kEwma, false, 0x65a23398f161009aULL, 0x3167374a84dcffe6ULL},
+    {"DRR2-TTL/S_K", kEwma, false, 0x99cf8453ccd0bb3fULL, 0x1278a4adc8043defULL},
+    {"DRR2-TTL/S_K", kEwma, true, 0x28216ec98862fc85ULL, 0x1e4a29dab977c42eULL},
+    {"PRR2-TTL/2", kHolt, false, 0x2e4d5e029fdac02fULL, 0x2d1d975d32384773ULL},
 };
 
 class MeasuredGoldenTest : public ::testing::TestWithParam<MeasuredGolden> {};

@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <string>
+#include <vector>
 
 #include "experiment/param_registry.h"
 #include "experiment/site.h"
@@ -27,11 +28,14 @@ constexpr int kMaxWindows = 80;  // 6000 + 80 * 32 = 8560 < 9000
 const std::string kScenario =
     std::string(ADATTL_SOURCE_DIR) + "/scenarios/flash_crowd_outage.scenario";
 
-// Steps one Site through the spike in collection-window increments and
-// returns the number of windows until the scheduler-visible share of the
-// hot domain has closed `closure` of the gap to its true post-spike value.
-// kMaxWindows + 1 = never converged.
-int windows_to_reconverge(const SimulationConfig& cfg, double closure) {
+// Runs one Site through the spike and returns the number of collection
+// windows until the scheduler-visible share of the hot domain has closed
+// `closure` of the gap to its true post-spike value, read after each
+// collection tick past the spike. kMaxWindows + 1 = never converged.
+int windows_to_reconverge(SimulationConfig cfg, double closure) {
+  const int every = cfg.estimator_collect_every_ticks;
+  // The run ends with the last window the ablation reads.
+  cfg.duration_sec = kSpikeAt + kMaxWindows * cfg.monitor_interval_sec * every - cfg.warmup_sec;
   Site site(cfg);
   const std::vector<double> w = site.domain_set().true_weights();
   double total = 0.0;
@@ -40,17 +44,21 @@ int windows_to_reconverge(const SimulationConfig& cfg, double closure) {
   const double pre_share = hot / total;
   const double post_share = kSpikeFactor * hot / (total + (kSpikeFactor - 1.0) * hot);
 
-  site.simulator().run_until(kSpikeAt);
-  const double window_sec =
-      cfg.monitor_interval_sec * cfg.estimator_collect_every_ticks;
   const double tol = (1.0 - closure) * (post_share - pre_share);
-  for (int k = 1; k <= kMaxWindows; ++k) {
-    site.simulator().run_until(kSpikeAt + k * window_sec);
-    if (std::abs(site.domain_model().share(kHotDomain) - post_share) <= tol) {
-      return k;
-    }
-  }
-  return kMaxWindows + 1;
+  int ticks = 0;
+  int windows = 0;
+  int converged = kMaxWindows + 1;
+  site.monitor().add_full_observer(
+      [&](sim::SimTime now, const std::vector<double>&, const std::vector<std::size_t>&) {
+        if (++ticks % every != 0 || now <= kSpikeAt) return;
+        ++windows;
+        if (converged > kMaxWindows &&
+            std::abs(site.domain_model().share(kHotDomain) - post_share) <= tol) {
+          converged = windows;
+        }
+      });
+  site.run();
+  return converged;
 }
 
 TEST(EstimatorAblation, PredictiveEstimatorsReconvergeFasterOnFlashCrowd) {

@@ -11,7 +11,10 @@
 // The last two runs cover the paths the first two never reach: server-side
 // redirection (the dispatcher's delayed hand-offs) and a server crash (the
 // only caller of cancel()). They were captured from the kernel that still
-// sifted every pop and successor separately (commit db9a852).
+// sifted every pop and successor separately (commit db9a852). Their peak
+// and live event gauges are one below that capture's, which counted a
+// pending monitor event: monitor ticks are not kernel events
+// (events_dispatched counts them).
 #include <gtest/gtest.h>
 
 #include "experiment/site.h"
@@ -91,8 +94,8 @@ TEST(KernelGolden, RedirectingRoundRobinRunIsBitIdentical) {
   EXPECT_DOUBLE_EQ(r.response_p95_sec, 1.1399999999999999);
   EXPECT_DOUBLE_EQ(r.mean_ttl, 240.0);
   EXPECT_DOUBLE_EQ(r.aggregate_utilization, 0.64883185698919754);
-  EXPECT_DOUBLE_EQ(gauge(r, "kernel.peak_events"), 501.0);
-  EXPECT_DOUBLE_EQ(gauge(r, "kernel.live_events_at_end"), 496.0);
+  EXPECT_DOUBLE_EQ(gauge(r, "kernel.peak_events"), 500.0);
+  EXPECT_DOUBLE_EQ(gauge(r, "kernel.live_events_at_end"), 495.0);
 }
 
 TEST(KernelGolden, CrashingDrr2RunIsBitIdentical) {
@@ -120,8 +123,8 @@ TEST(KernelGolden, CrashingDrr2RunIsBitIdentical) {
   EXPECT_DOUBLE_EQ(r.aggregate_utilization, 0.62420595977952165);
   EXPECT_DOUBLE_EQ(r.unavailability_fraction, 0.19450300616850161);
   EXPECT_DOUBLE_EQ(gauge(r, "kernel.cancels"), 2.0);
-  EXPECT_DOUBLE_EQ(gauge(r, "kernel.peak_events"), 505.0);
-  EXPECT_DOUBLE_EQ(gauge(r, "kernel.live_events_at_end"), 499.0);
+  EXPECT_DOUBLE_EQ(gauge(r, "kernel.peak_events"), 504.0);
+  EXPECT_DOUBLE_EQ(gauge(r, "kernel.live_events_at_end"), 498.0);
 }
 
 }  // namespace

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
 #include <initializer_list>
 #include <stdexcept>
@@ -197,6 +199,37 @@ TEST(ParallelRunner, OneJobRunsTheBatchInOrderOnTheCaller) {
   one.run(std::move(tasks));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
   for (const std::thread::id id : threads) EXPECT_EQ(id, std::this_thread::get_id());
+}
+
+// Threads of this process, from /proc/self/status.
+int process_threads() {
+  std::ifstream status("/proc/self/status");
+  for (std::string line; std::getline(status, line);) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+TEST(ParallelRunner, ExecutorStartsWorkersOnlyForTasks) {
+  // A pool starts a worker only when a batch has a task for it and keeps
+  // it: a sweep of fewer replications than jobs holds no idle threads. A
+  // sanitizer runtime starts a thread of its own with the process's first
+  // one, so one is started and joined before counting.
+  std::thread([] {}).join();
+  const int before = process_threads();
+  ASSERT_GT(before, 0);
+  experiment::ParallelExecutor pool(8);
+  EXPECT_EQ(pool.jobs(), 8);
+  EXPECT_EQ(process_threads(), before);
+  std::atomic<int> ran{0};
+  const std::function<void()> task = [&ran] { ++ran; };
+  pool.run({task, task});
+  EXPECT_EQ(process_threads(), before + 1);
+  pool.run({task, task});
+  EXPECT_EQ(process_threads(), before + 1);
+  pool.run(std::vector<std::function<void()>>(12, task));
+  EXPECT_EQ(process_threads(), before + 7);
+  EXPECT_EQ(ran.load(), 16);
 }
 
 // ---- ReplicatedResult::mean_cdf_curve edge cases ----

@@ -116,6 +116,42 @@ TEST(RunnerJson, ServerUtilizationArrayMatchesClusterSize) {
   EXPECT_EQ(commas + 1, static_cast<std::size_t>(cfg.cluster.size()));
 }
 
+// Occurrences of `needle` in `text`.
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t n = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + needle.size())) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(RunnerJson, ShardedRunReportsOnlyWhatItComputes) {
+  // Over two shards each server replica queues only its own shard's
+  // pages, so what depends on site-wide queueing reads null. One shard is
+  // the serial run and reports it all.
+  experiment::SimulationConfig cfg = tiny_config();
+  cfg.shard_domains = true;
+  for (const int shards : {2, 1}) {
+    SCOPED_TRACE(shards);
+    cfg.shard_count = shards;
+    EXPECT_EQ(experiment::reports_queueing(cfg), shards == 1);
+    const std::string json = experiment::to_json(cfg, experiment::run_replications(cfg, 1));
+    const std::size_t nulls = shards > 1 ? 1 : 0;
+    for (const char* key : {"p_max_util_below_090", "p_max_util_below_090_ci",
+                            "p_max_util_below_098", "p_max_util_below_098_ci",
+                            "mean_max_utilization", "mean_response_sec", "response_p99_sec"}) {
+      EXPECT_EQ(count_of(json, "\"" + std::string(key) + "\":null"), nulls) << key;
+    }
+    const auto domains = static_cast<std::size_t>(cfg.num_domains);
+    for (const char* key : {"p50_sec", "p95_sec", "p99_sec", "mean_sec"}) {
+      EXPECT_EQ(count_of(json, "\"" + std::string(key) + "\":null"), nulls * domains) << key;
+    }
+    EXPECT_EQ(count_of(json, ":null"), nulls * (7 + 4 * domains));
+    EXPECT_EQ(count_of(json, "\"pages\":"), domains);
+  }
+}
+
 TEST(RunnerJson, EmptyResultDoesNotCrashAndEmitsEmptyArray) {
   const experiment::ReplicatedResult empty;
   const std::string json = experiment::to_json(tiny_config(), empty);

@@ -7,13 +7,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
 
+#include "experiment/param_registry.h"
+#include "experiment/site.h"
 #include "proptest/invariants.h"
 
 namespace adattl::experiment {
@@ -262,20 +265,20 @@ TEST(ShardedSite, TracePointAndRateShiftReachTheOwningShard) {
   ShardedSite plain(quiet);
   ASSERT_NE(plain.owner(d), d % plain.shard_count());
   const RunResult base = plain.run();
-  proptest::check_sharded_run_conservation(plain, base);
+  proptest::check_slices_conservation(plain.config(), plain.slices(), base);
 
   SimulationConfig traced = quiet;
   traced.trace_events = {{100.0, d, 4.0}};
   ShardedSite with_trace(traced);
   const RunResult rt = with_trace.run();
-  proptest::check_sharded_run_conservation(with_trace, rt);
+  proptest::check_slices_conservation(with_trace.config(), with_trace.slices(), rt);
   EXPECT_NE(rt.domain_latency[d].pages, base.domain_latency[d].pages);
 
   SimulationConfig shifted = quiet;
   shifted.rate_shifts = {{100.0, d, 4.0}};
   ShardedSite with_shift(shifted);
   const RunResult rs = with_shift.run();
-  proptest::check_sharded_run_conservation(with_shift, rs);
+  proptest::check_slices_conservation(with_shift.config(), with_shift.slices(), rs);
   EXPECT_NE(rs.domain_latency[d].pages, base.domain_latency[d].pages);
 
   for (const RunResult* r : {&base, &rt, &rs}) {
@@ -320,7 +323,7 @@ TEST(ShardedSite, OneEstimatorFeedsEveryShard) {
 TEST(ShardedSite, ConservationLawsHoldAcrossShards) {
   ShardedSite site(sharded_config());
   const RunResult r = site.run();
-  proptest::check_sharded_run_conservation(site, r);
+  proptest::check_slices_conservation(site.config(), site.slices(), r);
   EXPECT_GT(r.total_pages, 0u);
   EXPECT_GT(r.total_hits, 0u);
 }
@@ -337,7 +340,7 @@ TEST(ShardedSite, ConservationHoldsWithFaultsAndGeo) {
   cfg.faults.crashes.push_back(crash);
   ShardedSite site(cfg);
   const RunResult r = site.run();
-  proptest::check_sharded_run_conservation(site, r);
+  proptest::check_slices_conservation(site.config(), site.slices(), r);
   EXPECT_GT(r.mean_network_rtt_sec, 0.0);
   EXPECT_GT(r.failed_requests, 0u);
 }
@@ -361,7 +364,7 @@ TEST(ShardedSite, MetricsSnapshotSumsTheShards) {
   expect_bit_identical(a, b);
   EXPECT_EQ(a.metrics, nullptr);
   ASSERT_NE(b.metrics, nullptr);
-  proptest::check_sharded_run_conservation(on, b);
+  proptest::check_slices_conservation(on.config(), on.slices(), b);
 
   const obs::MetricsSnapshot& m = *b.metrics;
   EXPECT_EQ(m.find("scheduler.decisions")->value, static_cast<double>(b.authoritative_queries));
@@ -412,28 +415,89 @@ TEST(ShardedSite, TracksUnshardedRunWithinTolerance) {
   EXPECT_NEAR(hit_ratio, 1.0, 0.05);
 }
 
+// Every metric of the two snapshots: names, kinds, values and histograms.
+void expect_same_metrics(const obs::MetricsSnapshot& a, const obs::MetricsSnapshot& b) {
+  ASSERT_EQ(a.metrics.size(), b.metrics.size());
+  for (std::size_t k = 0; k < a.metrics.size(); ++k) {
+    const obs::MetricsSnapshot::Metric& x = a.metrics[k];
+    const obs::MetricsSnapshot::Metric& y = b.metrics[k];
+    EXPECT_EQ(x.name, y.name);
+    EXPECT_EQ(x.kind, y.kind) << x.name;
+    EXPECT_EQ(x.value, y.value) << x.name;
+    EXPECT_EQ(x.upper, y.upper) << x.name;
+    EXPECT_EQ(x.count, y.count) << x.name;
+    EXPECT_EQ(x.sum, y.sum) << x.name;
+    EXPECT_EQ(x.bins, y.bins) << x.name;
+  }
+}
+
+// One shard owns every domain and takes the seed's own stream, and one
+// driver runs both modes, so a one-shard run must be Site's run exactly:
+// every result field, the event count and every metric.
+void expect_one_shard_is_site(SimulationConfig cfg) {
+  cfg.metrics_enabled = true;
+  cfg.shard_domains = true;
+  cfg.shard_count = 1;
+  SimulationConfig serial_cfg = cfg;
+  serial_cfg.shard_domains = false;
+  ShardedSite sharded(cfg);
+  ASSERT_EQ(sharded.shard_count(), 1);
+  const RunResult rp = sharded.run();
+  const RunResult rs = Site(serial_cfg).run();
+  expect_bit_identical(rp, rs);
+  ASSERT_NE(rp.metrics, nullptr);
+  ASSERT_NE(rs.metrics, nullptr);
+  expect_same_metrics(*rp.metrics, *rs.metrics);
+}
+
+// A shipped scenario as run_scenario resolves it from the repository root:
+// the files name their fault schedules and traces relative to it.
+SimulationConfig shipped_scenario(const std::filesystem::path& root, const std::string& name) {
+  struct Restore {
+    std::filesystem::path saved = std::filesystem::current_path();
+    ~Restore() { std::filesystem::current_path(saved); }
+  } restore;
+  std::filesystem::current_path(root);
+  return ParamRegistry::instance()
+      .resolve({"--config=scenarios/" + name + ".scenario"})
+      .options.config;
+}
+
 TEST(ShardedSite, OneShardDrawsSitesSample) {
-  // One shard owns every domain and takes the seed's own stream, so it
-  // must run Site's sample exactly. The barrier merges the monitor ticks
-  // that Site fires as kernel events, so only the event count differs, by
-  // the tick count.
   for (const char* policy : {"DRR2-TTL/S_K", "RR", "PRR2-TTL/K"}) {
     for (const bool oracle : {true, false}) {
       SCOPED_TRACE(std::string(policy) + (oracle ? " oracle" : " measured"));
       SimulationConfig cfg = sharded_config(policy);
-      cfg.shard_count = 1;
       cfg.oracle_weights = oracle;
-      SimulationConfig serial_cfg = cfg;
-      serial_cfg.shard_domains = false;
-      ShardedSite sharded(cfg);
-      ASSERT_EQ(sharded.shard_count(), 1);
-      const RunResult rp = sharded.run();
-      const RunResult rs = Site(serial_cfg).run();
-      expect_same_sample(rp, rs);
-      const auto ticks = static_cast<std::uint64_t>(
-          std::floor((cfg.warmup_sec + cfg.duration_sec) / cfg.monitor_interval_sec));
-      EXPECT_EQ(rp.events_dispatched + ticks, rs.events_dispatched);
+      expect_one_shard_is_site(cfg);
     }
+  }
+
+  // Every shipped scenario, at a horizon past its last scripted event
+  // (shifts, scale-downs, faults, trace points), so each scripted path
+  // runs. flash_crowd_outage's pause starts and ends on a tick.
+  const std::map<std::string, double> horizon_sec = {
+      {"autoscale", 6400.0},           // shift at 6000 s
+      {"chaos_recovery", 2400.0},      // faults end at 2100 s
+      {"diurnal_flash", 43300.0},      // trace steps to 43200 s
+      {"flash_crowd_outage", 9700.0},  // shift at 6000 s, pause 9000-9600 s
+      {"geo_cdn", 1200.0},
+      {"hostile_resolvers", 1200.0},
+      {"latency_tradeoff", 1200.0},
+      {"paper_default", 1200.0},
+  };
+  const std::filesystem::path root(ADATTL_SOURCE_DIR);
+  std::vector<std::string> shipped;
+  for (const auto& entry : std::filesystem::directory_iterator(root / "scenarios")) {
+    if (entry.path().extension() == ".scenario") shipped.push_back(entry.path().stem().string());
+  }
+  ASSERT_EQ(shipped.size(), horizon_sec.size()) << "every shipped scenario needs a horizon";
+  for (const std::string& name : shipped) {
+    SCOPED_TRACE(name);
+    ASSERT_EQ(horizon_sec.count(name), 1u) << "no horizon for scenario " << name;
+    SimulationConfig cfg = shipped_scenario(root, name);
+    cfg.duration_sec = horizon_sec.at(name) - cfg.warmup_sec;
+    expect_one_shard_is_site(cfg);
   }
 }
 

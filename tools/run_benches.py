@@ -17,10 +17,11 @@ one schema:
               seconds ("s"), rates per second ("1/s")
   summary     optional: the median ratios the docs cite
 
-Google-benchmark binaries run 5 interleaved repetitions (a benchmark can
-set its own count). The daemon rows run each configuration 3 times with
-one load generator per shard, counting only runs in which every shard
-served a flow. A saturating generator measures queueing in its latency
+Google-benchmark binaries run each benchmark family (the name before the
+first "/") in a process of its own, with 5 repetitions interleaved within
+the family (a benchmark can set its own count). The daemon rows run each
+configuration 3 times with one load generator per shard, counting only
+runs in which every shard served a flow. A saturating generator measures queueing in its latency
 rows, so one configuration also runs at a fixed rate, below saturation.
 micro_estimator and micro_geo report accuracy, not time: their own JSON
 document is kept under the common context, and they exit nonzero, which
@@ -71,12 +72,33 @@ def gbench_rows(dump):
     return {name: row(unit, values) for (name, unit), values in samples.items()}
 
 
+def families(names):
+    """The benchmark families of `names`, a family being the part of a name
+    before the first "/", in the order they first appear."""
+    return list(dict.fromkeys(name.split("/", 1)[0] for name in names))
+
+
+def family_filter(family):
+    """The --benchmark_filter regex that selects exactly one family."""
+    return f"^{re.escape(family)}(/|$)"
+
+
 def gbench(build, target):
-    out = subprocess.run(
-        [os.path.join(build, "bench", target), "--benchmark_repetitions=5",
-         "--benchmark_enable_random_interleaving=true", "--benchmark_format=json"],
-        check=True, stdout=subprocess.PIPE, text=True).stdout
-    return gbench_rows(json.loads(out))
+    """Each benchmark family runs in its own process, so a short row is not
+    measured in the heap and caches a long unrelated row left behind.
+    Repetitions interleave within a family, where paired rows (a run and
+    its _obs twin) sit."""
+    binary = os.path.join(build, "bench", target)
+    listed = subprocess.run([binary, "--benchmark_list_tests=true"], check=True,
+                            stdout=subprocess.PIPE, text=True).stdout.split()
+    rows = {}
+    for family in families(listed):
+        out = subprocess.run(
+            [binary, f"--benchmark_filter={family_filter(family)}", "--benchmark_repetitions=5",
+             "--benchmark_enable_random_interleaving=true", "--benchmark_format=json"],
+            check=True, stdout=subprocess.PIPE, text=True).stdout
+        rows.update(gbench_rows(json.loads(out)))
+    return rows
 
 
 def ratio(rows, over, under):
