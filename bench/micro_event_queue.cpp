@@ -16,16 +16,24 @@ using adattl::sim::EventHandle;
 using adattl::sim::RngStream;
 using adattl::sim::Simulator;
 
-/// The memory an event's owner keeps, as the client pool keeps a 128-byte
-/// record per client. Each callback below reads and writes its own record
-/// first, so these rows run the path a simulation runs: Simulator::after
-/// or after_owned, and fire_next (with its slot or record prefetch and the
-/// heap-level prefetches) through run_until.
+/// The memory a closure event's target keeps: a 128-byte record. Every
+/// event below reads and writes its own record first, so these rows run
+/// the path a simulation runs: Simulator::after or after_owned, and
+/// fire_next (with its slot or record prefetch and the heap-level
+/// prefetches) through run_until.
 struct alignas(64) Record {
   std::uint64_t fired = 0;
   std::uint64_t rest[15] = {};
 };
 static_assert(sizeof(Record) == 128, "a record spans two cache lines");
+
+/// An owned event's record, as the client pool keeps one per client: one
+/// 64-byte line.
+struct alignas(64) LineRecord {
+  std::uint64_t fired = 0;
+  std::uint64_t rest[7] = {};
+};
+static_assert(sizeof(LineRecord) == 64, "a client record is one cache line");
 
 void BM_ScheduleFire(benchmark::State& state) {
   // n closure events at random times, then all of them fired.
@@ -52,7 +60,7 @@ BENCHMARK(BM_ScheduleFire)->Arg(1000)->Arg(10000)->Arg(100000);
 struct ChurnOwner {
   Simulator* sim;
   RngStream* rng;
-  std::vector<Record>* records;
+  std::vector<LineRecord>* records;
   static void fire(void* ctx, std::uint32_t i) {
     const auto& self = *static_cast<const ChurnOwner*>(ctx);
     ++(*self.records)[i].fired;
@@ -60,17 +68,17 @@ struct ChurnOwner {
   }
 };
 
-void BM_SteadyStateOwnedFire(benchmark::State& state) {
-  // The simulation's client pattern: ~#clients resident owned events,
-  // each firing scheduling its successor. One iteration advances
-  // simulated time by the span in which about 64 events fall; the rate
-  // counts the events fired.
+void BM_SteadyStateOwnedLineFire(benchmark::State& state) {
+  // The simulation's client pattern: ~#clients resident owned events on
+  // one-line records, each firing scheduling its successor. One iteration
+  // advances simulated time by the span in which about 64 events fall;
+  // the rate counts the events fired.
   const int resident = static_cast<int>(state.range(0));
   RngStream rng(2);
   Simulator sim;
-  std::vector<Record> records(static_cast<std::size_t>(resident));
+  std::vector<LineRecord> records(static_cast<std::size_t>(resident));
   ChurnOwner owner{&sim, &rng, &records};
-  sim.set_owner({&ChurnOwner::fire, &owner, records.data(), sizeof(Record)});
+  sim.set_owner({&ChurnOwner::fire, &owner, records.data(), sizeof(LineRecord)});
   for (std::uint32_t i = 0; i < records.size(); ++i) sim.after_owned(rng.uniform(0.0, 30.0), i);
   const double step = 64 * 15.0 / resident;
   double horizon = 0.0;
@@ -78,7 +86,7 @@ void BM_SteadyStateOwnedFire(benchmark::State& state) {
   for (auto _ : state) fired += sim.run_until(horizon += step);
   state.SetItemsProcessed(static_cast<std::int64_t>(fired));
 }
-BENCHMARK(BM_SteadyStateOwnedFire)->Arg(500)->Arg(5000)->Arg(50000);
+BENCHMARK(BM_SteadyStateOwnedLineFire)->Arg(500)->Arg(5000)->Arg(50000);
 
 void BM_CancelHeavyFire(benchmark::State& state) {
   // TTL-expiry style workloads cancel many events before they fire: half

@@ -201,14 +201,13 @@ void EventQueue::fire_next(SimTime& now) {
   root_vacant_ = true;
   // The root's least child is the next event unless this one schedules an
   // earlier one. Its family is the line the successor's sift reads first
-  // anyway; where it is read first, its slot or its owner's record, is two
-  // random lines the next fire would otherwise wait on. The tag alone
-  // gives the address, so no load stands between the child's entry and the
-  // prefetch. The kind selects base, stride and the second line's offset
-  // through a mask, so no branch depends on which kind comes next; a slot
-  // is one line, so its second prefetch is the first again. (Inline on
-  // purpose: GCC deems a function that only prefetches pure, and drops a
-  // call to it whose result goes unused.)
+  // anyway; where it is read first, its slot or its owner's record, is a
+  // random line the next fire would otherwise wait on. The tag alone gives
+  // the address, so no load stands between the child's entry and the
+  // prefetch. The kind selects base and stride through a mask, so no
+  // branch depends on which kind comes next. (Inline on purpose: GCC deems
+  // a function that only prefetches pure, and drops a call to it whose
+  // result goes unused.)
   if (heap_.size() > 1) {
     const std::uint64_t next = heap_[least_child(heap_.data(), 1, heap_.size())].tag;
     const std::uintptr_t owned_mask = 0 - ((next >> kSlotBits) & 1);
@@ -216,10 +215,8 @@ void EventQueue::fire_next(SimTime& now) {
         (reinterpret_cast<std::uintptr_t>(owner_.records) & owned_mask) |
         (reinterpret_cast<std::uintptr_t>(slots_.data()) & ~owned_mask);
     const std::size_t stride = (owner_.stride & owned_mask) | (sizeof(Slot) & ~owned_mask);
-    const void* first =
-        byte_offset(reinterpret_cast<const void*>(base), (next & kSlotMask) * stride);
-    __builtin_prefetch(first);
-    __builtin_prefetch(byte_offset(first, 64 & owned_mask));
+    __builtin_prefetch(
+        byte_offset(reinterpret_cast<const void*>(base), (next & kSlotMask) * stride));
   }
   try {
     if (owned(top)) {

@@ -58,8 +58,8 @@ struct EventHandle {
 ///    table is bounded by the maximum number of live closure events;
 ///  * a slot is one 64-byte, line-aligned cache line (callback, seq,
 ///    generation), so firing a closure event reads one line of the table;
-///  * before fire_next() runs an event, it prefetches the two lines where
-///    the root's least child (the next event, unless this one schedules an
+///  * before fire_next() runs an event, it prefetches the line where the
+///    root's least child (the next event, unless this one schedules an
 ///    earlier one) is read first: its slot, or for an owned event the
 ///    owner's record, whose address the index in the heap entry gives with
 ///    no load;
@@ -113,9 +113,10 @@ class EventQueue {
   using OwnerFire = void (*)(void* ctx, std::uint32_t index);
 
   /// The one owner of a queue's owned events. Owned event i reads first
-  /// the record at `records + i * stride`, whose first two lines
-  /// fire_next() prefetches one event ahead; the queue never reads
-  /// through `records`, so a stale base changes speed, never order.
+  /// the record at `records + i * stride`, whose first line fire_next()
+  /// prefetches one event ahead (a client record is that one line); the
+  /// queue never reads through `records`, so a stale base changes speed,
+  /// never order.
   struct Owner {
     OwnerFire fire = nullptr;
     void* ctx = nullptr;

@@ -19,7 +19,7 @@ std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); 
 
 }  // namespace
 
-RngStream::RngStream(std::uint64_t seed) {
+Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
 }
@@ -31,7 +31,7 @@ RngStream RngStream::split() {
   return RngStream(splitmix64(x));
 }
 
-std::uint64_t RngStream::next_u64() {
+std::uint64_t Rng::next_u64() {
   const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
   const std::uint64_t t = s_[1] << 17;
   s_[2] ^= s_[0];
@@ -43,16 +43,16 @@ std::uint64_t RngStream::next_u64() {
   return result;
 }
 
-double RngStream::next_double() {
+double Rng::next_double() {
   return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
 }
 
-double RngStream::uniform(double lo, double hi) {
+double Rng::uniform(double lo, double hi) {
   if (lo > hi) throw std::invalid_argument("uniform: lo > hi");
   return lo + (hi - lo) * next_double();
 }
 
-std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
+std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("uniform_int: lo > hi");
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next_u64());  // full 64-bit range
@@ -65,7 +65,7 @@ std::int64_t RngStream::uniform_int(std::int64_t lo, std::int64_t hi) {
   return lo + static_cast<std::int64_t>(v % span);
 }
 
-double RngStream::exponential(double mean) {
+double Rng::exponential(double mean) {
   if (mean <= 0) throw std::invalid_argument("exponential: mean must be > 0");
   double u;
   do {
@@ -74,7 +74,7 @@ double RngStream::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-double RngStream::erlang(int k, double mean_total) {
+double Rng::erlang(int k, double mean_total) {
   if (k <= 0) throw std::invalid_argument("erlang: k must be >= 1");
   const double stage_mean = mean_total / k;
   double sum = 0.0;
@@ -82,7 +82,7 @@ double RngStream::erlang(int k, double mean_total) {
   return sum;
 }
 
-int RngStream::geometric_min1(double mean) {
+int Rng::geometric_min1(double mean) {
   if (mean < 1.0) throw std::invalid_argument("geometric_min1: mean must be >= 1");
   if (mean == 1.0) return 1;
   // X = 1 + floor(log(U) / log(1 - p)) with success probability p = 1/mean

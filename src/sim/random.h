@@ -7,21 +7,14 @@
 
 namespace adattl::sim {
 
-/// Deterministic, splittable pseudo-random stream (xoshiro256++).
-///
-/// Every stochastic model component owns its own stream derived from the
-/// run seed via split(), so adding or removing one component never
-/// perturbs the variates another component draws — a property the
-/// paired-comparison experiments rely on.
-class RngStream {
+/// A xoshiro256++ generator: 32 bytes of state and every draw, but no
+/// splitting. A client holds one in its one-line record (clients never
+/// split their stream); everything else draws through an RngStream.
+class Rng {
  public:
-  /// Seeds the stream; the raw seed is expanded through splitmix64 so that
-  /// nearby seeds yield uncorrelated streams.
-  explicit RngStream(std::uint64_t seed);
-
-  /// Derives an independent child stream. Successive calls derive distinct
-  /// children.
-  RngStream split();
+  /// Seeds the generator; the raw seed is expanded through splitmix64 so
+  /// that nearby seeds yield uncorrelated streams.
+  explicit Rng(std::uint64_t seed);
 
   /// Uniform 64-bit word.
   std::uint64_t next_u64();
@@ -55,8 +48,27 @@ class RngStream {
     return next_double() < p;
   }
 
- private:
+ protected:
   std::uint64_t s_[4];
+};
+static_assert(sizeof(Rng) == 32, "a generator is its 32-byte xoshiro256++ state");
+
+/// Deterministic, splittable pseudo-random stream: an Rng plus the counter
+/// that numbers its children.
+///
+/// Every stochastic model component owns its own stream derived from the
+/// run seed via split(), so adding or removing one component never
+/// perturbs the variates another component draws — a property the
+/// paired-comparison experiments rely on.
+class RngStream : public Rng {
+ public:
+  explicit RngStream(std::uint64_t seed) : Rng(seed) {}
+
+  /// Derives an independent child stream. Successive calls derive distinct
+  /// children.
+  RngStream split();
+
+ private:
   std::uint64_t split_salt_ = 0;
 };
 

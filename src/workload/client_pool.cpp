@@ -18,7 +18,7 @@ void SessionProfile::validate() const {
   }
 }
 
-int SessionProfile::sample_hits(sim::RngStream& rng) const {
+int SessionProfile::sample_hits(sim::Rng& rng) const {
   switch (hits_distribution) {
     case HitsDistribution::kUniform:
       return static_cast<int>(rng.uniform_int(min_hits_per_page, max_hits_per_page));
@@ -84,10 +84,11 @@ void ClientPool::own_simulator() {
 
 void ClientPool::reserve(std::size_t clients) {
   recs_.reserve(clients);
+  if (geo_) network_time_.reserve(clients);
   own_simulator();
 }
 
-std::size_t ClientPool::add(dnscache::Resolver& resolver, sim::RngStream rng) {
+std::size_t ClientPool::add(dnscache::Resolver& resolver, const sim::Rng& rng) {
   if (resolver.domain() < 0 || resolver.domain() >= think_.num_domains()) {
     throw std::invalid_argument("Client: resolver domain outside think-time model");
   }
@@ -95,6 +96,7 @@ std::size_t ClientPool::add(dnscache::Resolver& resolver, sim::RngStream rng) {
     throw std::invalid_argument("Client: resolver domain outside geo model");
   }
   recs_.emplace_back(rng, &resolver);
+  if (geo_) network_time_.push_back(0.0);
   own_simulator();  // the records may have moved
   return recs_.size() - 1;
 }
@@ -104,46 +106,41 @@ void ClientPool::start(std::size_t i, double initial_delay) {
     throw std::out_of_range("ClientPool::start: no client " + std::to_string(i) + " (pool has " +
                             std::to_string(recs_.size()) + ")");
   }
-  // A started client has a pending event, which wake() rejects, or a page
-  // at a server, which only a session can have sent.
-  if (recs_[i].sessions > 0) throw_not_idle(i, "was already started");
-  wake(static_cast<std::uint32_t>(i), Event::kBeginSession, initial_delay);
+  if (recs_[i].state != State::kNotStarted) throw_not_idle(i, "was already started");
+  wake(static_cast<std::uint32_t>(i), State::kBeginSession, initial_delay);
 }
 
 void ClientPool::throw_not_idle(std::size_t i, const char* what) {
   throw std::logic_error("ClientPool: client " + std::to_string(i) + " " + what);
 }
 
-void ClientPool::wake(std::uint32_t i, Event next, double delay) {
+void ClientPool::wake(std::uint32_t i, State next, double delay) {
   Rec& c = recs_[i];
-  if (c.next != Event::kNone) [[unlikely]] throw_not_idle(i, "already has a pending event");
+  if (c.state > State::kAtServer) [[unlikely]] throw_not_idle(i, "already has a pending event");
   sim_.after_owned(delay, i);
-  c.next = next;
+  c.state = next;
 }
 
 void ClientPool::fire(void* pool, std::uint32_t i) {
   ClientPool& self = *static_cast<ClientPool*>(pool);
   Rec& c = self.recs_[i];
-  const Event next = c.next;
-  c.next = Event::kNone;
-  switch (next) {
-    case Event::kBeginSession: return self.begin_session(i);
-    case Event::kArrive: return self.arrive(i);
-    case Event::kRetryPage: return self.retry_page(i);
-    case Event::kNone: break;
+  const State pending = c.state;
+  c.state = State::kAtServer;
+  switch (pending) {
+    case State::kBeginSession: return self.begin_session(i);
+    case State::kArriveNext: ++self.totals_.pages; [[fallthrough]];
+    case State::kArrive: return self.arrive(i);
+    case State::kRetryPage: return self.retry_page(i);
+    case State::kNotStarted:
+    case State::kAtServer: break;
   }
+  c.state = pending;
   throw_not_idle(i, "fired with no pending event");
 }
 
 ClientPool::Totals ClientPool::totals() const {
-  Totals t;
-  for (const Rec& c : recs_) {
-    t.sessions += c.sessions;
-    t.pages += c.pages;
-    t.pages_failed += c.pages_failed;
-    t.resolution_failures += c.resolution_failures;
-    t.network_time_sec += c.network_time;
-  }
+  Totals t = totals_;
+  for (const double seconds : network_time_) t.network_time_sec += seconds;
   return t;
 }
 
@@ -153,28 +150,26 @@ void ClientPool::begin_session(std::uint32_t i) {
   if (c.mapped_server < 0) {
     // DNS outage against a cold NS cache: nothing to stale-serve. The
     // session has not started — try again shortly.
-    ++c.resolution_failures;
-    wake(i, Event::kBeginSession, retry_delay_sec_);
+    ++totals_.resolution_failures;
+    wake(i, State::kBeginSession, retry_delay_sec_);
     return;
   }
-  ++c.sessions;
+  ++totals_.sessions;
   c.pages_left = c.rng.geometric_min1(profile_.mean_pages_per_session);
-  ++c.pages;
+  ++totals_.pages;
   --c.pages_left;
   c.pending_hits = profile_.sample_hits(c.rng);
   dispatch_request(i);
 }
 
 void ClientPool::dispatch_request(std::uint32_t i) {
-  Rec& c = recs_[i];
-  // One geo lookup per dispatch: the mapping cannot change between the
-  // request and reply legs, so page_done() reuses the cached value.
-  c.page_rtt = geo_ ? geo_->rtt(c.resolver->domain(), c.mapped_server) : 0.0;
-  if (c.page_rtt > 0.0) {
+  const Rec& c = recs_[i];
+  const double rtt = geo_ ? geo_->rtt(c.resolver->domain(), c.mapped_server) : 0.0;
+  if (rtt > 0.0) {
     // Request leg only. The reply leg is charged when (if) the server
     // completes the page — a rejected or crashed attempt never took it.
-    c.network_time += c.page_rtt / 2.0;
-    wake(i, Event::kArrive, c.page_rtt / 2.0);
+    network_time_[i] += rtt / 2.0;
+    wake(i, State::kArrive, rtt / 2.0);
   } else {
     arrive(i);
   }
@@ -182,10 +177,6 @@ void ClientPool::dispatch_request(std::uint32_t i) {
 
 void ClientPool::arrive(std::uint32_t i) {
   Rec& c = recs_[i];
-  if (c.count_page_on_arrive) {
-    c.count_page_on_arrive = false;
-    ++c.pages;
-  }
   c.page_start = sim_.now();
   dispatcher_.dispatch(c.mapped_server,
                        web::PageRequest{c.resolver->domain(), c.pending_hits, this, i});
@@ -193,34 +184,38 @@ void ClientPool::arrive(std::uint32_t i) {
 
 void ClientPool::page_done(std::uint32_t i) {
   Rec& c = recs_[i];
-  if (c.page_rtt > 0.0) c.network_time += c.page_rtt / 2.0;  // the reply leg home
+  const web::DomainId d = c.resolver->domain();
+  // The mapping is held for the session, so this is the RTT the page's
+  // request leg flew.
+  const double rtt = geo_ ? geo_->rtt(d, c.mapped_server) : 0.0;
+  if (rtt > 0.0) network_time_[i] += rtt / 2.0;  // the reply leg home
   // Client-perceived response: request flight + server time + reply
   // flight. page_start is the server-arrival instant, so both legs are
   // added back.
-  domain_response_[static_cast<std::size_t>(c.resolver->domain())].add(
-      (sim_.now() - c.page_start) + c.page_rtt);
-  const double think = think_.sample(c.resolver->domain(), c.rng);
+  domain_response_[static_cast<std::size_t>(d)].add((sim_.now() - c.page_start) + rtt);
+  const double think = think_.sample(d, c.rng);
   if (c.pages_left > 0) {
     // Coalesce reply flight + think + next request flight into one event:
     // the mapping is held for the session, so nothing the client can
     // observe changes in between. The next page's size is drawn now —
-    // same stream, same order, same value as drawing it at dispatch time.
+    // same stream, same order, same value as drawing it at dispatch time —
+    // but the page counts as requested when its arrival fires (= the
+    // historical think-end instant); a retry arrives uncounted.
     --c.pages_left;
     c.pending_hits = profile_.sample_hits(c.rng);
-    c.count_page_on_arrive = true;
-    if (c.page_rtt > 0.0) {
-      c.network_time += c.page_rtt / 2.0;  // next page's request leg
-      wake(i, Event::kArrive, c.page_rtt / 2.0 + think + c.page_rtt / 2.0);
+    if (rtt > 0.0) {
+      network_time_[i] += rtt / 2.0;  // next page's request leg
+      wake(i, State::kArriveNext, rtt / 2.0 + think + rtt / 2.0);
     } else {
-      wake(i, Event::kArrive, think);
+      wake(i, State::kArriveNext, think);
     }
   } else {
     // Session over: reply flight + think, then re-resolve (the next
     // session's mapping may differ, so it cannot coalesce further).
-    if (c.page_rtt > 0.0) {
-      wake(i, Event::kBeginSession, c.page_rtt / 2.0 + think);
+    if (rtt > 0.0) {
+      wake(i, State::kBeginSession, rtt / 2.0 + think);
     } else {
-      wake(i, Event::kBeginSession, think);
+      wake(i, State::kBeginSession, think);
     }
   }
 }
@@ -228,8 +223,8 @@ void ClientPool::page_done(std::uint32_t i) {
 void ClientPool::page_failed(std::uint32_t i) {
   // Called from inside the server's crash/reject path — never resubmit
   // synchronously; the retry is a fresh simulator event.
-  ++recs_[i].pages_failed;
-  wake(i, Event::kRetryPage, retry_delay_sec_);
+  ++totals_.pages_failed;
+  wake(i, State::kRetryPage, retry_delay_sec_);
 }
 
 void ClientPool::retry_page(std::uint32_t i) {
@@ -240,8 +235,8 @@ void ClientPool::retry_page(std::uint32_t i) {
   // resolution until either recovers.
   c.mapped_server = c.resolver->resolve();
   if (c.mapped_server < 0) {
-    ++c.resolution_failures;
-    wake(i, Event::kRetryPage, retry_delay_sec_);
+    ++totals_.resolution_failures;
+    wake(i, State::kRetryPage, retry_delay_sec_);
     return;
   }
   dispatch_request(i);

@@ -31,18 +31,20 @@ struct SessionProfile {
   void validate() const;
 
   /// Draws one page's hit count.
-  int sample_hits(sim::RngStream& rng) const;
+  int sample_hits(sim::Rng& rng) const;
 
   /// Mean hits per page under the configured distribution.
   double mean_hits_per_page() const;
 };
 
 /// The entire client population of one simulation as a single pooled
-/// object: one contiguous vector of 128-byte, line-aligned records
-/// (per-client RNG state, session counters, the page in flight) instead
-/// of a heap allocation per client, so a client's event touches exactly
-/// two cache lines of it. At a million clients that is one ~128 MB
-/// allocation, iterated cache-linearly for end-of-run aggregation.
+/// object: one contiguous vector of 64-byte, line-aligned records (the
+/// client's generator and the page in flight) instead of a heap allocation
+/// per client, so a client's event touches exactly one cache line of it.
+/// At a million clients that is one ~64 MB allocation. The lifetime
+/// counters are kept pool-wide, and the network time per client, which
+/// only geography charges, in a side array that exists only with a geo
+/// model.
 ///
 /// A client is always in exactly one state (thinking, a page in flight, or
 /// waiting on a resolution), so it has at most one pending event, and its
@@ -98,9 +100,9 @@ class ClientPool final : private web::PageClient {
   void reserve(std::size_t clients);
 
   /// Adds one client that resolves through `resolver` (a NameServer or a
-  /// per-client cache on top of one) and draws from `rng`. Returns the
-  /// client's index. `resolver` must outlive the pool.
-  std::size_t add(dnscache::Resolver& resolver, sim::RngStream rng);
+  /// per-client cache on top of one) and draws from a copy of `rng`.
+  /// Returns the client's index. `resolver` must outlive the pool.
+  std::size_t add(dnscache::Resolver& resolver, const sim::Rng& rng);
 
   /// Schedules client `i`'s first session `initial_delay` seconds from now
   /// (staggered starts avoid a synchronized stampede at t = 0). Throws
@@ -111,27 +113,20 @@ class ClientPool final : private web::PageClient {
 
   std::size_t size() const { return recs_.size(); }
 
-  std::uint64_t sessions_started(std::size_t i) const { return recs_[i].sessions; }
-  std::uint64_t pages_requested(std::size_t i) const { return recs_[i].pages; }
-  /// Page attempts that came back failed (crashed server); each is retried
-  /// after retry_delay_sec with a fresh resolution, so one page can fail
-  /// several times during a long outage.
-  std::uint64_t pages_failed(std::size_t i) const { return recs_[i].pages_failed; }
-  /// Resolutions that produced no server at all (cold NS cache during a
-  /// DNS outage); retried like failed pages.
-  std::uint64_t resolution_failures(std::size_t i) const {
-    return recs_[i].resolution_failures;
-  }
-  /// Total network flight seconds client `i`'s pages actually spent in the
-  /// air (0 without a geo model).
-  double network_time_sec(std::size_t i) const { return recs_[i].network_time; }
-
-  /// Population-wide sums, accumulated in index order (one linear pass).
+  /// The whole population's lifetime counts.
   struct Totals {
     std::uint64_t sessions = 0;
     std::uint64_t pages = 0;
+    /// Page attempts that came back failed (crashed server); each is
+    /// retried after retry_delay_sec with a fresh resolution, so one page
+    /// can fail several times during a long outage.
     std::uint64_t pages_failed = 0;
+    /// Resolutions that produced no server at all (cold NS cache during a
+    /// DNS outage); retried like failed pages.
     std::uint64_t resolution_failures = 0;
+    /// Network flight seconds the pages actually spent in the air, summed
+    /// per client and then over the clients in index order (0 without a
+    /// geo model).
     double network_time_sec = 0.0;
   };
   Totals totals() const;
@@ -145,45 +140,41 @@ class ClientPool final : private web::PageClient {
   }
 
  private:
-  /// One client. Kept POD-ish and compact: the pool's contiguous vector of
-  /// these IS the client population's entire state. Its 120 bytes are
-  /// padded to two whole cache lines (std::vector allocates the
-  /// over-aligned type through aligned new); packed at 120 bytes, three
-  /// records in four would straddle a third line.
-  /// What a client's one pending event runs.
-  enum class Event : std::uint8_t { kNone, kBeginSession, kArrive, kRetryPage };
+  /// What a client is doing: exactly one state. The states after kAtServer
+  /// are its one pending event, and name the handler that event runs.
+  enum class State : std::uint8_t {
+    kNotStarted,    ///< added; start() not yet called
+    kAtServer,      ///< no pending event: its page is at a server (or its event runs)
+    kBeginSession,  ///< resolve and open a session
+    kArrive,        ///< its page reaches the server (a session's first page, or a retry)
+    kArriveNext,    ///< the session's next page reaches the server, and counts as requested
+    kRetryPage,     ///< re-resolve and resend the failed page
+  };
 
+  /// One client: exactly what its events read, in one cache line. The
+  /// pool's contiguous vector of these is the population's per-client
+  /// state (std::vector allocates the over-aligned type through aligned
+  /// new).
   struct alignas(64) Rec {
-    Rec(sim::RngStream r, dnscache::Resolver* res) : rng(r), resolver(res) {}
+    Rec(const sim::Rng& r, dnscache::Resolver* res) : rng(r), resolver(res) {}
 
-    sim::RngStream rng;
+    sim::Rng rng;
     dnscache::Resolver* resolver;
-    double network_time = 0.0;
-    /// RTT of the page in flight, looked up once per dispatch and reused
-    /// for the reply leg — the mapping is fixed for the page's lifetime.
-    double page_rtt = 0.0;
     /// Server-arrival instant of the page in flight; with the request leg
     /// prepended and the reply leg appended this yields the client-
     /// perceived response time recorded at completion.
     double page_start = 0.0;
-    std::uint64_t sessions = 0;
-    std::uint64_t pages = 0;
-    std::uint64_t pages_failed = 0;
-    std::uint64_t resolution_failures = 0;
+    /// Held for the whole session, and never changed while a page is in
+    /// flight, so the page's RTT is looked up again at completion.
     web::ServerId mapped_server = -1;
     int pages_left = 0;
     /// Hit count of the page in flight, kept so a failed page retries with
     /// the *same* size (a retry is the same page, not a new sample).
     int pending_hits = 0;
-    /// A coalesced next page counts as requested when its arrival event
-    /// fires (= the historical think-end instant), not when it is drawn at
-    /// service-completion time; retries arrive without recounting.
-    bool count_page_on_arrive = false;
-    /// The handler the client's pending event runs; kNone while its page
-    /// is at a server, and before start().
-    Event next = Event::kNone;
+    State state = State::kNotStarted;
   };
-  static_assert(sizeof(Rec) == 128, "a client record is exactly two cache lines");
+  static_assert(sizeof(Rec) == 64, "a client record is exactly one cache line");
+  static_assert(alignof(Rec) == 64, "a client record starts a cache line");
 
   /// The simulator's owner entry: fires client `i`'s pending event.
   static void fire(void* pool, std::uint32_t i);
@@ -192,7 +183,7 @@ class ClientPool final : private web::PageClient {
   /// Schedules client `i`'s one pending event, which runs `next`, `delay`
   /// seconds from now. Throws std::logic_error, naming `i`, if client `i`
   /// already has one.
-  void wake(std::uint32_t i, Event next, double delay);
+  void wake(std::uint32_t i, State next, double delay);
   [[noreturn]] static void throw_not_idle(std::size_t i, const char* what);
 
   void begin_session(std::uint32_t i);
@@ -210,6 +201,12 @@ class ClientPool final : private web::PageClient {
   const geo::GeoModel* geo_;
   double retry_delay_sec_;
   std::vector<Rec> recs_;
+  /// Per-client network flight seconds, beside recs_; empty without a geo
+  /// model, the only thing that charges them.
+  std::vector<double> network_time_;
+  /// The counts of totals(). Its network time stays 0: totals() sums
+  /// network_time_ when asked.
+  Totals totals_;
   /// One histogram per domain; purely observational (never read by any
   /// event handler), so recording cannot perturb the event sequence.
   std::vector<sim::Histogram> domain_response_;

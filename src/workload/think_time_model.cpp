@@ -19,7 +19,7 @@ double ThinkTimeModel::mean_think(web::DomainId d) const {
   return base_.at(i) / multiplier_.at(i);
 }
 
-double ThinkTimeModel::sample(web::DomainId d, sim::RngStream& rng) const {
+double ThinkTimeModel::sample(web::DomainId d, sim::Rng& rng) const {
   return rng.exponential(mean_think(d));
 }
 

@@ -36,7 +36,7 @@ class ThinkTimeModel {
   double mean_think(web::DomainId d) const;
 
   /// Draws one exponential think time for a client of domain `d`.
-  double sample(web::DomainId d, sim::RngStream& rng) const;
+  double sample(web::DomainId d, sim::Rng& rng) const;
 
   /// Scales domain `d`'s request rate by `factor`, composing with any
   /// previous scaling. factor > 1 = hotter, < 1 = cooler. Rejects

@@ -110,7 +110,8 @@ GeneratedConfig ConfigGen::draw(Profile profile) {
     double cur = 1.0;
     for (int s = 1; s < servers; ++s) {
       if (rng_.bernoulli(0.4)) cur = std::max(0.3, cur * rng_.uniform(0.6, 1.0));
-      rel += "," + fmt(cur);
+      rel += ',';
+      rel += fmt(cur);
     }
     flag("relative", rel);
   }

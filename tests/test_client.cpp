@@ -68,12 +68,11 @@ TEST_F(ClientTest, ClientGeneratesSessionsAndPages) {
   const std::size_t c = pool.add(*w.ns, w.rng.split());
   pool.start(c, 0.0);
   w.simulator.run_until(3600.0);
-  EXPECT_GT(pool.sessions_started(c), 5u);
+  const ClientPool::Totals t = pool.totals();
+  EXPECT_GT(t.sessions, 5u);
   // Mean 20 pages/session at ~15 s per page: roughly 12 sessions/hour.
-  EXPECT_GT(pool.pages_requested(c), 100u);
-  EXPECT_NEAR(static_cast<double>(pool.pages_requested(c)) /
-                  static_cast<double>(pool.sessions_started(c)),
-              20.0, 8.0);
+  EXPECT_GT(t.pages, 100u);
+  EXPECT_NEAR(static_cast<double>(t.pages) / static_cast<double>(t.sessions), 20.0, 8.0);
 }
 
 TEST_F(ClientTest, OneAddressResolutionPerSession) {
@@ -83,7 +82,7 @@ TEST_F(ClientTest, OneAddressResolutionPerSession) {
   pool.start(c, 0.0);
   w.simulator.run_until(3600.0);
   const std::uint64_t resolutions = w.ns->cache_hits() + w.ns->authoritative_queries();
-  EXPECT_EQ(resolutions, pool.sessions_started(c));
+  EXPECT_EQ(resolutions, pool.totals().sessions);
 }
 
 TEST_F(ClientTest, AllPagesLandOnTheClusterWithValidHitCounts) {
@@ -136,7 +135,7 @@ TEST_F(ClientTest, ThinkTimePacesLoad) {
   const std::size_t slow = slow_pool.add(*slow_world.ns, slow_world.rng.split());
   slow_pool.start(slow, 0.0);
   slow_world.simulator.run_until(1000.0);
-  EXPECT_GT(fast_pool.pages_requested(fast), 3 * slow_pool.pages_requested(slow));
+  EXPECT_GT(fast_pool.totals().pages, 3 * slow_pool.totals().pages);
 }
 
 TEST_F(ClientTest, RejectsBadThinkTime) {
@@ -232,9 +231,10 @@ TEST_F(ClientTest, NetworkTimeChargesReplyLegOnlyOnCompletion) {
   pool.start(c, 0.0);
   w.simulator.run_until(100.0);
 
-  EXPECT_EQ(pool.pages_requested(c), 1u);
-  EXPECT_EQ(pool.pages_failed(c), 2u);
-  EXPECT_NEAR(pool.network_time_sec(c), 0.4, 1e-12);
+  const ClientPool::Totals t = pool.totals();
+  EXPECT_EQ(t.pages, 1u);
+  EXPECT_EQ(t.pages_failed, 2u);
+  EXPECT_NEAR(t.network_time_sec, 0.4, 1e-12);
 }
 
 TEST_F(ClientTest, NetworkTimeIsOneRoundTripPerServedPage) {
@@ -249,9 +249,10 @@ TEST_F(ClientTest, NetworkTimeIsOneRoundTripPerServedPage) {
   const std::size_t c = pool.add(*w.ns, w.rng.split());
   pool.start(c, 0.0);
   w.simulator.run_until(100.0);
-  EXPECT_EQ(pool.pages_requested(c), 1u);
-  EXPECT_EQ(pool.pages_failed(c), 0u);
-  EXPECT_NEAR(pool.network_time_sec(c), 0.3, 1e-12);
+  const ClientPool::Totals t = pool.totals();
+  EXPECT_EQ(t.pages, 1u);
+  EXPECT_EQ(t.pages_failed, 0u);
+  EXPECT_NEAR(t.network_time_sec, 0.3, 1e-12);
 }
 
 TEST_F(ClientTest, StartRejectsAnUnknownClient) {
@@ -293,19 +294,20 @@ TEST_F(ClientTest, StartRejectsAClientAlreadyStarted) {
   };
   expect_refused();  // its first session is pending
   // At t = 5 the session resolves and its first page goes to a server, so
-  // for a moment the client has no pending event of its own.
+  // for a moment the client has no pending event of its own. Client 0 is
+  // never started, so the pool's counts are client c's.
   w.simulator.run_until(5.0);
-  ASSERT_EQ(pool.sessions_started(c), 1u);
+  ASSERT_EQ(pool.totals().sessions, 1u);
   expect_refused();
   w.simulator.run_until(1000.0);
   expect_refused();
-  const std::uint64_t pages = pool.pages_requested(c);
-  EXPECT_GT(pages, 1u);
-  // The other client was never started, and still can be.
-  EXPECT_EQ(pool.sessions_started(0), 0u);
+  EXPECT_GT(pool.totals().pages, 1u);
+  // The other client was never started, and still can be: its session
+  // opens at once.
+  const std::uint64_t sessions = pool.totals().sessions;
   pool.start(0, 0.0);
-  w.simulator.run_until(1001.0);
-  EXPECT_EQ(pool.sessions_started(0), 1u);
+  w.simulator.run_until(1000.0);
+  EXPECT_EQ(pool.totals().sessions, sessions + 1);
 }
 
 TEST_F(ClientTest, StartDelayDefersFirstSession) {
@@ -314,9 +316,9 @@ TEST_F(ClientTest, StartDelayDefersFirstSession) {
   const std::size_t c = pool.add(*w.ns, w.rng.split());
   pool.start(c, 100.0);
   w.simulator.run_until(99.0);
-  EXPECT_EQ(pool.sessions_started(c), 0u);
+  EXPECT_EQ(pool.totals().sessions, 0u);
   w.simulator.run_until(101.0);
-  EXPECT_EQ(pool.sessions_started(c), 1u);
+  EXPECT_EQ(pool.totals().sessions, 1u);
 }
 
 }  // namespace

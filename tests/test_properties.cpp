@@ -218,7 +218,7 @@ INSTANTIATE_TEST_SUITE_P(DomainsByHetByClasses, TtlCalibrationProperty,
                          ::testing::ValuesIn(all_ttl_cases()),
                          [](const ::testing::TestParamInfo<TtlCase>& info) {
                            const auto& p = info.param;
-                           return "K" + std::to_string(p.num_domains) + "_het" +
+                           return std::string("K") + std::to_string(p.num_domains) + "_het" +
                                   std::to_string(p.het_level) + "_c" +
                                   (p.classes == core::kPerDomainClasses
                                        ? std::string("K")

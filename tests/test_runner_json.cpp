@@ -141,11 +141,11 @@ TEST(RunnerJson, ShardedRunReportsOnlyWhatItComputes) {
     for (const char* key : {"p_max_util_below_090", "p_max_util_below_090_ci",
                             "p_max_util_below_098", "p_max_util_below_098_ci",
                             "mean_max_utilization", "mean_response_sec", "response_p99_sec"}) {
-      EXPECT_EQ(count_of(json, "\"" + std::string(key) + "\":null"), nulls) << key;
+      EXPECT_EQ(count_of(json, std::string("\"") + key + "\":null"), nulls) << key;
     }
     const auto domains = static_cast<std::size_t>(cfg.num_domains);
     for (const char* key : {"p50_sec", "p95_sec", "p99_sec", "mean_sec"}) {
-      EXPECT_EQ(count_of(json, "\"" + std::string(key) + "\":null"), nulls * domains) << key;
+      EXPECT_EQ(count_of(json, std::string("\"") + key + "\":null"), nulls * domains) << key;
     }
     EXPECT_EQ(count_of(json, ":null"), nulls * (7 + 4 * domains));
     EXPECT_EQ(count_of(json, "\"pages\":"), domains);
