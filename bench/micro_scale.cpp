@@ -9,11 +9,13 @@
 // and 1M clients; BM_ScaleShards holds 200k clients and varies the
 // shard count (1, 2, 4), which shows what the shards' parallelism and
 // their smaller per-shard working sets buy at a fixed population;
-// BM_ScaleClientsSerial keeps two unsharded reference
-// points. BM_MillionClientDay is the headline: one million clients
-// through a multi-hour simulated day, end to end. The sharded runs use
-// worker threads, so they report items/s per wall second (UseRealTime),
-// not per second of main-thread CPU.
+// BM_ScaleClientsSerial (50k) and BM_ScaleClientsSerialSmall (5k) keep
+// two unsharded reference points, each at 1 and 2 workers: with two, the
+// serial run draws its service times on a helper thread. BM_MillionClientDay
+// is the headline: one million clients through a multi-hour simulated
+// day, end to end. Every population row may use worker threads, so they
+// report items/s per wall second (UseRealTime), not per second of
+// main-thread CPU.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -130,11 +132,13 @@ BENCHMARK(BM_ScaleShards)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
+// Args: clients, workers.
 void BM_ScaleClientsSerial(benchmark::State& state) {
   const std::int64_t clients = state.range(0);
+  const int workers = static_cast<int>(state.range(1));
   std::uint64_t events = 0;
   for (auto _ : state) {
-    experiment::Site site(scale_config(clients, 60.0, 240.0));
+    experiment::Site site(scale_config(clients, 60.0, 240.0), workers);
     const experiment::RunResult r = site.run();
     events += r.events_dispatched;
     benchmark::DoNotOptimize(r.prob_below_098);
@@ -142,10 +146,22 @@ void BM_ScaleClientsSerial(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_ScaleClientsSerial)
-    ->Arg(5000)
-    ->Arg(50000)
+    ->Args({50000, 1})
+    ->Args({50000, 2})
     ->Iterations(1)
     ->Repetitions(10)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+// The 35 ms row in a family, and so a process, of its own: interleaved
+// with the 0.43 s 50k row, its ten repetitions spread by +-25%.
+void BM_ScaleClientsSerialSmall(benchmark::State& state) { BM_ScaleClientsSerial(state); }
+BENCHMARK(BM_ScaleClientsSerialSmall)
+    ->Args({5000, 1})
+    ->Args({5000, 2})
+    ->Iterations(1)
+    ->Repetitions(10)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_MillionClientDay(benchmark::State& state) {

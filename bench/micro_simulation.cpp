@@ -4,7 +4,10 @@
 //
 // Every full-site case is one BM_FullSite variant of the same run, so
 // the cost of a layer (a fault schedule, metrics and tracing) is the
-// ratio of two cases' interleaved repetitions in one process.
+// ratio of two cases' interleaved repetitions in one process. A site's
+// run may draw its service times on a helper thread (ADATTL_JOBS above
+// 1), so the rates are per wall second (UseRealTime), not per second of
+// the main thread's CPU.
 #include <benchmark/benchmark.h>
 
 #include "experiment/site.h"
@@ -52,13 +55,20 @@ void BM_FullSite(benchmark::State& state, const char* policy,
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK_CAPTURE(BM_FullSite, RR, "RR", as_configured)->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_FullSite, RR_chaos, "RR", chaos)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FullSite, RR, "RR", as_configured)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_FullSite, RR_chaos, "RR", chaos)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_FullSite, DRR2_TTLSK, "DRR2-TTL/S_K", as_configured)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_FullSite, DRR2_TTLSK_obs, "DRR2-TTL/S_K", observed)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_FullSite, PRR2_TTLK_measured, "PRR2-TTL/K", measured)
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 void BM_SiteConstruction(benchmark::State& state) {

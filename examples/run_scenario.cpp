@@ -6,6 +6,7 @@
 //   ./build/examples/run_scenario --policy=PRR2-TTL/K --measured --cold-start --cdf
 //   ./build/examples/run_scenario --relative=1,0.9,0.3 --total-capacity=300
 //       --clients=300 --csv             (one command line)
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -48,6 +49,7 @@ int main(int argc, char** argv) {
     return 0;
   }
 
+  const int jobs = opt.jobs > 0 ? opt.jobs : experiment::default_jobs();
   if (!opt.trace_path.empty() || !opt.decisions_path.empty() ||
       !opt.chrome_trace_path.empty()) {
     // One traced run (same seed as replication 0) feeds every requested
@@ -56,7 +58,7 @@ int main(int argc, char** argv) {
     try {
       experiment::SimulationConfig traced_config = opt.config;
       traced_config.trace_enabled = true;
-      experiment::Site traced(traced_config);
+      experiment::Site traced(traced_config, jobs);
       traced.run();
       const obs::EventTracer& tracer = *traced.event_tracer();
       std::vector<std::pair<std::string, std::string>> files;  // (path, content)
@@ -84,8 +86,7 @@ int main(int argc, char** argv) {
 
   // One sweep point (config × replications) through the parallel executor;
   // replications fan across workers with output identical to --jobs=1.
-  experiment::ParallelExecutor executor(opt.jobs > 0 ? opt.jobs
-                                                     : experiment::default_jobs());
+  experiment::ParallelExecutor executor(jobs);
   experiment::Sweep sweep;
   sweep.add(opt.config, opt.replications, opt.config.policy);
   experiment::SweepResult swept = sweep.run(executor);
@@ -94,6 +95,17 @@ int main(int argc, char** argv) {
                swept.jobs);
   const experiment::ReplicatedResult rep = std::move(swept.points.front());
   const experiment::RunResult& first = rep.runs.front();
+  std::uint64_t helper_chunks = 0;
+  std::uint64_t loop_chunks = 0;
+  for (const experiment::RunResult& r : rep.runs) {
+    helper_chunks += r.profile.helper_chunks;
+    loop_chunks += r.profile.loop_chunks;
+  }
+  if (helper_chunks + loop_chunks > 0) {
+    std::fprintf(stderr, "service-time logs: %llu chunks drawn ahead, %llu by the event loop\n",
+                 static_cast<unsigned long long>(helper_chunks),
+                 static_cast<unsigned long long>(loop_chunks));
+  }
 
   if (opt.json) {
     std::printf("%s\n",

@@ -28,6 +28,7 @@
 
 // sim
 #include "sim/event_queue.h"
+#include "sim/log_ring.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"

@@ -837,9 +837,11 @@ ParamRegistry::ParamRegistry() {
     s.group = "run";
     s.hint = "J";
     s.doc =
-        "parallel workers (1 = serial; results identical either way); each sharded "
-        "replication builds and runs its shards on J / min(J, replications) of them (at "
-        "least 1), clamped to the shard count";
+        "parallel workers (1 = serial; results identical either way); each replication "
+        "runs on J / min(J, replications) of them (at least 1): a sharded one builds and "
+        "runs its shards on up to one per shard, and a replication left a worker more than "
+        "its shards (a serial run has one shard) draws its servers' service-time logs ahead "
+        "on it";
     s.in_dump = false;      // execution parallelism, not part of the run's identity
     s.in_manifest = false;  // must not vary report JSON across --jobs
     s.set = [](C& o, const std::string& v) {

@@ -103,14 +103,15 @@ SweepResult Sweep::run(ParallelExecutor& executor, ProgressFn on_point_done) con
         config.seed = points_[p].config.seed + static_cast<std::uint64_t>(i);
         const auto run_start = Clock::now();
         RunResult result;
+        // A replication parallelizes internally over its own pool (the
+        // sweep executor is not reentrant from inside a task), sized to the
+        // share of the sweep's threads it leaves: a sharded run's shards, or
+        // a serial run's service-time helper.
         if (config.shard_domains) {
-          // Sharded runs parallelize internally over their own pool (the
-          // sweep executor is not reentrant from inside a task), sized to
-          // the share of the sweep's threads this replication leaves.
           ShardedSite site(config, workers);
           result = site.run();
         } else {
-          Site site(config);
+          Site site(config, workers);
           result = site.run();
         }
         const double run_seconds = since(run_start);

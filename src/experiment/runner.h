@@ -78,10 +78,12 @@ class Sweep {
 
   std::size_t size() const { return points_.size(); }
 
-  /// Workers each sharded replication's pool gets when the sweep runs on
-  /// `jobs` threads: the threads left to each of the replications that run
-  /// at once, max(1, jobs / min(jobs, replications)), so a sweep keeps to
-  /// about `jobs` busy threads in all, and `jobs` = 1 starts none.
+  /// Workers each replication's pool gets when the sweep runs on `jobs`
+  /// threads: the threads left to each of the replications that run at
+  /// once, max(1, jobs / min(jobs, replications)), so a sweep keeps to
+  /// about `jobs` busy threads in all, and `jobs` = 1 starts none. A
+  /// sharded replication runs its shards on them, a serial one its
+  /// service-time helper (Site).
   int site_workers(int jobs) const;
 
   /// Fans all queued replications across `executor`. The progress callback

@@ -19,7 +19,14 @@ namespace adattl::experiment {
 /// the calling thread. One Site = one simulation run (single-use).
 class Site {
  public:
+  /// A site whose run may use ADATTL_JOBS threads (default_jobs(), read
+  /// when run() starts).
   explicit Site(const SimulationConfig& config);
+  /// A site whose run may use `workers` threads: with more than one, a
+  /// helper thread draws the servers' service-time logs ahead while the
+  /// event loop runs (SliceSet::run). Throws std::invalid_argument if
+  /// `workers` < 1. The result does not depend on `workers`.
+  Site(const SimulationConfig& config, int workers);
 
   Site(const Site&) = delete;
   Site& operator=(const Site&) = delete;
@@ -56,7 +63,7 @@ class Site {
 
   SimulationConfig config_;
   SliceSet slices_;
-  ParallelExecutor caller_{1};  // one job: the slice builds and runs on this thread
+  int workers_ = 0;  // 0: default_jobs()
 
   // Null unless config.trace_enabled — the zero-cost default.
   std::unique_ptr<obs::EventTracer> event_tracer_;

@@ -4,8 +4,10 @@
 #include <functional>
 #include <iterator>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <system_error>
 
 #include "experiment/parallel_executor.h"
 
@@ -30,6 +32,11 @@ SiteWorkload::SiteWorkload(const SimulationConfig& config) {
 }
 
 namespace {
+
+// Values per server in a run's service-time rings (16 KiB each): half a
+// ring, the helper's refill mark, is about a hundred pages of the paper's
+// 5-15 hits.
+constexpr std::uint32_t kLogRingValues = 2048;
 
 // Cold-started estimators seed from the installed uniform prior instead of
 // anchoring on whatever the first measured window happens to hold.
@@ -70,8 +77,11 @@ SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workloa
   for (int d : domains) num_clients += workload.domains.clients[static_cast<std::size_t>(d)];
 
   // Steady state holds roughly one in-flight event per client (think timer
-  // or service leg) plus TTL expiries; pre-sizing the kernel keeps the
-  // whole run allocation-free inside the event loop.
+  // or service leg) plus TTL expiries; pre-sizing the kernel keeps its
+  // queue from growing inside the event loop. What the loop still
+  // allocates does not grow with the pages served: a few vectors per
+  // monitor tick, and a server's job ring when its queue first reaches a
+  // new power of two.
   sim->reserve(2 * num_clients + 64);
 
   // ---- Workload dynamics ----
@@ -216,6 +226,27 @@ RunResult SliceSet::run(ParallelExecutor& pool) {
   if (ran_) throw std::logic_error("SliceSet::run: a run is single-use");
   ran_ = true;
 
+  // A worker the slices leave idle draws the servers' service-time logs
+  // ahead. The helper is stopped and joined however this scope is left.
+  std::optional<sim::LogRings::Helper> helper;
+  if (pool.jobs() > size()) {
+    std::size_t servers = 0;
+    for (const auto& slice : slices_) servers += static_cast<std::size_t>(slice->cluster->size());
+    log_rings_ = std::make_unique<sim::LogRings>(servers, kLogRingValues);
+    std::size_t k = 0;
+    for (const auto& slice : slices_) {
+      for (int s = 0; s < slice->cluster->size(); ++s) {
+        slice->cluster->server(s).attach_log_ring((*log_rings_)[k++]);
+      }
+    }
+    try {
+      helper.emplace(*log_rings_);
+    } catch (const std::system_error&) {
+      // No thread to be had: the servers draw every chunk themselves, with
+      // the same values.
+    }
+  }
+
   obs::Stopwatch phase_watch;
   double warmup_wall = 0.0;
   bool warmup_lapped = false;
@@ -239,10 +270,15 @@ RunResult SliceSet::run(ParallelExecutor& pool) {
     }
     if (target >= horizon) break;
   }
+  helper.reset();
   const double measurement_wall = phase_watch.lap();
 
   RunResult r = reduce(horizon);
   r.profile = {setup_sec_, warmup_wall, measurement_wall, phase_watch.lap()};
+  if (log_rings_) {
+    r.profile.helper_chunks = log_rings_->helper_chunks();
+    r.profile.loop_chunks = log_rings_->loop_chunks();
+  }
   return r;
 }
 

@@ -19,6 +19,7 @@
 #include "obs/event_tracer.h"
 #include "obs/metrics.h"
 #include "obs/profiler.h"
+#include "sim/log_ring.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -38,6 +39,12 @@ struct RunProfile {
   double warmup_sec = 0.0;       ///< event loop up to the warm-up boundary
   double measurement_sec = 0.0;  ///< event loop over the measured period
   double collect_sec = 0.0;      ///< result aggregation after the loop
+  /// Chunks of service-time logs (sim::LogRing::kChunk values each) drawn
+  /// ahead by the run's helper thread, and those the event loop had to
+  /// draw itself; both 0 when the run had no worker to spare for a helper
+  /// (SliceSet::run). Which side drew a chunk depends on the host's timing.
+  std::uint64_t helper_chunks = 0;
+  std::uint64_t loop_chunks = 0;
   double total() const { return setup_sec + warmup_sec + measurement_sec + collect_sec; }
 };
 
@@ -282,6 +289,13 @@ class SliceSet {
   /// repeated addition from 0, and run_until is inclusive, so a tick that
   /// lands on the horizon fires. Merges run in fixed order on one thread,
   /// so the result does not depend on the pool's width.
+  ///
+  /// When the pool has more jobs than the set has slices, the spare core
+  /// draws the servers' service-time logs ahead: every server is handed a
+  /// sim::LogRing of its own stream, and one helper thread keeps the rings
+  /// filled until the event loop ends or throws (DESIGN.md §18). The
+  /// rings give the values the servers would have drawn themselves, so
+  /// this changes no result either.
   RunResult run(ParallelExecutor& pool);
 
  private:
@@ -310,6 +324,9 @@ class SliceSet {
   obs::EventTracer* tracer_ = nullptr;  // the first slice's
   MaxUtilizationTracker tracker_;
   std::vector<FullObserver> observers_;
+  /// The servers' service-time rings; made by run() when it has a helper,
+  /// and kept with the slices, whose servers draw through them for good.
+  std::unique_ptr<sim::LogRings> log_rings_;
   /// Per slice, per server: cumulative busy time at the previous tick.
   std::vector<std::vector<double>> prev_busy_;
   double setup_sec_ = 0.0;

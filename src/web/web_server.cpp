@@ -74,11 +74,11 @@ void WebServer::set_crashed(bool crashed) {
     if (current_.req.client) failed.push_back(current_.req);
     current_ = Job{};
   }
-  for (Job& job : queue_) {
+  queue_.for_each([&](const Job& job) {
     ++crash_pages;
     crash_hits += static_cast<std::uint64_t>(job.req.hits);
     if (job.req.client) failed.push_back(job.req);
-  }
+  });
   queue_.clear();
 
   lost_pages_ += crash_pages;
@@ -103,7 +103,8 @@ void WebServer::start_next() {
   busy_ = true;
   service_start_ = sim_.now();
   const int h = current_.req.hits;
-  const double service = rng_.erlang(h, static_cast<double>(h) / effective_capacity());
+  const double mean = static_cast<double>(h) / effective_capacity();
+  const double service = log_ring_ ? log_ring_->erlang(h, mean) : rng_.erlang(h, mean);
   service_end_ = service_start_ + service;
   service_event_ = sim_.at(service_end_, [this] { finish_current(); });
 }
@@ -129,6 +130,19 @@ double WebServer::cumulative_busy_time(sim::SimTime now) const {
   double busy = closed_busy_time_;
   if (busy_) busy += std::min(now, service_end_) - service_start_;
   return busy;
+}
+
+void WebServer::attach_log_ring(sim::LogRing& ring) {
+  if (log_ring_) throw std::logic_error("WebServer: a log ring is already attached");
+  ring.start(rng_);
+  log_ring_ = &ring;
+}
+
+void WebServer::JobQueue::grow() {
+  std::vector<Job> bigger(jobs_.empty() ? 16 : 2 * jobs_.size());
+  for_each([&bigger, i = std::size_t{0}](const Job& job) mutable { bigger[i++] = job; });
+  jobs_.swap(bigger);
+  head_ = 0;
 }
 
 std::vector<std::uint64_t> WebServer::drain_domain_hits() {

@@ -1,10 +1,11 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "obs/event_tracer.h"
+#include "sim/log_ring.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
@@ -114,12 +115,50 @@ class WebServer {
   /// Wires pause/crash/failure trace records onto `tracer` (may be null).
   void bind_observability(obs::EventTracer* tracer) { tracer_ = tracer; }
 
+  /// Hands the server's stream to `ring`, through which it draws every
+  /// service time from now on: the same values, in the same order, so
+  /// attaching changes no result. Call at most once; the ring must outlive
+  /// the server's last service.
+  void attach_log_ring(sim::LogRing& ring);
+
  private:
   struct Job {
     PageRequest req;
     sim::SimTime arrival;
   };
   static_assert(sizeof(Job) == 32, "a queued page is four words");
+
+  /// The waiting pages, first come first served: a power-of-two ring that
+  /// only grows, so a server that once held n pages queues n again
+  /// without allocating.
+  class JobQueue {
+   public:
+    bool empty() const { return size_ == 0; }
+    std::size_t size() const { return size_; }
+    const Job& front() const { return jobs_[head_]; }
+    void pop_front() {
+      head_ = (head_ + 1) & (jobs_.size() - 1);
+      --size_;
+    }
+    void push_back(const Job& job) {
+      if (size_ == jobs_.size()) grow();
+      jobs_[(head_ + size_) & (jobs_.size() - 1)] = job;
+      ++size_;
+    }
+    /// Calls f(job) on every waiting page, first to last.
+    template <class F>
+    void for_each(F&& f) const {
+      for (std::size_t i = 0; i < size_; ++i) f(jobs_[(head_ + i) & (jobs_.size() - 1)]);
+    }
+    void clear() { head_ = size_ = 0; }
+
+   private:
+    void grow();
+
+    std::vector<Job> jobs_;
+    std::size_t head_ = 0;
+    std::size_t size_ = 0;
+  };
 
   void start_next();
   void finish_current();
@@ -128,8 +167,9 @@ class WebServer {
   ServerId id_;
   double capacity_;
   sim::RngStream rng_;
+  sim::LogRing* log_ring_ = nullptr;  // once set, owns the stream rng_ was
 
-  std::deque<Job> queue_;
+  JobQueue queue_;
   bool busy_ = false;
   bool paused_ = false;
   bool crashed_ = false;

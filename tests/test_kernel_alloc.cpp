@@ -1,8 +1,9 @@
 // Zero-allocation contracts of the event kernel and the daemon's answer
 // path: once the queue's vectors reach steady-state capacity, schedule/pop
 // churn with kernel-sized callbacks must never touch the heap, and neither
-// may a ShardCore answer once its buffers have grown. Verified by
-// interposing the global allocation functions with a counter.
+// may a ShardCore answer once its buffers have grown; a whole site's run
+// allocates per monitor tick, not per page. Verified by interposing the
+// global allocation functions with a counter.
 //
 // This suite lives in its own test binary because the operator new/delete
 // replacements are program-global.
@@ -12,12 +13,14 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "core/policy_factory.h"
 #include "dnswire/daemon.h"
 #include "dnswire/ecs.h"
 #include "dnswire/message.h"
+#include "experiment/site.h"
 #include "obs/event_tracer.h"
 #include "sim/event_queue.h"
 #include "sim/random.h"
@@ -247,6 +250,31 @@ TEST(KernelAlloc, TracerRecordAllocatesNothing) {
   EXPECT_EQ(allocations() - before, 0u) << "trace records must not allocate";
   EXPECT_EQ(tracer.total_recorded(), 10000u);
   EXPECT_EQ(tracer.dropped(), 10000u - 1024u);
+}
+
+TEST(KernelAlloc, SiteRunAllocationsDoNotGrowWithPagesServed) {
+  // What a run allocates comes per monitor tick (the merged view) and per
+  // new high-water mark of a server's queue (its job ring doubles), not
+  // per page: twice the clients serve half again as many pages, and the
+  // run's allocations stay within a few dozen. (A std::deque queue, one
+  // node per 16 pages, made about 4,400 more at 1,000 clients.)
+  const auto run = [](int clients) {
+    experiment::SimulationConfig cfg;
+    cfg.cluster = web::table2_cluster(20);
+    cfg.policy = "DRR2-TTL/S_K";
+    cfg.duration_sec = 3600.0;
+    cfg.total_clients = clients;
+    experiment::Site site(cfg);
+    const std::uint64_t before = allocations();
+    const experiment::RunResult r = site.run();
+    return std::pair{allocations() - before, r.total_pages};
+  };
+  const auto [allocs500, pages500] = run(500);
+  const auto [allocs1000, pages1000] = run(1000);
+  EXPECT_GT(pages1000, pages500 + pages500 / 4);
+  const auto diff = allocs1000 > allocs500 ? allocs1000 - allocs500 : allocs500 - allocs1000;
+  EXPECT_LE(diff, 48u) << allocs500 << " allocations at 500 clients, " << allocs1000
+                       << " at 1000";
 }
 
 TEST(KernelAlloc, ShardCoreAnswersAllocateNothing) {

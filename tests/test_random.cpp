@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
+#include <optional>
+#include <thread>
+#include <vector>
+
+#include "sim/log_ring.h"
 
 namespace adattl::sim {
 namespace {
@@ -214,6 +222,116 @@ TEST(Apportion, UniformWeightsSplitEvenly) {
 TEST(Apportion, RejectsDegenerateInput) {
   EXPECT_THROW(apportion_largest_remainder(10, {}), std::invalid_argument);
   EXPECT_THROW(apportion_largest_remainder(10, {0.0, 0.0}), std::invalid_argument);
+}
+
+// ---- LogRing: Rng::erlang's values, drawn ahead ----
+
+std::uint64_t bits(double x) {
+  std::uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof b);
+  return b;
+}
+
+// Fifteen rings, ring h-1 on the stream seeded 900 + h, and a copy of each
+// stream to draw the same variates from directly.
+struct StageRings {
+  explicit StageRings(std::uint32_t capacity) : rings(15, capacity) {
+    for (int h = 1; h <= 15; ++h) {
+      rings[static_cast<std::size_t>(h - 1)].start(Rng(900 + h));
+      reference.emplace_back(900 + h);
+    }
+  }
+  LogRings rings;
+  std::vector<Rng> reference;
+};
+
+// Draws `pages` Erlang variates of every stage count h = 1..15 through
+// ring h-1 and from its reference stream, and counts the draws whose bits
+// differ. The means vary as a server's effective capacity does.
+int ring_mismatches(StageRings& s, int pages) {
+  LogRings& rings = s.rings;
+  std::vector<Rng>& reference = s.reference;
+  int mismatches = 0;
+  for (int p = 0; p < pages; ++p) {
+    for (int h = 1; h <= 15; ++h) {
+      const double mean = h / (37.5 + 11.0 * (p % 7));
+      const double want = reference[static_cast<std::size_t>(h - 1)].erlang(h, mean);
+      const double got = rings[static_cast<std::size_t>(h - 1)].erlang(h, mean);
+      if (bits(got) != bits(want)) ++mismatches;
+    }
+  }
+  return mismatches;
+}
+
+TEST(LogRing, ErlangIsRngErlangBitForBitDrawnAlone) {
+  // With no helper the consumer produces every chunk itself.
+  StageRings s(256);
+  const LogRings& rings = s.rings;
+  EXPECT_EQ(ring_mismatches(s, 3000), 0);
+  EXPECT_EQ(rings.helper_chunks(), 0u);
+  // 3000 pages of h values from each ring, whole chunks.
+  std::uint64_t values = 0;
+  for (int h = 1; h <= 15; ++h) values += 3000u * static_cast<std::uint64_t>(h);
+  EXPECT_GE(rings.loop_chunks() * LogRing::kChunk, values);
+  EXPECT_LT(rings.loop_chunks() * LogRing::kChunk, values + 15 * LogRing::kChunk);
+}
+
+TEST(LogRing, ErlangIsRngErlangBitForBitWithAProducerThread) {
+  // A helper fills the rings while the consumer draws; which side made a
+  // chunk must not show in the values. The consumer pauses between rounds,
+  // so the helper also parks and is woken. The helper yields to every
+  // other thread, so on a loaded host the rounds go on until it has made
+  // chunks (the consumer made fewer than it read), for at most 2 s.
+  StageRings s(256);
+  int mismatches = 0;
+  std::uint64_t values = 0;
+  const auto helped = [&] { return s.rings.loop_chunks() * LogRing::kChunk < values; };
+  {
+    LogRings::Helper helper(s.rings);
+    for (int round = 0; round < 6 || (!helped() && round < 2000); ++round) {
+      mismatches += ring_mismatches(s, 100);
+      values += 100 * (15 * 16 / 2);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_TRUE(helped());
+  EXPECT_GT(s.rings.helper_chunks(), 0u);
+}
+
+TEST(LogRing, DrawLongerThanTheRingReadsAcrossRefills) {
+  // 1000 stages from a 128-value ring: the draw consumes the ring in
+  // pieces, producing chunks between them, and still sums in stream order.
+  LogRings rings(1, 128);
+  rings[0].start(Rng(77));
+  Rng reference(77);
+  for (int i = 0; i < 20; ++i) {
+    const double mean = 1000.0 / (50.0 + i);
+    EXPECT_EQ(bits(rings[0].erlang(1000, mean)), bits(reference.erlang(1000, mean)));
+    EXPECT_EQ(bits(rings[0].erlang(3, 0.5)), bits(reference.erlang(3, 0.5)));
+  }
+}
+
+TEST(LogRing, RejectsWhatRngErlangRejects) {
+  LogRings rings(1, 128);
+  rings[0].start(Rng(1));
+  EXPECT_THROW(rings[0].erlang(0, 1.0), std::invalid_argument);
+  EXPECT_THROW(rings[0].erlang(5, 0.0), std::invalid_argument);
+  EXPECT_THROW(LogRings(1, 96), std::invalid_argument);   // not a power of two
+  EXPECT_THROW(LogRings(1, 64), std::invalid_argument);   // one chunk
+}
+
+TEST(LogRing, HelperStopsAndJoinsWithNothingToDraw) {
+  // Started and stopped with no consumer: it fills the rings, parks, and
+  // its destructor wakes and joins it.
+  LogRings rings(3, 128);
+  for (std::size_t i = 0; i < 3; ++i) rings[i].start(Rng(i));
+  {
+    LogRings::Helper helper(rings);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_LE(rings.helper_chunks(), 3u * 128 / LogRing::kChunk);
+  EXPECT_EQ(rings.loop_chunks(), 0u);
 }
 
 }  // namespace

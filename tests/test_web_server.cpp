@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <numeric>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "experiment/site.h"
 #include "page_recorder.h"
+#include "sim/log_ring.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "web/cluster.h"
@@ -316,6 +319,69 @@ TEST(WebServer, CrashReportsEachVictimTokenOnceInQueueOrder) {
   EXPECT_EQ(a.failed.size() + b.failed.size(), 5u);
   EXPECT_TRUE(a.done.empty());
   EXPECT_TRUE(b.done.empty());
+}
+
+TEST(WebServer, QueueKeepsOrderAcrossWrapAndGrowth) {
+  // The waiting pages live in a ring that grows by doubling: serving a few
+  // moves its head, so the queue that follows wraps around the first
+  // buffer and is copied out of it in order when it grows past 16 and 32.
+  sim::Simulator simulator;
+  sim::RngStream rng(5);
+  WebServer s(simulator, 0, 100.0, 1, rng.split());
+  PageRecorder client;
+  for (std::uint32_t t = 0; t < 10; ++t) s.submit_page(client.page(0, 5, t));
+  simulator.run();  // head of the ring at 9
+  ASSERT_EQ(client.done.size(), 10u);
+  client.done.clear();
+  s.set_paused(true);
+  for (std::uint32_t t = 100; t < 140; ++t) s.submit_page(client.page(0, 5, t));
+  EXPECT_EQ(s.queue_length(), 40u);
+  s.set_paused(false);
+  simulator.run_until(simulator.now() + 0.5);  // serve some of them
+  const std::size_t served = client.done.size();
+  ASSERT_GT(served, 0u);
+  ASSERT_LT(served, 39u);
+  s.set_crashed(true);
+  std::vector<std::uint32_t> order = client.done;
+  order.insert(order.end(), client.failed.begin(), client.failed.end());
+  std::vector<std::uint32_t> want(40);
+  std::iota(want.begin(), want.end(), 100u);
+  EXPECT_EQ(order, want);  // served first come first served, the rest failed in order
+}
+
+TEST(WebServer, AttachedLogRingDrawsTheSameServiceTimes) {
+  // A server that draws through a ring serves every page at the time the
+  // server drawing from its own stream does, crash and degradation
+  // included: the ring holds the stream's own logs.
+  const auto completion_times = [](bool ring) {
+    sim::Simulator simulator;
+    sim::RngStream rng(31);
+    WebServer s(simulator, 0, 40.0, 2, rng.split());
+    sim::LogRings rings(1, 128);
+    if (ring) s.attach_log_ring(rings[0]);
+    PageRecorder client;
+    std::vector<double> times;
+    client.then_on_done = [&](std::uint32_t) { times.push_back(simulator.now()); };
+    for (std::uint32_t t = 0; t < 300; ++t) {
+      simulator.at(0.05 * t, [&s, &client, t] { s.submit_page(client.page(t % 2, 5 + t % 11, t)); });
+    }
+    simulator.at(3.0, [&s] { s.set_capacity_factor(0.5); });
+    simulator.at(5.0, [&s] { s.set_crashed(true); });
+    simulator.at(6.0, [&s] { s.set_crashed(false); });
+    simulator.run();
+    EXPECT_EQ(rings.loop_chunks() > 0, ring);
+    return times;
+  };
+  const std::vector<double> own = completion_times(false);
+  const std::vector<double> ringed = completion_times(true);
+  ASSERT_GT(own.size(), 150u);
+  EXPECT_EQ(own, ringed);
+  sim::Simulator simulator;
+  sim::RngStream rng(31);
+  WebServer s(simulator, 0, 40.0, 2, rng.split());
+  sim::LogRings rings(2, 128);
+  s.attach_log_ring(rings[0]);
+  EXPECT_THROW(s.attach_log_ring(rings[1]), std::logic_error);
 }
 
 }  // namespace

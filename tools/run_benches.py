@@ -187,9 +187,10 @@ def plain_json(build, target):
 def kernel(build):
     rows = {**gbench(build, "micro_event_queue"), **gbench(build, "micro_simulation")}
     return {"benchmarks": rows, "summary": {
-        "obs_enabled_over_disabled":
-            ratio(rows, "BM_FullSite/DRR2_TTLSK_obs", "BM_FullSite/DRR2_TTLSK"),
-        "chaos_over_fault_free": ratio(rows, "BM_FullSite/RR_chaos", "BM_FullSite/RR")}}
+        "obs_enabled_over_disabled": ratio(rows, "BM_FullSite/DRR2_TTLSK_obs/real_time",
+                                           "BM_FullSite/DRR2_TTLSK/real_time"),
+        "chaos_over_fault_free":
+            ratio(rows, "BM_FullSite/RR_chaos/real_time", "BM_FullSite/RR/real_time")}}
 
 
 def dnsd(build):
