@@ -50,45 +50,17 @@ int main(int argc, char** argv) {
   }
 
   const int jobs = opt.jobs > 0 ? opt.jobs : experiment::default_jobs();
-  if (!opt.trace_path.empty() || !opt.decisions_path.empty() ||
-      !opt.chrome_trace_path.empty()) {
-    // One traced run (same seed as replication 0) feeds every requested
-    // file, so they match the first replication's statistics. Every file
-    // is built before any is written: a view that throws writes nothing.
-    try {
-      experiment::SimulationConfig traced_config = opt.config;
-      traced_config.trace_enabled = true;
-      experiment::Site traced(traced_config, jobs);
-      traced.run();
-      const obs::EventTracer& tracer = *traced.event_tracer();
-      std::vector<std::pair<std::string, std::string>> files;  // (path, content)
-      if (!opt.trace_path.empty()) {
-        files.emplace_back(opt.trace_path, tracer.to_utilization_csv());
-      }
-      if (!opt.decisions_path.empty()) {
-        files.emplace_back(opt.decisions_path, tracer.to_decisions_csv());
-      }
-      if (!opt.chrome_trace_path.empty()) {
-        files.emplace_back(opt.chrome_trace_path, tracer.to_chrome_json());
-      }
-      for (const auto& [path, content] : files) {
-        obs::EventTracer::write_file(path, content);
-        std::fprintf(stderr, "wrote %s\n", path.c_str());
-      }
-      std::fprintf(stderr, "traced run: %llu records (%llu dropped)\n",
-                   static_cast<unsigned long long>(tracer.total_recorded()),
-                   static_cast<unsigned long long>(tracer.dropped()));
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
+  // The trace files are exporters over replication 0, which traces inside
+  // the sweep; tracing changes no result.
+  experiment::SimulationConfig config = opt.config;
+  config.trace_enabled = !opt.trace_path.empty() || !opt.decisions_path.empty() ||
+                         !opt.chrome_trace_path.empty();
 
   // One sweep point (config × replications) through the parallel executor;
   // replications fan across workers with output identical to --jobs=1.
   experiment::ParallelExecutor executor(jobs);
   experiment::Sweep sweep;
-  sweep.add(opt.config, opt.replications, opt.config.policy);
+  sweep.add(config, opt.replications, opt.config.policy);
   experiment::SweepResult swept = sweep.run(executor);
   std::fprintf(stderr, "%d replications in %.2f s wall (%.2f s of runs, %d jobs)\n",
                opt.replications, swept.wall_seconds, swept.point_cpu_seconds.front(),
@@ -105,6 +77,34 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "service-time logs: %llu chunks drawn ahead, %llu by the event loop\n",
                  static_cast<unsigned long long>(helper_chunks),
                  static_cast<unsigned long long>(loop_chunks));
+  }
+
+  if (first.trace) {
+    // Every file is built before any is written: a view that throws
+    // writes nothing.
+    try {
+      const obs::EventTracer& tracer = *first.trace;
+      std::vector<std::pair<std::string, std::string>> files;  // (path, content)
+      if (!opt.trace_path.empty()) {
+        files.emplace_back(opt.trace_path, tracer.to_utilization_csv());
+      }
+      if (!opt.decisions_path.empty()) {
+        files.emplace_back(opt.decisions_path, tracer.to_decisions_csv());
+      }
+      if (!opt.chrome_trace_path.empty()) {
+        files.emplace_back(opt.chrome_trace_path, tracer.to_chrome_json());
+      }
+      for (const auto& [path, content] : files) {
+        obs::EventTracer::write_file(path, content);
+        std::fprintf(stderr, "wrote %s\n", path.c_str());
+      }
+      std::fprintf(stderr, "trace of replication 0: %llu records (%llu dropped)\n",
+                   static_cast<unsigned long long>(tracer.total_recorded()),
+                   static_cast<unsigned long long>(tracer.dropped()));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 2;
+    }
   }
 
   if (opt.json) {

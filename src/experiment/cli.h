@@ -20,8 +20,9 @@ struct CliOptions {
   bool csv = false;       ///< emit CSV instead of aligned tables
   bool json = false;      ///< emit one JSON object with the headline metrics
   bool show_cdf = false;  ///< print the full max-utilization CDF curve
-  // The three trace files (empty = not written) are exporters over one
-  // traced run of the first replication.
+  // The three trace files (empty = not written) are exporters over the
+  // first replication's RunResult::trace, which run_scenario's sweep
+  // records, one ring per slice.
   /// Per-tick utilization time series (EventTracer::to_utilization_csv).
   std::string trace_path;
   /// Every authoritative DNS decision (EventTracer::to_decisions_csv).

@@ -158,15 +158,21 @@ struct SimulationConfig {
   /// serialization includes.
   bool metrics_enabled = false;
   /// Record typed trace events (decisions, per-tick utilization, alarm
-  /// flips, NS refreshes, pause/resume, estimator updates) into a bounded
-  /// ring buffer. A programmatic switch with no knob: run_scenario's traced
-  /// run for --trace/--decisions/--chrome-trace sets it.
+  /// flips, NS refreshes, pause/resume, estimator updates) into one bounded
+  /// ring per slice; the run returns them as RunResult::trace. A
+  /// programmatic switch with no knob: run_scenario sets it on its sweep
+  /// for --trace/--decisions/--chrome-trace, and a sweep traces only the
+  /// first replication of a point.
   bool trace_enabled = false;
-  /// Ring-buffer capacity in records; oldest records are overwritten, and
-  /// the tracer's CSV views refuse a run that overflowed it.
+  /// Capacity of each slice's ring in records (32 bytes each); oldest
+  /// records are overwritten, and the tracer's CSV views refuse a run that
+  /// overflowed any ring.
   std::size_t trace_capacity = 65536;
 
   // ---- Run control ----
+  /// Warm-up before the measured period. Only the max-utilization tracker
+  /// (the utilization statistics of RunResult) starts after it; every other
+  /// output covers warm-up plus duration (DESIGN.md §11).
   double warmup_sec = 600.0;
   double duration_sec = 18000.0;  ///< measured period after warm-up (5 h)
   std::uint64_t seed = 42;

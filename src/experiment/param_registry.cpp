@@ -222,12 +222,11 @@ void cross_validate(const SimulationConfig& c) {
     }
   }
   if (c.trace_capacity < 1) bad("config: trace-capacity must be >= 1");
-  if (c.shard_domains) {
-    // Sharded runs replicate the cluster per shard; a redirecting
-    // dispatcher needs global queue knowledge and the event tracer is one
-    // ring per simulator, so both stay on the unsharded path.
-    if (c.redirect_enabled) bad("config: shard-domains is incompatible with redirection");
-    if (c.trace_enabled) bad("config: shard-domains does not support the event tracer");
+  // Sharded runs replicate the cluster per shard, and a redirecting
+  // dispatcher needs global queue knowledge, so it stays on the unsharded
+  // path.
+  if (c.shard_domains && c.redirect_enabled) {
+    bad("config: shard-domains is incompatible with redirection");
   }
 }
 
@@ -768,7 +767,7 @@ ParamRegistry::ParamRegistry() {
     s.kind = ParamKind::kUint;
     s.group = "observability";
     s.hint = "RECORDS";
-    s.doc = "tracer ring-buffer capacity; --trace/--decisions fail if the run records more";
+    s.doc = "tracer ring capacity per slice; --trace/--decisions fail if a slice records more";
     s.set = [](C& o, const std::string& v) {
       o.config.trace_capacity = static_cast<std::size_t>(parse_uint_value(v));
     };
@@ -794,7 +793,10 @@ ParamRegistry::ParamRegistry() {
     };
     add(std::move(s));
   }
-  dbl("warmup", "run", "SEC", "warm-up period excluded from statistics", &S::warmup_sec,
+  dbl("warmup", "run", "SEC",
+      "warm-up period; only the utilization statistics exclude it (counts, rates, response "
+      "times and --metrics cover it too)",
+      &S::warmup_sec,
       check_cfg([](const S& c) { return c.warmup_sec >= 0; }, "config: warmup >= 0"));
   {
     ParamSpec s;
@@ -884,23 +886,20 @@ ParamRegistry::ParamRegistry() {
     s.in_dump = false;
     s.set = [m](C& o, const std::string& v) { o.*m = v; };
     s.get = [m](const C& o) { return o.*m; };
-    // Every output file comes from one traced serial Site run.
-    s.check = [name, m](const C& o) {
-      if (o.config.shard_domains && !(o.*m).empty()) {
-        bad(std::string("config: shard-domains does not support --") + name);
-      }
-    };
     add(std::move(s));
   };
   out_bool("csv", "emit CSV instead of aligned tables", &C::csv);
   out_bool("json", "emit one JSON object with headline metrics, config and provenance",
            &C::json);
   out_bool("cdf", "print the full max-utilization CDF curve", &C::show_cdf);
-  out_path("trace", "FILE.csv", "per-tick utilization time series of the first replication",
+  out_path("trace", "FILE.csv",
+           "per-tick site-wide utilization time series of the first replication",
            &C::trace_path);
-  out_path("decisions", "FILE.csv", "every authoritative DNS decision of the first replication",
+  out_path("decisions", "FILE.csv",
+           "every authoritative DNS decision of the first replication, of every slice",
            &C::decisions_path);
-  out_path("chrome-trace", "FILE.json", "Chrome trace_event timeline of the first replication",
+  out_path("chrome-trace", "FILE.json",
+           "Chrome trace_event timeline of the first replication, one pid per slice",
            &C::chrome_trace_path);
   out_bool("dump-config", "print the resolved run as a scenario file and exit",
            &C::dump_config);

@@ -101,6 +101,9 @@ SweepResult Sweep::run(ParallelExecutor& executor, ProgressFn on_point_done) con
                        start, workers, p, i] {
         SimulationConfig config = points_[p].config;
         config.seed = points_[p].config.seed + static_cast<std::uint64_t>(i);
+        // A traced point traces its first replication only: every slice of
+        // a traced run holds a ring of trace_capacity records.
+        config.trace_enabled = config.trace_enabled && i == 0;
         const auto run_start = Clock::now();
         RunResult result;
         // A replication parallelizes internally over its own pool (the

@@ -61,7 +61,8 @@ struct SweepResult {
 /// Determinism guarantee: replication i of a point runs with seed
 /// `config.seed + i` — exactly the serial derivation — and results land in
 /// pre-assigned slots, so SweepResult is bit-identical whatever the worker
-/// count or scheduling order.
+/// count or scheduling order. Of a point with trace_enabled, only
+/// replication 0 traces (its RunResult::trace); tracing changes no result.
 class Sweep {
  public:
   using ProgressFn = std::function<void(const SweepPointDone&)>;

@@ -10,17 +10,11 @@ Site::Site(const SimulationConfig& config) : config_(config.scaled()), slices_(c
     throw std::invalid_argument("Site: shard_domains configs require ShardedSite");
   }
 
-  // The tracer exists only when asked for; every component takes a
-  // nullable pointer, so the disabled path costs one null check.
-  if (config_.trace_enabled) {
-    event_tracer_ = std::make_unique<obs::EventTracer>(config_.trace_capacity);
-  }
-
   // One slice owns every domain and draws from the master stream itself.
   std::vector<int> all(static_cast<std::size_t>(config_.num_domains));
   std::iota(all.begin(), all.end(), 0);
   ParallelExecutor caller(1);  // the one slice builds on this thread
-  slices_.build({{std::move(all), sim::RngStream(config_.seed), event_tracer_.get()}}, caller);
+  slices_.build({{std::move(all), sim::RngStream(config_.seed)}}, caller);
 }
 
 Site::Site(const SimulationConfig& config, int workers) : Site(config) {

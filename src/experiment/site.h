@@ -1,11 +1,8 @@
 #pragma once
 
-#include <memory>
-
 #include "experiment/config.h"
 #include "experiment/parallel_executor.h"
 #include "experiment/site_slice.h"
-#include "obs/event_tracer.h"
 #include "sim/simulator.h"
 
 namespace adattl::experiment {
@@ -55,8 +52,6 @@ class Site {
   const SimulationConfig& config() const { return config_; }
   /// The fault layer (always constructed; empty schedule = inert).
   fault::FaultInjector& fault_injector() { return *slice().fault; }
-  /// Null unless config.trace_enabled.
-  obs::EventTracer* event_tracer() { return event_tracer_.get(); }
 
  private:
   SiteSlice& slice() { return slices_[0]; }
@@ -64,9 +59,6 @@ class Site {
   SimulationConfig config_;
   SliceSet slices_;
   int workers_ = 0;  // 0: default_jobs()
-
-  // Null unless config.trace_enabled — the zero-cost default.
-  std::unique_ptr<obs::EventTracer> event_tracer_;
 };
 
 }  // namespace adattl::experiment

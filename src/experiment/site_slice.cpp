@@ -70,7 +70,7 @@ std::unique_ptr<core::LoadEstimator> make_estimator(const SimulationConfig& conf
 // The build order below is the event insertion order (and thus the
 // same-timestamp FIFO ties) and the RNG split order the goldens pin.
 SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workload,
-                     std::vector<int> owned, sim::RngStream rng, obs::EventTracer* tracer)
+                     std::vector<int> owned, sim::RngStream rng)
     : domains(std::move(owned)), sim(std::make_unique<sim::Simulator>()) {
   const auto owns = [this](int d) { return std::binary_search(domains.begin(), domains.end(), d); };
   std::size_t num_clients = 0;
@@ -184,16 +184,20 @@ SiteSlice::SiteSlice(const SimulationConfig& config, const SiteWorkload& workloa
     }
   }
 
-  // ---- Observability: the distributions no counter keeps, and the tracer ----
+  // ---- Observability: the distributions no counter keeps, and the ring ----
+  // Each exists only when asked for; every component takes a nullable
+  // pointer, so the disabled path costs one null check.
   if (config.metrics_enabled) histograms = std::make_unique<SliceHistograms>(cluster->size());
+  if (config.trace_enabled) tracer = std::make_shared<obs::EventTracer>(config.trace_capacity);
   if (histograms || tracer) {
     SliceHistograms* h = histograms.get();
-    bundle.scheduler->bind_observability(tracer, sim.get(), h ? &h->ttl : nullptr,
+    obs::EventTracer* t = tracer.get();
+    bundle.scheduler->bind_observability(t, sim.get(), h ? &h->ttl : nullptr,
                                          h ? &h->eligible : nullptr);
-    alarms->bind_observability(tracer);
-    fault->bind_observability(tracer);
-    for (auto& ns : name_servers) ns->bind_observability(tracer, h ? &h->ns_ttl : nullptr);
-    for (int i = 0; i < cluster->size(); ++i) cluster->server(i).bind_observability(tracer);
+    alarms->bind_observability(t);
+    fault->bind_observability(t);
+    for (auto& ns : name_servers) ns->bind_observability(t, h ? &h->ns_ttl : nullptr);
+    for (int i = 0; i < cluster->size(); ++i) cluster->server(i).bind_observability(t);
   }
 }
 
@@ -208,14 +212,12 @@ void SliceSet::build(std::vector<SliceSpec> specs, ParallelExecutor& pool) {
   tasks.reserve(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     tasks.push_back([this, &spec = specs[i], &slot = slices_[i]] {
-      slot = std::make_unique<SiteSlice>(config_, workload_, std::move(spec.domains), spec.rng,
-                                         spec.tracer);
+      slot = std::make_unique<SiteSlice>(config_, workload_, std::move(spec.domains), spec.rng);
     });
   }
   pool.run(tasks);
   estimator_ = make_estimator(config_, *slices_.front()->bundle.domains);
   for (const auto& slice : slices_) slice->estimator = estimator_.get();
-  tracer_ = specs.front().tracer;
   // Cumulative busy time is 0 at t = 0.
   prev_busy_.assign(slices_.size(),
                     std::vector<double>(static_cast<std::size_t>(config_.cluster.size()), 0.0));
@@ -303,10 +305,11 @@ void SliceSet::monitor_tick(sim::SimTime now) {
   if (slices_.size() > 1) {
     for (double& u : util) u = std::min(u, 1.0);
   }
-  if (tracer_) {
+  obs::EventTracer* const tracer = slices_.front()->tracer.get();
+  if (tracer) {
     for (std::size_t i = 0; i < num_servers; ++i) {
-      tracer_->record(now, obs::TraceKind::kUtilization, static_cast<std::int32_t>(i), 0,
-                      util[i]);
+      tracer->record(now, obs::TraceKind::kUtilization, static_cast<std::int32_t>(i), 0,
+                     util[i]);
     }
   }
 
@@ -333,9 +336,9 @@ void SliceSet::monitor_tick(sim::SimTime now) {
         slices_[s]->bundle.domains->update_weights(weights);
       }
     }
-    if (tracer_) {
-      tracer_->record(now, obs::TraceKind::kEstimatorUpdate, estimator_->windows_observed(), 0,
-                      window_sec);
+    if (tracer) {
+      tracer->record(now, obs::TraceKind::kEstimatorUpdate, estimator_->windows_observed(), 0,
+                     window_sec);
     }
   }
   for (const FullObserver& observer : observers_) observer(now, util, queues);
@@ -473,6 +476,13 @@ RunResult SliceSet::reduce(double horizon) const {
       attempts > 0 ? static_cast<double>(r.failed_requests) / attempts : 0.0;
   if (config_.metrics_enabled) {
     r.metrics = std::make_shared<const obs::MetricsSnapshot>(metrics_snapshot(r));
+  }
+  if (slices_.size() == 1) {
+    r.trace = first.tracer;
+  } else if (config_.trace_enabled) {
+    std::vector<const obs::EventTracer*> rings;
+    for (const auto& slice : slices_) rings.push_back(slice->tracer.get());
+    r.trace = std::make_shared<const obs::EventTracer>(obs::EventTracer::merged(rings));
   }
   return r;
 }

@@ -77,8 +77,10 @@ struct RunResult {
   std::uint64_t ns_cache_hits = 0;
   /// Resolutions absorbed by per-client caches (0 unless enabled).
   std::uint64_t client_cache_hits = 0;
-  /// Address requests answered by the authoritative DNS per second —
-  /// must match across calibrated policies (§4.1 fairness rule).
+  /// Address requests answered by the authoritative DNS per second of the
+  /// whole horizon, warm-up included (authoritative_queries over warm-up
+  /// plus duration) — must match across calibrated policies (§4.1
+  /// fairness rule).
   double address_request_rate = 0.0;
   /// Fraction of page requests whose mapping decision the DNS made
   /// directly (paper: "often below 4%").
@@ -153,6 +155,10 @@ struct RunResult {
   /// End-of-run metrics snapshot; null unless config.metrics_enabled.
   /// shared_ptr keeps RunResult cheaply copyable across sweep plumbing.
   std::shared_ptr<const obs::MetricsSnapshot> metrics;
+  /// The run's event timeline; null unless config.trace_enabled. One
+  /// slice's ring as recorded, or several slices' rings merged by time
+  /// (obs::EventTracer::merged).
+  std::shared_ptr<const obs::EventTracer> trace;
   /// Wall-clock phase breakdown (always filled; near-zero cost).
   RunProfile profile;
 };
@@ -196,10 +202,9 @@ struct SliceHistograms {
 struct SiteSlice {
   /// Builds the slice over `owned` (ascending global domain ids), drawing
   /// every random stream from `rng`. Of the config's rate shifts and trace
-  /// points, only those of the owned domains are scheduled. Components
-  /// record into `tracer` when it is not null.
+  /// points, only those of the owned domains are scheduled.
   SiteSlice(const SimulationConfig& config, const SiteWorkload& workload,
-            std::vector<int> owned, sim::RngStream rng, obs::EventTracer* tracer);
+            std::vector<int> owned, sim::RngStream rng);
 
   SiteSlice(const SiteSlice&) = delete;
   SiteSlice& operator=(const SiteSlice&) = delete;
@@ -223,6 +228,10 @@ struct SiteSlice {
   std::unique_ptr<workload::ClientPool> clients;
   /// Null unless metrics_enabled; the slice's name servers share ns_ttl.
   std::unique_ptr<SliceHistograms> histograms;
+  /// Null unless trace_enabled: the ring (trace_capacity records) that the
+  /// slice's components record into. The first slice's ring also holds the
+  /// site-wide utilizations and estimator updates of every monitor tick.
+  std::shared_ptr<obs::EventTracer> tracer;
 };
 
 /// The slices of one run and what they share: the workload, the load
@@ -233,12 +242,10 @@ struct SiteSlice {
 class SliceSet {
  public:
   /// What one slice is built from: its owned domains (ascending global
-  /// ids), the stream it draws every variate from, and the tracer its
-  /// components record into (null for none).
+  /// ids) and the stream it draws every variate from.
   struct SliceSpec {
     std::vector<int> domains;
     sim::RngStream rng;
-    obs::EventTracer* tracer = nullptr;
   };
 
   /// Called once per monitor tick, after the feedback, with the tick's
@@ -259,8 +266,6 @@ class SliceSet {
   /// and workload are read-only), so the set does not depend on the pool's
   /// width or on which task ran first. After the join, the run's estimator
   /// is made over the first slice's DomainModel and given to every slice.
-  /// The first slice's tracer also records the site-wide utilizations and
-  /// estimator updates of every tick.
   void build(std::vector<SliceSpec> specs, ParallelExecutor& pool);
 
   int size() const { return static_cast<int>(slices_.size()); }
@@ -280,15 +285,15 @@ class SliceSet {
   /// utilization is the sum of its replicas' busy-time deltas over the tick
   /// divided by the interval (over several slices clamped at 1, since
   /// replicas with the full capacity can overlap in time), and its queue
-  /// depth the sum of theirs. The tracer records that view, every slice's
-  /// alarm registry, then its autoscaler, observes it, the tracker samples
-  /// it, and on every estimator_collect_every_ticks-th tick the per-domain
-  /// hits drained from all slices are summed and fed to the estimator,
-  /// whose new weights, if it installs any, are copied into every other
-  /// slice's DomainModel. The observers run last. Tick times accumulate by
-  /// repeated addition from 0, and run_until is inclusive, so a tick that
-  /// lands on the horizon fires. Merges run in fixed order on one thread,
-  /// so the result does not depend on the pool's width.
+  /// depth the sum of theirs. The first slice's tracer records that view,
+  /// every slice's alarm registry, then its autoscaler, observes it, the
+  /// tracker samples it, and on every estimator_collect_every_ticks-th tick
+  /// the per-domain hits drained from all slices are summed and fed to the
+  /// estimator, whose new weights, if it installs any, are copied into
+  /// every other slice's DomainModel. The observers run last. Tick times
+  /// accumulate by repeated addition from 0, and run_until is inclusive, so
+  /// a tick that lands on the horizon fires. Merges run in fixed order on
+  /// one thread, so the result does not depend on the pool's width.
   ///
   /// When the pool has more jobs than the set has slices, the spare core
   /// draws the servers' service-time logs ahead: every server is handed a
@@ -306,7 +311,8 @@ class SliceSet {
   /// merged over the slices in order. Per-domain latency comes from the
   /// slice that owns the domain. Alarm, pool and DNS-outage figures are
   /// the same in every slice, so the first one reports them. With
-  /// metrics_enabled the result carries metrics_snapshot(result).
+  /// metrics_enabled the result carries metrics_snapshot(result), and with
+  /// trace_enabled the one slice's ring or every slice's rings merged.
   RunResult reduce(double horizon) const;
 
   /// The end-of-run metrics, read from the same component counters the
@@ -321,7 +327,6 @@ class SliceSet {
   SiteWorkload workload_;
   std::vector<std::unique_ptr<SiteSlice>> slices_;
   std::unique_ptr<core::LoadEstimator> estimator_;
-  obs::EventTracer* tracer_ = nullptr;  // the first slice's
   MaxUtilizationTracker tracker_;
   std::vector<FullObserver> observers_;
   /// The servers' service-time rings; made by run() when it has a helper,

@@ -71,6 +71,22 @@ EventTracer::EventTracer(std::size_t capacity) {
   ring_.resize(capacity);
 }
 
+EventTracer EventTracer::merged(const std::vector<const EventTracer*>& parts) {
+  EventTracer out;
+  out.slices_ = parts.size();
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    for (TraceRecord r : parts[i]->records()) {
+      r.slice = static_cast<std::uint16_t>(i);
+      out.ring_.push_back(r);
+    }
+    out.total_ += parts[i]->total_recorded();
+  }
+  // Each part is in time order already; ties keep part order.
+  std::stable_sort(out.ring_.begin(), out.ring_.end(),
+                   [](const TraceRecord& x, const TraceRecord& y) { return x.time < y.time; });
+  return out;
+}
+
 std::vector<TraceRecord> EventTracer::records() const {
   std::vector<TraceRecord> out;
   if (total_ == 0) return out;
@@ -86,12 +102,13 @@ std::vector<TraceRecord> EventTracer::records() const {
 }
 
 std::vector<TraceRecord> EventTracer::complete_records(const char* view) const {
+  // Every ring of a run has the same capacity, and none recorded more than
+  // the total, so a rerun at that capacity holds them all.
   if (dropped() != 0) {
     const std::string total = std::to_string(total_recorded());
     throw std::runtime_error(std::string("EventTracer: the ") + view + " view needs all " +
-                             total + " records but the ring holds " +
-                             std::to_string(capacity()) + "; rerun with --trace-capacity=" +
-                             total);
+                             total + " records but " + std::to_string(dropped()) +
+                             " were dropped; rerun with --trace-capacity=" + total);
   }
   return records();
 }
@@ -138,23 +155,25 @@ std::string EventTracer::to_chrome_json() const {
   std::string out = "{\"traceEvents\":[";
   char buf[256];
   bool first = true;
-  // Track-naming metadata events, one per layer.
-  for (int tid = 0; tid <= 5; ++tid) {
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,"
-                  "\"args\":{\"name\":\"%s\"}}",
-                  first ? "" : ",", tid, chrome_track_name(tid));
-    out += buf;
-    first = false;
+  // Track-naming metadata events, one per layer of each slice.
+  for (std::size_t pid = 0; pid < slices_; ++pid) {
+    for (int tid = 0; tid <= 5; ++tid) {
+      std::snprintf(buf, sizeof(buf),
+                    "%s{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":%zu,\"tid\":%d,"
+                    "\"args\":{\"name\":\"%s\"}}",
+                    first ? "" : ",", pid, tid, chrome_track_name(tid));
+      out += buf;
+      first = false;
+    }
   }
   for (const TraceRecord& r : records()) {
     // Simulated seconds → trace microseconds.
     std::snprintf(buf, sizeof(buf),
                   ",{\"name\":\"%s\",\"cat\":\"sim\",\"ph\":\"i\",\"s\":\"t\","
-                  "\"ts\":%.3f,\"pid\":0,\"tid\":%d,"
+                  "\"ts\":%.3f,\"pid\":%d,\"tid\":%d,"
                   "\"args\":{\"a\":%d,\"b\":%d,\"value\":%.6g}}",
-                  trace_kind_name(r.kind), r.time * 1e6, chrome_tid(r.kind), r.a, r.b,
-                  r.value);
+                  trace_kind_name(r.kind), r.time * 1e6, r.slice, chrome_tid(r.kind), r.a,
+                  r.b, r.value);
     out += buf;
   }
   out += "],\"displayTimeUnit\":\"ms\"}";

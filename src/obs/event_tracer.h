@@ -51,10 +51,15 @@ const char* trace_kind_name(TraceKind kind);
 struct TraceRecord {
   sim::SimTime time = 0.0;
   TraceKind kind = TraceKind::kDecision;
+  /// The slice whose ring recorded it: 0 in a recording tracer, the part's
+  /// index in a merged one (EventTracer::merged). It fills padding, so a
+  /// record stays 32 bytes; two bytes, since a run has up to 512 slices.
+  std::uint16_t slice = 0;
   std::int32_t a = 0;
   std::int32_t b = 0;
   double value = 0.0;
 };
+static_assert(sizeof(TraceRecord) == 32, "a trace record is 32 bytes");
 
 /// Bounded ring buffer of typed simulation events.
 ///
@@ -67,10 +72,19 @@ struct TraceRecord {
 /// https://ui.perfetto.dev and drop the file), and two CSV views, per-tick
 /// utilization and DNS decisions. A view is complete or not produced: it
 /// throws if the ring dropped any record.
+///
+/// A run over several slices records into one ring per slice; merged()
+/// joins them into one read-only view that the same exporters read.
 class EventTracer {
  public:
   /// `capacity` > 0: maximum records retained (oldest evicted first).
   explicit EventTracer(std::size_t capacity);
+
+  /// The retained records of every part, stable-sorted by time (ties in
+  /// part order), each with its part's index as `slice`. Its totals and
+  /// drops are the sums over the parts, and its exporters treat part i as
+  /// slice i. A view to read, not to record into.
+  static EventTracer merged(const std::vector<const EventTracer*>& parts);
 
   void record(sim::SimTime time, TraceKind kind, std::int32_t a = 0, std::int32_t b = 0,
               double value = 0.0) {
@@ -93,20 +107,22 @@ class EventTracer {
   /// Retained records in chronological (recording) order.
   std::vector<TraceRecord> records() const;
 
-  /// Chrome trace_event JSON: instant events, ts in microseconds, one tid
-  /// per layer (0 = DNS decisions, 1 = alarms, 2 = name servers,
-  /// 3 = web servers, 4 = estimator, 5 = faults). Holds the newest
-  /// records; dropped() tells how many older ones the ring lost.
+  /// Chrome trace_event JSON: instant events, ts in microseconds, one pid
+  /// per slice and in each one tid per layer (0 = DNS decisions,
+  /// 1 = alarms, 2 = name servers, 3 = web servers, 4 = estimator,
+  /// 5 = faults). Holds the newest records; dropped() tells how many older
+  /// ones the rings lost.
   std::string to_chrome_json() const;
 
   /// Per-tick utilization: header "time,s0,...,sN-1,max", then one row per
   /// monitor tick from its kUtilization records ("%.3f" time, "%.6f"
-  /// values). Throws std::runtime_error if the ring dropped any record;
-  /// the message names total_recorded(), the capacity that holds the run.
+  /// values). Throws std::runtime_error if a ring dropped any record; the
+  /// message names total_recorded(), a --trace-capacity that holds every
+  /// ring of the run.
   std::string to_utilization_csv() const;
 
-  /// Every DNS decision: header "time,domain,server,ttl", then one
-  /// "%.3f,%d,%d,%.3f" row per kDecision record. Throws like
+  /// Every DNS decision, of every slice: header "time,domain,server,ttl",
+  /// then one "%.3f,%d,%d,%.3f" row per kDecision record. Throws like
   /// to_utilization_csv() on a ring that dropped records.
   std::string to_decisions_csv() const;
 
@@ -115,12 +131,15 @@ class EventTracer {
   static void write_file(const std::string& path, const std::string& content);
 
  private:
+  EventTracer() = default;  // merged()
+
   /// records(), or std::runtime_error naming `view` if any were dropped.
   std::vector<TraceRecord> complete_records(const char* view) const;
 
   std::vector<TraceRecord> ring_;
   std::size_t next_ = 0;
   std::uint64_t total_ = 0;
+  std::size_t slices_ = 1;  // pids of the Chrome export
 };
 
 }  // namespace adattl::obs

@@ -123,16 +123,20 @@ TEST(Cli, ResultIsValidatedAsAWhole) {
   EXPECT_THROW(parse_cli({"--trace-capacity=0", "--trace=t.csv"}), std::invalid_argument);
 }
 
-TEST(Cli, ShardedRunsRejectTraceAndDecisionFiles) {
-  // Every file comes from one traced serial Site run, which a sharded
-  // config cannot build: resolution must fail instead of the run aborting.
-  EXPECT_THROW(parse_cli({"--shard-domains", "--trace=t.csv"}), std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--shard-domains", "--decisions=d.csv"}), std::invalid_argument);
-  EXPECT_THROW(parse_cli({"--shard-domains", "--chrome-trace=c.json"}),
-               std::invalid_argument);
+TEST(Cli, ShardedRunsResolveTraceAndDecisionFiles) {
+  // Every layout traces through its slices' rings, so the sharded inputs
+  // resolve as the serial ones do, and so does a traced sharded config.
+  for (const char* file : {"--trace=t.csv", "--decisions=d.csv", "--chrome-trace=c.json"}) {
+    EXPECT_NO_THROW(parse_cli({"--shard-domains", file})) << file;
+  }
   EXPECT_NO_THROW(parse_cli({"--trace=t.csv", "--decisions=d.csv", "--chrome-trace=c.json"}));
-  // The files need no tracing in the replications themselves.
+  SimulationConfig traced = parse_cli({"--shard-domains"}).config;
+  traced.trace_enabled = true;
+  EXPECT_NO_THROW(traced.validate());
+  // Tracing has no knob: run_scenario turns it on for its own sweep.
   EXPECT_FALSE(parse_cli({"--chrome-trace=c.json"}).config.trace_enabled);
+  // Redirection stays the one sharded rejection.
+  EXPECT_THROW(parse_cli({"--shard-domains", "--redirect"}), std::invalid_argument);
 }
 
 TEST(Cli, UsageMentionsEveryFlagGroup) {

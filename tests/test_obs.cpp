@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "experiment/report.h"
@@ -197,6 +198,72 @@ TEST(EventTracer, ChromeJsonExport) {
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\"}"), std::string::npos);
 }
 
+TEST(EventTracer, MergedSortsByTimeWithTiesInSliceOrder) {
+  obs::EventTracer first(4);
+  obs::EventTracer second(4);
+  first.record(1.0, obs::TraceKind::kDecision, 0, 0, 10.0);
+  first.record(8.0, obs::TraceKind::kUtilization, 0, 0, 0.5);
+  second.record(0.5, obs::TraceKind::kDecision, 1, 1, 20.0);
+  second.record(8.0, obs::TraceKind::kDecision, 2, 1, 30.0);
+  const obs::EventTracer merged = obs::EventTracer::merged({&first, &second});
+
+  EXPECT_EQ(merged.total_recorded(), 4u);
+  EXPECT_EQ(merged.dropped(), 0u);
+  const std::vector<obs::TraceRecord> records = merged.records();
+  ASSERT_EQ(records.size(), 4u);
+  const std::vector<std::pair<double, int>> time_slice = {{0.5, 1}, {1.0, 0}, {8.0, 0}, {8.0, 1}};
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].time, time_slice[i].first) << i;
+    EXPECT_EQ(records[i].slice, time_slice[i].second) << i;
+  }
+  EXPECT_EQ(merged.to_decisions_csv(),
+            "time,domain,server,ttl\n0.500,1,1,20.000\n1.000,0,0,10.000\n8.000,2,1,30.000\n");
+  EXPECT_EQ(merged.to_utilization_csv(), "time,s0,max\n8.000,0.500000,0.500000\n");
+}
+
+TEST(EventTracer, MergedChromeJsonHasOnePidPerSlice) {
+  obs::EventTracer first(4);
+  obs::EventTracer second(4);
+  obs::EventTracer idle(4);
+  first.record(1.0, obs::TraceKind::kDecision, 3, 2, 240.0);
+  second.record(2.0, obs::TraceKind::kAlarm, 1, 0, 0.9);
+  const std::string json = obs::EventTracer::merged({&first, &second, &idle}).to_chrome_json();
+  // Every slice gets its own tracks, whether or not it recorded anything.
+  for (const char* track : {"\"pid\":0,\"tid\":0,\"args\":{\"name\":\"dns decisions\"}",
+                            "\"pid\":1,\"tid\":5,\"args\":{\"name\":\"faults\"}",
+                            "\"pid\":2,\"tid\":0,\"args\":{\"name\":\"dns decisions\"}"}) {
+    EXPECT_NE(json.find(track), std::string::npos) << track << "\n" << json;
+  }
+  EXPECT_EQ(json.find("\"pid\":3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":1000000.000,\"pid\":0,\"tid\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ts\":2000000.000,\"pid\":1,\"tid\":1"), std::string::npos) << json;
+  // A merge of one ring exports what the ring does.
+  EXPECT_EQ(obs::EventTracer::merged({&first}).to_chrome_json(), first.to_chrome_json());
+}
+
+TEST(EventTracer, MergedViewSumsDropsAndNamesACapacityForEveryRing) {
+  obs::EventTracer first(2);
+  obs::EventTracer second(2);
+  for (int i = 0; i < 3; ++i) {
+    first.record(static_cast<double>(i), obs::TraceKind::kDecision, i, 0, 240.0);
+  }
+  second.record(0.5, obs::TraceKind::kDecision, 7, 0, 240.0);
+  const obs::EventTracer merged = obs::EventTracer::merged({&first, &second});
+  EXPECT_EQ(merged.total_recorded(), 4u);
+  EXPECT_EQ(merged.dropped(), 1u);
+  EXPECT_EQ(merged.records().size(), 3u);
+  // No ring recorded more than the run's total, so a rerun with that
+  // capacity for every ring holds them all.
+  try {
+    (void)merged.to_decisions_csv();
+    ADD_FAILURE() << "a view over a ring that dropped records must throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--trace-capacity=4"), std::string::npos) << e.what();
+  }
+  // The timeline keeps what the rings retained.
+  EXPECT_EQ(merged.to_chrome_json().find("\"ts\":0.000,"), std::string::npos);
+}
+
 TEST(EventTracer, KindNamesAreStable) {
   EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kDecision), "decision");
   EXPECT_STREQ(obs::trace_kind_name(obs::TraceKind::kAlarm), "alarm");
@@ -320,10 +387,9 @@ TEST(TraceRecorder, AttachedToSiteRecordsEveryTick) {
   config.seed = 77;
   config.trace_enabled = true;
   experiment::Site site(config);
-  site.run();
-  ASSERT_NE(site.event_tracer(), nullptr);
-  const std::vector<std::vector<std::string>> rows =
-      csv_rows(site.event_tracer()->to_utilization_csv());
+  const experiment::RunResult r = site.run();
+  ASSERT_NE(r.trace, nullptr);
+  const std::vector<std::vector<std::string>> rows = csv_rows(r.trace->to_utilization_csv());
   ASSERT_EQ(rows.size(), 101u);
   for (std::size_t i = 0; i < rows.size(); ++i) {
     // time, one column per server of the 7-server cluster, max.
@@ -394,10 +460,9 @@ TEST(DecisionLog, CsvFormat) {
 
 TEST(DecisionLog, PerServerCounts) {
   experiment::Site site(traced_decisions_config());
-  site.run();
-  ASSERT_NE(site.event_tracer(), nullptr);
-  const std::vector<std::vector<std::string>> rows =
-      csv_rows(site.event_tracer()->to_decisions_csv());
+  const experiment::RunResult r = site.run();
+  ASSERT_NE(r.trace, nullptr);
+  const std::vector<std::vector<std::string>> rows = csv_rows(r.trace->to_decisions_csv());
   std::vector<std::uint64_t> per_server(site.scheduler().assignments().size(), 0);
   for (std::size_t i = 1; i < rows.size(); ++i) per_server.at(std::stoul(rows[i][2]))++;
   // Per-server counts agree with the scheduler's own bookkeeping.
@@ -407,9 +472,8 @@ TEST(DecisionLog, PerServerCounts) {
 TEST(DecisionLog, AttachedToSiteCapturesAllDecisions) {
   experiment::Site site(traced_decisions_config());
   const experiment::RunResult r = site.run();
-  ASSERT_NE(site.event_tracer(), nullptr);
-  const std::vector<std::vector<std::string>> rows =
-      csv_rows(site.event_tracer()->to_decisions_csv());
+  ASSERT_NE(r.trace, nullptr);
+  const std::vector<std::vector<std::string>> rows = csv_rows(r.trace->to_decisions_csv());
   ASSERT_GT(rows.size(), 1u);
   EXPECT_EQ(rows.front(), (std::vector<std::string>{"time", "domain", "server", "ttl"}));
   EXPECT_EQ(rows.size() - 1, site.scheduler().decisions());
@@ -499,9 +563,9 @@ TEST(SiteObservability, TracerCapturesDecisionTimeline) {
   config.faults.pauses.push_back({200.0, 100.0, 0});
 
   experiment::Site site(config);
-  site.run();
+  const experiment::RunResult result = site.run();
 
-  obs::EventTracer* tracer = site.event_tracer();
+  const obs::EventTracer* tracer = result.trace.get();
   ASSERT_NE(tracer, nullptr);
   EXPECT_GT(tracer->total_recorded(), 0u);
 

@@ -134,6 +134,27 @@ TEST(ParallelRunner, MultiPointSweepPreservesOrderingAndSeeds) {
   }
 }
 
+TEST(ParallelRunner, TracedPointTracesOnlyItsFirstReplication) {
+  experiment::SimulationConfig traced = small_config();
+  traced.trace_enabled = true;
+  experiment::Sweep sweep;
+  sweep.add(small_config(), 3);
+  sweep.add(traced, 3);
+  experiment::ParallelExecutor executor(3);
+  const experiment::SweepResult swept = sweep.run(executor);
+  const experiment::ReplicatedResult& plain = swept.points[0];
+  const experiment::ReplicatedResult& with_trace = swept.points[1];
+  // Tracing changes no result.
+  expect_identical(plain, with_trace);
+  ASSERT_NE(with_trace.runs[0].trace, nullptr);
+  const std::string decisions = with_trace.runs[0].trace->to_decisions_csv();
+  EXPECT_EQ(static_cast<std::uint64_t>(std::count(decisions.begin(), decisions.end(), '\n') - 1),
+            with_trace.runs[0].authoritative_queries);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_EQ(plain.runs[i].trace, nullptr) << i;
+  EXPECT_EQ(with_trace.runs[1].trace, nullptr);
+  EXPECT_EQ(with_trace.runs[2].trace, nullptr);
+}
+
 TEST(ParallelRunner, ProgressFiresOncePerPointWithMonotoneCompletion) {
   experiment::Sweep sweep;
   sweep.add_policy(small_config(11), "RR", 2, "first");

@@ -574,6 +574,75 @@ TEST(ShardedSite, OneShardDrawsSitesSample) {
   }
 }
 
+// The three views of a traced run, as run_scenario writes them.
+std::vector<std::string> trace_views(const RunResult& r) {
+  if (!r.trace) return {};
+  return {r.trace->to_utilization_csv(), r.trace->to_decisions_csv(), r.trace->to_chrome_json()};
+}
+
+// One shard hands its ring over as a Site does: the same three files.
+TEST(ShardedSite, OneShardTracesSitesViews) {
+  SimulationConfig cfg = sharded_config();
+  cfg.shard_count = 1;
+  cfg.trace_enabled = true;
+  cfg.faults.pauses.push_back({600.0, 120.0, 2});
+  SimulationConfig serial_cfg = cfg;
+  serial_cfg.shard_domains = false;
+  const RunResult rp = ShardedSite(cfg).run();
+  const RunResult rs = Site(serial_cfg).run();
+  ASSERT_NE(rp.trace, nullptr);
+  ASSERT_NE(rs.trace, nullptr);
+  EXPECT_EQ(rp.trace->total_recorded(), rs.trace->total_recorded());
+  EXPECT_EQ(trace_views(rp), trace_views(rs));
+}
+
+// Several shards' rings merge into one timeline: every shard's decisions,
+// one Chrome pid per shard, and the same bytes on one worker and four.
+TEST(ShardedSite, TraceMergesEveryShardsRing) {
+  SimulationConfig cfg = sharded_config();
+  cfg.trace_enabled = true;
+  cfg.metrics_enabled = true;
+  ShardedSite one(cfg, 1);
+  const RunResult r = one.run();
+  ShardedSite four(cfg, 4);
+  const RunResult r4 = four.run();
+  ASSERT_NE(r.trace, nullptr);
+  ASSERT_EQ(one.shard_count(), 4);
+  EXPECT_EQ(trace_views(r), trace_views(r4));
+
+  std::uint64_t total = 0;
+  std::vector<std::uint64_t> per_shard(4, 0);
+  for (const obs::TraceRecord& rec : r.trace->records()) {
+    if (rec.kind == obs::TraceKind::kDecision) ++per_shard.at(rec.slice);
+  }
+  for (int s = 0; s < one.shard_count(); ++s) {
+    EXPECT_EQ(per_shard[static_cast<std::size_t>(s)], one.shard(s).bundle.scheduler->decisions())
+        << "shard " << s;
+    total += one.shard(s).bundle.scheduler->decisions();
+  }
+  const std::string decisions = r.trace->to_decisions_csv();
+  const auto rows = static_cast<std::uint64_t>(
+      std::count(decisions.begin(), decisions.end(), '\n') - 1);
+  EXPECT_EQ(rows, total);
+  EXPECT_EQ(rows, r.authoritative_queries);
+  ASSERT_NE(r.metrics, nullptr);
+  EXPECT_EQ(static_cast<double>(rows), r.metrics->find("scheduler.decisions")->value);
+
+  // One row per monitor tick, from the site-wide view in the first ring.
+  const std::string util = r.trace->to_utilization_csv();
+  const auto ticks = static_cast<std::ptrdiff_t>((cfg.warmup_sec + cfg.duration_sec) /
+                                                 cfg.monitor_interval_sec);
+  EXPECT_EQ(std::count(util.begin(), util.end(), '\n') - 1, ticks);
+
+  const std::string json = r.trace->to_chrome_json();
+  for (int s = 0; s < 4; ++s) {
+    const std::string track =
+        "\"pid\":" + std::to_string(s) + ",\"tid\":0,\"args\":{\"name\":\"dns decisions\"}";
+    EXPECT_NE(json.find(track), std::string::npos) << track;
+  }
+  EXPECT_EQ(json.find("\"pid\":4"), std::string::npos);
+}
+
 TEST(ShardedSite, SingleUse) {
   ShardedSite site(sharded_config());
   (void)site.run();

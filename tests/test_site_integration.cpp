@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "experiment/report.h"
 #include "experiment/runner.h"
 
 namespace adattl::experiment {
@@ -34,6 +35,52 @@ TEST(SiteIntegration, SingleDomainSiteRuns) {
     EXPECT_GT(site.run().total_pages, 0u) << policy;
     EXPECT_EQ(site.domain_model().hot_count(), 0) << policy;
   }
+}
+
+// The warm-up holds back only the max-utilization tracker. Moving 600 s of
+// one horizon from the measured period into the warm-up changes the
+// utilization statistics and nothing else: every count, rate, time and
+// metric covers the whole horizon either way.
+TEST(SiteIntegration, WarmupExcludesOnlyTheUtilizationStatistics) {
+  SimulationConfig warm;
+  warm.warmup_sec = 600.0;
+  warm.duration_sec = 3000.0;
+  warm.metrics_enabled = true;
+  SimulationConfig cold = warm;
+  cold.warmup_sec = 0.0;
+  cold.duration_sec = 3600.0;
+  const RunResult a = Site(warm).run();
+  const RunResult b = Site(cold).run();
+
+  // What the warm-up excludes: the samples of the 75 ticks before it (the
+  // tick on the boundary is measured, DESIGN.md §11).
+  EXPECT_EQ(a.max_util_cdf.count(), 376u);
+  EXPECT_EQ(b.max_util_cdf.count(), 450u);
+  EXPECT_NE(a.mean_max_utilization, b.mean_max_utilization);
+  EXPECT_NE(a.mean_server_util, b.mean_server_util);
+  EXPECT_NE(a.aggregate_utilization, b.aggregate_utilization);
+
+  // What it does not.
+  EXPECT_EQ(a.total_pages, b.total_pages);
+  EXPECT_EQ(a.total_hits, b.total_hits);
+  EXPECT_EQ(a.authoritative_queries, b.authoritative_queries);
+  EXPECT_EQ(a.ns_cache_hits, b.ns_cache_hits);
+  EXPECT_EQ(a.address_request_rate, b.address_request_rate);
+  EXPECT_EQ(a.dns_controlled_fraction, b.dns_controlled_fraction);
+  EXPECT_EQ(a.mean_ttl, b.mean_ttl);
+  EXPECT_EQ(a.alarm_signals, b.alarm_signals);
+  EXPECT_EQ(a.events_dispatched, b.events_dispatched);
+  EXPECT_EQ(a.mean_page_response_sec, b.mean_page_response_sec);
+  EXPECT_EQ(a.per_server_response_sec, b.per_server_response_sec);
+  EXPECT_EQ(a.response_p99_sec, b.response_p99_sec);
+  ASSERT_EQ(a.domain_latency.size(), b.domain_latency.size());
+  for (std::size_t d = 0; d < a.domain_latency.size(); ++d) {
+    EXPECT_EQ(a.domain_latency[d].pages, b.domain_latency[d].pages) << d;
+    EXPECT_EQ(a.domain_latency[d].p99_sec, b.domain_latency[d].p99_sec) << d;
+  }
+  ASSERT_NE(a.metrics, nullptr);
+  ASSERT_NE(b.metrics, nullptr);
+  EXPECT_EQ(metrics_to_json(*a.metrics), metrics_to_json(*b.metrics));
 }
 
 TEST(SiteIntegration, AggregateUtilizationNearTwoThirds) {

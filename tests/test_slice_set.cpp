@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "experiment/parallel_executor.h"
@@ -138,6 +140,37 @@ TEST(SliceSet, SaturatedServersReportFullUtilization) {
         EXPECT_NEAR(u, 1.0, 1e-9);
       }
     }
+  }
+}
+
+// A traced run's utilization view holds one row per tick, with the view
+// that the tick's observers saw, however many slices merged it.
+TEST(SliceSet, TraceHoldsTheViewOfEveryTick) {
+  for (const int slices : {1, 3}) {
+    SCOPED_TRACE(slices);
+    SimulationConfig cfg = small_config();
+    cfg.trace_enabled = true;
+    SliceSet set(cfg);
+    build(set, cfg, slices);
+    std::string expected = "time,s0,s1,max\n";
+    set.add_full_observer([&](sim::SimTime now, const std::vector<double>& util,
+                              const std::vector<std::size_t>&) {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.3f", now);
+      expected += buf;
+      for (double u : util) {
+        std::snprintf(buf, sizeof(buf), ",%.6f", u);
+        expected += buf;
+      }
+      std::snprintf(buf, sizeof(buf), ",%.6f\n", *std::max_element(util.begin(), util.end()));
+      expected += buf;
+    });
+    ParallelExecutor pool(slices);
+    const RunResult r = set.run(pool);
+    ASSERT_NE(r.trace, nullptr);
+    EXPECT_EQ(r.trace->to_utilization_csv(), expected);
+    // Every slice records into a ring of its own.
+    for (int s = 0; s < set.size(); ++s) EXPECT_NE(set[s].tracer, nullptr) << s;
   }
 }
 
