@@ -7,7 +7,7 @@
 ///
 /// Layering (each layer depends only on those above it):
 ///
-///   sim/        discrete-event kernel, RNG, statistics
+///   sim/        discrete-event kernel, RNG, statistics, the text reader
 ///   web/        heterogeneous Web servers, cluster presets, dispatch
 ///   core/       the paper's contribution: selection + TTL policies,
 ///               calibration, estimation, alarm feedback, factory
@@ -32,6 +32,7 @@
 #include "sim/random.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
+#include "sim/text.h"
 #include "sim/time.h"
 
 // web

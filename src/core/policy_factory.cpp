@@ -1,10 +1,10 @@
 #include "core/policy_factory.h"
 
 #include <algorithm>
-#include <charconv>
-#include <stdexcept>
-
+#include <climits>
+#include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/cost_policy.h"
 #include "core/dal_policy.h"
@@ -12,6 +12,7 @@
 #include "core/proximity_policy.h"
 #include "core/selection_policies.h"
 #include "core/ttl_policy.h"
+#include "sim/text.h"
 
 namespace adattl::core {
 namespace {
@@ -33,16 +34,12 @@ bool parse_cost_param(const std::string& tok, const std::string& base, double fa
   if (tok.size() < base.size() + 3 || tok.rfind(base + "(", 0) != 0 || tok.back() != ')') {
     return false;
   }
-  const std::string body = tok.substr(base.size() + 1, tok.size() - base.size() - 2);
-  std::size_t pos = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(body, &pos);
-  } catch (const std::exception&) {
+  const std::optional<double> value =
+      text::parse_number(tok.substr(base.size() + 1, tok.size() - base.size() - 2));
+  if (!value || !std::isfinite(*value)) {
     throw std::invalid_argument("'" + tok + "': bad " + base + " parameter");
   }
-  if (pos != body.size()) throw std::invalid_argument("'" + tok + "': bad " + base + " parameter");
-  *out = value;
+  *out = *value;
   return true;
 }
 
@@ -91,12 +88,10 @@ bool parse_selection(const std::string& tok, PolicySpec* spec) {
       return false;
     }
     if (rr == 0 && tiers.find_first_not_of("0123456789") == std::string::npos) {
-      int n = 0;
-      if (std::from_chars(tiers.data(), tiers.data() + tiers.size(), n).ec != std::errc()) {
-        throw std::invalid_argument("'" + tok + "': bad round-robin tier count");
-      }
-      if (n < 3) throw std::invalid_argument("'" + tok + "': multi-tier RR needs >= 3 tiers");
-      spec->selection_tiers = n;
+      const std::optional<std::int64_t> n = text::parse_integer(tiers, 0, INT_MAX);
+      if (!n) throw std::invalid_argument("'" + tok + "': bad round-robin tier count");
+      if (*n < 3) throw std::invalid_argument("'" + tok + "': multi-tier RR needs >= 3 tiers");
+      spec->selection_tiers = static_cast<int>(*n);
       return false;
     }
   }
@@ -181,17 +176,9 @@ PolicySpec parse_policy_name(const std::string& name) {
   if (ttl_tok == "K") {
     spec.ttl_classes = kPerDomainClasses;
   } else {
-    std::size_t pos = 0;
-    int classes = 0;
-    try {
-      classes = std::stoi(ttl_tok, &pos);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("'" + name + "': bad TTL class count");
-    }
-    if (pos != ttl_tok.size() || classes < 1) {
-      throw std::invalid_argument("'" + name + "': bad TTL class count");
-    }
-    spec.ttl_classes = classes;
+    const std::optional<std::int64_t> classes = text::parse_integer(ttl_tok, 1, INT_MAX);
+    if (!classes) throw std::invalid_argument("'" + name + "': bad TTL class count");
+    spec.ttl_classes = static_cast<int>(*classes);
   }
   return spec;
 }

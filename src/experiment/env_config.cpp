@@ -2,50 +2,39 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
+
+#include "sim/text.h"
 
 namespace adattl::experiment {
 
-bool parse_env_number(const char* text, double& out) {
-  if (!text || !*text) return false;
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0') return false;
-  if (!std::isfinite(v)) return false;
-  out = v;
-  return true;
-}
-
 namespace {
 
-/// nullopt-style lookup + validation shared by env_double / env_int.
-bool env_number(const char* name, double& out) {
-  const char* v = std::getenv(name);
-  if (!v || !*v) return false;
-  if (!parse_env_number(v, out)) {
-    std::fprintf(stderr, "adattl: ignoring %s='%s' (not a number)\n", name, v);
-    return false;
-  }
-  return true;
+void ignore(const char* name, const char* value, const char* why) {
+  std::fprintf(stderr, "adattl: ignoring %s='%s' (%s)\n", name, value, why);
 }
 
 }  // namespace
 
 double env_double(const char* name, double fallback, double lo, double hi) {
-  double v = 0.0;
-  if (!env_number(name, v)) return fallback;
-  return std::clamp(v, lo, hi);
+  const char* v = std::getenv(name);
+  if (!v || !*v) return fallback;
+  const std::optional<double> x = text::parse_number(v);
+  if (x && std::isfinite(*x)) return std::clamp(*x, lo, hi);
+  ignore(name, v, "not a finite number");
+  return fallback;
 }
 
 int env_int(const char* name, int fallback, int lo, int hi) {
-  double v = 0.0;
-  if (!env_number(name, v)) return fallback;
-  if (v != std::floor(v)) {
-    std::fprintf(stderr, "adattl: ignoring %s=%g (not an integer)\n", name, v);
-    return fallback;
-  }
-  return std::clamp(static_cast<int>(v), lo, hi);
+  const char* v = std::getenv(name);
+  if (!v || !*v) return fallback;
+  const std::optional<std::int64_t> x = text::parse_integer(v);
+  if (x) return static_cast<int>(std::clamp<std::int64_t>(*x, lo, hi));
+  ignore(name, v, "not an integer");
+  return fallback;
 }
 
 }  // namespace adattl::experiment

@@ -2,8 +2,9 @@
 
 // Strict parsing of the ADATTL_* environment defaults used by the benches
 // and the parallel executor (ADATTL_REPLICATIONS, ADATTL_DURATION_SEC,
-// ADATTL_JOBS). Malformed values are rejected with a warning on stderr and
-// fall back to the default instead of silently becoming 0 or a
+// ADATTL_JOBS). Values are read by the number and integer grammars of
+// sim/text.h; a malformed value is rejected with a warning on stderr and
+// falls back to the default instead of silently becoming 0 or a
 // half-parsed prefix.
 //
 // Note: for CLI-driven runs (parse_cli / resolve_config), every knob's
@@ -14,18 +15,14 @@
 
 namespace adattl::experiment {
 
-/// Strictly parses `text` as a decimal number. Fails (returns false) on
-/// null, empty, non-numeric, trailing junk ("12abc"), infinities and NaN.
-/// Leading whitespace is accepted, trailing whitespace is not.
-bool parse_env_number(const char* text, double& out);
-
-/// Reads environment variable `name`. Unset or empty: `fallback`.
-/// Malformed: warning on stderr, then `fallback`. Valid: the value
+/// Reads environment variable `name`. Unset or empty: `fallback`. Not a
+/// finite number: warning on stderr, then `fallback`. Otherwise the value
 /// clamped to [lo, hi].
 double env_double(const char* name, double fallback, double lo, double hi);
 
-/// Same for integral knobs; values with a fractional part count as
-/// malformed rather than being truncated.
+/// Same for integral knobs, read by the integer grammar in 64 bits and
+/// clamped to [lo, hi] before it narrows to int. `3.5`, `4.0`, `1e3` and
+/// `0x10` are malformed rather than truncated or converted.
 int env_int(const char* name, int fallback, int lo, int hi);
 
 }  // namespace adattl::experiment

@@ -1,24 +1,19 @@
 #include "experiment/param_registry.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "core/policy_factory.h"
 #include "experiment/scenario_file.h"
 #include "fault/fault_schedule.h"
+#include "sim/text.h"
 #include "workload/domain_set.h"
 
 namespace adattl::experiment {
-
-// Defined in runner.cpp; declared here to avoid a runner.h <-> param_registry.h cycle.
-std::string json_escape(const std::string& s);
-
 namespace {
 
 // ---- strict value parsers (shared by CLI, env and scenario layers) ----
@@ -26,90 +21,40 @@ namespace {
 [[noreturn]] void bad(const std::string& msg) { throw std::invalid_argument(msg); }
 
 double parse_double_value(const std::string& v) {
-  if (v.empty()) bad("expected a number, got ''");
-  char* end = nullptr;
-  const double out = std::strtod(v.c_str(), &end);
-  if (end == v.c_str() || *end != '\0') bad("expected a number, got '" + v + "'");
-  if (!std::isfinite(out)) bad("expected a finite number, got '" + v + "'");
-  return out;
-}
-
-long long parse_int_value(const std::string& v) {
-  if (v.empty()) bad("expected an integer, got ''");
-  errno = 0;
-  char* end = nullptr;
-  const long long out = std::strtoll(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') bad("expected an integer, got '" + v + "'");
-  if (errno == ERANGE) bad("integer out of range: '" + v + "'");
-  return out;
+  const std::optional<double> out = text::parse_number(v);
+  if (!out) bad("expected a number, got '" + v + "'");
+  if (!std::isfinite(*out)) bad("expected a finite number, got '" + v + "'");
+  return *out;
 }
 
 int parse_int32_value(const std::string& v) {
-  const long long out = parse_int_value(v);
-  if (out < INT_MIN || out > INT_MAX) bad("integer out of range: '" + v + "'");
-  return static_cast<int>(out);
+  const std::optional<std::int64_t> out = text::parse_integer(v, INT_MIN, INT_MAX);
+  if (!out) bad("expected a 32-bit integer, got '" + v + "'");
+  return static_cast<int>(*out);
 }
 
-unsigned long long parse_uint_value(const std::string& v) {
-  if (v.empty()) bad("expected a non-negative integer, got ''");
-  if (v[0] == '-') bad("expected a non-negative integer, got '" + v + "'");
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long out = std::strtoull(v.c_str(), &end, 10);
-  if (end == v.c_str() || *end != '\0') {
-    bad("expected a non-negative integer, got '" + v + "'");
-  }
-  if (errno == ERANGE) bad("integer out of range: '" + v + "'");
-  return out;
+std::uint64_t parse_uint_value(const std::string& v) {
+  const std::optional<std::uint64_t> out = text::parse_unsigned(v);
+  if (!out) bad("expected a non-negative integer, got '" + v + "'");
+  return *out;
 }
 
 bool parse_bool_value(const std::string& v) {
-  if (v == "true" || v == "1") return true;
-  if (v == "false" || v == "0") return false;
-  bad("expected true/false, got '" + v + "'");
+  const std::optional<bool> out = text::parse_bool(v);
+  if (!out) bad("expected true/false, got '" + v + "'");
+  return *out;
 }
 
 std::vector<double> parse_double_list_value(const std::string& v) {
   std::vector<double> out;
-  std::size_t start = 0;
-  while (start <= v.size()) {
-    const std::size_t comma = v.find(',', start);
-    const std::string item =
-        v.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
+  for (const std::string& item : text::split(v, ',')) {
     if (item.empty()) bad("empty list element");
     out.push_back(parse_double_value(item));
-    if (comma == std::string::npos) break;
-    start = comma + 1;
   }
   return out;
 }
 
-/// Splits a colon-packed spec into exactly `n` fields.
-std::vector<std::string> split_colon(const std::string& v, std::size_t n, const char* shape) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (start <= v.size()) {
-    const std::size_t colon = v.find(':', start);
-    fields.push_back(
-        v.substr(start, colon == std::string::npos ? std::string::npos : colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
-  if (fields.size() != n) bad(std::string("expected ") + shape + ", got '" + v + "'");
-  return fields;
-}
-
 // ---- canonical serialization (dump-config, config JSON, docs) ----
-
-/// Shortest decimal text that parses back to exactly `v`.
-std::string fmt_double(double v) {
-  char buf[64];
-  for (int prec = 15; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    if (std::strtod(buf, nullptr) == v) break;
-  }
-  return buf;
-}
 
 std::string fmt_int(long long v) { return std::to_string(v); }
 std::string fmt_uint(unsigned long long v) { return std::to_string(v); }
@@ -118,7 +63,7 @@ std::string fmt_double_list(const std::vector<double>& xs) {
   std::string out;
   for (std::size_t i = 0; i < xs.size(); ++i) {
     if (i) out += ",";
-    out += fmt_double(xs[i]);
+    out += text::format_number(xs[i]);
   }
   return out;
 }
@@ -166,7 +111,7 @@ void cross_validate(const SimulationConfig& c) {
   c.session.validate();
   const double clients = c.scaled_clients();
   if (!(clients >= 1.0 && clients <= INT_MAX)) {
-    bad("config: --scale: " + fmt_double(c.scale) + " x " + fmt_int(c.total_clients) +
+    bad("config: --scale: " + text::format_number(c.scale) + " x " + fmt_int(c.total_clients) +
         " clients rounds to a population outside [1, INT_MAX]");
   }
   if (c.rate_perturbation_percent > 0.0) {
@@ -181,7 +126,7 @@ void cross_validate(const SimulationConfig& c) {
     if (c.rate_perturbation_percent >= limit) {
       char bound[48] = "0";
       if (limit > 0.0) std::snprintf(bound, sizeof bound, "below %.4g%%", limit);
-      bad("config: --error: " + fmt_double(c.rate_perturbation_percent) +
+      bad("config: --error: " + text::format_number(c.rate_perturbation_percent) +
           "% leaves the domains other than the busiest no load; it must be " + bound +
           " for this population");
     }
@@ -275,7 +220,7 @@ ParamRegistry::ParamRegistry() {
     s.hint = hint;
     s.doc = doc;
     s.set = [m](C& o, const std::string& v) { o.config.*m = parse_double_value(v); };
-    s.get = [m](const C& o) { return fmt_double(o.config.*m); };
+    s.get = [m](const C& o) { return text::format_number(o.config.*m); };
     s.check = std::move(check);
     add(std::move(s));
   };
@@ -366,7 +311,9 @@ ParamRegistry::ParamRegistry() {
     s.set = [](C& o, const std::string& v) {
       o.config.cluster.total_capacity_hits_per_sec = parse_double_value(v);
     };
-    s.get = [](const C& o) { return fmt_double(o.config.cluster.total_capacity_hits_per_sec); };
+    s.get = [](const C& o) {
+      return text::format_number(o.config.cluster.total_capacity_hits_per_sec);
+    };
     add(std::move(s));
   }
 
@@ -549,7 +496,7 @@ ParamRegistry::ParamRegistry() {
       o.config.redirect_enabled = true;
       o.config.redirect_max_wait_sec = parse_double_value(v);
     };
-    s.get = [](const C& o) { return fmt_double(o.config.redirect_max_wait_sec); };
+    s.get = [](const C& o) { return text::format_number(o.config.redirect_max_wait_sec); };
     add(std::move(s));
   }
   dbl("redirect-delay", "redirection", "SEC", "extra latency per redirected request",
@@ -569,7 +516,8 @@ ParamRegistry::ParamRegistry() {
     s.doc = "scripted flash crowd: multiply DOMAIN's rate by FACTOR at time T";
     s.repeatable = true;
     s.set = [](C& o, const std::string& v) {
-      const auto f = split_colon(v, 3, "T:DOMAIN:FACTOR");
+      const std::vector<std::string> f = text::split(v, ':');
+      if (f.size() != 3) bad("expected T:DOMAIN:FACTOR, got '" + v + "'");
       workload::RateShift shift;
       shift.at_sec = parse_double_value(f[0]);
       shift.domain = parse_int32_value(f[1]);
@@ -579,8 +527,8 @@ ParamRegistry::ParamRegistry() {
     s.get_list = [](const C& o) {
       std::vector<std::string> out;
       for (const workload::RateShift& sh : o.config.rate_shifts) {
-        out.push_back(fmt_double(sh.at_sec) + ":" + fmt_int(sh.domain) + ":" +
-                      fmt_double(sh.rate_factor));
+        out.push_back(text::format_number(sh.at_sec) + ":" + fmt_int(sh.domain) + ":" +
+                      text::format_number(sh.rate_factor));
       }
       return out;
     };
@@ -595,7 +543,8 @@ ParamRegistry::ParamRegistry() {
     s.doc = "trace point: SET DOMAIN's rate multiplier to MULT at time T (absolute)";
     s.repeatable = true;
     s.set = [](C& o, const std::string& v) {
-      const auto f = split_colon(v, 3, "T:DOMAIN:MULT");
+      const std::vector<std::string> f = text::split(v, ':');
+      if (f.size() != 3) bad("expected T:DOMAIN:MULT, got '" + v + "'");
       workload::TraceEvent ev;
       ev.at_sec = parse_double_value(f[0]);
       ev.domain = parse_int32_value(f[1]);
@@ -605,8 +554,8 @@ ParamRegistry::ParamRegistry() {
     s.get_list = [](const C& o) {
       std::vector<std::string> out;
       for (const workload::TraceEvent& ev : o.config.trace_events) {
-        out.push_back(fmt_double(ev.at_sec) + ":" + fmt_int(ev.domain) + ":" +
-                      fmt_double(ev.rate_multiplier));
+        out.push_back(text::format_number(ev.at_sec) + ":" + fmt_int(ev.domain) + ":" +
+                      text::format_number(ev.rate_multiplier));
       }
       return out;
     };
@@ -668,7 +617,7 @@ ParamRegistry::ParamRegistry() {
       "hard crash: queue and in-flight work dropped, submissions rejected",
       &fault::FaultSchedule::parse_crash, &fault::FaultSchedule::crashes,
       [](const fault::CrashWindow& w) {
-        return fmt_double(w.start_sec) + ":" + fmt_double(w.duration_sec) + ":" +
+        return text::format_number(w.start_sec) + ":" + text::format_number(w.duration_sec) + ":" +
                fmt_int(w.server);
       });
   fault_windows(
@@ -676,15 +625,15 @@ ParamRegistry::ParamRegistry() {
       "scale the server's capacity by FACTOR for the window",
       &fault::FaultSchedule::parse_degrade, &fault::FaultSchedule::degradations,
       [](const fault::DegradeWindow& w) {
-        return fmt_double(w.start_sec) + ":" + fmt_double(w.duration_sec) + ":" +
-               fmt_int(w.server) + ":" + fmt_double(w.factor);
+        return text::format_number(w.start_sec) + ":" + text::format_number(w.duration_sec) + ":" +
+               fmt_int(w.server) + ":" + text::format_number(w.factor);
       });
   fault_windows(
       "pause", "START:DURATION:SERVER",
       "silent stall: accepts and queues but serves nothing",
       &fault::FaultSchedule::parse_pause, &fault::FaultSchedule::pauses,
       [](const fault::PauseWindow& w) {
-        return fmt_double(w.start_sec) + ":" + fmt_double(w.duration_sec) + ":" +
+        return text::format_number(w.start_sec) + ":" + text::format_number(w.duration_sec) + ":" +
                fmt_int(w.server);
       });
   fault_windows(
@@ -692,7 +641,7 @@ ParamRegistry::ParamRegistry() {
       "authoritative DNS unreachable; NSs back off and serve stale",
       &fault::FaultSchedule::parse_dns_outage, &fault::FaultSchedule::dns_outages,
       [](const fault::DnsOutageWindow& w) {
-        return fmt_double(w.start_sec) + ":" + fmt_double(w.duration_sec);
+        return text::format_number(w.start_sec) + ":" + text::format_number(w.duration_sec);
       });
   // Elastic pool directives. scale-up and scale-down share the schedule's
   // scale_events vector, so their specs filter by direction instead of
@@ -711,7 +660,7 @@ ParamRegistry::ParamRegistry() {
     s.get_list = [up](const C& o) {
       std::vector<std::string> out;
       for (const fault::ScaleEvent& e : o.config.faults.scale_events) {
-        if (e.up == up) out.push_back(fmt_double(e.start_sec) + ":" + fmt_int(e.server));
+        if (e.up == up) out.push_back(text::format_number(e.start_sec) + ":" + fmt_int(e.server));
       }
       return out;
     };
@@ -726,7 +675,8 @@ ParamRegistry::ParamRegistry() {
       "open-ended re-provision: capacity scaled to FACTOR x nominal until the next resize",
       &fault::FaultSchedule::parse_resize, &fault::FaultSchedule::resizes,
       [](const fault::ResizeEvent& e) {
-        return fmt_double(e.start_sec) + ":" + fmt_int(e.server) + ":" + fmt_double(e.factor);
+        return text::format_number(e.start_sec) + ":" + fmt_int(e.server) + ":" +
+               text::format_number(e.factor);
       });
   dbl("retry-delay", "faults", "SEC", "client pause before retrying a failed page/resolution",
       &S::client_retry_delay_sec,
@@ -787,7 +737,7 @@ ParamRegistry::ParamRegistry() {
     s.doc = "measured period after warm-up";
     s.env = "ADATTL_DURATION_SEC";  // the long-standing bench knob name
     s.set = [](C& o, const std::string& v) { o.config.duration_sec = parse_double_value(v); };
-    s.get = [](const C& o) { return fmt_double(o.config.duration_sec); };
+    s.get = [](const C& o) { return text::format_number(o.config.duration_sec); };
     s.check = [](const C& o) {
       if (o.config.duration_sec <= 0) bad("config: duration > 0");
     };
@@ -1129,7 +1079,7 @@ std::string ParamRegistry::config_json(const CliOptions& opt) const {
         out += spec.get(opt);
         break;
       case ParamKind::kString:
-        out += "\"" + json_escape(spec.get(opt)) + "\"";
+        out += "\"" + text::json_escape(spec.get(opt)) + "\"";
         break;
       case ParamKind::kDoubleList:
         // The canonical comma-joined form is already a JSON number list body.
@@ -1140,7 +1090,7 @@ std::string ParamRegistry::config_json(const CliOptions& opt) const {
         const std::vector<std::string> items = spec.get_list(opt);
         for (std::size_t i = 0; i < items.size(); ++i) {
           if (i) out += ",";
-          out += "\"" + json_escape(items[i]) + "\"";
+          out += "\"" + text::json_escape(items[i]) + "\"";
         }
         out += "]";
         break;
@@ -1162,7 +1112,7 @@ std::string ParamRegistry::provenance_json(const ProvenanceMap& provenance) cons
     first = false;
     out += "\"" + spec.name + "\":{\"layer\":\"";
     out += param_layer_name(it->second.layer);
-    out += "\",\"value\":\"" + json_escape(it->second.value) + "\"}";
+    out += "\",\"value\":\"" + text::json_escape(it->second.value) + "\"}";
   }
   out += "}";
   return out;

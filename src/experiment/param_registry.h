@@ -10,13 +10,14 @@
 
 namespace adattl::experiment {
 
-/// How a knob's textual value is parsed and serialized.
+/// How a knob's textual value is parsed and serialized. The grammars are
+/// those of sim/text.h, the same in every layer.
 enum class ParamKind {
-  kBool,        ///< bare flag, =true/=false, or --no-X negation
-  kInt,         ///< strict strtoll (no precision loss above 2^53)
-  kUint,        ///< strict strtoull (seeds, capacities)
-  kDouble,      ///< strict strtod
-  kDoubleList,  ///< comma-separated doubles (relative capacities)
+  kBool,        ///< bare flag, =true|1|false|0, or --no-X negation
+  kInt,         ///< integer grammar, range-checked to 32 bits
+  kUint,        ///< integer grammar over [0, 2^64 - 1] (seeds, capacities)
+  kDouble,      ///< number grammar, finite values only
+  kDoubleList,  ///< comma-separated finite numbers (relative capacities)
   kString,      ///< free-form or enumerated text (policy, estimator)
   kSpecList,    ///< repeatable colon-packed specs (shift, crash, ...)
 };

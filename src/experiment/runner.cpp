@@ -183,32 +183,6 @@ void append_kv_or_null(std::string& out, const char* key, double value, bool com
 
 }  // namespace
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char raw : s) {
-    const unsigned char c = static_cast<unsigned char>(raw);
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += raw;
-        }
-    }
-  }
-  return out;
-}
-
 std::string to_json(const SimulationConfig& config, const ReplicatedResult& result) {
   CliOptions resolved;
   resolved.config = config;
@@ -222,7 +196,7 @@ std::string to_json(const SimulationConfig& config, const ReplicatedResult& resu
                     const ProvenanceMap& provenance) {
   const bool queueing = reports_queueing(config);
   std::string out = "{";
-  out += "\"policy\":\"" + json_escape(config.policy) + "\",";
+  out += "\"policy\":\"" + text::json_escape(config.policy) + "\",";
   append_kv(out, "servers", config.cluster.size());
   append_kv(out, "heterogeneity_percent", config.cluster.heterogeneity_percent());
   append_kv(out, "domains", config.num_domains);

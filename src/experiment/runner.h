@@ -9,6 +9,7 @@
 #include "experiment/param_registry.h"
 #include "experiment/site.h"
 #include "sim/stats.h"
+#include "sim/text.h"
 
 namespace adattl::experiment {
 
@@ -130,9 +131,8 @@ std::string to_json(const SimulationConfig& config, const ReplicatedResult& resu
 std::string to_json(const SimulationConfig& config, const ReplicatedResult& result,
                     const ProvenanceMap& provenance);
 
-/// JSON string escaping as used by to_json: quotes, backslashes and all
-/// control characters (RFC 8259). Exposed for tests and tooling.
-std::string json_escape(const std::string& s);
+/// JSON string escaping as used by to_json (sim/text.h).
+using text::json_escape;
 
 /// Number of replications the figure benches use. Default 3; override via
 /// environment variable ADATTL_REPLICATIONS (clamped to [1, 30]).

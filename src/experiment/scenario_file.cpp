@@ -1,79 +1,23 @@
 #include "experiment/scenario_file.h"
 
-#include <cstdio>
-#include <stdexcept>
+#include "sim/text.h"
 
 namespace adattl::experiment {
-namespace {
-
-std::string trim(const std::string& s) {
-  const std::size_t a = s.find_first_not_of(" \t\r");
-  if (a == std::string::npos) return "";
-  const std::size_t b = s.find_last_not_of(" \t\r");
-  return s.substr(a, b - a + 1);
-}
-
-/// A '#' starts a comment only at the start of the line or after
-/// whitespace, so values containing '#' (e.g. a faults path like
-/// "chaos#1.faults") survive intact.
-std::size_t comment_start(const std::string& line) {
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '#' && (i == 0 || line[i - 1] == ' ' || line[i - 1] == '\t')) return i;
-  }
-  return std::string::npos;
-}
-
-}  // namespace
 
 std::vector<std::string> scenario_text_to_args(const std::string& text) {
+  // Every line becomes "--key=value" verbatim; the parameter registry owns
+  // key lookup, typing (including booleans — `key = false` genuinely
+  // switches a default-on knob off) and did-you-mean diagnostics for
+  // unknown keys.
   std::vector<std::string> args;
-  std::size_t pos = 0;
-  int line_no = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string line =
-        text.substr(pos, eol == std::string::npos ? std::string::npos : eol - pos);
-    pos = (eol == std::string::npos) ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    const std::size_t hash = comment_start(line);
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("scenario line " + std::to_string(line_no) +
-                                  ": expected 'key = value', got '" + line + "'");
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key.empty()) {
-      throw std::invalid_argument("scenario line " + std::to_string(line_no) + ": empty key");
-    }
-    if (value.empty()) {
-      throw std::invalid_argument("scenario line " + std::to_string(line_no) +
-                                  ": empty value for '" + key + "'");
-    }
-
-    // Every line becomes "--key=value" verbatim; the parameter registry
-    // owns key lookup, typing (including booleans — `key = false` now
-    // genuinely switches a default-on knob off) and did-you-mean
-    // diagnostics for unknown keys.
-    args.push_back("--" + key + "=" + value);
+  for (const text::KeyValue& kv : text::key_values(text, "scenario")) {
+    args.push_back("--" + kv.key + "=" + kv.value);
   }
   return args;
 }
 
 std::vector<std::string> load_scenario_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw std::runtime_error("cannot open scenario file '" + path + "'");
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return scenario_text_to_args(text);
+  return scenario_text_to_args(text::read_file(path, "scenario file"));
 }
 
 }  // namespace adattl::experiment

@@ -1,72 +1,35 @@
 #include "fault/fault_schedule.h"
 
+#include <climits>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "sim/text.h"
 
 namespace adattl::fault {
 namespace {
 
-std::string trim(const std::string& s) {
-  const std::size_t a = s.find_first_not_of(" \t\r");
-  if (a == std::string::npos) return "";
-  const std::size_t b = s.find_last_not_of(" \t\r");
-  return s.substr(a, b - a + 1);
-}
-
-/// Same comment rule as scenario files: a '#' starts a comment only at the
-/// start of the line or after whitespace, so embedded '#' in values is kept.
-std::size_t comment_start(const std::string& line) {
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    if (line[i] == '#' && (i == 0 || line[i - 1] == ' ' || line[i - 1] == '\t')) return i;
-  }
-  return std::string::npos;
-}
-
+/// A window start, duration or factor: the number grammar, infinities and
+/// NaN included (validate() judges them).
 double parse_number(const std::string& what, const std::string& value) {
-  std::size_t pos = 0;
-  double out = 0.0;
-  try {
-    out = std::stod(value, &pos);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(what + ": expected a number, got '" + value + "'");
-  }
-  if (pos != value.size()) {
-    throw std::invalid_argument(what + ": trailing junk in '" + value + "'");
-  }
-  return out;
+  const std::optional<double> out = text::parse_number(value);
+  if (!out) throw std::invalid_argument(what + ": expected a number, got '" + value + "'");
+  return *out;
 }
 
 int parse_int(const std::string& what, const std::string& value) {
-  const double d = parse_number(what, value);
-  const int i = static_cast<int>(d);
-  if (static_cast<double>(i) != d) {
-    throw std::invalid_argument(what + ": expected an integer, got '" + value + "'");
-  }
-  return i;
+  const std::optional<std::int64_t> out = text::parse_integer(value, INT_MIN, INT_MAX);
+  if (!out) throw std::invalid_argument(what + ": expected a 32-bit integer, got '" + value + "'");
+  return static_cast<int>(*out);
 }
 
-/// Splits "a:b:c" into exactly `n` fields; throws naming `what` otherwise.
-std::vector<std::string> split_fields(const std::string& what, const std::string& spec,
-                                      std::size_t n) {
-  std::vector<std::string> fields;
-  std::size_t start = 0;
-  while (start <= spec.size()) {
-    const std::size_t colon = spec.find(':', start);
-    fields.push_back(
-        spec.substr(start, colon == std::string::npos ? std::string::npos : colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
-  if (fields.size() != n) {
-    throw std::invalid_argument(what + ": expected " + std::to_string(n) +
-                                " ':'-separated fields, got '" + spec + "'");
-  }
-  return fields;
+[[noreturn]] void bad_shape(const std::string& what, const char* shape,
+                            const std::string& spec) {
+  throw std::invalid_argument(what + ": expected " + shape + ", got '" + spec + "'");
 }
 
-// The checks are negated so NaN fails them: std::stod accepts "nan" and
-// "inf", and a NaN time would reach Simulator::at. An infinite start or
+// The checks are negated so NaN fails them: the number grammar reads "nan"
+// and "inf", and a NaN time would reach Simulator::at. An infinite start or
 // duration is legal (never, or for good); an infinite factor is not.
 void check_start(const std::string& what, double start_sec) {
   if (!(start_sec >= 0.0)) throw std::invalid_argument(what + ": start must be >= 0");
@@ -93,7 +56,8 @@ void check_server(const std::string& what, int server, int num_servers) {
 }  // namespace
 
 CrashWindow FaultSchedule::parse_crash(const std::string& spec) {
-  const std::vector<std::string> f = split_fields("crash", spec, 3);
+  const std::vector<std::string> f = text::split(spec, ':');
+  if (f.size() != 3) bad_shape("crash", "START:DURATION:SERVER", spec);
   CrashWindow w;
   w.start_sec = parse_number("crash start", f[0]);
   w.duration_sec = parse_number("crash duration", f[1]);
@@ -102,7 +66,8 @@ CrashWindow FaultSchedule::parse_crash(const std::string& spec) {
 }
 
 DegradeWindow FaultSchedule::parse_degrade(const std::string& spec) {
-  const std::vector<std::string> f = split_fields("degrade", spec, 4);
+  const std::vector<std::string> f = text::split(spec, ':');
+  if (f.size() != 4) bad_shape("degrade", "START:DURATION:SERVER:FACTOR", spec);
   DegradeWindow w;
   w.start_sec = parse_number("degrade start", f[0]);
   w.duration_sec = parse_number("degrade duration", f[1]);
@@ -112,7 +77,8 @@ DegradeWindow FaultSchedule::parse_degrade(const std::string& spec) {
 }
 
 PauseWindow FaultSchedule::parse_pause(const std::string& spec) {
-  const std::vector<std::string> f = split_fields("pause", spec, 3);
+  const std::vector<std::string> f = text::split(spec, ':');
+  if (f.size() != 3) bad_shape("pause", "START:DURATION:SERVER", spec);
   PauseWindow w;
   w.start_sec = parse_number("pause start", f[0]);
   w.duration_sec = parse_number("pause duration", f[1]);
@@ -121,7 +87,8 @@ PauseWindow FaultSchedule::parse_pause(const std::string& spec) {
 }
 
 DnsOutageWindow FaultSchedule::parse_dns_outage(const std::string& spec) {
-  const std::vector<std::string> f = split_fields("dns-outage", spec, 2);
+  const std::vector<std::string> f = text::split(spec, ':');
+  if (f.size() != 2) bad_shape("dns-outage", "START:DURATION", spec);
   DnsOutageWindow w;
   w.start_sec = parse_number("dns-outage start", f[0]);
   w.duration_sec = parse_number("dns-outage duration", f[1]);
@@ -130,7 +97,8 @@ DnsOutageWindow FaultSchedule::parse_dns_outage(const std::string& spec) {
 
 ScaleEvent FaultSchedule::parse_scale(const std::string& spec, bool up) {
   const std::string what = up ? "scale-up" : "scale-down";
-  const std::vector<std::string> f = split_fields(what, spec, 2);
+  const std::vector<std::string> f = text::split(spec, ':');
+  if (f.size() != 2) bad_shape(what, "START:SERVER", spec);
   ScaleEvent e;
   e.start_sec = parse_number(what + " start", f[0]);
   e.server = parse_int(what + " server", f[1]);
@@ -139,7 +107,8 @@ ScaleEvent FaultSchedule::parse_scale(const std::string& spec, bool up) {
 }
 
 ResizeEvent FaultSchedule::parse_resize(const std::string& spec) {
-  const std::vector<std::string> f = split_fields("resize", spec, 3);
+  const std::vector<std::string> f = text::split(spec, ':');
+  if (f.size() != 3) bad_shape("resize", "START:SERVER:FACTOR", spec);
   ResizeEvent e;
   e.start_sec = parse_number("resize start", f[0]);
   e.server = parse_int("resize server", f[1]);
@@ -209,34 +178,10 @@ void FaultSchedule::validate(int num_servers) const {
 
 FaultSchedule parse_fault_text(const std::string& text) {
   FaultSchedule out;
-  std::size_t pos = 0;
-  int line_no = 0;
-  while (pos <= text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string line =
-        text.substr(pos, eol == std::string::npos ? std::string::npos : eol - pos);
-    pos = (eol == std::string::npos) ? text.size() + 1 : eol + 1;
-    ++line_no;
-
-    const std::size_t hash = comment_start(line);
-    if (hash != std::string::npos) line = line.substr(0, hash);
-    line = trim(line);
-    if (line.empty()) continue;
-
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("fault file line " + std::to_string(line_no) +
-                                  ": expected 'key = value', got '" + line + "'");
-    }
-    const std::string key = trim(line.substr(0, eq));
-    const std::string value = trim(line.substr(eq + 1));
-    if (key.empty() || value.empty()) {
-      throw std::invalid_argument("fault file line " + std::to_string(line_no) +
-                                  ": empty key or value");
-    }
-    if (!out.apply_directive(key, value)) {
-      throw std::invalid_argument("fault file line " + std::to_string(line_no) +
-                                  ": unknown directive '" + key +
+  for (const text::KeyValue& kv : text::key_values(text, "fault file")) {
+    if (!out.apply_directive(kv.key, kv.value)) {
+      throw std::invalid_argument("fault file line " + std::to_string(kv.line) +
+                                  ": unknown directive '" + kv.key +
                                   "' (crash/degrade/pause/dns-outage/scale-up/scale-down/"
                                   "resize)");
     }
@@ -245,14 +190,7 @@ FaultSchedule parse_fault_text(const std::string& text) {
 }
 
 FaultSchedule load_fault_file(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (!f) throw std::runtime_error("cannot open fault file '" + path + "'");
-  std::string text;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-  std::fclose(f);
-  return parse_fault_text(text);
+  return parse_fault_text(text::read_file(path, "fault file"));
 }
 
 }  // namespace adattl::fault

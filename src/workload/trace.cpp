@@ -1,12 +1,12 @@
 #include "workload/trace.h"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "sim/random.h"
+#include "sim/text.h"
 
 namespace adattl::workload {
 
@@ -14,78 +14,48 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
-std::string trim(const std::string& s) {
-  const auto first = s.find_first_not_of(" \t\r");
-  if (first == std::string::npos) return "";
-  const auto last = s.find_last_not_of(" \t\r");
-  return s.substr(first, last - first + 1);
-}
-
-[[noreturn]] void bad_row(std::size_t line_no, const std::string& why) {
+[[noreturn]] void bad_row(int line_no, const std::string& why) {
   throw std::invalid_argument("trace CSV line " + std::to_string(line_no) + ": " + why);
 }
 
-double parse_double(const std::string& field, std::size_t line_no, const char* what) {
-  std::size_t consumed = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(field, &consumed);
-  } catch (const std::exception&) {
-    bad_row(line_no, std::string("bad ") + what + " '" + field + "'");
-  }
-  if (consumed != field.size()) {
-    bad_row(line_no, std::string("trailing junk in ") + what + " '" + field + "'");
-  }
-  return value;
+double parse_number(const std::string& field, int line_no, const char* what) {
+  const std::optional<double> value = text::parse_number(field);
+  if (!value) bad_row(line_no, std::string(what) + ": expected a number, got '" + field + "'");
+  return *value;
 }
 
 }  // namespace
 
-std::vector<TraceEvent> parse_trace_csv(const std::string& text) {
+std::vector<TraceEvent> parse_trace_csv(const std::string& csv) {
   std::vector<TraceEvent> events;
-  std::istringstream in(text);
-  std::string raw;
-  std::size_t line_no = 0;
-  bool seen_data = false;
-  while (std::getline(in, raw)) {
-    ++line_no;
-    // Strip a trailing `# comment` and surrounding whitespace.
-    const auto hash = raw.find('#');
-    const std::string line = trim(hash == std::string::npos ? raw : raw.substr(0, hash));
-    if (line.empty()) continue;
-
-    const auto c1 = line.find(',');
-    const auto c2 = c1 == std::string::npos ? std::string::npos : line.find(',', c1 + 1);
-    if (c2 == std::string::npos) bad_row(line_no, "expected t_sec,domain,rate_multiplier");
-    const std::string f0 = trim(line.substr(0, c1));
-    const std::string f1 = trim(line.substr(c1 + 1, c2 - c1 - 1));
-    const std::string f2 = trim(line.substr(c2 + 1));
-    if (line.find(',', c2 + 1) != std::string::npos) bad_row(line_no, "too many fields");
+  for (const text::Line& line : text::lines(csv)) {
+    std::vector<std::string> f = text::split(line.text, ',');
+    if (f.size() < 3) {
+      bad_row(line.number, "expected t_sec,domain,rate_multiplier, got '" + line.text + "'");
+    }
+    if (f.size() > 3) bad_row(line.number, "too many fields in '" + line.text + "'");
+    for (std::string& field : f) field = text::trim(field);
 
     // One header row is tolerated before any data.
-    if (!seen_data && f0 == "t_sec") continue;
+    if (events.empty() && f[0] == "t_sec") continue;
 
     TraceEvent ev;
-    ev.at_sec = parse_double(f0, line_no, "t_sec");
-    const double domain = parse_double(f1, line_no, "domain");
-    if (domain != std::floor(domain) || domain < 0) {
-      bad_row(line_no, "domain must be a non-negative integer");
+    ev.at_sec = parse_number(f[0], line.number, "t_sec");
+    const std::optional<std::int64_t> domain = text::parse_integer(f[1], 0, INT_MAX);
+    if (!domain) {
+      bad_row(line.number, "domain must be a non-negative integer, got '" + f[1] + "'");
     }
-    ev.domain = static_cast<web::DomainId>(domain);
-    ev.rate_multiplier = parse_double(f2, line_no, "rate_multiplier");
+    ev.domain = static_cast<web::DomainId>(*domain);
+    ev.rate_multiplier = parse_number(f[2], line.number, "rate_multiplier");
     events.push_back(ev);
-    seen_data = true;
   }
   return events;
 }
 
 std::vector<TraceEvent> load_trace_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::invalid_argument("trace file '" + path + "': cannot open");
-  std::ostringstream buf;
-  buf << in.rdbuf();
+  const std::string csv = text::read_file(path, "trace file");
   try {
-    return parse_trace_csv(buf.str());
+    return parse_trace_csv(csv);
   } catch (const std::invalid_argument& e) {
     throw std::invalid_argument("trace file '" + path + "': " + e.what());
   }

@@ -22,13 +22,17 @@ struct TraceEvent {
 };
 
 /// Parses the trace CSV schema: one `t_sec,domain,rate_multiplier` row per
-/// line; blank lines and `#` comments are skipped, and one optional header
-/// row naming the columns is tolerated. Throws std::invalid_argument with
-/// the 1-based line number on malformed rows. Row order is preserved
-/// (same-timestamp rows replay in file order).
-std::vector<TraceEvent> parse_trace_csv(const std::string& text);
+/// line, fields trimmed; blank lines and comments are skipped (a `#` at the
+/// start of a line or after a space or tab, as in scenario files), and one
+/// optional header row naming the columns is tolerated. t_sec and
+/// rate_multiplier follow the number grammar and domain the integer
+/// grammar (sim/text.h). Throws std::invalid_argument with the 1-based
+/// line number on malformed rows. Row order is preserved (same-timestamp
+/// rows replay in file order).
+std::vector<TraceEvent> parse_trace_csv(const std::string& csv);
 
-/// Reads and parses a trace file; the filename is included in errors.
+/// Reads and parses a trace file: std::runtime_error when it cannot be
+/// read, std::invalid_argument naming the file for a malformed row.
 std::vector<TraceEvent> load_trace_file(const std::string& path);
 
 /// Serializes events to the CSV schema parse_trace_csv reads (round-trips

@@ -56,6 +56,55 @@ TEST(StatValidation, ErlangServiceMatchesMG1QueueingShape) {
   EXPECT_LT(r.mean_page_response_sec, 6.0 * mean_service);
 }
 
+// A known answer: one server, one hit per page (exponential service) and
+// exponential think times make a run the machine-repairman model M/M/1//N,
+// whose utilization U, throughput X and mean response R exact mean value
+// analysis gives. The bounds hold over seeds 42-49 with margin (largest
+// deviations: |dU| 0.0019, |dX| 0.16%, dR -0.35..+1.36% up to N = 1000 and
+// +0.62..+3.32% at 1,300, where the counted warm-up reads high). X divides
+// by the whole horizon and R covers it, since only the utilization
+// statistics exclude the warm-up.
+TEST(StatValidation, ClosedSingleServerMatchesExactMva) {
+  const double service_sec = 0.01;  // one hit at 100 hits/s
+  const double think_sec = 15.0;
+  struct Load {
+    int clients;
+    double r_low, r_high;  // bounds on R / R_mva - 1
+  };
+  for (const Load load : {Load{500, -0.02, 0.02}, Load{1000, -0.02, 0.02},
+                          Load{1300, -0.02, 0.05}}) {
+    double r = 0.0, x = 0.0, q = 0.0;
+    for (int n = 1; n <= load.clients; ++n) {
+      r = service_sec * (1.0 + q);
+      x = n / (think_sec + r);
+      q = x * r;
+    }
+
+    experiment::SimulationConfig cfg;
+    cfg.cluster.relative = {1.0};
+    cfg.cluster.total_capacity_hits_per_sec = 1.0 / service_sec;
+    cfg.session.min_hits_per_page = cfg.session.max_hits_per_page = 1;
+    cfg.num_domains = 4;
+    cfg.uniform_clients = true;
+    cfg.total_clients = load.clients;
+    cfg.mean_think_sec = think_sec;
+    cfg.policy = "RR";
+    cfg.alarm_enabled = false;
+    cfg.warmup_sec = 600.0;
+    cfg.duration_sec = 36000.0;
+    cfg.seed = 42;
+    experiment::Site site(cfg);
+    const experiment::RunResult run = site.run();
+    const double throughput =
+        static_cast<double>(run.total_pages) / (cfg.warmup_sec + cfg.duration_sec);
+    SCOPED_TRACE(load.clients);
+    EXPECT_NEAR(run.mean_server_util[0], x * service_sec, 0.005);
+    EXPECT_NEAR(throughput / x - 1.0, 0.0, 0.005);
+    EXPECT_GE(run.mean_page_response_sec / r - 1.0, load.r_low);
+    EXPECT_LE(run.mean_page_response_sec / r - 1.0, load.r_high);
+  }
+}
+
 TEST(StatValidation, IdealWorkloadServerHitSharesTrackCapacity) {
   // Under the Ideal scenario (uniform domains + PRR) each server's served
   // hit share must converge to its capacity share.

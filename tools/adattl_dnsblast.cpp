@@ -116,15 +116,16 @@ int main(int argc, char** argv) {
     const std::string value = eq == std::string::npos ? "" : arg.substr(eq + 1);
     const auto number = [&] { return tools::flag_number(kTool, flag, value); };
     const auto whole = [&] { return static_cast<int>(tools::flag_integer(kTool, flag, value)); };
+    const auto boolean = [&] { return tools::flag_bool(kTool, flag, value, eq != arg.npos); };
     if (flag == "--host") opt.host = value;
     else if (flag == "--port") opt.port = whole();
     else if (flag == "--name") opt.name = value;
     else if (flag == "--qps") opt.qps = number();
     else if (flag == "--duration") opt.duration_sec = number();
-    else if (flag == "--ecs") opt.ecs = value.empty() || value == "true";
+    else if (flag == "--ecs") opt.ecs = boolean();
     else if (flag == "--subnets") opt.subnets = whole();
     else if (flag == "--batch") opt.batch = whole();
-    else if (flag == "--json") opt.json = value.empty() || value == "true";
+    else if (flag == "--json") opt.json = boolean();
     else return usage();
   }
   if (opt.port <= 0 || opt.port > 65535 || opt.duration_sec <= 0 || opt.subnets < 1 ||

@@ -37,6 +37,7 @@
 #include "experiment/cli.h"
 #include "experiment/param_registry.h"
 #include "flag_number.h"
+#include "sim/text.h"
 
 using namespace adattl;
 
@@ -52,18 +53,6 @@ volatile std::sig_atomic_t g_stop = 0;
 void on_signal(int) {
   g_stop = 1;
   if (g_daemon != nullptr) g_daemon->request_stop();  // async-signal-safe
-}
-
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (start <= s.size()) {
-    const std::size_t p = s.find(sep, start);
-    out.push_back(s.substr(start, p == std::string::npos ? std::string::npos : p - start));
-    if (p == std::string::npos) break;
-    start = p + 1;
-  }
-  return out;
 }
 
 void usage() {
@@ -176,7 +165,7 @@ int main(int argc, char** argv) {
   cfg.batch = opt.config.dnsd_batch;
   cfg.ecs_enabled = opt.config.dnsd_ecs;
   cfg.max_queries = max_queries;
-  for (const std::string& ip : split(servers_arg, ',')) {
+  for (const std::string& ip : text::split(servers_arg, ',')) {
     in_addr a{};
     if (inet_pton(AF_INET, ip.c_str(), &a) != 1) {
       std::fprintf(stderr, "adattl_dnsd: bad server address: %s\n", ip.c_str());
@@ -185,7 +174,7 @@ int main(int argc, char** argv) {
     cfg.server_ipv4.push_back(ntohl(a.s_addr));
   }
   if (!capacities_arg.empty()) {
-    for (const std::string& c : split(capacities_arg, ',')) {
+    for (const std::string& c : text::split(capacities_arg, ',')) {
       cfg.capacities.push_back(tools::flag_number(kTool, "--capacities", c));
     }
   }

@@ -1,46 +1,53 @@
 #pragma once
 
-// Numeric values of the tools' own flags (the ones the parameter registry
-// does not own). The whole value must parse (experiment::parse_env_number:
-// no trailing junk, no inf/nan) and be non-negative; anything else prints
+// Values of the tools' own flags (the ones the parameter registry does not
+// own), read by the grammars of sim/text.h. Anything else prints
 // "<tool>: <flag>: expected ..., got '<value>'" and exits 2.
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 
-#include "experiment/env_config.h"
+#include "sim/text.h"
 
 namespace adattl::tools {
 
 [[noreturn]] inline void bad_flag(const char* tool, const std::string& flag,
-                                  const char* expected, const std::string& value) {
-  std::fprintf(stderr, "%s: %s: expected %s, got '%s'\n", tool, flag.c_str(), expected,
+                                  const std::string& expected, const std::string& value) {
+  std::fprintf(stderr, "%s: %s: expected %s, got '%s'\n", tool, flag.c_str(), expected.c_str(),
                value.c_str());
   std::exit(2);
 }
 
-inline double flag_number(const char* tool, const std::string& flag,
-                          const std::string& value) {
-  double v = 0.0;
-  if (!experiment::parse_env_number(value.c_str(), v) || v < 0) {
+/// A finite number >= 0.
+inline double flag_number(const char* tool, const std::string& flag, const std::string& value) {
+  const std::optional<double> v = text::parse_number(value);
+  if (!v || !(*v >= 0) || !std::isfinite(*v)) {
     bad_flag(tool, flag, "a non-negative number", value);
   }
-  return v;
+  return *v;
 }
 
 /// A whole number in [0, max].
-inline long long flag_integer(const char* tool, const std::string& flag,
-                              const std::string& value,
-                              long long max = std::numeric_limits<int>::max()) {
-  double v = 0.0;
-  if (!experiment::parse_env_number(value.c_str(), v) || v < 0 ||
-      v > static_cast<double>(max) || v != std::floor(v)) {
-    bad_flag(tool, flag, ("an integer in [0, " + std::to_string(max) + "]").c_str(), value);
-  }
-  return static_cast<long long>(v);
+inline std::int64_t flag_integer(const char* tool, const std::string& flag,
+                                 const std::string& value,
+                                 std::int64_t max = std::numeric_limits<int>::max()) {
+  const std::optional<std::int64_t> v = text::parse_integer(value, 0, max);
+  if (!v) bad_flag(tool, flag, "an integer in [0, " + std::to_string(max) + "]", value);
+  return *v;
+}
+
+/// A bare flag (true), or `=` and the bool grammar: true/1, false/0.
+inline bool flag_bool(const char* tool, const std::string& flag, const std::string& value,
+                      bool has_value) {
+  if (!has_value) return true;
+  const std::optional<bool> v = text::parse_bool(value);
+  if (!v) bad_flag(tool, flag, "true/false", value);
+  return *v;
 }
 
 }  // namespace adattl::tools
